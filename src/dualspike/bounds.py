@@ -14,7 +14,7 @@ than from unknowable ground truth:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (CurvatureSignError, InsufficientSamplesError,
                      NoConvergenceError, RadiusTooLargeError,
                      RankDeficientError)
 from .kernel import THIRD_SUP_COEFF, Kernel
-from .model import SampleGrid, SourceModel
+from .model import SampleGrid, SourceModel, build_phi
 
 SQRT_E = math.sqrt(math.e)
 # mixes the curvature and third-derivative suprema; ~7.3484
@@ -194,20 +194,30 @@ def select_informative_samples(src: SourceModel, grid: SampleGrid):
     return np.array(sorted(selected)), np.array(kept)
 
 
+def refine_peaks(cert: Certificate, locations):
+    """Certificate maximizers refined from each location, and q'' at them.
+
+    Returns (peaks, curvatures); raises NoConvergenceError when a
+    refinement fails.
+    """
+    peaks = np.array([refine_location(cert, t) for t in locations])
+    curvatures = np.array([cert.value(t, 2) for t in peaks])
+    return peaks, curvatures
+
+
 def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
-                      cert: Certificate):
+                      peaks, curvatures):
     """Reduced 2k x 2k Jacobian of the stationarity system at the optimum.
 
     Rows run over the selected samples; the left k columns differentiate
     with respect to the kept dual entries, the right k with respect to the
-    (penalty-scaled) convex weights.  Curvatures are taken from ``cert`` at
-    its refined maximizers near each source.
+    (penalty-scaled) convex weights.  ``peaks`` and ``curvatures`` are the
+    reference certificate's refined maximizers near each source and q''
+    there, as returned by ``refine_peaks``.
 
     Returns (jacobian, selected_sample_indices, kept_dual_indices).
     """
     selected, kept = select_informative_samples(src, grid)
-    peaks = np.array([refine_location(cert, t) for t in src.locations])
-    curvatures = np.array([cert.value(t, 2) for t in peaks])
     if np.any(curvatures >= 0):
         raise CurvatureSignError(
             f"non-negative curvature at a source: {curvatures}")
@@ -241,12 +251,25 @@ class BoundsReport:
     in ``errors`` under the field name.
     """
 
+    # scalars, then vectors (expanded to name_1, name_2, ...), in output order
     sigma: float = 0.0
     n_samples: int = 0
     n_sources: int = 0
     penalty: float = 0.0
     box_radius: float = 0.0
     dual_norm: float = 0.0
+    amp_rate_log10: float | None = None
+    amp_rate_linear: float | None = None
+    sigma_max_phi: float | None = None
+    sigma_min_phi: float | None = None
+    perturbation_limit_log10: float | None = None
+    perturbation_limit: float | None = None
+    sigma_min_jacobian: float | None = None
+    curv_floor: float | None = None
+    drift: float | None = None
+    jacobian_rate: float | None = None
+    noise_rate: float | None = None
+    noise_radius: float | None = None
     source_locations: np.ndarray | None = None
     refined_peaks: np.ndarray | None = None
     curvatures: np.ndarray | None = None
@@ -255,61 +278,22 @@ class BoundsReport:
     location_rates: np.ndarray | None = None
     location_rates_alt: np.ndarray | None = None
     rate_form_ratio: np.ndarray | None = None
-    amp_rate_log10: float | None = None
-    amp_rate_linear: float | None = None
-    sigma_max_phi: float | None = None
-    sigma_min_phi: float | None = None
-    perturbation_limit_log10: float | None = None
-    perturbation_limit: float | None = None
     selected_samples: np.ndarray | None = None
     kept_dual_indices: np.ndarray | None = None
+    # written separately by to_text; not part of the CSV row
     jacobian: np.ndarray | None = None
-    sigma_min_jacobian: float | None = None
-    curv_floor: float | None = None
-    drift: float | None = None
-    jacobian_rate: float | None = None
-    noise_rate: float | None = None
-    noise_radius: float | None = None
     errors: dict = field(default_factory=dict)
 
     def _scalar_items(self):
-        items = [
-            ("sigma", self.sigma),
-            ("n_samples", self.n_samples),
-            ("n_sources", self.n_sources),
-            ("penalty", self.penalty),
-            ("box_radius", self.box_radius),
-            ("dual_norm", self.dual_norm),
-            ("amp_rate_log10", self.amp_rate_log10),
-            ("amp_rate_linear", self.amp_rate_linear),
-            ("sigma_max_phi", self.sigma_max_phi),
-            ("sigma_min_phi", self.sigma_min_phi),
-            ("perturbation_limit_log10", self.perturbation_limit_log10),
-            ("perturbation_limit", self.perturbation_limit),
-            ("sigma_min_jacobian", self.sigma_min_jacobian),
-            ("curv_floor", self.curv_floor),
-            ("drift", self.drift),
-            ("jacobian_rate", self.jacobian_rate),
-            ("noise_rate", self.noise_rate),
-            ("noise_radius", self.noise_radius),
-        ]
-        vectors = [
-            ("source_locations", self.source_locations),
-            ("refined_peaks", self.refined_peaks),
-            ("curvatures", self.curvatures),
-            ("location_radii", self.location_radii),
-            ("dual_radii", self.dual_radii),
-            ("location_rates", self.location_rates),
-            ("location_rates_alt", self.location_rates_alt),
-            ("rate_form_ratio", self.rate_form_ratio),
-            ("selected_samples", self.selected_samples),
-            ("kept_dual_indices", self.kept_dual_indices),
-        ]
-        for name, vec in vectors:
-            if vec is None:
-                items.append((name, None))
+        items = []
+        for f in fields(self):
+            if f.name in ("jacobian", "errors"):
+                continue
+            val = getattr(self, f.name)
+            if isinstance(val, np.ndarray):
+                items.extend((f"{f.name}_{i + 1}", v) for i, v in enumerate(val))
             else:
-                items.extend((f"{name}_{i + 1}", v) for i, v in enumerate(vec))
+                items.append((f.name, val))
         return items
 
     def to_text(self):
@@ -345,10 +329,8 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
                           source_locations=src.locations.copy())
 
     try:
-        peaks = np.array([refine_location(cert, t) for t in src.locations])
-        curvatures = np.array([cert.value(t, 2) for t in peaks])
-        report.refined_peaks = peaks
-        report.curvatures = curvatures
+        report.refined_peaks, report.curvatures = refine_peaks(cert, src.locations)
+        curvatures = report.curvatures
         if np.any(curvatures >= 0):
             raise CurvatureSignError(f"non-negative curvature: {curvatures}")
     except (NoConvergenceError, CurvatureSignError) as exc:
@@ -366,8 +348,6 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
             [location_error_rate_alt(c, sigma, m, dual_norm) for c in curvatures])
         report.rate_form_ratio = report.location_rates / report.location_rates_alt
 
-    from .recovery import build_phi  # local import to avoid a cycle
-
     phi = build_phi(grid, kernel, src.locations)
     singulars = np.linalg.svd(phi, compute_uv=False)
     report.sigma_max_phi = float(singulars[0])
@@ -383,14 +363,18 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
     else:
         report.errors["amp_rate_log10"] = "translate matrix is singular"
 
-    try:
-        jac, selected, kept = assemble_jacobian(src, grid, kernel, cert)
-        report.jacobian = jac
-        report.selected_samples = selected
-        report.kept_dual_indices = kept
-        report.sigma_min_jacobian = float(np.linalg.svd(jac, compute_uv=False)[-1])
-    except (InsufficientSamplesError, CurvatureSignError, NoConvergenceError) as exc:
-        report.errors["jacobian"] = str(exc)
+    if report.refined_peaks is None:
+        report.errors["jacobian"] = report.errors["curvatures"]
+    else:
+        try:
+            jac, selected, kept = assemble_jacobian(
+                src, grid, kernel, report.refined_peaks, report.curvatures)
+            report.jacobian = jac
+            report.selected_samples = selected
+            report.kept_dual_indices = kept
+            report.sigma_min_jacobian = float(np.linalg.svd(jac, compute_uv=False)[-1])
+        except (InsufficientSamplesError, CurvatureSignError) as exc:
+            report.errors["jacobian"] = str(exc)
 
     if curvatures is not None:
         # worst case across sources: flattest curvature, widest dual radius

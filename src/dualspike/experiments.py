@@ -13,7 +13,7 @@ from . import bounds
 from .certificate import Certificate, refine_location
 from .config import ExperimentConfig
 from .errors import ConfigError, NoConvergenceError
-from .model import noise_grid, synthesize, uniform_noise
+from .model import build_phi, noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
 from .solver import BundleState, PenaltyProblem, solve
 
@@ -114,30 +114,46 @@ def window_threshold(state: BundleState):
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
-def run_lambda_t(cfg: ExperimentConfig, out_dir):
-    """Location error against dual error across the iteration window."""
-    ref_iters = (cfg.reference_iterations if cfg.reference_iterations is not None
-                 else DEFAULT_RATIO_ITERS)
+def _reference_iterations(cfg: ExperimentConfig):
+    return (cfg.reference_iterations if cfg.reference_iterations is not None
+            else DEFAULT_RATIO_ITERS)
+
+
+def reference_window(cfg: ExperimentConfig):
+    """Reference solve of a ratio experiment and its iteration window.
+
+    Returns (problem, state, window); ``window`` yields, for each iteration
+    p from ``window_start`` to ``window_end``, the tuple (p, dual_err,
+    in_window, cert_p) of the p-th iterate against the final one.
+    """
+    ref_iters = _reference_iterations(cfg)
     if ref_iters <= cfg.window_end:
         raise ConfigError("key 'window_end': reference_iterations must exceed the window",
                           key="window_end")
     problem, state = reference_run(cfg, ref_iters)
+    threshold = window_threshold(state)
+
+    def window():
+        best = state.iterate
+        p_max = min(cfg.window_end, len(state.iterate_history))
+        for p in range(cfg.window_start, p_max + 1):
+            iterate = state.iterate_history[p - 1]
+            dual_err = float(np.linalg.norm(iterate - best))
+            yield p, dual_err, int(dual_err >= threshold), _certificate(problem, iterate)
+
+    return problem, state, window()
+
+
+def run_lambda_t(cfg: ExperimentConfig, out_dir):
+    """Location error against dual error across the iteration window."""
+    problem, state, window = reference_window(cfg)
     src = cfg.source_model()
-    best = state.iterate
-    best_cert = _certificate(problem, best)
-    curvatures = np.array([best_cert.value(refine_location(best_cert, t), 2)
-                           for t in src.locations])
-    dual_norm = float(np.linalg.norm(best))
+    _, curvatures = bounds.refine_peaks(_certificate(problem, state.iterate), src.locations)
+    dual_norm = float(np.linalg.norm(state.iterate))
     rates = np.array([bounds.location_error_rate(c, cfg.sigma, len(cfg.samples), dual_norm)
                       for c in curvatures])
-    threshold = window_threshold(state)
     rows = []
-    p_max = min(cfg.window_end, len(state.iterate_history))
-    for p in range(cfg.window_start, p_max + 1):
-        iterate = state.iterate_history[p - 1]
-        dual_err = float(np.linalg.norm(iterate - best))
-        in_window = int(dual_err >= threshold)
-        cert_p = _certificate(problem, iterate)
+    for p, dual_err, in_window, cert_p in window:
         for i, t_true in enumerate(src.locations):
             try:
                 t_p = refine_location(cert_p, t_true)
@@ -159,29 +175,17 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
 
 def run_t_a(cfg: ExperimentConfig, out_dir):
     """Amplitude error against location error across the iteration window."""
-    ref_iters = (cfg.reference_iterations if cfg.reference_iterations is not None
-                 else DEFAULT_RATIO_ITERS)
-    if ref_iters <= cfg.window_end:
-        raise ConfigError("key 'window_end': reference_iterations must exceed the window",
-                          key="window_end")
-    problem, state = reference_run(cfg, ref_iters)
+    problem, _, window = reference_window(cfg)
     src = cfg.source_model()
     grid = cfg.sample_grid()
     kernel = cfg.kernel()
     y = problem.measurements.y
-    phi = kernel.value(src.locations[None, :] - grid.samples[:, None])
+    phi = build_phi(grid, kernel, src.locations)
     amp_log10, _ = bounds.amplitude_error_rate_log10(
         cfg.sigma, grid.n_samples, float(np.linalg.norm(src.amplitudes)),
         float(np.linalg.svd(phi, compute_uv=False)[-1]))
-    threshold = window_threshold(state)
-    best = state.iterate
     rows = []
-    p_max = min(cfg.window_end, len(state.iterate_history))
-    for p in range(cfg.window_start, p_max + 1):
-        iterate = state.iterate_history[p - 1]
-        dual_err = float(np.linalg.norm(iterate - best))
-        in_window = int(dual_err >= threshold)
-        cert_p = _certificate(problem, iterate)
+    for p, _, in_window, cert_p in window:
         try:
             t_p = np.array([refine_location(cert_p, t) for t in src.locations])
         except NoConvergenceError:
@@ -231,8 +235,9 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     problem, state = reference_run(cfg, iters)
     src = cfg.source_model()
     ref = state.iterate
-    ref_cert = _certificate(problem, ref)
-    jac, selected, _ = bounds.assemble_jacobian(src, cfg.sample_grid(), cfg.kernel(), ref_cert)
+    peaks, curvatures = bounds.refine_peaks(_certificate(problem, ref), src.locations)
+    jac, selected, _ = bounds.assemble_jacobian(src, cfg.sample_grid(), cfg.kernel(),
+                                                peaks, curvatures)
     smallest = float(np.linalg.svd(jac, compute_uv=False)[-1])
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
 
@@ -271,8 +276,7 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
 
 def run_bounds(cfg: ExperimentConfig, out_dir):
     """Reference solve followed by the full constants report."""
-    iters = (cfg.reference_iterations if cfg.reference_iterations is not None
-             else DEFAULT_RATIO_ITERS)
+    iters = _reference_iterations(cfg)
     problem = build_problem(cfg)
     state = solve(problem, level_mix=cfg.alpha, max_iters=iters)
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),

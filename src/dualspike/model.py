@@ -92,6 +92,14 @@ def feature_vector(grid: SampleGrid, kernel: Kernel, t: float) -> np.ndarray:
     return kernel.value(t - grid.samples)
 
 
+def build_phi(grid: SampleGrid, kernel: Kernel, locations) -> np.ndarray:
+    """Translate matrix with entry (i, j) = phi(t_j - s_i): samples x sources."""
+    locations = np.asarray(locations, dtype=float)
+    if locations.size and (locations.min() < 0.0 or locations.max() > 1.0):
+        raise ValueError("locations must lie in [0, 1]")
+    return kernel.value(locations[None, :] - grid.samples[:, None])
+
+
 def synthesize(src: SourceModel, grid: SampleGrid, kernel: Kernel, noise=None) -> MeasurementSet:
     """Forward model: y_j = sum_i a_i phi(t_i - s_j) + w_j.
 
@@ -104,8 +112,7 @@ def synthesize(src: SourceModel, grid: SampleGrid, kernel: Kernel, noise=None) -
         w = np.asarray(noise, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"noise must have length {m}, got shape {w.shape}")
-    diffs = src.locations[None, :] - grid.samples[:, None]
-    clean = kernel.value(diffs) @ src.amplitudes
+    clean = build_phi(grid, kernel, src.locations) @ src.amplitudes
     return MeasurementSet(clean + w, w, grid)
 
 

@@ -19,20 +19,22 @@ def svd(matrix):
 
 
 def least_squares(a, b):
-    """Minimizer of ||A x - b||_2 for a tall full-rank A, via the SVD.
+    """Minimizer of ||A x - b||_2 for a tall full-rank A, via one SVD.
 
-    Raises RankDeficientError when sigma_min < 1e-12 * sigma_max.
+    Returns (x, singular values of A, descending).  Raises
+    RankDeficientError when sigma_min <= 1e-12 or sigma_min < 1e-12 *
+    sigma_max: absolute for matrices of norm up to 1, relative above.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] < a.shape[1]:
         raise ValueError("least_squares expects rows >= cols")
     u, s, v = svd(a)
-    if s[-1] < 1e-12 * s[0]:
+    if s[-1] <= 1e-12 or s[-1] < 1e-12 * s[0]:
         raise RankDeficientError(
             f"matrix is numerically rank deficient (sigma_min={s[-1]:.3e})",
             sigma_min=float(s[-1]))
-    return v @ ((u.T @ b) / s)
+    return v @ ((u.T @ b) / s), s
 
 
 def lp_min(offsets, slopes, box_radius):
@@ -152,12 +154,3 @@ def project_polyhedron(point, a_mat, b_vec, feas_tol=None, max_iter=None):
         f"projection stalled at violation {best_viol:.3e} (tol {feas_tol:.3e})",
         last_iterate=best_x)
 
-
-def qp_project(point, a_mat, b_vec, box_radius, feas_tol=None):
-    """Projection onto {A x <= b, |x|_inf <= r}; box folded into rows."""
-    point = np.asarray(point, dtype=float)
-    n = point.size
-    eye = np.eye(n)
-    rows = [np.asarray(a_mat, dtype=float).reshape(-1, n), eye, -eye]
-    rhs = [np.asarray(b_vec, dtype=float).ravel(), np.full(n, box_radius), np.full(n, box_radius)]
-    return project_polyhedron(point, np.vstack(rows), np.concatenate(rhs), feas_tol=feas_tol)

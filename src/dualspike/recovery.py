@@ -8,9 +8,9 @@ import numpy as np
 
 from . import numerics
 from .certificate import Certificate, global_maximizers
-from .errors import EmptySupportError, RankDeficientError
+from .errors import EmptySupportError
 from .kernel import Kernel
-from .model import SampleGrid
+from .model import SampleGrid, build_phi
 
 SUPPORT_VALUE_THRESHOLD = 1.0 - 1e-3
 
@@ -36,14 +36,6 @@ class RecoveryResult:
         }
 
 
-def build_phi(grid: SampleGrid, kernel: Kernel, locations) -> np.ndarray:
-    """Translate matrix with entry (i, j) = phi(t_j - s_i): samples x sources."""
-    locations = np.asarray(locations, dtype=float)
-    if locations.size and (locations.min() < 0.0 or locations.max() > 1.0):
-        raise ValueError("locations must lie in [0, 1]")
-    return kernel.value(locations[None, :] - grid.samples[:, None])
-
-
 def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> RecoveryResult:
     """Least-squares amplitudes for a fixed support.
 
@@ -56,12 +48,7 @@ def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> Recove
     if locations.size > y.size:
         raise ValueError("more sources than samples")
     phi = build_phi(grid, kernel, locations)
-    _, singulars, _ = numerics.svd(phi)
-    if singulars[-1] <= 1e-12:
-        raise RankDeficientError(
-            f"translate matrix is rank deficient (sigma_min={singulars[-1]:.3e})",
-            sigma_min=float(singulars[-1]))
-    amplitudes = numerics.least_squares(phi, y)
+    amplitudes, singulars = numerics.least_squares(phi, y)
     if np.any(amplitudes < 0):
         warnings.warn("least-squares amplitudes contain negative entries",
                       stacklevel=2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .certificate import CertificateGrid, DEFAULT_GRID_POINTS
+from .certificate import CertificateGrid
 from .errors import InfeasibleError, LevelSetEmptyError, NoConvergenceError
 from .kernel import Kernel
 from .model import MeasurementSet, feature_vector
@@ -132,41 +132,43 @@ def _level_constraints(cuts, level, box_radius, n):
     return a_mat, b_vec
 
 
-def project_to_level(cuts, level, point, box_radius):
-    """Euclidean projection of ``point`` onto {model <= level} within the box.
+def project_to_level(cuts, level, point, box_radius, minimum):
+    """Euclidean projection of ``point`` onto {model <= level}, clipped to the box.
 
-    When the set is numerically too thin to project onto, the model argmin
-    (which attains the model minimum and therefore lies in any level set
-    with level >= model minimum) is returned instead.  A level strictly
-    below the model minimum raises LevelSetEmptyError.
+    ``minimum`` is the (value, argmin) pair from ``model_minimum``.  When the
+    set is numerically too thin to project onto, the model argmin (which
+    attains the model minimum and therefore lies in any level set with
+    level >= model minimum) is returned instead.  A level strictly below the
+    model minimum raises LevelSetEmptyError.
     """
     point = np.asarray(point, dtype=float)
     a_mat, b_vec = _level_constraints(cuts, level, box_radius, point.size)
     try:
-        return numerics.project_polyhedron(point, a_mat, b_vec)
+        projected = numerics.project_polyhedron(point, a_mat, b_vec)
     except (InfeasibleError, NoConvergenceError):
-        nu, argmin = model_minimum(cuts, box_radius)
+        # level set thinner than double precision resolves: the model
+        # argmin is the limit of the projections
+        nu, projected = minimum
         if level < nu - 1e-9:
             raise LevelSetEmptyError(
                 f"level {level} is below the model minimum {nu}") from None
-        return np.clip(argmin, -box_radius, box_radius)
+    return np.clip(projected, -box_radius, box_radius)
 
 
 def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500,
-          record_iterates: bool = False, gap_tol: float = DEFAULT_GAP_TOL,
-          scan_points: int = DEFAULT_GRID_POINTS) -> BundleState:
+          record_iterates: bool = False) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current
     iterate, append the cut, refresh the model minimum (lower bound) and
     best value seen (upper bound), then project the iterate onto the set
     {model <= level_mix * upper + (1 - level_mix) * lower} inside the box.
-    Stops at ``max_iters`` or when the gap drops to ``gap_tol``.
+    Stops at ``max_iters`` or when the gap drops to ``DEFAULT_GAP_TOL``.
     """
     if not 0.0 < level_mix < 1.0:
         raise ValueError("level_mix must lie strictly between 0 and 1")
     m = problem.measurements.grid.n_samples
-    cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel, scan_points)
+    cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
     if record_iterates:
         state.iterate_history = []
@@ -177,25 +179,18 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
         value, slope, _ = _oracle(problem, state.iterate, cert_grid)
         state.cuts.append(Cut(state.iterate.copy(), value, slope))
         state.upper_bound = min(state.upper_bound, value)
-        nu, model_argmin = model_minimum(state.cuts, box)
+        minimum = model_minimum(state.cuts, box)
         # each LP value is a valid lower bound, so their running max is too
-        state.lower_bound = max(state.lower_bound, nu)
+        state.lower_bound = max(state.lower_bound, minimum[0])
         gap = state.upper_bound - state.lower_bound
         level = level_mix * state.upper_bound + (1.0 - level_mix) * state.lower_bound
-        a_mat, b_vec = _level_constraints(state.cuts, level, box, m)
-        try:
-            new_iterate = numerics.project_polyhedron(state.iterate, a_mat, b_vec)
-        except (InfeasibleError, NoConvergenceError):
-            # level set thinner than double precision resolves: the model
-            # argmin is the limit of the projections
-            new_iterate = model_argmin
-        state.iterate = np.clip(new_iterate, -box, box)
+        state.iterate = project_to_level(state.cuts, level, state.iterate, box, minimum)
         state.upper_history.append(state.upper_bound)
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)
         state.gap_history.append(gap)
         if record_iterates:
             state.iterate_history.append(state.iterate.copy())
-        if gap <= gap_tol:
+        if gap <= DEFAULT_GAP_TOL:
             break
     return state

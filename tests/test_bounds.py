@@ -233,7 +233,8 @@ class TestJacobianRate:
 class TestJacobianAssembly:
     def test_single_source_structure(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, selected, kept = bounds.assemble_jacobian(src, grid, kernel, cert)
+        jac, selected, kept = bounds.assemble_jacobian(
+            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
         assert jac.shape == (2, 2)
         assert selected.size == 2 and kept.size == 1
         assert set(kept).issubset(set(selected))
@@ -265,14 +266,16 @@ class TestJacobianAssembly:
 
     def test_translate_block_full_rank(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, _, _ = bounds.assemble_jacobian(src, grid, kernel, cert)
+        jac, _, _ = bounds.assemble_jacobian(
+            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
         k = src.n_sources
         right = jac[:, k:]
         assert np.linalg.svd(right, compute_uv=False)[-1] > 0
 
     def test_determinant_matches_singular_values(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, _, _ = bounds.assemble_jacobian(src, grid, kernel, cert)
+        jac, _, _ = bounds.assemble_jacobian(
+            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
         singulars = np.linalg.svd(jac, compute_uv=False)
         det = np.linalg.det(jac)
         assert det != 0.0
@@ -332,9 +335,40 @@ class TestFullReport:
         # fields fail soft, translate-matrix fields survive
         report = bounds.full_report(src, grid, kernel, np.zeros(grid.n_samples), 2.0, 1e3)
         assert "curvatures" in report.errors
+        assert "jacobian" in report.errors
         assert report.location_rates is None
         assert report.amp_rate_log10 is not None
         assert report.sigma_min_phi > 0
+
+    def test_refines_each_source_once(self, offgrid_single, monkeypatch):
+        src, grid, kernel, cert = offgrid_single
+        calls = []
+        refine = bounds.refine_location
+
+        def counting_refine(c, t0):
+            calls.append(t0)
+            return refine(c, t0)
+
+        monkeypatch.setattr(bounds, "refine_location", counting_refine)
+        report = bounds.full_report(src, grid, kernel, cert.weights, 2.0, 1e3)
+        assert report.jacobian is not None
+        assert calls == list(src.locations)
+
+    def test_items_follow_field_order(self):
+        report = bounds.BoundsReport(sigma=0.1, noise_radius=2.0,
+                                     source_locations=np.array([0.2, 0.7]),
+                                     jacobian=np.eye(2), errors={"drift": "x"})
+        items = report._scalar_items()
+        names = [k for k, _ in items]
+        assert names[:6] == ["sigma", "n_samples", "n_sources", "penalty",
+                             "box_radius", "dual_norm"]
+        assert names[17:21] == ["noise_radius", "source_locations_1",
+                                "source_locations_2", "refined_peaks"]
+        assert names[-1] == "kept_dual_indices"
+        assert len(names) == 29
+        assert dict(items)["source_locations_2"] == 0.7
+        assert dict(items)["refined_peaks"] is None
+        assert not {"jacobian", "jacobian_1", "errors"} & set(names)
 
 
 class TestMonotonicitySmoke:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dualspike.errors import InfeasibleError, RankDeficientError
-from dualspike.numerics import (least_squares, lp_min, project_polyhedron,
-                                qp_project, svd)
+from dualspike.numerics import least_squares, lp_min, project_polyhedron, svd
 
 
 def penalty_projection_oracle(point, a_mat, b_vec):
@@ -39,6 +38,13 @@ def feasible_instance(rng, n_rows, n, box):
     interior = rng.uniform(-0.5 * box, 0.5 * box, size=n)
     b = a @ interior + rng.uniform(0.1, 1.5, size=n_rows)
     return a, b
+
+
+def with_box(a, b, n, box):
+    """Fold the box |x|_inf <= box into the rows of A x <= b as +-I rows."""
+    eye = np.eye(n)
+    return (np.vstack([np.asarray(a, dtype=float).reshape(-1, n), eye, -eye]),
+            np.concatenate([np.asarray(b, dtype=float).ravel(), np.full(2 * n, box)]))
 
 
 def lp_vertex_oracle(offsets, slopes, box):
@@ -89,20 +95,22 @@ class TestSvd:
 class TestLeastSquares:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(least_squares(np.eye(3), b), b, rtol=1e-14)
+        x, s = least_squares(np.eye(3), b)
+        np.testing.assert_allclose(x, b, rtol=1e-14)
+        np.testing.assert_allclose(s, [1.0, 1.0, 1.0], rtol=1e-14)
 
     def test_consistent_overdetermined(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(10, 3))
         x_true = rng.normal(size=3)
-        x = least_squares(a, a @ x_true)
+        x, _ = least_squares(a, a @ x_true)
         np.testing.assert_allclose(x, x_true, rtol=1e-10)
 
     def test_against_normal_equations(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(21, 3))
         b = rng.normal(size=21)
-        x = least_squares(a, b)
+        x, _ = least_squares(a, b)
         x_ref = np.linalg.solve(a.T @ a, a.T @ b)
         np.testing.assert_allclose(x, x_ref, atol=1e-8)
 
@@ -112,6 +120,24 @@ class TestLeastSquares:
             least_squares(a, np.ones(5))
         assert excinfo.value.sigma_min is not None
 
+    def test_rank_rule_absolute_below_unit_norm(self):
+        # sigma_max < 1: sigma_min at 1e-12 is rejected although it is not
+        # below 1e-12 * sigma_max
+        a = np.vstack([np.diag([0.5, 1e-12]), np.zeros((2, 2))])
+        with pytest.raises(RankDeficientError):
+            least_squares(a, np.ones(4))
+        _, s = least_squares(np.vstack([np.diag([0.5, 2e-12]), np.zeros((2, 2))]), np.ones(4))
+        np.testing.assert_allclose(s, [0.5, 2e-12], rtol=1e-14)
+
+    def test_rank_rule_relative_above_unit_norm(self):
+        # sigma_max = 1e6: sigma_min = 1e-7 passes the absolute test but
+        # not the relative one
+        a = np.vstack([np.diag([1e6, 1e-7]), np.zeros((2, 2))])
+        with pytest.raises(RankDeficientError):
+            least_squares(a, np.ones(4))
+        x, _ = least_squares(np.vstack([np.diag([1e6, 1e-5]), np.zeros((2, 2))]), np.ones(4))
+        np.testing.assert_allclose(x, [1e-6, 1e5], rtol=1e-12)
+
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((2, 3)), np.ones(2))
@@ -120,14 +146,14 @@ class TestLeastSquares:
 class TestProjection:
     def test_interior_point_unchanged(self):
         p = np.array([0.5, -0.5, 0.2])
-        out = qp_project(p, np.zeros((0, 3)), np.zeros(0), box_radius=10.0)
+        out = project_polyhedron(p, *with_box(np.zeros((0, 3)), np.zeros(0), 3, 10.0))
         np.testing.assert_allclose(out, p, atol=1e-14)
 
     def test_single_halfspace_closed_form(self):
         # {x : x_0 <= 0} inside a wide box; projection zeroes the first coord
         p = np.array([2.0, 0.3, -0.4])
         a = np.array([[1.0, 0.0, 0.0]])
-        out = qp_project(p, a, np.array([0.0]), box_radius=10.0)
+        out = project_polyhedron(p, *with_box(a, np.array([0.0]), 3, 10.0))
         np.testing.assert_allclose(out, [0.0, 0.3, -0.4], atol=1e-12)
 
     def test_against_penalty_oracle(self):
@@ -135,10 +161,8 @@ class TestProjection:
         for _ in range(25):
             a, b = feasible_instance(rng, 5, 3, box=10.0)
             p = rng.normal(size=3) * 3.0
-            out = qp_project(p, a, b, box_radius=10.0)
-            eye = np.eye(3)
-            a_full = np.vstack([a, eye, -eye])
-            b_full = np.concatenate([b, np.full(6, 10.0)])
+            a_full, b_full = with_box(a, b, 3, 10.0)
+            out = project_polyhedron(p, a_full, b_full)
             ref = penalty_projection_oracle(p, a_full, b_full)
             assert np.linalg.norm(out - ref) <= 1e-5
 
@@ -168,17 +192,17 @@ class TestProjection:
         for _ in range(10):
             a, b = feasible_instance(rng, 5, 3, box=8.0)
             p = rng.normal(size=3) * 4.0
-            once = qp_project(p, a, b, box_radius=8.0)
-            twice = qp_project(once, a, b, box_radius=8.0)
+            once = project_polyhedron(p, *with_box(a, b, 3, 8.0))
+            twice = project_polyhedron(once, *with_box(a, b, 3, 8.0))
             assert np.linalg.norm(once - twice) <= 1e-10
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(6)
-        a, b = feasible_instance(rng, 5, 3, box=8.0)
+        a_full, b_full = with_box(*feasible_instance(rng, 5, 3, box=8.0), 3, 8.0)
         for _ in range(20):
             p, q = rng.normal(size=3) * 3, rng.normal(size=3) * 3
-            px = qp_project(p, a, b, box_radius=8.0)
-            qx = qp_project(q, a, b, box_radius=8.0)
+            px = project_polyhedron(p, a_full, b_full)
+            qx = project_polyhedron(q, a_full, b_full)
             assert np.linalg.norm(px - qx) <= np.linalg.norm(p - q) + 1e-12
 
     def test_infeasible_detected(self):

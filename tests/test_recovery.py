@@ -4,6 +4,7 @@ certificate-to-signal pipeline."""
 import numpy as np
 import pytest
 
+from dualspike import numerics
 from dualspike.bounds import phi_shift_lipschitz_log10
 from dualspike.certificate import Certificate
 from dualspike.errors import EmptySupportError, RankDeficientError
@@ -75,6 +76,22 @@ class TestRecoverAmplitudes:
         grid = SampleGrid.equispaced(11)
         with pytest.raises(RankDeficientError):
             recover_amplitudes(grid, Kernel(0.1), [0.5, 0.5 + 1e-15], np.zeros(11))
+
+    def test_one_svd_per_recovery(self, monkeypatch):
+        calls = []
+        svd = numerics.svd
+
+        def counting_svd(matrix):
+            calls.append(np.shape(matrix))
+            return svd(matrix)
+
+        monkeypatch.setattr(numerics, "svd", counting_svd)
+        grid = SampleGrid.equispaced(11)
+        kernel = Kernel(0.1)
+        result = recover_amplitudes(grid, kernel, [0.3, 0.7], np.ones(11))
+        assert calls == [(11, 2)]
+        singulars = np.linalg.svd(build_phi(grid, kernel, [0.3, 0.7]), compute_uv=False)
+        assert (result.sigma_max, result.sigma_min) == (singulars[0], singulars[-1])
 
     @pytest.mark.filterwarnings("ignore:least-squares amplitudes")
     def test_residual_orthogonality(self):

@@ -4,8 +4,9 @@ method itself."""
 import numpy as np
 import pytest
 
+from dualspike import numerics
 from dualspike.certificate import CertificateGrid
-from dualspike.errors import LevelSetEmptyError
+from dualspike.errors import InfeasibleError, LevelSetEmptyError
 from dualspike.kernel import Kernel
 from dualspike.model import (SampleGrid, SourceModel, feature_vector,
                              synthesize)
@@ -19,6 +20,10 @@ def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
     grid = SampleGrid.equispaced(m)
     kernel = Kernel(sigma)
     return PenaltyProblem(synthesize(src, grid, kernel), kernel, penalty, box)
+
+
+def failing_projection(point, a_mat, b_vec):
+    raise InfeasibleError("forced fallback")
 
 
 def random_cuts(rng, n_cuts, m):
@@ -132,12 +137,13 @@ class TestProjectToLevel:
     def test_interior_point_unchanged(self):
         cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
         point = np.array([-1.0, 0.2, 0.1])  # model value -1 < level 0
-        out = project_to_level([cut], 0.0, point, 10.0)
+        out = project_to_level([cut], 0.0, point, 10.0, model_minimum([cut], 10.0))
         np.testing.assert_allclose(out, point, atol=1e-12)
 
     def test_halfspace_projection(self):
         cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
-        out = project_to_level([cut], 0.0, np.array([2.0, 0.5, -0.5]), 10.0)
+        out = project_to_level([cut], 0.0, np.array([2.0, 0.5, -0.5]), 10.0,
+                               model_minimum([cut], 10.0))
         np.testing.assert_allclose(out, [0.0, 0.5, -0.5], atol=1e-10)
 
     def test_against_penalty_oracle(self):
@@ -146,10 +152,10 @@ class TestProjectToLevel:
         rng = np.random.default_rng(27)
         for _ in range(10):
             cuts = random_cuts(rng, 5, 3)
-            nu, _ = model_minimum(cuts, 5.0)
-            level = nu + 1.0
+            minimum = model_minimum(cuts, 5.0)
+            level = minimum[0] + 1.0
             point = rng.normal(size=3) * 4.0
-            out = project_to_level(cuts, level, point, 5.0)
+            out = project_to_level(cuts, level, point, 5.0, minimum)
             slopes = np.array([c.slope for c in cuts])
             offsets = np.array([c.value - c.slope @ c.anchor for c in cuts])
             eye = np.eye(3)
@@ -161,9 +167,18 @@ class TestProjectToLevel:
     def test_empty_level_raises(self):
         rng = np.random.default_rng(28)
         cuts = random_cuts(rng, 4, 3)
-        nu, _ = model_minimum(cuts, 2.0)
+        minimum = model_minimum(cuts, 2.0)
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(cuts, nu - 1.0, np.zeros(3), 2.0)
+            project_to_level(cuts, minimum[0] - 1.0, np.zeros(3), 2.0, minimum)
+
+    def test_fallback_clips_model_argmin(self, monkeypatch):
+        monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
+        cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
+        minimum = (-1.0, np.array([-3.0, 0.5, 2.0]))
+        out = project_to_level([cut], 0.0, np.zeros(3), 1.0, minimum)
+        np.testing.assert_array_equal(out, [-1.0, 0.5, 1.0])
+        with pytest.raises(LevelSetEmptyError):
+            project_to_level([cut], -2.0, np.zeros(3), 1.0, minimum)
 
 
 class TestSolve:
@@ -215,3 +230,23 @@ class TestSolve:
         t, v = grid.supremum(state.iterate)
         assert abs(t - 0.5) < 1e-6
         assert v == pytest.approx(1.0, abs=1e-5)
+
+    def test_one_lp_per_iteration_with_fallback(self, monkeypatch):
+        # a projection that always fails makes every iteration fall back to
+        # the model argmin, which must come from that iteration's single LP
+        argmins = []
+        lp_min = numerics.lp_min
+
+        def counting_lp_min(offsets, slopes, box_radius):
+            value, argmin = lp_min(offsets, slopes, box_radius)
+            argmins.append(argmin)
+            return value, argmin
+
+        monkeypatch.setattr(numerics, "lp_min", counting_lp_min)
+        monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
+        problem = small_problem()
+        state = solve(problem, max_iters=15)
+        assert state.n_iterations == 15
+        assert len(argmins) == state.n_iterations
+        box = problem.box_radius
+        np.testing.assert_array_equal(state.iterate, np.clip(argmins[-1], -box, box))
