@@ -110,7 +110,7 @@ class CertificateGrid:
 
     def local_max_indices(self, q):
         """Interior scan indices that top both neighbours (one per plateau)."""
-        return [i for i in range(1, q.size - 1) if q[i] >= q[i - 1] and q[i] > q[i + 1]]
+        return np.flatnonzero((q[1:-1] >= q[:-2]) & (q[1:-1] > q[2:])) + 1
 
     def _boundary_squeezed_maxima(self, weights):
         """Stationary maxima hiding between an endpoint and its neighbour.

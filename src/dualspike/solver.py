@@ -3,14 +3,15 @@ level bundle method that minimizes it.
 
 The objective is Psi(lam) = -y.lam + penalty * max(sup_t q_lam(t) - 1, 0)
 over the box |lam|_inf <= box_radius.  Each iteration adds one cutting
-plane, solves the polyhedral model over the box for a lower bound, and
-projects the previous iterate onto a level set interpolated between the
-best value seen and the model minimum.
+plane, re-solves the polyhedral model over the box (warm-started from the
+previous basis) for a lower bound, and projects the previous iterate onto a
+level set interpolated between the best value seen and the model minimum.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
 
 from . import numerics
 from .certificate import CertificateGrid
@@ -96,53 +97,109 @@ def subgradient(problem: PenaltyProblem, weights):
     return slope, t_active
 
 
-def _cut_arrays(cuts):
-    values = np.array([c.value for c in cuts])
-    slopes = np.array([c.slope for c in cuts])
-    anchors = np.array([c.anchor for c in cuts])
-    return values, slopes, anchors
+class CutModel:
+    """The polyhedral model max_i (offsets_i + slopes_i . lam) over the box.
+
+    Holds the cuts in preallocated arrays and the epigraph LP
+    min t s.t. slopes_i . lam - t <= -offsets_i, |lam|_inf <= box_radius
+    in one HiGHS instance.  Each added cut is one more row; ``minimum``
+    re-solves from the previous optimal basis.
+    """
+
+    def __init__(self, n, box_radius, capacity):
+        self.box_radius = box_radius
+        self.size = 0
+        self._offsets = np.empty(capacity)
+        self._slopes = np.empty((capacity, n))
+        self._row_index = np.arange(n + 1, dtype=np.int32)
+        self._row_value = np.empty(n + 1)
+        self._row_value[-1] = -1.0
+        self._lp = _Highs()
+        self._lp.setOptionValue("output_flag", False)
+        # a reduced cost left at the default 1e-7 costs up to 2 * box_radius
+        # times that in the objective (2e-2 at box_radius 1e5)
+        self._lp.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        lower = np.append(np.full(n, -box_radius), -kHighsInf)
+        upper = np.append(np.full(n, box_radius), kHighsInf)
+        cost = np.zeros(n + 1)
+        cost[-1] = 1.0
+        empty = np.empty(0, dtype=np.int32)
+        self._lp.addCols(n + 1, cost, lower, upper, 0, empty, empty, np.empty(0))
+
+    @classmethod
+    def from_cuts(cls, cuts, box_radius):
+        if not cuts:
+            raise ValueError("model needs at least one cut")
+        model = cls(cuts[0].slope.size, box_radius, len(cuts))
+        for cut in cuts:
+            model.add(cut)
+        return model
+
+    @property
+    def offsets(self):
+        return self._offsets[:self.size]
+
+    @property
+    def slopes(self):
+        return self._slopes[:self.size]
+
+    def add(self, cut):
+        offset = cut.value - float(cut.slope @ cut.anchor)
+        self._offsets[self.size] = offset
+        self._slopes[self.size] = cut.slope
+        self.size += 1
+        self._row_value[:-1] = cut.slope
+        self._lp.addRow(-kHighsInf, -offset, self._row_index.size,
+                        self._row_index, self._row_value)
+
+    def minimum(self):
+        """(value, argmin) of the model over the box.
+
+        A solve that does not end optimal is redone cold by
+        ``numerics.lp_min`` and its retries.
+        """
+        self._lp.run()
+        if self._lp.getModelStatus() != HighsModelStatus.kOptimal:
+            return numerics.lp_min(self.offsets, self.slopes, self.box_radius)
+        x = np.array(self._lp.getSolution().col_value)
+        return self._lp.getObjectiveValue(), x[:-1]
 
 
 def model_minimum(cuts, box_radius):
-    """Exact minimum of the polyhedral model over the box, via an LP.
+    """Minimum of the polyhedral model of ``cuts`` over the box, via one LP.
 
     Returns (value, argmin).  Requires at least one cut.
     """
-    if not cuts:
-        raise ValueError("model needs at least one cut")
-    values, slopes, anchors = _cut_arrays(cuts)
-    offsets = values - np.einsum("ij,ij->i", slopes, anchors)
-    return numerics.lp_min(offsets, slopes, box_radius)
+    return CutModel.from_cuts(cuts, box_radius).minimum()
 
 
 def model_value(cuts, weights):
-    """The polyhedral model evaluated at one point."""
-    values, slopes, anchors = _cut_arrays(cuts)
+    """The polyhedral model of a list of cuts evaluated at one point."""
+    values = np.array([c.value for c in cuts])
+    slopes = np.array([c.slope for c in cuts])
+    anchors = np.array([c.anchor for c in cuts])
     return float(np.max(values + slopes @ np.asarray(weights, dtype=float)
                         - np.einsum("ij,ij->i", slopes, anchors)))
 
 
-def _level_constraints(cuts, level, box_radius, n):
-    values, slopes, anchors = _cut_arrays(cuts)
-    a_mat = np.vstack([slopes, np.eye(n), -np.eye(n)])
-    b_vec = np.concatenate([
-        level - values + np.einsum("ij,ij->i", slopes, anchors),
-        np.full(2 * n, box_radius),
-    ])
+def _level_constraints(model, level):
+    n = model.slopes.shape[1]
+    a_mat = np.vstack([model.slopes, np.eye(n), -np.eye(n)])
+    b_vec = np.concatenate([level - model.offsets, np.full(2 * n, model.box_radius)])
     return a_mat, b_vec
 
 
-def project_to_level(cuts, level, point, box_radius, minimum):
+def project_to_level(model, level, point, minimum):
     """Euclidean projection of ``point`` onto {model <= level}, clipped to the box.
 
-    ``minimum`` is the (value, argmin) pair from ``model_minimum``.  When the
+    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin).  When the
     set is numerically too thin to project onto, the model argmin (which
     attains the model minimum and therefore lies in any level set with
     level >= model minimum) is returned instead.  A level strictly below the
     model minimum raises LevelSetEmptyError.
     """
     point = np.asarray(point, dtype=float)
-    a_mat, b_vec = _level_constraints(cuts, level, box_radius, point.size)
+    a_mat, b_vec = _level_constraints(model, level)
     try:
         projected = numerics.project_polyhedron(point, a_mat, b_vec)
     except (InfeasibleError, NoConvergenceError):
@@ -152,7 +209,7 @@ def project_to_level(cuts, level, point, box_radius, minimum):
         if level < nu - 1e-9:
             raise LevelSetEmptyError(
                 f"level {level} is below the model minimum {nu}") from None
-    return np.clip(projected, -box_radius, box_radius)
+    return np.clip(projected, -model.box_radius, model.box_radius)
 
 
 def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500,
@@ -174,17 +231,22 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
         state.iterate_history = []
     if max_iters <= 0:
         return state
-    box = problem.box_radius
+    model = None
     for _ in range(max_iters):
         value, slope, _ = _oracle(problem, state.iterate, cert_grid)
-        state.cuts.append(Cut(state.iterate.copy(), value, slope))
+        if model is None:
+            # built after the first oracle call, which ends the set-up phase
+            model = CutModel(m, problem.box_radius, max_iters)
+        cut = Cut(state.iterate.copy(), value, slope)
+        state.cuts.append(cut)
+        model.add(cut)
         state.upper_bound = min(state.upper_bound, value)
-        minimum = model_minimum(state.cuts, box)
-        # each LP value is a valid lower bound, so their running max is too
+        minimum = model.minimum()
+        # the LP's primal value; the running max keeps the gap history monotone
         state.lower_bound = max(state.lower_bound, minimum[0])
         gap = state.upper_bound - state.lower_bound
         level = level_mix * state.upper_bound + (1.0 - level_mix) * state.lower_bound
-        state.iterate = project_to_level(state.cuts, level, state.iterate, box, minimum)
+        state.iterate = project_to_level(model, level, state.iterate, minimum)
         state.upper_history.append(state.upper_bound)
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)

@@ -175,3 +175,22 @@ class TestCertificateGrid:
     def test_table_shape(self):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
         assert cg.table.shape == (101, 5)
+
+    def test_local_max_indices_match_scalar_scan(self):
+        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
+
+        def scalar(q):
+            return [i for i in range(1, q.size - 1) if q[i] >= q[i - 1] and q[i] > q[i + 1]]
+
+        rng = np.random.default_rng(41)
+        cases = [rng.normal(size=n) for n in (3, 4, 50, 4001)]
+        cases += [rng.integers(0, 3, size=200).astype(float) for _ in range(20)]
+        cases += [np.array([0.0, 1.0, 1.0, 1.0, 0.0]),    # plateau: its right end
+                  np.array([0.0, 1.0, 1.0, 2.0, 0.0]),    # plateau rising into a peak
+                  np.array([1.0, 1.0, 1.0, 1.0]),         # flat: none
+                  np.array([0.0, 2.0, 1.0, 1.0, 3.0, 2.0]),  # maxima next to both ends
+                  np.array([5.0, 4.0, 3.0]),              # endpoint maximum only
+                  np.array([0.0, 1.0]), np.array([1.0]), np.empty(0)]
+        for q in cases:
+            got = cg.local_max_indices(q)
+            assert list(got) == scalar(q)

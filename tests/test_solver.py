@@ -3,16 +3,20 @@ method itself."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
+from conftest import three_spike_config
 from dualspike import numerics
 from dualspike.certificate import CertificateGrid
 from dualspike.errors import InfeasibleError, LevelSetEmptyError
+from dualspike.experiments import build_problem
 from dualspike.kernel import Kernel
 from dualspike.model import (SampleGrid, SourceModel, feature_vector,
                              synthesize)
-from dualspike.solver import (Cut, PenaltyProblem, model_minimum, model_value,
-                              penalty_objective, project_to_level, solve,
-                              subgradient)
+from dualspike.solver import (Cut, CutModel, PenaltyProblem, model_minimum,
+                              model_value, penalty_objective, project_to_level,
+                              solve, subgradient)
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -29,6 +33,48 @@ def failing_projection(point, a_mat, b_vec):
 def random_cuts(rng, n_cuts, m):
     return [Cut(rng.normal(size=m), float(rng.normal()), rng.normal(size=m))
             for _ in range(n_cuts)]
+
+
+def project(cuts, level, point, box_radius):
+    model = CutModel.from_cuts(cuts, box_radius)
+    return project_to_level(model, level, point, model.minimum())
+
+
+class NotOptimal:
+    """A HiGHS instance whose solves all report a non-optimal status."""
+
+    def __init__(self, lp):
+        self._lp = lp
+
+    def __getattr__(self, name):
+        return getattr(self._lp, name)
+
+    def getModelStatus(self):
+        return HighsModelStatus.kSolveError
+
+
+def certified_cold_minimum(offsets, slopes, box_radius):
+    """Tight cold dual-simplex solve of the epigraph LP.
+
+    Returns (value, lower, upper), or None when the solve fails: ``lower``
+    is the dual bound of the solve's row multipliers and ``upper`` the
+    model at its (clipped) argmin, so the model minimum lies in between
+    whatever the solver's accuracy.
+    """
+    n_cuts, n = slopes.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.hstack([slopes, -np.ones((n_cuts, 1))]), b_ub=-offsets,
+                  bounds=[(-box_radius, box_radius)] * n + [(None, None)],
+                  method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        return None
+    mu = np.maximum(-res.ineqlin.marginals, 0.0)
+    mu /= mu.sum()
+    lower = float(mu @ offsets - box_radius * np.abs(slopes.T @ mu).sum())
+    upper = float(np.max(offsets + slopes @ np.clip(res.x[:n], -box_radius, box_radius)))
+    return float(res.fun), lower, upper
 
 
 class TestObjective:
@@ -132,18 +178,76 @@ class TestModelMinimum:
         with pytest.raises(ValueError):
             model_minimum([], 1.0)
 
+    def test_views_follow_added_cuts(self):
+        rng = np.random.default_rng(30)
+        cuts = random_cuts(rng, 5, 3)
+        model = CutModel(3, 1.0, 8)
+        for k, cut in enumerate(cuts, start=1):
+            model.add(cut)
+            assert model.size == k
+            np.testing.assert_array_equal(model.slopes, [c.slope for c in cuts[:k]])
+            np.testing.assert_allclose(model.offsets,
+                                       [c.value - c.slope @ c.anchor for c in cuts[:k]],
+                                       rtol=1e-15, atol=1e-15)
+
+    def test_incremental_minimum_matches_tight_cold_solve(self, bench3_run):
+        # every prefix of a 150-iteration three-spike solve, added one cut
+        # at a time as the solve does
+        _, problem, state, _ = bench3_run
+        box = problem.box_radius
+        model = CutModel(problem.measurements.grid.n_samples, box, 150)
+        checked = tight = 0
+        for cut in state.cuts[:150]:
+            model.add(cut)
+            value, argmin = model.minimum()
+            reference = certified_cold_minimum(model.offsets, model.slopes, box)
+            assert np.abs(argmin).max() <= box * (1 + 1e-12)
+            if reference is None:
+                continue
+            ref_value, lower, upper = reference
+            checked += 1
+            # the reference's own certificate brackets the model minimum
+            assert lower - 1e-4 <= value <= upper + 1e-4
+            if upper - lower <= 1e-6:
+                tight += 1
+                assert abs(value - ref_value) <= 1e-4
+        assert checked >= 75 and tight >= 50
+
+    def test_non_optimal_solve_falls_back_to_lp_min(self, monkeypatch):
+        fallback = []
+        lp_min = numerics.lp_min
+
+        def recording_lp_min(offsets, slopes, box_radius):
+            result = lp_min(offsets, slopes, box_radius)
+            fallback.append((offsets.copy(), slopes.copy(), result))
+            return result
+
+        monkeypatch.setattr(numerics, "lp_min", recording_lp_min)
+        rng = np.random.default_rng(31)
+        cuts = random_cuts(rng, 6, 3)
+        model = CutModel.from_cuts(cuts, 1.0)
+        assert model.minimum()[0] == pytest.approx(model_minimum(cuts, 1.0)[0], abs=1e-9)
+        assert not fallback
+        model._lp = NotOptimal(model._lp)
+        value, argmin = model.minimum()
+        assert len(fallback) == 1
+        offsets, slopes, (fb_value, fb_argmin) = fallback[0]
+        np.testing.assert_array_equal(offsets, model.offsets)
+        np.testing.assert_array_equal(slopes, model.slopes)
+        assert value == fb_value
+        np.testing.assert_array_equal(argmin, fb_argmin)
+
 
 class TestProjectToLevel:
     def test_interior_point_unchanged(self):
         cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
         point = np.array([-1.0, 0.2, 0.1])  # model value -1 < level 0
-        out = project_to_level([cut], 0.0, point, 10.0, model_minimum([cut], 10.0))
+        out = project([cut], 0.0, point, 10.0)
         np.testing.assert_allclose(out, point, atol=1e-12)
 
     def test_halfspace_projection(self):
         cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
-        out = project_to_level([cut], 0.0, np.array([2.0, 0.5, -0.5]), 10.0,
-                               model_minimum([cut], 10.0))
+        out = project([cut], 0.0, np.array([2.0, 0.5, -0.5]), 10.0)
         np.testing.assert_allclose(out, [0.0, 0.5, -0.5], atol=1e-10)
 
     def test_against_penalty_oracle(self):
@@ -152,10 +256,11 @@ class TestProjectToLevel:
         rng = np.random.default_rng(27)
         for _ in range(10):
             cuts = random_cuts(rng, 5, 3)
-            minimum = model_minimum(cuts, 5.0)
+            model = CutModel.from_cuts(cuts, 5.0)
+            minimum = model.minimum()
             level = minimum[0] + 1.0
             point = rng.normal(size=3) * 4.0
-            out = project_to_level(cuts, level, point, 5.0, minimum)
+            out = project_to_level(model, level, point, minimum)
             slopes = np.array([c.slope for c in cuts])
             offsets = np.array([c.value - c.slope @ c.anchor for c in cuts])
             eye = np.eye(3)
@@ -166,19 +271,19 @@ class TestProjectToLevel:
 
     def test_empty_level_raises(self):
         rng = np.random.default_rng(28)
-        cuts = random_cuts(rng, 4, 3)
-        minimum = model_minimum(cuts, 2.0)
+        model = CutModel.from_cuts(random_cuts(rng, 4, 3), 2.0)
+        minimum = model.minimum()
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(cuts, minimum[0] - 1.0, np.zeros(3), 2.0, minimum)
+            project_to_level(model, minimum[0] - 1.0, np.zeros(3), minimum)
 
     def test_fallback_clips_model_argmin(self, monkeypatch):
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
-        cut = Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))
+        model = CutModel.from_cuts([Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
         minimum = (-1.0, np.array([-3.0, 0.5, 2.0]))
-        out = project_to_level([cut], 0.0, np.zeros(3), 1.0, minimum)
+        out = project_to_level(model, 0.0, np.zeros(3), minimum)
         np.testing.assert_array_equal(out, [-1.0, 0.5, 1.0])
         with pytest.raises(LevelSetEmptyError):
-            project_to_level([cut], -2.0, np.zeros(3), 1.0, minimum)
+            project_to_level(model, -2.0, np.zeros(3), minimum)
 
 
 class TestSolve:
@@ -233,16 +338,16 @@ class TestSolve:
 
     def test_one_lp_per_iteration_with_fallback(self, monkeypatch):
         # a projection that always fails makes every iteration fall back to
-        # the model argmin, which must come from that iteration's single LP
+        # the model argmin, which must come from that iteration's single solve
         argmins = []
-        lp_min = numerics.lp_min
+        minimum = CutModel.minimum
 
-        def counting_lp_min(offsets, slopes, box_radius):
-            value, argmin = lp_min(offsets, slopes, box_radius)
+        def counting_minimum(model):
+            value, argmin = minimum(model)
             argmins.append(argmin)
             return value, argmin
 
-        monkeypatch.setattr(numerics, "lp_min", counting_lp_min)
+        monkeypatch.setattr(CutModel, "minimum", counting_minimum)
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
         problem = small_problem()
         state = solve(problem, max_iters=15)
@@ -250,3 +355,11 @@ class TestSolve:
         assert len(argmins) == state.n_iterations
         box = problem.box_radius
         np.testing.assert_array_equal(state.iterate, np.clip(argmins[-1], -box, box))
+
+    def test_deterministic_histories(self):
+        problem = build_problem(three_spike_config())
+        first = solve(problem, level_mix=0.25, max_iters=150)
+        second = solve(problem, level_mix=0.25, max_iters=150)
+        assert first.upper_history == second.upper_history
+        assert first.lower_history == second.lower_history
+        assert first.gap_history == second.gap_history
