@@ -1,6 +1,7 @@
 """Dual certificates q(t) = sum_j lambda_j phi(t - s_j): evaluation,
 maximizer search, validity diagnostics, and local refinement."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,55 @@ from .model import SampleGrid, SourceModel
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_MERGE_TOL = 1e-4
 STATIONARY_TOL = 1e-9
+# q' and q'' carry round-off of about this much per unit of |weights|_1
+# times the supremum of |phi'| (resp. |phi''|)
+ROUNDOFF_REL = 1e-13
+# a Newton bracket this many ulps wide holds no further progress
+BRACKET_ULPS = 4
+GRID_NEWTON_ITERS = 100
+
+
+def slope_floor(kernel: Kernel, weights):
+    """Round-off floor of q': 1e-13 |weights|_1 sup|phi'|."""
+    return ROUNDOFF_REL * float(np.abs(weights).sum()) * kernel.deriv_sup_bounds()[0]
+
+
+def _derivatives(kernel: Kernel, samples, weights, t):
+    """q(t), q'(t) and q''(t) from one kernel exponential."""
+    k0, k1, k2 = kernel.value_and_derivatives(t - samples)
+    return float(k0 @ weights), float(k1 @ weights), float(k2 @ weights)
+
+
+def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter):
+    """Drive q' to zero from t inside the bracket [lo, hi].
+
+    Each step is Newton's where q'' < 0 and lands inside the bracket, and
+    bisection otherwise; the bracket end on the side of the new slope's sign
+    moves to the new point.  Stops when |q'| <= ``floor``, when a step leaves
+    t unchanged, or when the bracket is ``BRACKET_ULPS`` ulps wide.  Returns
+    (t, (q, q', q'') at t, converged); ``converged`` is False only when
+    ``max_iter`` steps ran out first.
+    """
+    derivs = _derivatives(kernel, samples, weights, t)
+    for _ in range(max_iter):
+        _, slope, curv = derivs
+        if abs(slope) <= floor:
+            return t, derivs, True
+        mid = 0.5 * (lo + hi)
+        t_new = t - slope / curv if curv < 0.0 else mid
+        if not lo <= t_new <= hi:
+            t_new = mid
+        if t_new == t:
+            return t, derivs, True
+        t = t_new
+        derivs = _derivatives(kernel, samples, weights, t)
+        if derivs[1] > 0.0:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= BRACKET_ULPS * math.ulp(max(abs(lo), abs(hi))):
+            return t, derivs, True
+    return t, derivs, False
 
 
 @dataclass(frozen=True)
@@ -82,54 +132,27 @@ class CertificateGrid:
     def values(self, weights):
         return self.table @ weights
 
-    def _q(self, weights, t, order):
-        d = t - self.grid.samples
-        col = self.kernel.value(d) if order == 0 else self.kernel.derivative(d, order)
-        return float(col @ weights)
-
-    def _newton_on_slope(self, weights, t0, lo, hi, max_iter=100):
-        """Drive q' to zero inside [lo, hi]; bisection whenever Newton misbehaves."""
-        t = t0
-        for _ in range(max_iter):
-            slope = self._q(weights, t, 1)
-            curv = self._q(weights, t, 2)
-            if curv < 0.0:
-                t_new = t - slope / curv
-                if not (lo <= t_new <= hi):
-                    t_new = 0.5 * (lo + hi)
-            else:
-                t_new = 0.5 * (lo + hi)
-            if self._q(weights, t_new, 1) > 0.0:
-                lo = t_new
-            else:
-                hi = t_new
-            if abs(t_new - t) < 1e-17:
-                return t_new
-            t = t_new
-        return t
-
     def local_max_indices(self, q):
         """Interior scan indices that top both neighbours (one per plateau)."""
         return np.flatnonzero((q[1:-1] >= q[:-2]) & (q[1:-1] > q[2:])) + 1
 
-    def _boundary_squeezed_maxima(self, weights):
-        """Stationary maxima hiding between an endpoint and its neighbour.
+    def _refined(self, weights, indices, floor):
+        """Newton results from the scan local maxima ``indices`` and from any
+        bump hiding between an endpoint and its neighbour.
 
         The scan cannot see a bump that rises and falls entirely within the
-        first (or last) grid cell, so check the slopes there directly.
+        first (or last) grid cell, so the slopes there are checked directly.
         """
-        found = []
-        if (self._q(weights, self.scan[0], 1) > 0.0
-                and self._q(weights, self.scan[1], 1) < 0.0):
-            found.append(self._newton_on_slope(
-                weights, 0.5 * (self.scan[0] + self.scan[1]),
-                float(self.scan[0]), float(self.scan[1])))
-        if (self._q(weights, self.scan[-2], 1) > 0.0
-                and self._q(weights, self.scan[-1], 1) < 0.0):
-            found.append(self._newton_on_slope(
-                weights, 0.5 * (self.scan[-2] + self.scan[-1]),
-                float(self.scan[-2]), float(self.scan[-1])))
-        return found
+        scan, samples = self.scan, self.grid.samples
+        starts = [(scan[i], scan[i - 1], scan[i + 1]) for i in indices]
+        ends = scan[[0, 1, -2, -1]]
+        slopes = self.kernel.derivative(ends[:, None] - samples[None, :], 1) @ weights
+        for k in (0, 2):
+            if slopes[k] > 0.0 and slopes[k + 1] < 0.0:
+                starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1]))
+        return [newton_on_slope(self.kernel, samples, weights, float(t0), float(lo),
+                                float(hi), floor, GRID_NEWTON_ITERS)
+                for t0, lo, hi in starts]
 
     def supremum(self, weights):
         """Global supremum of q over [0,1]; ties resolved to the smallest t."""
@@ -142,15 +165,9 @@ class CertificateGrid:
         h = self.scan[1] - self.scan[0]
         curv_scale = float(np.abs(weights).sum()) * self.kernel.deriv_sup_bounds()[1]
         margin = max(1e-12, 0.5 * curv_scale * h * h)
-        for i in self.local_max_indices(q):
-            if q[i] < grid_max - margin:
-                continue
-            t = self._newton_on_slope(weights, float(self.scan[i]), float(self.scan[i - 1]), float(self.scan[i + 1]))
-            v = self._q(weights, t, 0)
-            if v > best_v or (v == best_v and t < best_t):
-                best_t, best_v = t, v
-        for t in self._boundary_squeezed_maxima(weights):
-            v = self._q(weights, t, 0)
+        peaks = self.local_max_indices(q)
+        peaks = peaks[q[peaks] >= grid_max - margin]
+        for t, (v, _, _), _ in self._refined(weights, peaks, slope_floor(self.kernel, weights)):
             if v > best_v or (v == best_v and t < best_t):
                 best_t, best_v = t, v
         return best_t, best_v
@@ -165,24 +182,16 @@ class CertificateGrid:
             value_tol = 1e-3 * spread
         # q' and q'' cannot be evaluated below their roundoff floors, which
         # grow with |weights|; widen the stationarity test accordingly
-        sups = self.kernel.deriv_sup_bounds()
-        weight_mass = float(np.abs(weights).sum())
-        slope_tol = max(STATIONARY_TOL, 1e-13 * weight_mass * sups[0])
-        curv_tol = max(STATIONARY_TOL, 1e-13 * weight_mass * sups[1])
-        candidates = []
-        for i in self.local_max_indices(q):
-            if q[i] < sup - value_tol:
-                continue
-            candidates.append(self._newton_on_slope(
-                weights, float(self.scan[i]), float(self.scan[i - 1]), float(self.scan[i + 1])))
-        candidates.extend(self._boundary_squeezed_maxima(weights))
+        floor = slope_floor(self.kernel, weights)
+        slope_tol = max(STATIONARY_TOL, floor)
+        curv_tol = max(STATIONARY_TOL, ROUNDOFF_REL * float(np.abs(weights).sum())
+                       * self.kernel.deriv_sup_bounds()[1])
+        peaks = self.local_max_indices(q)
+        peaks = peaks[q[peaks] >= sup - value_tol]
         found = []
-        for t in candidates:
-            value = self._q(weights, t, 0)
+        for t, (value, slope, curv), _ in self._refined(weights, peaks, floor):
             if value < sup - value_tol:
                 continue
-            slope = self._q(weights, t, 1)
-            curv = self._q(weights, t, 2)
             if abs(slope) <= slope_tol and curv <= curv_tol:
                 found.append((t, value, curv))
         found.sort()
@@ -233,9 +242,12 @@ def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,
     """Polish a stationary point of q from t0 by safeguarded Newton on q'.
 
     The search is confined to [t0 - sigma, t0 + sigma] (clipped to [0,1]);
-    a sign change of q' must exist there and the curvature at the bracket
-    midpoint must be negative, otherwise NoConvergenceError is raised with
-    the last iterate attached.
+    a sign change of q' must exist there (or t0 itself must be a concave
+    stationary point), otherwise NoConvergenceError is raised with the last
+    iterate attached.  Newton (``newton_on_slope``)
+    stops at |q'| <= max(slope_tol, round-off floor), at a step that does
+    not move, or at a bracket a few ulps wide; running out of ``max_iter``
+    steps first also raises NoConvergenceError.
     """
     sigma = cert.kernel.sigma
     lo = max(0.0, t0 - sigma)
@@ -251,36 +263,28 @@ def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,
             f"stationary but not concave at {t0}", last_iterate=t0)
     # shrink toward t0 until the bracket endpoints straddle the stationary point
     bl, bh = lo, hi
+    slope_lo, slope_hi = slope(bl), slope(bh)
     for _ in range(60):
-        if slope(bl) > 0.0 > slope(bh):
+        if slope_lo > 0.0 > slope_hi:
             break
-        if slope(bl) <= 0.0:
+        if slope_lo <= 0.0:
             bl = 0.5 * (bl + t0)
-        if slope(bh) >= 0.0:
+            slope_lo = slope(bl)
+        if slope_hi >= 0.0:
             bh = 0.5 * (bh + t0)
+            slope_hi = slope(bh)
         if bh - bl < 1e-15:
             break
-    if not (slope(bl) > 0.0 > slope(bh)):
+    if not (slope_lo > 0.0 > slope_hi):
         raise NoConvergenceError(
             f"no local maximum bracketed near {t0}", last_iterate=t0)
-    t = min(max(t0, bl), bh)
-    for _ in range(max_iter):
-        g = slope(t)
-        if abs(g) < slope_tol:
-            return t
-        h = cert.value(t, 2)
-        t_new = t - g / h if h < 0.0 else 0.5 * (bl + bh)
-        if not (bl <= t_new <= bh):
-            t_new = 0.5 * (bl + bh)
-        if slope(t_new) > 0.0:
-            bl = t_new
-        else:
-            bh = t_new
-        if abs(t_new - t) < 1e-17:
-            return t_new
-        t = t_new
-    if not (lo <= t <= hi):
-        raise NoConvergenceError(f"refinement left [{lo}, {hi}]", last_iterate=t)
+    floor = max(slope_tol, slope_floor(cert.kernel, cert.weights))
+    t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights,
+                                      min(max(t0, bl), bh), bl, bh, floor, max_iter)
+    if not converged:
+        raise NoConvergenceError(
+            f"refinement near {t0} ran {max_iter} steps without converging",
+            last_iterate=t)
     return t
 
 

@@ -58,6 +58,17 @@ class Kernel:
             return (12.0 * t / s2**2 - 8.0 * t**3 / s2**3) * base
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
 
+    def value_and_derivatives(self, t):
+        """The kernel and its first two derivatives at ``t`` from one exponential.
+
+        Returns (value, first, second), each equal to what ``value`` and
+        ``derivative(t, 1)``, ``derivative(t, 2)`` return.
+        """
+        t = np.asarray(t, dtype=float)
+        s2 = self.sigma**2
+        base = self.value(t)
+        return base, (-2.0 * t / s2) * base, (4.0 * t * t / s2**2 - 2.0 / s2) * base
+
     def deriv_sup_bounds(self):
         """Suprema of |first|, |second| and |third| derivative over the line.
 

@@ -152,15 +152,24 @@ class CutModel:
         self._lp.addRow(-kHighsInf, -offset, self._row_index.size,
                         self._row_index, self._row_value)
 
+    def _run_clean(self):
+        """Solve; True when HiGHS reports optimal with no dual infeasibility."""
+        self._lp.run()
+        return (self._lp.getModelStatus() == HighsModelStatus.kOptimal
+                and self._lp.getInfo().num_dual_infeasibilities == 0)
+
     def minimum(self):
         """(value, argmin) of the model over the box.
 
-        A solve that does not end optimal is redone cold by
-        ``numerics.lp_min`` and its retries.
+        A warm solve that is not optimal, or that HiGHS flags with dual
+        infeasibilities (its value can then overstate the minimum), is redone
+        cold on the same instance; if that is not clean either,
+        ``numerics.lp_min`` and its retries take over.
         """
-        self._lp.run()
-        if self._lp.getModelStatus() != HighsModelStatus.kOptimal:
-            return numerics.lp_min(self.offsets, self.slopes, self.box_radius)
+        if not self._run_clean():
+            self._lp.clearSolver()
+            if not self._run_clean():
+                return numerics.lp_min(self.offsets, self.slopes, self.box_radius)
         x = np.array(self._lp.getSolution().col_value)
         return self._lp.getObjectiveValue(), x[:-1]
 
@@ -220,7 +229,13 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
     iterate, append the cut, refresh the model minimum (lower bound) and
     best value seen (upper bound), then project the iterate onto the set
     {model <= level_mix * upper + (1 - level_mix) * lower} inside the box.
-    Stops at ``max_iters`` or when the gap drops to ``DEFAULT_GAP_TOL``.
+
+    Stops when the projected iterate equals the previous one bit for bit:
+    the next oracle call would return the last cut again, so the model, both
+    bounds, the level and the projection would all repeat.  Also stops when
+    the gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is an upper bound.
+    The model minimum is HiGHS's optimal value, re-solved cold when HiGHS
+    flags dual infeasibilities (see ``CutModel.minimum``).
     """
     if not 0.0 < level_mix < 1.0:
         raise ValueError("level_mix must lie strictly between 0 and 1")
@@ -246,13 +261,14 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
         state.lower_bound = max(state.lower_bound, minimum[0])
         gap = state.upper_bound - state.lower_bound
         level = level_mix * state.upper_bound + (1.0 - level_mix) * state.lower_bound
-        state.iterate = project_to_level(model, level, state.iterate, minimum)
+        previous = state.iterate
+        state.iterate = project_to_level(model, level, previous, minimum)
         state.upper_history.append(state.upper_bound)
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)
         state.gap_history.append(gap)
         if record_iterates:
             state.iterate_history.append(state.iterate.copy())
-        if gap <= DEFAULT_GAP_TOL:
+        if gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous):
             break
     return state

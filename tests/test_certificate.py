@@ -2,14 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualspike.certificate import (Certificate, CertificateGrid,
-                                   global_maximizers, refine_location,
-                                   supremum, validate_certificate)
+from conftest import three_spike_config
+from dualspike import bounds, certificate
+from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
+                                   CertificateGrid, global_maximizers,
+                                   refine_location, supremum,
+                                   validate_certificate)
 from dualspike.errors import NoConvergenceError
+from dualspike.experiments import reference_run, run_noise
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize
 from dualspike.solver import PenaltyProblem, solve
+
+SCAN_STEP = 1.0 / (DEFAULT_GRID_POINTS - 1)
+BRUTE_POINTS = 200_001
+
+
+@st.composite
+def certificates(draw):
+    """Random weights on random samples; optionally one dominant bump whose
+    peak lies strictly inside the first or last scan cell."""
+    sigma = draw(st.floats(0.03, 0.3))
+    samples = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(samples),
+                            max_size=len(samples)))
+    squeeze = draw(st.sampled_from(["none", "left", "right"]))
+    if squeeze != "none":
+        offset = draw(st.floats(0.05, 0.95)) * SCAN_STEP
+        samples.append(offset if squeeze == "left" else 1.0 - offset)
+        weights.append(100.0)
+    order = np.argsort(samples)
+    samples = np.array(samples)[order]
+    keep = np.concatenate([[True], np.diff(samples) > 0])
+    return Certificate(np.array(weights)[order][keep], SampleGrid(samples[keep]), Kernel(sigma))
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +109,33 @@ class TestSupremum:
             brute = float((table @ lam).max())
             assert v == pytest.approx(brute, abs=1e-7)
             assert v >= brute - 1e-9
+
+    @pytest.mark.parametrize("peak", [SCAN_STEP / 3, 1.0 - SCAN_STEP / 3])
+    def test_bump_squeezed_against_endpoint(self, peak):
+        # the peak lies inside the first (last) scan cell, where no interior
+        # scan point tops both neighbours
+        cert = Certificate([1.0], SampleGrid([peak]), Kernel(0.1))
+        cg = CertificateGrid(cert.grid, cert.kernel)
+        assert cg.local_max_indices(cg.values(cert.weights)).size == 0
+        t, v = supremum(cert)
+        assert t == pytest.approx(peak, abs=1e-12)
+        assert v == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(certificates())
+    def test_matches_dense_scan(self, cert):
+        scan = np.linspace(0.0, 1.0, BRUTE_POINTS)
+        brute = float((cert.kernel.value(scan[:, None] - cert.grid.samples) @ cert.weights).max())
+        t, v = supremum(cert)
+        mass = float(np.abs(cert.weights).sum())
+        # the dense scan misses the maximum by at most half the curvature
+        # bound times the squared half-step; both sides carry round-off
+        step = 1.0 / (BRUTE_POINTS - 1)
+        quantization = 0.5 * mass * cert.kernel.deriv_sup_bounds()[1] * (0.5 * step) ** 2
+        roundoff = 1e-13 * mass
+        assert 0.0 <= t <= 1.0
+        assert v == pytest.approx(cert.value(t), abs=roundoff)
+        assert brute - roundoff <= v <= brute + quantization + roundoff
 
     def test_dominates_random_points(self, small_converged):
         _, cert = small_converged
@@ -165,6 +220,37 @@ class TestRefineLocation:
     def test_no_bracket_in_tail(self, single_bump):
         with pytest.raises(NoConvergenceError):
             refine_location(single_bump, 0.05)
+
+
+class TestRefinementStops:
+    """Every safeguarded Newton run ends on a stopping rule, not on max_iter."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        converged = []
+        newton = certificate.newton_on_slope
+
+        def recording(*args):
+            result = newton(*args)
+            converged.append(result[2])
+            return result
+
+        monkeypatch.setattr(certificate, "newton_on_slope", recording)
+        return converged
+
+    def test_three_spike_reference_solve(self, outcomes):
+        cfg = three_spike_config()
+        problem, state = reference_run(cfg, 500)
+        cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
+        bounds.refine_peaks(cert, cfg.source_model().locations)
+        assert len(outcomes) >= state.n_iterations
+        assert all(outcomes)
+
+    def test_noise_sweep(self, outcomes, tmp_path):
+        _, rows = run_noise(three_spike_config(seed=1), tmp_path)
+        assert all(r[10] in ("", "zero_noise") for r in rows)
+        assert len(outcomes) >= 34 * 100
+        assert all(outcomes)
 
 
 class TestCertificateGrid:

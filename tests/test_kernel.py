@@ -108,6 +108,21 @@ class TestDerivatives:
         np.testing.assert_allclose(k.derivative(ts, 3), -k.derivative(-ts, 3), rtol=1e-14)
 
     @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_value_and_derivatives_one_exponential(self, sigma, monkeypatch):
+        k = Kernel(sigma)
+        rng = np.random.default_rng(8)
+        for ts in (rng.uniform(-1.0, 1.0, 200), rng.uniform(-1.0, 1.0, (7, 5)), 0.03):
+            value, first, second = k.value_and_derivatives(ts)
+            np.testing.assert_array_equal(value, k.value(ts))
+            np.testing.assert_array_equal(first, k.derivative(ts, 1))
+            np.testing.assert_array_equal(second, k.derivative(ts, 2))
+        calls = []
+        value = Kernel.value
+        monkeypatch.setattr(Kernel, "value", lambda self, t: calls.append(t) or value(self, t))
+        k.value_and_derivatives(rng.uniform(-1.0, 1.0, 10))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
     def test_sup_bounds_dominate(self, sigma):
         k = Kernel(sigma)
         sups = k.deriv_sup_bounds()

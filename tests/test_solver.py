@@ -14,9 +14,9 @@ from dualspike.experiments import build_problem
 from dualspike.kernel import Kernel
 from dualspike.model import (SampleGrid, SourceModel, feature_vector,
                              synthesize)
-from dualspike.solver import (Cut, CutModel, PenaltyProblem, model_minimum,
-                              model_value, penalty_objective, project_to_level,
-                              solve, subgradient)
+from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle,
+                              model_minimum, model_value, penalty_objective,
+                              project_to_level, solve, subgradient)
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -51,6 +51,47 @@ class NotOptimal:
 
     def getModelStatus(self):
         return HighsModelStatus.kSolveError
+
+
+class DualInfeasible:
+    """A HiGHS instance whose first ``flagged`` solves report one dual
+    infeasibility, recording each ``clearSolver`` call."""
+
+    def __init__(self, lp, flagged):
+        self._lp = lp
+        self.flagged = flagged
+        self.clears = 0
+
+    def __getattr__(self, name):
+        return getattr(self._lp, name)
+
+    def run(self):
+        self.flagged -= 1
+        return self._lp.run()
+
+    def getInfo(self):
+        info = self._lp.getInfo()
+        if self.flagged >= 0:
+            info.num_dual_infeasibilities = 1
+        return info
+
+    def clearSolver(self):
+        self.clears += 1
+        return self._lp.clearSolver()
+
+
+def recording_lp_min(monkeypatch):
+    """Patch ``numerics.lp_min`` to record (offsets, slopes, result) per call."""
+    calls = []
+    lp_min = numerics.lp_min
+
+    def recording(offsets, slopes, box_radius):
+        result = lp_min(offsets, slopes, box_radius)
+        calls.append((offsets.copy(), slopes.copy(), result))
+        return result
+
+    monkeypatch.setattr(numerics, "lp_min", recording)
+    return calls
 
 
 def certified_cold_minimum(offsets, slopes, box_radius):
@@ -190,39 +231,31 @@ class TestModelMinimum:
                                        [c.value - c.slope @ c.anchor for c in cuts[:k]],
                                        rtol=1e-15, atol=1e-15)
 
-    def test_incremental_minimum_matches_tight_cold_solve(self, bench3_run):
-        # every prefix of a 150-iteration three-spike solve, added one cut
-        # at a time as the solve does
-        _, problem, state, _ = bench3_run
-        box = problem.box_radius
-        model = CutModel(problem.measurements.grid.n_samples, box, 150)
+    def test_incremental_minimum_matches_tight_cold_solve(self, bench3_run, bench5_run):
+        # every prefix of both benchmark solves, added one cut at a time as
+        # the solve does
         checked = tight = 0
-        for cut in state.cuts[:150]:
-            model.add(cut)
-            value, argmin = model.minimum()
-            reference = certified_cold_minimum(model.offsets, model.slopes, box)
-            assert np.abs(argmin).max() <= box * (1 + 1e-12)
-            if reference is None:
-                continue
-            ref_value, lower, upper = reference
-            checked += 1
-            # the reference's own certificate brackets the model minimum
-            assert lower - 1e-4 <= value <= upper + 1e-4
-            if upper - lower <= 1e-6:
-                tight += 1
-                assert abs(value - ref_value) <= 1e-4
+        for _, problem, state, _ in (bench3_run, bench5_run):
+            box = problem.box_radius
+            model = CutModel(problem.measurements.grid.n_samples, box, len(state.cuts))
+            for cut in state.cuts:
+                model.add(cut)
+                value, argmin = model.minimum()
+                reference = certified_cold_minimum(model.offsets, model.slopes, box)
+                assert np.abs(argmin).max() <= box * (1 + 1e-12)
+                if reference is None:
+                    continue
+                ref_value, lower, upper = reference
+                checked += 1
+                # the reference's own certificate brackets the model minimum
+                assert lower - 1e-4 <= value <= upper + 1e-4
+                if upper - lower <= 1e-6:
+                    tight += 1
+                    assert abs(value - ref_value) <= 1e-4
         assert checked >= 75 and tight >= 50
 
     def test_non_optimal_solve_falls_back_to_lp_min(self, monkeypatch):
-        fallback = []
-        lp_min = numerics.lp_min
-
-        def recording_lp_min(offsets, slopes, box_radius):
-            result = lp_min(offsets, slopes, box_radius)
-            fallback.append((offsets.copy(), slopes.copy(), result))
-            return result
-
-        monkeypatch.setattr(numerics, "lp_min", recording_lp_min)
+        fallback = recording_lp_min(monkeypatch)
         rng = np.random.default_rng(31)
         cuts = random_cuts(rng, 6, 3)
         model = CutModel.from_cuts(cuts, 1.0)
@@ -236,6 +269,35 @@ class TestModelMinimum:
         np.testing.assert_array_equal(slopes, model.slopes)
         assert value == fb_value
         np.testing.assert_array_equal(argmin, fb_argmin)
+
+    def test_dual_infeasible_solve_is_redone_cold(self, monkeypatch):
+        fallback = recording_lp_min(monkeypatch)
+        rng = np.random.default_rng(32)
+        cuts = random_cuts(rng, 6, 3)
+        clean = model_minimum(cuts, 1.0)
+        model = CutModel(3, 1.0, len(cuts))
+        for cut in cuts[:-1]:
+            model.add(cut)
+        model.minimum()
+        model._lp = flagged = DualInfeasible(model._lp, flagged=1)
+        model.add(cuts[-1])
+        value, argmin = model.minimum()
+        # one cold re-solve on the same instance, which comes back clean
+        assert flagged.clears == 1
+        assert not fallback
+        assert value == pytest.approx(clean[0], abs=1e-9)
+        np.testing.assert_allclose(argmin, clean[1], atol=1e-9)
+
+    def test_dual_infeasible_resolve_falls_back_to_lp_min(self, monkeypatch):
+        fallback = recording_lp_min(monkeypatch)
+        rng = np.random.default_rng(33)
+        cuts = random_cuts(rng, 6, 3)
+        model = CutModel.from_cuts(cuts, 1.0)
+        model._lp = flagged = DualInfeasible(model._lp, flagged=2)
+        value, _ = model.minimum()
+        assert flagged.clears == 1
+        assert len(fallback) == 1
+        assert value == fallback[0][2][0]
 
 
 class TestProjectToLevel:
@@ -350,11 +412,36 @@ class TestSolve:
         monkeypatch.setattr(CutModel, "minimum", counting_minimum)
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
         problem = small_problem()
-        state = solve(problem, max_iters=15)
-        assert state.n_iterations == 15
+        state = solve(problem, max_iters=15, record_iterates=True)
+        # the solve stops at the first iterate that repeats its predecessor
+        iterates = [np.zeros(5)] + state.iterate_history
+        repeats = [np.array_equal(a, b) for a, b in zip(iterates, iterates[1:])]
+        assert repeats == [False] * (state.n_iterations - 1) + [True]
         assert len(argmins) == state.n_iterations
         box = problem.box_radius
         np.testing.assert_array_equal(state.iterate, np.clip(argmins[-1], -box, box))
+
+    def test_exit_repeats_last_cut(self, bench3_run):
+        # at the fixed point, the next oracle call would add the last cut again
+        _, problem, state, _ = bench3_run
+        assert state.n_iterations < 500
+        last = state.cuts[-1]
+        np.testing.assert_array_equal(state.iterate, last.anchor)
+        grid = CertificateGrid(problem.measurements.grid, problem.kernel)
+        value, slope, _ = _oracle(problem, state.iterate, grid)
+        assert value == last.value
+        np.testing.assert_array_equal(slope, last.slope)
+
+    def test_max_iters_is_an_upper_bound(self):
+        problem = build_problem(three_spike_config())
+        long = solve(problem, level_mix=0.25, max_iters=2000)
+        short = solve(problem, level_mix=0.25, max_iters=long.n_iterations)
+        assert long.n_iterations < 2000
+        assert short.upper_history == long.upper_history
+        assert short.lower_history == long.lower_history
+        assert short.level_history == long.level_history
+        assert short.gap_history == long.gap_history
+        np.testing.assert_array_equal(short.iterate, long.iterate)
 
     def test_deterministic_histories(self):
         problem = build_problem(three_spike_config())
