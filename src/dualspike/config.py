@@ -26,12 +26,6 @@ from .errors import ConfigError
 from .kernel import Kernel
 from .model import SampleGrid, SourceModel
 
-_KNOWN_KEYS = {
-    "sources", "amplitudes", "sigma", "m", "samples", "tau", "pi", "alpha",
-    "iterations", "reference_iterations", "seed", "window_start",
-    "window_end", "noise_grid",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -82,6 +76,14 @@ def _parse_floats(raw, key):
                           key=key) from None
 
 
+_OPTIONAL_KEYS = {
+    "tau": _parse_float, "pi": _parse_float, "alpha": _parse_float,
+    "iterations": _parse_int, "reference_iterations": _parse_int, "seed": _parse_int,
+    "window_start": _parse_int, "window_end": _parse_int, "noise_grid": _parse_floats,
+}
+_KNOWN_KEYS = {"sources", "amplitudes", "sigma", "m", "samples", *_OPTIONAL_KEYS}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -117,23 +119,12 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError("missing required key 'm' (or 'samples')", key="m")
 
-    cfg = ExperimentConfig(
-        sources=sources,
-        amplitudes=amplitudes,
-        sigma=sigma,
-        samples=samples,
-        tau=_parse_float(pairs["tau"], "tau") if "tau" in pairs else 1e5,
-        pi=_parse_float(pairs["pi"], "pi") if "pi" in pairs else 2.0 * float(np.sum(amplitudes)),
-        alpha=_parse_float(pairs["alpha"], "alpha") if "alpha" in pairs else 0.25,
-        iterations=_parse_int(pairs["iterations"], "iterations") if "iterations" in pairs else None,
-        reference_iterations=(_parse_int(pairs["reference_iterations"], "reference_iterations")
-                              if "reference_iterations" in pairs else None),
-        seed=_parse_int(pairs["seed"], "seed") if "seed" in pairs else 0,
-        window_start=_parse_int(pairs["window_start"], "window_start") if "window_start" in pairs else 20,
-        window_end=_parse_int(pairs["window_end"], "window_end") if "window_end" in pairs else 270,
-        noise_grid=_parse_floats(pairs["noise_grid"], "noise_grid") if "noise_grid" in pairs else None,
-        digest=hashlib.sha256(text.encode()).hexdigest()[:12],
-    )
+    # absent keys take the ExperimentConfig defaults, except pi's computed one
+    optional = {key: parse(pairs[key], key)
+                for key, parse in _OPTIONAL_KEYS.items() if key in pairs}
+    optional.setdefault("pi", 2.0 * float(np.sum(amplitudes)))
+    cfg = ExperimentConfig(sources=sources, amplitudes=amplitudes, sigma=sigma, samples=samples,
+                           digest=hashlib.sha256(text.encode()).hexdigest()[:12], **optional)
 
     # cross-field checks route through the domain constructors
     try:

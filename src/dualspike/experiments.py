@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .certificate import Certificate, refine_location
+from .certificate import Certificate, dump_curve, refine_location
 from .config import ExperimentConfig
 from .errors import ConfigError, NoConvergenceError
 from .model import build_phi, noise_grid, synthesize, uniform_noise
@@ -70,9 +70,8 @@ def run_solve(cfg: ExperimentConfig, out_dir, iterations=None) -> SolveArtifacts
     """
     if iterations is None:
         iterations = cfg.iterations if cfg.iterations is not None else DEFAULT_SOLVE_ITERS
-    iters = iterations
     problem = build_problem(cfg)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iters)
+    state = solve(problem, level_mix=cfg.alpha, max_iters=iterations)
     os.makedirs(out_dir, exist_ok=True)
     comment = _comment(cfg, cfg.seed)
     files = []
@@ -84,7 +83,6 @@ def run_solve(cfg: ExperimentConfig, out_dir, iterations=None) -> SolveArtifacts
     files.append(conv_path)
 
     cert = _certificate(problem, state.iterate)
-    from .certificate import dump_curve
     curve = dump_curve(cert)
     cert_path = os.path.join(out_dir, "certificate.csv")
     write_csv(cert_path, comment, ["t", "q"], [tuple(row) for row in curve])

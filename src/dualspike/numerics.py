@@ -2,12 +2,13 @@
 
 Everything here is sized for m <= ~50 variables and a few hundred
 constraints.  The SVD and least squares are LAPACK-backed; the projection
-onto a polyhedron is a dual active-set method written for the identity
-Hessian, which needs no feasible starting point.
+onto a polyhedron is one least-distance program, solved as a non-negative
+least-squares problem by scipy's compiled NNLS, and needs no feasible
+starting point.
 """
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import InfeasibleError, NoConvergenceError, RankDeficientError
 
@@ -60,13 +61,16 @@ def lp_min(offsets, slopes, box_radius):
     raise NoConvergenceError(f"LP solver failed: {res.message}", last_iterate=None)
 
 
-def project_polyhedron(point, a_mat, b_vec, feas_tol=None, max_iter=None):
+def project_polyhedron(point, a_mat, b_vec):
     """Euclidean projection of ``point`` onto {x : A x <= b}.
 
-    Dual active-set iteration starting from the unconstrained optimum.
-    Rows are normalized internally, so ``feas_tol`` is a distance.  Raises
-    InfeasibleError when a Farkas certificate of emptiness appears and
-    NoConvergenceError when the iteration stalls above tolerance.
+    Least-distance programming by one non-negative least-squares solve
+    (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23), then two
+    min-norm corrections onto the rows it makes active.  Rows are
+    normalized, so the feasibility tolerance max(1e-12, 1e-14 |point|) is a
+    distance; a point within it is returned as an unchanged copy.  Raises
+    InfeasibleError when the set is empty at that tolerance and
+    NoConvergenceError when NNLS runs out of iterations.
     """
     point = np.asarray(point, dtype=float)
     a_mat = np.asarray(a_mat, dtype=float)
@@ -75,82 +79,27 @@ def project_polyhedron(point, a_mat, b_vec, feas_tol=None, max_iter=None):
     keep = norms > 0.0
     a_mat = a_mat[keep] / norms[keep, None]
     b_vec = b_vec[keep] / norms[keep]
-    n_con, n = a_mat.shape
-    if feas_tol is None:
-        feas_tol = max(1e-12, 1e-14 * float(np.linalg.norm(point)))
-    if max_iter is None:
-        max_iter = 50 * (n + 2) + 2 * n_con
-    x = point.copy()
-    active: list[int] = []
-    mult = np.zeros(0)
-    best_x, best_viol = x.copy(), float((a_mat @ x - b_vec).max())
-    for _ in range(max_iter):
-        viol = a_mat @ x - b_vec
-        j = int(np.argmax(viol))
-        vmax = float(viol[j])
-        if vmax < best_viol:
-            best_viol, best_x = vmax, x.copy()
-        if vmax <= feas_tol:
-            if active:
-                # one exact equality re-solve cleans accumulated drift
-                aw = a_mat[active]
-                mu = np.linalg.lstsq(aw @ aw.T, aw @ point - b_vec[active], rcond=None)[0]
-                x_polished = point - aw.T @ mu
-                if float((a_mat @ x_polished - b_vec).max()) <= feas_tol:
-                    return x_polished
-            return x
-        row = a_mat[j]
-        entering = 0.0
-        for _ in range(2 * (n_con + n) + 4):
-            if active:
-                aw_t = a_mat[active].T
-                coeff = np.linalg.lstsq(aw_t, row, rcond=None)[0]
-                z = row - aw_t @ coeff
-            else:
-                coeff = np.zeros(0)
-                z = row.copy()
-            zz = float(z @ z)
-            vj = float(row @ x - b_vec[j])
-            if vj <= feas_tol:
-                active.append(j)
-                mult = np.append(mult, entering)
-                break
-            if zz > 1e-20:
-                t_full = vj / zz
-                t, blocking = t_full, -1
-                if coeff.size:
-                    pos = np.where(coeff > 1e-12)[0]
-                    if pos.size:
-                        ratios = mult[pos] / coeff[pos]
-                        i_min = int(np.argmin(ratios))
-                        if ratios[i_min] < t_full:
-                            t, blocking = max(float(ratios[i_min]), 0.0), int(pos[i_min])
-                x = x - t * z
-                if coeff.size:
-                    mult = mult - t * coeff
-                entering += t
-                if blocking < 0:
-                    active.append(j)
-                    mult = np.append(mult, entering)
-                    break
-                active.pop(blocking)
-                mult = np.delete(mult, blocking)
-            else:
-                pos = np.where(coeff > 1e-12)[0] if coeff.size else np.empty(0, int)
-                if not pos.size:
-                    raise InfeasibleError("constraint set is (numerically) empty")
-                ratios = mult[pos] / coeff[pos]
-                i_min = int(np.argmin(ratios))
-                t, blocking = max(float(ratios[i_min]), 0.0), int(pos[i_min])
-                mult = mult - t * coeff
-                entering += t
-                active.pop(blocking)
-                mult = np.delete(mult, blocking)
-        else:
-            break
-    if best_viol <= feas_tol:
-        return best_x
-    raise NoConvergenceError(
-        f"projection stalled at violation {best_viol:.3e} (tol {feas_tol:.3e})",
-        last_iterate=best_x)
-
+    n = point.size
+    feas_tol = max(1e-12, 1e-14 * float(np.linalg.norm(point)))
+    excess = a_mat @ point - b_vec
+    scale = float(excess.max(initial=-np.inf))
+    if scale <= feas_tol:
+        return point.copy()
+    # min |z| s.t. -A z >= excess, scaled so the data stays near unit size
+    e_mat = np.vstack([-a_mat.T, excess / scale])
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    try:
+        mult, _ = nnls(e_mat, target)
+    except RuntimeError as exc:
+        raise NoConvergenceError(f"projection: {exc}", last_iterate=None) from None
+    resid = e_mat @ mult - target
+    if resid[n] >= 0.0:
+        raise InfeasibleError("constraint set is (numerically) empty")
+    x = point - scale * resid[:n] / resid[n]
+    active = mult > 0.0
+    for _ in range(2):
+        x -= np.linalg.lstsq(a_mat[active], a_mat[active] @ x - b_vec[active], rcond=None)[0]
+    if not float((a_mat @ x - b_vec).max()) <= feas_tol:  # also rejects NaN
+        raise InfeasibleError("constraint set is (numerically) empty")
+    return x

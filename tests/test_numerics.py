@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
-from dualspike.errors import InfeasibleError, RankDeficientError
+from dualspike import numerics
+from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
 from dualspike.numerics import least_squares, lp_min, project_polyhedron, svd
 
 
@@ -45,6 +49,35 @@ def with_box(a, b, n, box):
     eye = np.eye(n)
     return (np.vstack([np.asarray(a, dtype=float).reshape(-1, n), eye, -eye]),
             np.concatenate([np.asarray(b, dtype=float).ravel(), np.full(2 * n, box)]))
+
+
+@st.composite
+def scaled_polyhedra(draw):
+    """(point, A, b, interior): random halfspaces of mixed row scale around an
+    interior point, exact and nearly duplicated copies of some rows, and a box
+    of radius about 1e5, in shuffled row order; the point lies at up to about
+    five box radii from the interior point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    n_rows = draw(st.integers(1, 12))
+    box = 10.0 ** draw(st.floats(4.5, 5.5))
+    interior = rng.uniform(-0.5, 0.5, size=n) * box
+    a = rng.normal(size=(n_rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n_rows, 1))
+    slack = np.linalg.norm(a, axis=1) * rng.uniform(1e-3, 0.5, size=n_rows) * box
+    rows, rhs = [a], [a @ interior + slack]
+    for _ in range(draw(st.integers(0, 3))):
+        i, factor = rng.integers(n_rows), 10.0 ** rng.uniform(-2.0, 2.0)
+        rows.append(factor * a[i:i + 1])
+        rhs.append(factor * rhs[0][i:i + 1])
+    for _ in range(draw(st.integers(0, 3))):
+        i, rel = rng.integers(n_rows), 10.0 ** draw(st.floats(-12.0, -6.0))
+        near = a[i] * (1.0 + rel * rng.normal(size=n))
+        rows.append(near[None, :])
+        rhs.append(np.array([near @ interior + slack[i] * (1.0 + rel)]))
+    a_full, b_full = with_box(np.vstack(rows), np.concatenate(rhs), n, box)
+    order = rng.permutation(b_full.size)
+    point = interior + 10.0 ** draw(st.floats(-2.0, 0.7)) * box * rng.normal(size=n)
+    return point, a_full[order], b_full[order], interior
 
 
 def lp_vertex_oracle(offsets, slopes, box):
@@ -204,6 +237,36 @@ class TestProjection:
             px = project_polyhedron(p, a_full, b_full)
             qx = project_polyhedron(q, a_full, b_full)
             assert np.linalg.norm(px - qx) <= np.linalg.norm(p - q) + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scaled_polyhedra())
+    def test_kkt_on_scaled_and_duplicated_rows(self, instance):
+        point, a_full, b_full, interior = instance
+        x = project_polyhedron(point, a_full, b_full)
+        norms = np.linalg.norm(a_full, axis=1)
+        a_unit, b_unit = a_full / norms[:, None], b_full / norms
+        slack = b_unit - a_unit @ x
+        assert slack.min() >= -max(1e-12, 1e-14 * np.linalg.norm(point))
+        # stationarity with multipliers >= 0 on the rows active at x
+        scale = max(1.0, np.linalg.norm(point), np.linalg.norm(x))
+        active = slack <= 1e-9 * scale
+        mu = (lsq_linear(a_unit[active].T, point - x, bounds=(0.0, np.inf), method="bvls").x
+              if active.any() else np.zeros(0))
+        assert np.linalg.norm(point - x - a_unit[active].T @ mu) <= 1e-12 * scale
+        inside = project_polyhedron(interior, a_full, b_full)
+        assert np.array_equal(inside, interior) and inside is not interior
+
+    def test_nnls_iteration_limit_is_no_convergence(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(numerics, "nnls", stalled)
+        a_full, b_full = with_box(np.array([[1.0, 0.0]]), np.array([0.0]), 2, 10.0)
+        with pytest.raises(NoConvergenceError):
+            project_polyhedron(np.array([2.0, 0.3]), a_full, b_full)
+        # a point already inside never reaches the solver
+        np.testing.assert_array_equal(project_polyhedron(np.array([-2.0, 0.3]), a_full, b_full),
+                                      [-2.0, 0.3])
 
     def test_infeasible_detected(self):
         # x >= 1 and x <= -1 simultaneously

@@ -6,10 +6,10 @@ import pytest
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from conftest import three_spike_config
+from conftest import five_spike_config, three_spike_config
 from dualspike import numerics
 from dualspike.certificate import CertificateGrid
-from dualspike.errors import InfeasibleError, LevelSetEmptyError
+from dualspike.errors import DualSpikeError, InfeasibleError, LevelSetEmptyError
 from dualspike.experiments import build_problem
 from dualspike.kernel import Kernel
 from dualspike.model import (SampleGrid, SourceModel, feature_vector,
@@ -420,6 +420,50 @@ class TestSolve:
         assert len(argmins) == state.n_iterations
         box = problem.box_radius
         np.testing.assert_array_equal(state.iterate, np.clip(argmins[-1], -box, box))
+
+    def test_nnls_failure_falls_back_to_model_argmin(self, monkeypatch):
+        # nnls at its iteration limit: each projection raises
+        # NoConvergenceError and the iterate becomes the clipped LP argmin
+        nnls_calls = []
+        argmins = []
+        minimum = CutModel.minimum
+
+        def stalled(*args, **kwargs):
+            nnls_calls.append(1)
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        def recording_minimum(model):
+            value, argmin = minimum(model)
+            argmins.append(argmin)
+            return value, argmin
+
+        monkeypatch.setattr(numerics, "nnls", stalled)
+        monkeypatch.setattr(CutModel, "minimum", recording_minimum)
+        problem = small_problem()
+        state = solve(problem, max_iters=15, record_iterates=True)
+        assert len(nnls_calls) == len(argmins) == state.n_iterations
+        box = problem.box_radius
+        for iterate, argmin in zip(state.iterate_history, argmins):
+            np.testing.assert_array_equal(iterate, np.clip(argmin, -box, box))
+
+    def test_benchmark_solves_never_fall_back(self, monkeypatch):
+        # both benchmark solves reach their fixed point with every level-set
+        # projection solved, none replaced by the model argmin
+        raised = []
+        project = numerics.project_polyhedron
+
+        def recording(point, a_mat, b_vec):
+            try:
+                return project(point, a_mat, b_vec)
+            except DualSpikeError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(numerics, "project_polyhedron", recording)
+        for cfg, max_iters in ((three_spike_config(), 500), (five_spike_config(), 2000)):
+            state = solve(build_problem(cfg), level_mix=cfg.alpha, max_iters=max_iters)
+            assert state.n_iterations < max_iters
+        assert raised == []
 
     def test_exit_repeats_last_cut(self, bench3_run):
         # at the fixed point, the next oracle call would add the last cut again
