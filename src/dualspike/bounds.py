@@ -144,16 +144,11 @@ def sensitivity_drift_rate(n_sources, n_samples, sigma, loc_rate, dual_norm,
     return numer / denom_root**2
 
 
-def jacobian_drift_rate(n_sources, n_samples, sigma, penalty, box_radius,
-                        loc_rate, drift, alt_form=False):
+def jacobian_drift_rate(n_sources, sigma, penalty, box_radius, loc_rate, drift):
     """Frobenius growth rate of the reduced Jacobian under perturbations.
 
-    ``alt_form`` selects a variant that carries an extra
-    2*loc_rate/sigma^2 term and drops the sqrt(2/e)*loc_rate/sigma one.
-    ``n_samples`` enters only through ``drift``; it is accepted here to
-    keep the full parameter list in one place.
+    The sample count enters only through ``drift``.
     """
-    del n_samples
     k = n_sources
     ct = loc_rate
     inv_s2 = (2.0 * math.sqrt(k) * ct**2 * penalty
@@ -162,11 +157,8 @@ def jacobian_drift_rate(n_sources, n_samples, sigma, penalty, box_radius,
               + 4.0 * math.sqrt(k) * ct**2 * penalty
               + 2.0 * math.sqrt(2.0) * drift * penalty / SQRT_E
               + 8.0 * k * ct * drift * box_radius * penalty
-              + math.sqrt(2.0 * k) * drift * penalty / SQRT_E)
-    if alt_form:
-        inv_s2 += 2.0 * ct
-    else:
-        inv_s1 += math.sqrt(2.0 / math.e) * ct
+              + math.sqrt(2.0 * k) * drift * penalty / SQRT_E
+              + math.sqrt(2.0 / math.e) * ct)
     return math.sqrt(2.0) * k * (inv_s2 / sigma**2 + inv_s1 / sigma)
 
 
@@ -386,7 +378,7 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
             report.drift = sensitivity_drift_rate(
                 k, m, sigma, ct_worst, dual_norm, dual_radius, report.curv_floor)
             report.jacobian_rate = jacobian_drift_rate(
-                k, m, sigma, penalty, box_radius, ct_worst, report.drift)
+                k, sigma, penalty, box_radius, ct_worst, report.drift)
         except RadiusTooLargeError as exc:
             report.errors["drift"] = str(exc)
 

@@ -1,5 +1,5 @@
 """Dual certificates q(t) = sum_j lambda_j phi(t - s_j): evaluation,
-maximizer search, validity diagnostics, and local refinement."""
+maximizer search and local refinement."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .kernel import Kernel
-from .model import SampleGrid, SourceModel
+from .model import SampleGrid
 
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_MERGE_TOL = 1e-4
@@ -99,19 +99,6 @@ class MaximizerSet:
     locations: np.ndarray
     values: np.ndarray
     curvatures: np.ndarray
-
-    @property
-    def n_maximizers(self):
-        return self.locations.size
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """How close a certificate comes to touching 1 exactly on the support."""
-
-    source_errors: np.ndarray
-    off_support_sup: float
-    passed: bool
 
 
 class CertificateGrid:
@@ -220,21 +207,6 @@ def global_maximizers(cert: Certificate, grid_points: int = DEFAULT_GRID_POINTS,
         raise ValueError("merge_tol must be positive")
     return CertificateGrid(cert.grid, cert.kernel, grid_points).maximizers(
         cert.weights, merge_tol=merge_tol, value_tol=value_tol)
-
-
-def validate_certificate(cert: Certificate, src: SourceModel, tol: float,
-                         grid_points: int = DEFAULT_GRID_POINTS,
-                         exclusion: float = DEFAULT_MERGE_TOL) -> ValidationReport:
-    """Check q = 1 on the support and q <= 1 away from it (diagnostic only)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cg = CertificateGrid(cert.grid, cert.kernel, grid_points)
-    source_errors = np.abs(cert.value(src.locations) - 1.0)
-    q = cg.values(cert.weights)
-    away = np.all(np.abs(cg.scan[:, None] - src.locations[None, :]) > exclusion, axis=1)
-    off_sup = float(q[away].max()) if np.any(away) else -np.inf
-    passed = bool(np.all(source_errors <= tol) and off_sup <= 1.0 + tol)
-    return ValidationReport(source_errors, off_sup, passed)
 
 
 def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,

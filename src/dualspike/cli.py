@@ -46,10 +46,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:

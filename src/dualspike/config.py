@@ -12,9 +12,10 @@ Recognized keys (comma-separated lists where plural):
     reference_iterations       reference-solve length   (default per command)
     seed                       base RNG seed            (default 0)
     window_start, window_end   ratio-experiment window  (default 20, 270)
-    noise_grid                 optional sweep override
+    noise_grid                 optional sweep override (entries >= 0)
 
-Lines starting with '#' and blank lines are ignored.
+Lines starting with '#' and blank lines are ignored.  Every number must be
+finite: nan and inf are rejected.
 """
 
 import hashlib
@@ -56,9 +57,12 @@ class ExperimentConfig:
 
 def _parse_float(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {raw!r}", key=key) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {raw!r}", key=key)
+    return value
 
 
 def _parse_int(raw, key):
@@ -70,10 +74,13 @@ def _parse_int(raw, key):
 
 def _parse_floats(raw, key):
     try:
-        return np.array([float(v) for v in raw.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
         raise ConfigError(f"key '{key}': expected comma-separated numbers, got {raw!r}",
                           key=key) from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"key '{key}': expected finite numbers, got {raw!r}", key=key)
+    return values
 
 
 _OPTIONAL_KEYS = {
@@ -122,7 +129,9 @@ def parse_config(text: str) -> ExperimentConfig:
     # absent keys take the ExperimentConfig defaults, except pi's computed one
     optional = {key: parse(pairs[key], key)
                 for key, parse in _OPTIONAL_KEYS.items() if key in pairs}
-    optional.setdefault("pi", 2.0 * float(np.sum(amplitudes)))
+    if "pi" not in optional:
+        with np.errstate(over="ignore"):  # an infinite sum fails the pi check
+            optional["pi"] = 2.0 * float(np.sum(amplitudes))
     cfg = ExperimentConfig(sources=sources, amplitudes=amplitudes, sigma=sigma, samples=samples,
                            digest=hashlib.sha256(text.encode()).hexdigest()[:12], **optional)
 
@@ -141,13 +150,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"key 'sigma': {exc}", key="sigma") from None
     if not cfg.tau > 0:
         raise ConfigError("key 'tau': must be positive", key="tau")
-    if not cfg.pi > 0:
-        raise ConfigError("key 'pi': must be positive", key="pi")
+    if not 0 < cfg.pi < np.inf:
+        raise ConfigError("key 'pi': must be positive and finite", key="pi")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError("key 'alpha': must lie strictly between 0 and 1", key="alpha")
     if cfg.window_start < 1 or cfg.window_end < cfg.window_start:
         raise ConfigError("key 'window_start': need 1 <= window_start <= window_end",
                           key="window_start")
+    if cfg.noise_grid is not None and np.any(cfg.noise_grid < 0):
+        raise ConfigError("key 'noise_grid': coefficients must be non-negative",
+                          key="noise_grid")
     return cfg
 
 

@@ -27,10 +27,11 @@ class SourceModel:
             raise ValueError("locations must be a non-empty 1-d sequence")
         if locations.shape != amplitudes.shape:
             raise ValueError("locations and amplitudes must have equal length")
+        # range first: differences of numbers in [0, 1] cannot overflow
+        if locations.min() < 0.0 or locations.max() > 1.0:
+            raise ValueError("locations must lie in [0, 1]")
         if np.any(np.diff(locations) <= 0):
             raise ValueError("locations must be strictly increasing")
-        if locations[0] < 0.0 or locations[-1] > 1.0:
-            raise ValueError("locations must lie in [0, 1]")
         if np.any(amplitudes <= 0):
             raise ValueError("amplitudes must be positive")
         object.__setattr__(self, "locations", locations)
@@ -51,10 +52,11 @@ class SampleGrid:
         samples = _as_readonly(samples)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-d sequence")
+        # range first: differences of numbers in [0, 1] cannot overflow
+        if samples.min() < 0.0 or samples.max() > 1.0:
+            raise ValueError("samples must lie in [0, 1]")
         if np.any(np.diff(samples) <= 0):
             raise ValueError("samples must be strictly increasing")
-        if samples[0] < 0.0 or samples[-1] > 1.0:
-            raise ValueError("samples must lie in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
     @classmethod
@@ -85,11 +87,6 @@ class MeasurementSet:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "grid", grid)
-
-
-def feature_vector(grid: SampleGrid, kernel: Kernel, t: float) -> np.ndarray:
-    """Kernel translates evaluated at one location: entry j is phi(t - s_j)."""
-    return kernel.value(t - grid.samples)
 
 
 def build_phi(grid: SampleGrid, kernel: Kernel, locations) -> np.ndarray:

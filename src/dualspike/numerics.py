@@ -1,14 +1,15 @@
-"""Small dense linear algebra and convex subproblem solvers.
+"""Small dense linear algebra and the level-set projection.
 
 Everything here is sized for m <= ~50 variables and a few hundred
 constraints.  The SVD and least squares are LAPACK-backed; the projection
 onto a polyhedron is one least-distance program, solved as a non-negative
 least-squares problem by scipy's compiled NNLS, and needs no feasible
-starting point.
+starting point.  Failures raise: nothing here retries with another method.
+The cut model's LP lives with its HiGHS instance in ``solver.CutModel``.
 """
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 
 from .errors import InfeasibleError, NoConvergenceError, RankDeficientError
 
@@ -38,29 +39,6 @@ def least_squares(a, b):
     return v @ ((u.T @ b) / s), s
 
 
-def lp_min(offsets, slopes, box_radius):
-    """Minimize max_i (offsets_i + slopes_i . x) over the box |x|_inf <= r.
-
-    Solved as the epigraph LP.  Returns (optimal value, argmin).
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    n_cuts, n = slopes.shape
-    if n_cuts == 0:
-        raise ValueError("need at least one affine piece")
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([slopes, -np.ones((n_cuts, 1))])
-    bounds = [(-box_radius, box_radius)] * n + [(None, None)]
-    # HiGHS presolve occasionally reports numerical trouble on nearly
-    # duplicated rows; retry without it, then with the interior-point method.
-    for method, opts in (("highs", {}), ("highs", {"presolve": False}), ("highs-ipm", {})):
-        res = linprog(c, A_ub=a_ub, b_ub=-offsets, bounds=bounds, method=method, options=opts)
-        if res.status == 0:
-            return float(res.fun), res.x[:n]
-    raise NoConvergenceError(f"LP solver failed: {res.message}", last_iterate=None)
-
-
 def project_polyhedron(point, a_mat, b_vec):
     """Euclidean projection of ``point`` onto {x : A x <= b}.
 
@@ -68,7 +46,8 @@ def project_polyhedron(point, a_mat, b_vec):
     (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23), then two
     min-norm corrections onto the rows it makes active.  Rows are
     normalized, so the feasibility tolerance max(1e-12, 1e-14 |point|) is a
-    distance; a point within it is returned as an unchanged copy.  Raises
+    distance; a point within it is returned as an unchanged copy.  The
+    result is checked against max(1e-12, 1e-14 max(|point|, |x|)).  Raises
     InfeasibleError when the set is empty at that tolerance and
     NoConvergenceError when NNLS runs out of iterations.
     """
@@ -100,6 +79,9 @@ def project_polyhedron(point, a_mat, b_vec):
     active = mult > 0.0
     for _ in range(2):
         x -= np.linalg.lstsq(a_mat[active], a_mat[active] @ x - b_vec[active], rcond=None)[0]
+    # x can land far from a point near the origin, where one ulp of A x
+    # exceeds a tolerance scaled by |point| alone
+    feas_tol = max(feas_tol, 1e-14 * float(np.linalg.norm(x)))
     if not float((a_mat @ x - b_vec).max()) <= feas_tol:  # also rejects NaN
         raise InfeasibleError("constraint set is (numerically) empty")
     return x

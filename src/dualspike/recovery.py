@@ -25,16 +25,6 @@ class RecoveryResult:
     sigma_max: float
     sigma_min: float
 
-    def summary(self):
-        """Plain-dict form for JSON-style serialization."""
-        return {
-            "locations": [float(t) for t in self.locations],
-            "amplitudes": [float(a) for a in self.amplitudes],
-            "residual_norm": self.residual_norm,
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-        }
-
 
 def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> RecoveryResult:
     """Least-squares amplitudes for a fixed support.

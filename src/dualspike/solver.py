@@ -17,7 +17,7 @@ from . import numerics
 from .certificate import CertificateGrid
 from .errors import InfeasibleError, LevelSetEmptyError, NoConvergenceError
 from .kernel import Kernel
-from .model import MeasurementSet, feature_vector
+from .model import MeasurementSet, build_phi
 
 ACTIVE_SUP_TOL = 1e-12
 DEFAULT_GAP_TOL = 1e-12
@@ -73,7 +73,8 @@ def _oracle(problem: PenaltyProblem, weights, cert_grid: CertificateGrid):
     t_star, sup_val = cert_grid.supremum(weights)
     value = -float(y @ weights) + problem.penalty * max(sup_val - 1.0, 0.0)
     if sup_val >= 1.0 - ACTIVE_SUP_TOL:
-        slope = -y + problem.penalty * feature_vector(problem.measurements.grid, problem.kernel, t_star)
+        column = build_phi(problem.measurements.grid, problem.kernel, [t_star])[:, 0]
+        slope = -y + problem.penalty * column
         return value, slope, t_star
     return value, -y.copy(), None
 
@@ -83,18 +84,6 @@ def penalty_objective(problem: PenaltyProblem, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     return _oracle(problem, weights, grid)[0]
-
-
-def subgradient(problem: PenaltyProblem, weights):
-    """A subgradient of Psi and the certificate argmax when it is active.
-
-    Returns (slope, t_active); t_active is None on the inactive branch
-    (sup < 1), where the subgradient is just -y.
-    """
-    weights = np.asarray(weights, dtype=float)
-    grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-    _, slope, t_active = _oracle(problem, weights, grid)
-    return slope, t_active
 
 
 class CutModel:
@@ -126,15 +115,6 @@ class CutModel:
         empty = np.empty(0, dtype=np.int32)
         self._lp.addCols(n + 1, cost, lower, upper, 0, empty, empty, np.empty(0))
 
-    @classmethod
-    def from_cuts(cls, cuts, box_radius):
-        if not cuts:
-            raise ValueError("model needs at least one cut")
-        model = cls(cuts[0].slope.size, box_radius, len(cuts))
-        for cut in cuts:
-            model.add(cut)
-        return model
-
     @property
     def offsets(self):
         return self._offsets[:self.size]
@@ -163,23 +143,19 @@ class CutModel:
 
         A warm solve that is not optimal, or that HiGHS flags with dual
         infeasibilities (its value can then overstate the minimum), is redone
-        cold on the same instance; if that is not clean either,
-        ``numerics.lp_min`` and its retries take over.
+        cold on the same instance.  When that cold solve is not clean either,
+        raises NoConvergenceError: no valid lower bound is available.
         """
         if not self._run_clean():
             self._lp.clearSolver()
             if not self._run_clean():
-                return numerics.lp_min(self.offsets, self.slopes, self.box_radius)
+                status = self._lp.modelStatusToString(self._lp.getModelStatus())
+                flagged = self._lp.getInfo().num_dual_infeasibilities
+                raise NoConvergenceError(
+                    f"cut model LP ({self.size} cuts) not clean after a cold re-solve: "
+                    f"status {status}, {flagged} dual infeasibilities")
         x = np.array(self._lp.getSolution().col_value)
         return self._lp.getObjectiveValue(), x[:-1]
-
-
-def model_minimum(cuts, box_radius):
-    """Minimum of the polyhedral model of ``cuts`` over the box, via one LP.
-
-    Returns (value, argmin).  Requires at least one cut.
-    """
-    return CutModel.from_cuts(cuts, box_radius).minimum()
 
 
 def model_value(cuts, weights):
@@ -235,7 +211,9 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
     bounds, the level and the projection would all repeat.  Also stops when
     the gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is an upper bound.
     The model minimum is HiGHS's optimal value, re-solved cold when HiGHS
-    flags dual infeasibilities (see ``CutModel.minimum``).
+    flags dual infeasibilities; when the cold solve is not clean either, the
+    solve stops with NoConvergenceError (see ``CutModel.minimum``), which the
+    command line reports with exit code 3.
     """
     if not 0.0 < level_mix < 1.0:
         raise ValueError("level_mix must lie strictly between 0 and 1")

@@ -1,15 +1,14 @@
 """Constants report and certificate diagnostics on the main benchmark run."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from dualspike import bounds
-from dualspike.certificate import Certificate, validate_certificate
-from dualspike.recovery import recover
+from dualspike.certificate import Certificate
 from dualspike.experiments import run_noise
+from helpers import validate_certificate
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +26,6 @@ class TestBenchmarkCertificate:
         result = validate_certificate(cert, cfg.source_model(), tol=1e-4)
         assert result.passed
         assert result.source_errors.max() <= 1e-4
-
-    def test_summary_is_json_ready(self, bench3_run):
-        cfg, problem, state, _ = bench3_run
-        cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
-        summary = recover(cert, problem.measurements.y).summary()
-        parsed = json.loads(json.dumps(summary))
-        assert len(parsed["locations"]) == 3
-        assert parsed["sigma_min"] > 0
 
 
 class TestBenchmarkReport:

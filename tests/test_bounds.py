@@ -202,7 +202,7 @@ class TestDrift:
 
 class TestJacobianRate:
     def test_all_ones_single_source(self):
-        got = bounds.jacobian_drift_rate(1, 1, 1.0, 1.0, 1.0, 1.0, 1.0)
+        got = bounds.jacobian_drift_rate(1, 1.0, 1.0, 1.0, 1.0, 1.0)
         se = math.sqrt(math.e)
         expected = math.sqrt(2.0) * ((2.0 + 4.0)
                                      + (math.sqrt(2.0) / se + 4.0
@@ -212,22 +212,13 @@ class TestJacobianRate:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_penalty_scaling_of_penalty_terms(self):
-        base = bounds.jacobian_drift_rate(2, 9, 0.5, 1.0, 3.0, 0.7, 0.2)
-        double = bounds.jacobian_drift_rate(2, 9, 0.5, 2.0, 3.0, 0.7, 0.2)
+        base = bounds.jacobian_drift_rate(2, 0.5, 1.0, 3.0, 0.7, 0.2)
+        double = bounds.jacobian_drift_rate(2, 0.5, 2.0, 3.0, 0.7, 0.2)
         # the two penalty-free terms stay fixed; everything else doubles
         k, ct, se = 2, 0.7, math.sqrt(math.e)
         fixed = math.sqrt(2.0) * k * (math.sqrt(2 * k) * ct / se
                                       + math.sqrt(2.0 / math.e) * ct) / 0.5
         assert double - fixed == pytest.approx(2.0 * (base - fixed), rel=1e-12)
-
-    def test_alt_form_differs_as_documented(self):
-        args = (2, 9, 0.5, 1.5, 3.0, 0.7, 0.2)
-        main = bounds.jacobian_drift_rate(*args)
-        alt = bounds.jacobian_drift_rate(*args, alt_form=True)
-        k, sigma, ct = 2, 0.5, 0.7
-        delta = math.sqrt(2.0) * k * (2.0 * ct / sigma**2
-                                      - math.sqrt(2.0 / math.e) * ct / sigma)
-        assert alt - main == pytest.approx(delta, rel=1e-12)
 
 
 class TestJacobianAssembly:

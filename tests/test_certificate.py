@@ -9,13 +9,13 @@ from conftest import three_spike_config
 from dualspike import bounds, certificate
 from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
-                                   refine_location, supremum,
-                                   validate_certificate)
+                                   refine_location, supremum)
 from dualspike.errors import NoConvergenceError
 from dualspike.experiments import reference_run, run_noise
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize
 from dualspike.solver import PenaltyProblem, solve
+from helpers import validate_certificate
 
 SCAN_STEP = 1.0 / (DEFAULT_GRID_POINTS - 1)
 BRUTE_POINTS = 200_001
@@ -148,11 +148,11 @@ class TestSupremum:
 class TestGlobalMaximizers:
     def test_zero_weights_empty(self):
         cert = Certificate(np.zeros(5), SampleGrid.equispaced(5), Kernel(0.1))
-        assert global_maximizers(cert).n_maximizers == 0
+        assert global_maximizers(cert).locations.size == 0
 
     def test_single_bump(self, single_bump):
         maxima = global_maximizers(single_bump)
-        assert maxima.n_maximizers == 1
+        assert maxima.locations.size == 1
         assert maxima.locations[0] == pytest.approx(0.5, abs=1e-12)
         assert maxima.values[0] == pytest.approx(1.0, rel=1e-12)
         assert maxima.curvatures[0] == pytest.approx(-2.0 / 0.1**2, rel=1e-10)
@@ -160,7 +160,7 @@ class TestGlobalMaximizers:
     def test_stationarity_of_returned_maxima(self, small_converged):
         _, cert = small_converged
         maxima = global_maximizers(cert)
-        assert maxima.n_maximizers == 2
+        assert maxima.locations.size == 2
         for t in maxima.locations:
             assert abs(cert.value(t, 1)) <= 1e-9
             assert cert.value(t, 2) <= 1e-9
@@ -169,7 +169,7 @@ class TestGlobalMaximizers:
         _, cert = small_converged
         coarse = global_maximizers(cert, grid_points=4001)
         fine = global_maximizers(cert, grid_points=8001)
-        assert coarse.n_maximizers == fine.n_maximizers
+        assert coarse.locations.size == fine.locations.size
         np.testing.assert_allclose(coarse.locations, fine.locations, atol=1e-4)
 
     def test_merge_tol_required_positive(self, single_bump):

@@ -1,11 +1,16 @@
 """Configuration parsing and the command-line interface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, main
-from dualspike.config import parse_config
+from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, main
+from dualspike.config import _KNOWN_KEYS, ExperimentConfig, parse_config
 from dualspike.errors import ConfigError
+from dualspike.solver import CutModel
 
 TINY_CONFIG = """\
 # one source, quick solve
@@ -55,6 +60,18 @@ class TestParsing:
         ("sources=0.7,0.2\namplitudes=1,1\nsigma=0.1\nm=5\n", "sources"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nwindow_start=9\nwindow_end=4\n",
          "window_start"),
+        # non-finite numbers and negative noise coefficients
+        ("sources=nan\namplitudes=1\nsigma=0.1\nm=5\n", "sources"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nsamples=nan\n", "samples"),
+        ("sources=0.5\namplitudes=inf\nsigma=0.1\nm=5\n", "amplitudes"),
+        ("sources=0.5\namplitudes=1\nsigma=inf\nm=5\n", "sigma"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\ntau=inf\n", "tau"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\npi=inf\n", "pi"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=-1\n", "noise_grid"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=0.01,nan\n", "noise_grid"),
+        # finite inputs that overflow: the default pi, a location difference
+        ("sources=0.2,0.6\namplitudes=1e308,1e308\nsigma=0.1\nm=5\n", "pi"),
+        ("sources=-1e308,1e308\namplitudes=1,1\nsigma=0.1\nm=5\n", "sources"),
     ])
     def test_errors_name_the_key(self, text, key):
         with pytest.raises(ConfigError) as excinfo:
@@ -68,6 +85,46 @@ class TestParsing:
     def test_noise_grid_override(self):
         cfg = parse_config("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=0.01,0.02\n")
         np.testing.assert_array_equal(cfg.noise_grid, [0.01, 0.02])
+
+
+_SPECIAL = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e308", "-1e308",
+                            "1e-320", "0.5"])
+# integers stay small: a valid m allocates an m-sample grid
+_NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                     st.integers(-10_000, 10_000).map(str), _SPECIAL, _SPECIAL)
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# repeated branches are drawn more often: mostly numbers, some junk
+_VALUES = st.one_of(_NUMBERS, _NUMBERS, _NUMBERS,
+                    st.lists(_NUMBERS, min_size=1, max_size=4).map(", ".join), _JUNK)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid base config with keys dropped, overridden, added and mangled."""
+    lines = {"sources": "0.5", "amplitudes": "1", "sigma": "0.1", "m": "9"}
+    dropped = draw(st.sampled_from([None] * 12 + sorted(lines)))
+    lines.pop(dropped, None)
+    keys = st.sampled_from(sorted(_KNOWN_KEYS) * 3 + ["bogus", "SIGMA", " tau "])
+    lines.update(draw(st.dictionaries(keys, _VALUES, max_size=3)))
+    text = [f"{key} = {value}" for key, value in lines.items()]
+    text += draw(st.one_of(st.just([]), st.just([]), st.just([]),
+                           st.lists(_VALUES, min_size=1, max_size=2)))
+    return "\n".join(draw(st.permutations(text)))
+
+
+class TestParseProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(config_texts())
+    def test_config_error_or_finite_numbers(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        for field in dataclasses.fields(ExperimentConfig):
+            value = getattr(cfg, field.name)
+            if field.name == "digest" or value is None:
+                continue
+            assert np.all(np.isfinite(np.asarray(value, dtype=float))), (field.name, value)
 
 
 class TestCli:
@@ -111,6 +168,22 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
+
+    def test_negative_noise_grid_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG + "noise_grid = -1\n")
+        code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "noise_grid" in capsys.readouterr().err
+
+    def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # every HiGHS solve unclean, warm and cold: the solve fails loud
+        monkeypatch.setattr(CutModel, "_run_clean", lambda model: False)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_SOLVER
+        assert "cold re-solve" in capsys.readouterr().err
 
     def test_zero_iterations_no_support(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

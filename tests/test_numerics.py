@@ -8,7 +8,8 @@ from scipy.optimize import lsq_linear
 
 from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
-from dualspike.numerics import least_squares, lp_min, project_polyhedron, svd
+from dualspike.numerics import least_squares, project_polyhedron, svd
+from helpers import lp_minimum
 
 
 def penalty_projection_oracle(point, a_mat, b_vec):
@@ -277,19 +278,22 @@ class TestProjection:
 
 
 class TestLpMin:
+    """The epigraph LP min over the box of a max of affine pieces, as
+    ``solver.CutModel.minimum`` solves it: one HiGHS row per piece."""
+
     def test_single_piece_closed_form(self):
         slope = np.array([[1.5, -2.0, 0.5]])
         offset = np.array([3.0])
-        value, argmin = lp_min(offset, slope, box_radius=1.0)
+        value, argmin = lp_minimum(offset, slope, box_radius=1.0)
         assert value == pytest.approx(3.0 - np.abs(slope).sum(), abs=1e-10)
         np.testing.assert_allclose(argmin, -np.sign(slope[0]), atol=1e-10)
 
     def test_duplicate_pieces(self):
         slope = np.array([[1.5, -2.0, 0.5]])
         offset = np.array([3.0])
-        v1, x1 = lp_min(offset, slope, 1.0)
-        v2, x2 = lp_min(np.concatenate([offset, offset]),
-                        np.vstack([slope, slope]), 1.0)
+        v1, x1 = lp_minimum(offset, slope, 1.0)
+        v2, x2 = lp_minimum(np.concatenate([offset, offset]),
+                            np.vstack([slope, slope]), 1.0)
         assert v1 == pytest.approx(v2, abs=1e-12)
         np.testing.assert_allclose(x1, x2, atol=1e-10)
 
@@ -298,7 +302,7 @@ class TestLpMin:
         for _ in range(20):
             slopes = rng.normal(size=(6, 3))
             offsets = rng.normal(size=6)
-            value, argmin = lp_min(offsets, slopes, box_radius=1.0)
+            value, argmin = lp_minimum(offsets, slopes, box_radius=1.0)
             ref_val, _ = lp_vertex_oracle(offsets, slopes, 1.0)
             assert value == pytest.approx(ref_val, abs=1e-10)
             # the argmin must achieve the value
@@ -309,11 +313,12 @@ class TestLpMin:
         rng = np.random.default_rng(8)
         slopes = rng.normal(size=(5, 3))
         offsets = rng.normal(size=5)
-        value, _ = lp_min(offsets, slopes, box_radius=2.0)
+        value, _ = lp_minimum(offsets, slopes, box_radius=2.0)
         pts = rng.uniform(-2.0, 2.0, size=(100, 3))
         vals = (offsets[None, :] + pts @ slopes.T).max(axis=1)
         assert np.all(value <= vals + 1e-10)
 
     def test_needs_a_piece(self):
-        with pytest.raises(ValueError):
-            lp_min(np.empty(0), np.empty((0, 3)), 1.0)
+        # with no piece the epigraph variable is unbounded below
+        with pytest.raises(NoConvergenceError):
+            lp_minimum(np.empty(0), np.empty((0, 3)), 1.0)

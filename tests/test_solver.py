@@ -9,14 +9,14 @@ from scipy.optimize._highspy._core import HighsModelStatus
 from conftest import five_spike_config, three_spike_config
 from dualspike import numerics
 from dualspike.certificate import CertificateGrid
-from dualspike.errors import DualSpikeError, InfeasibleError, LevelSetEmptyError
+from dualspike.errors import (DualSpikeError, InfeasibleError, LevelSetEmptyError,
+                              NoConvergenceError)
 from dualspike.experiments import build_problem
 from dualspike.kernel import Kernel
-from dualspike.model import (SampleGrid, SourceModel, feature_vector,
-                             synthesize)
-from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle,
-                              model_minimum, model_value, penalty_objective,
-                              project_to_level, solve, subgradient)
+from dualspike.model import SampleGrid, SourceModel, build_phi, synthesize, uniform_noise
+from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle, model_value,
+                              penalty_objective, project_to_level, solve)
+from helpers import cut_model, model_minimum, subgradient
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -36,7 +36,7 @@ def random_cuts(rng, n_cuts, m):
 
 
 def project(cuts, level, point, box_radius):
-    model = CutModel.from_cuts(cuts, box_radius)
+    model = cut_model(cuts, box_radius)
     return project_to_level(model, level, point, model.minimum())
 
 
@@ -78,20 +78,6 @@ class DualInfeasible:
     def clearSolver(self):
         self.clears += 1
         return self._lp.clearSolver()
-
-
-def recording_lp_min(monkeypatch):
-    """Patch ``numerics.lp_min`` to record (offsets, slopes, result) per call."""
-    calls = []
-    lp_min = numerics.lp_min
-
-    def recording(offsets, slopes, box_radius):
-        result = lp_min(offsets, slopes, box_radius)
-        calls.append((offsets.copy(), slopes.copy(), result))
-        return result
-
-    monkeypatch.setattr(numerics, "lp_min", recording)
-    return calls
 
 
 def certified_cold_minimum(offsets, slopes, box_radius):
@@ -165,8 +151,8 @@ class TestSubgradient:
         g, t_active = subgradient(problem, lam)
         assert t_active is not None
         expected = (-problem.measurements.y
-                    + problem.penalty * feature_vector(problem.measurements.grid,
-                                                       problem.kernel, t_active))
+                    + problem.penalty * build_phi(problem.measurements.grid,
+                                                  problem.kernel, [t_active])[:, 0])
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
     def test_subgradient_inequality(self):
@@ -254,24 +240,18 @@ class TestModelMinimum:
                     assert abs(value - ref_value) <= 1e-4
         assert checked >= 75 and tight >= 50
 
-    def test_non_optimal_solve_falls_back_to_lp_min(self, monkeypatch):
-        fallback = recording_lp_min(monkeypatch)
+    def test_non_optimal_solve_raises_no_convergence(self):
         rng = np.random.default_rng(31)
         cuts = random_cuts(rng, 6, 3)
-        model = CutModel.from_cuts(cuts, 1.0)
+        model = cut_model(cuts, 1.0)
         assert model.minimum()[0] == pytest.approx(model_minimum(cuts, 1.0)[0], abs=1e-9)
-        assert not fallback
         model._lp = NotOptimal(model._lp)
-        value, argmin = model.minimum()
-        assert len(fallback) == 1
-        offsets, slopes, (fb_value, fb_argmin) = fallback[0]
-        np.testing.assert_array_equal(offsets, model.offsets)
-        np.testing.assert_array_equal(slopes, model.slopes)
-        assert value == fb_value
-        np.testing.assert_array_equal(argmin, fb_argmin)
+        # neither the warm solve nor the cold re-solve is optimal: no
+        # valid lower bound, so the model fails loud
+        with pytest.raises(NoConvergenceError, match="6 cuts"):
+            model.minimum()
 
-    def test_dual_infeasible_solve_is_redone_cold(self, monkeypatch):
-        fallback = recording_lp_min(monkeypatch)
+    def test_dual_infeasible_solve_is_redone_cold(self):
         rng = np.random.default_rng(32)
         cuts = random_cuts(rng, 6, 3)
         clean = model_minimum(cuts, 1.0)
@@ -284,20 +264,17 @@ class TestModelMinimum:
         value, argmin = model.minimum()
         # one cold re-solve on the same instance, which comes back clean
         assert flagged.clears == 1
-        assert not fallback
         assert value == pytest.approx(clean[0], abs=1e-9)
         np.testing.assert_allclose(argmin, clean[1], atol=1e-9)
 
-    def test_dual_infeasible_resolve_falls_back_to_lp_min(self, monkeypatch):
-        fallback = recording_lp_min(monkeypatch)
+    def test_dual_infeasible_resolve_raises_no_convergence(self):
         rng = np.random.default_rng(33)
         cuts = random_cuts(rng, 6, 3)
-        model = CutModel.from_cuts(cuts, 1.0)
+        model = cut_model(cuts, 1.0)
         model._lp = flagged = DualInfeasible(model._lp, flagged=2)
-        value, _ = model.minimum()
+        with pytest.raises(NoConvergenceError, match="1 dual infeasibilities"):
+            model.minimum()
         assert flagged.clears == 1
-        assert len(fallback) == 1
-        assert value == fallback[0][2][0]
 
 
 class TestProjectToLevel:
@@ -318,7 +295,7 @@ class TestProjectToLevel:
         rng = np.random.default_rng(27)
         for _ in range(10):
             cuts = random_cuts(rng, 5, 3)
-            model = CutModel.from_cuts(cuts, 5.0)
+            model = cut_model(cuts, 5.0)
             minimum = model.minimum()
             level = minimum[0] + 1.0
             point = rng.normal(size=3) * 4.0
@@ -333,14 +310,14 @@ class TestProjectToLevel:
 
     def test_empty_level_raises(self):
         rng = np.random.default_rng(28)
-        model = CutModel.from_cuts(random_cuts(rng, 4, 3), 2.0)
+        model = cut_model(random_cuts(rng, 4, 3), 2.0)
         minimum = model.minimum()
         with pytest.raises(LevelSetEmptyError):
             project_to_level(model, minimum[0] - 1.0, np.zeros(3), minimum)
 
     def test_fallback_clips_model_argmin(self, monkeypatch):
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
-        model = CutModel.from_cuts([Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
+        model = cut_model([Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
         minimum = (-1.0, np.array([-3.0, 0.5, 2.0]))
         out = project_to_level(model, 0.0, np.zeros(3), minimum)
         np.testing.assert_array_equal(out, [-1.0, 0.5, 1.0])
@@ -464,6 +441,30 @@ class TestSolve:
             state = solve(build_problem(cfg), level_mix=cfg.alpha, max_iters=max_iters)
             assert state.n_iterations < max_iters
         assert raised == []
+
+    @pytest.mark.parametrize("w_c,seed", [(0.004, 17), (0.006, 19), (4e-6, 2), (0.06, 29)])
+    def test_first_noisy_projection_does_not_fall_back(self, monkeypatch, w_c, seed):
+        # from lambda = 0 the projection lands ~1e5 away, where one ulp of
+        # a.x exceeds a tolerance scaled by |point| = 0 alone; these noise
+        # draws of the three-spike sweep used to fall back to a box vertex
+        raised = []
+        project = numerics.project_polyhedron
+
+        def recording(point, a_mat, b_vec):
+            try:
+                return project(point, a_mat, b_vec)
+            except DualSpikeError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(numerics, "project_polyhedron", recording)
+        cfg = three_spike_config()
+        noise = uniform_noise(cfg.samples.size, w_c, seed)
+        state = solve(build_problem(cfg, noise=noise), level_mix=cfg.alpha, max_iters=1)
+        assert raised == []
+        lam, cut, level = state.iterate, state.cuts[0], state.level_history[0]
+        excess = cut.value + cut.slope @ (lam - cut.anchor) - level
+        assert excess <= 1e-14 * np.linalg.norm(cut.slope) * np.linalg.norm(lam)
 
     def test_exit_repeats_last_cut(self, bench3_run):
         # at the fixed point, the next oracle call would add the last cut again
