@@ -19,11 +19,20 @@ ROUNDOFF_REL = 1e-13
 # a Newton bracket this many ulps wide holds no further progress
 BRACKET_ULPS = 4
 GRID_NEWTON_ITERS = 100
+# the scan shows every bump of q as a local maximum only for kernels at
+# least this many scan spacings wide
+MIN_SIGMA_STEPS = 10
 
 
 def slope_floor(kernel: Kernel, weights):
     """Round-off floor of q': 1e-13 |weights|_1 sup|phi'|."""
     return ROUNDOFF_REL * float(np.abs(weights).sum()) * kernel.deriv_sup_bounds()[0]
+
+
+def min_kernel_width(n_points=DEFAULT_GRID_POINTS):
+    """Narrowest sigma an ``n_points`` scan of [0,1] resolves:
+    ``MIN_SIGMA_STEPS`` scan spacings (2.5e-3 for the default scan)."""
+    return MIN_SIGMA_STEPS / (n_points - 1)
 
 
 def _derivatives(kernel: Kernel, samples, weights, t):
@@ -104,17 +113,24 @@ class MaximizerSet:
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Precomputes phi(t_i - s_j) on a uniform scan of [0,1] so that repeated
-    suprema (one per bundle iteration) reduce to a matrix-vector product.
+    Precomputes phi(t_i - s_j) and phi''(t_i - s_j) on a uniform scan of
+    [0,1] so that repeated suprema (one per bundle iteration) reduce to a
+    matrix-vector product.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
+    spacings (``min_kernel_width``) raises ValueError: the scan would not
+    show each of its bumps as a local maximum.
     """
 
     def __init__(self, grid: SampleGrid, kernel: Kernel, n_points: int = DEFAULT_GRID_POINTS):
         if n_points < 101:
             raise ValueError("need at least 101 scan points")
+        if kernel.sigma < min_kernel_width(n_points):
+            raise ValueError(f"kernel width {kernel.sigma} is below {MIN_SIGMA_STEPS} "
+                             f"spacings of the {n_points}-point scan")
         self.grid = grid
         self.kernel = kernel
         self.scan = np.linspace(0.0, 1.0, n_points)
-        self.table = kernel.value(self.scan[:, None] - grid.samples[None, :])
+        self.table, _, self.curvature = kernel.value_and_derivatives(
+            self.scan[:, None] - grid.samples[None, :])
 
     def values(self, weights):
         return self.table @ weights
@@ -147,13 +163,19 @@ class CertificateGrid:
         i_max = int(np.argmax(q))
         grid_max = float(q[i_max])
         best_t, best_v = float(self.scan[i_max]), grid_max
-        # neighbouring bumps can out-top the grid argmax by up to the grid
-        # quantization error, so refine every local max within that margin
+        # Newton from the scan local max t_i stays in [t_i - h, t_i + h].  q
+        # tops q(t_i) there only at a local max t* inside a cell whose ends
+        # do not top q(t_i), one of them within h/2 of t*, so by at most
+        # h^2/8 sup|q''| over that cell, where |q''| <= |q''(t_i)| +
+        # h |weights|_1 sup|phi'''|.  Only peaks whose bound, plus evaluation
+        # round-off, reaches the grid max can change the result.
         h = self.scan[1] - self.scan[0]
-        curv_scale = float(np.abs(weights).sum()) * self.kernel.deriv_sup_bounds()[1]
-        margin = max(1e-12, 0.5 * curv_scale * h * h)
+        mass = float(np.abs(weights).sum())
         peaks = self.local_max_indices(q)
-        peaks = peaks[q[peaks] >= grid_max - margin]
+        curv = np.abs(self.curvature[peaks] @ weights)
+        third = h * mass * self.kernel.deriv_sup_bounds()[2]
+        margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
+        peaks = peaks[q[peaks] + margin >= grid_max]
         for t, (v, _, _), _ in self._refined(weights, peaks, slope_floor(self.kernel, weights)):
             if v > best_v or (v == best_v and t < best_t):
                 best_t, best_v = t, v

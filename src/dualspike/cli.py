@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from . import experiments
-from .config import load_config
+from .config import check_seed, load_config
 from .errors import ConfigError, DualSpikeError, EmptySupportError
 
 EXIT_OK = 0
@@ -46,11 +46,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            check_seed(args.seed)
+            cfg.seed = args.seed
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.iters is not None:
         if args.command in ("exp-lambda-t", "exp-t-a", "bounds"):
             cfg.reference_iterations = args.iters

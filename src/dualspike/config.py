@@ -3,14 +3,15 @@
 Recognized keys (comma-separated lists where plural):
 
     sources, amplitudes        spike locations / weights (required)
-    sigma                      kernel width (required)
+    sigma                      kernel width (required, >= 2.5e-3: ten spacings
+                               of the certificate's 4001-point scan)
     m | samples                equispaced sample count, or explicit samples
     tau                        dual box radius          (default 1e5)
     pi                         penalty weight           (default 2*sum(amplitudes))
     alpha                      level interpolation      (default 0.25)
     iterations                 solve length             (default per command)
     reference_iterations       reference-solve length   (default per command)
-    seed                       base RNG seed            (default 0)
+    seed                       base RNG seed, >= 0      (default 0)
     window_start, window_end   ratio-experiment window  (default 20, 270)
     noise_grid                 optional sweep override (entries >= 0)
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificate import min_kernel_width
 from .errors import ConfigError
 from .kernel import Kernel
 from .model import SampleGrid, SourceModel
@@ -148,6 +150,10 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.kernel()
     except ValueError as exc:
         raise ConfigError(f"key 'sigma': {exc}", key="sigma") from None
+    if cfg.sigma < min_kernel_width():
+        raise ConfigError(f"key 'sigma': below {min_kernel_width():g}, the narrowest kernel "
+                          "the certificate scan resolves", key="sigma")
+    check_seed(cfg.seed)
     if not cfg.tau > 0:
         raise ConfigError("key 'tau': must be positive", key="tau")
     if not 0 < cfg.pi < np.inf:
@@ -161,6 +167,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("key 'noise_grid': coefficients must be non-negative",
                           key="noise_grid")
     return cfg
+
+
+def check_seed(seed):
+    """Raise ConfigError for a negative seed, which numpy's generators reject."""
+    if seed < 0:
+        raise ConfigError(f"key 'seed': must be non-negative, got {seed}", key="seed")
 
 
 def load_config(path) -> ExperimentConfig:

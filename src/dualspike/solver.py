@@ -100,6 +100,9 @@ class CutModel:
         self.size = 0
         self._offsets = np.empty(capacity)
         self._slopes = np.empty((capacity, n))
+        # the box as rows of the level set, stacked below the cuts
+        self.box_rows = np.vstack([np.eye(n), -np.eye(n)])
+        self.box_rhs = np.full(2 * n, float(box_radius))
         self._row_index = np.arange(n + 1, dtype=np.int32)
         self._row_value = np.empty(n + 1)
         self._row_value[-1] = -1.0
@@ -168,9 +171,8 @@ def model_value(cuts, weights):
 
 
 def _level_constraints(model, level):
-    n = model.slopes.shape[1]
-    a_mat = np.vstack([model.slopes, np.eye(n), -np.eye(n)])
-    b_vec = np.concatenate([level - model.offsets, np.full(2 * n, model.box_radius)])
+    a_mat = np.vstack([model.slopes, model.box_rows])
+    b_vec = np.concatenate([level - model.offsets, model.box_rhs])
     return a_mat, b_vec
 
 

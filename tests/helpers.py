@@ -1,12 +1,18 @@
 """Test-side views of the solver and certificate: building a cut model from
-a list of cuts, the subgradient alone, and a certificate validity check.
-The command-line pipeline never needs these, so they live with the tests."""
+a list of cuts, the subgradient alone, and a certificate validity check;
+and the reference rules the faster production paths are checked against:
+the level projection solved on every row at once, and the supremum that
+refines every scan local maximum.  The command-line pipeline never needs
+these, so they live with the tests."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
-from dualspike.certificate import DEFAULT_GRID_POINTS, DEFAULT_MERGE_TOL, CertificateGrid
+from dualspike.certificate import (DEFAULT_GRID_POINTS, DEFAULT_MERGE_TOL, CertificateGrid,
+                                   slope_floor)
+from dualspike.errors import InfeasibleError
 from dualspike.solver import Cut, CutModel, _oracle
 
 
@@ -69,3 +75,50 @@ def validate_certificate(cert, src, tol, grid_points=DEFAULT_GRID_POINTS,
     off_sup = float(q[away].max()) if np.any(away) else -np.inf
     passed = bool(np.all(source_errors <= tol) and off_sup <= 1.0 + tol)
     return ValidationReport(source_errors, off_sup, passed)
+
+
+def full_row_projection(point, a_mat, b_vec):
+    """Projection of ``point`` onto {x : A x <= b} by one least-distance
+    NNLS solve on every row, then two min-norm corrections onto the rows
+    with a positive multiplier; tolerances as in
+    ``numerics.project_polyhedron``."""
+    point = np.asarray(point, dtype=float)
+    norms = np.linalg.norm(a_mat, axis=1)
+    keep = norms > 0.0
+    a_mat = np.asarray(a_mat, dtype=float)[keep] / norms[keep, None]
+    b_vec = np.asarray(b_vec, dtype=float)[keep] / norms[keep]
+    n = point.size
+    feas_tol = max(1e-12, 1e-14 * float(np.linalg.norm(point)))
+    excess = a_mat @ point - b_vec
+    scale = float(excess.max(initial=-np.inf))
+    if scale <= feas_tol:
+        return point.copy()
+    e_mat = np.vstack([-a_mat.T, excess / scale])
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    mult, _ = nnls(e_mat, target)
+    resid = e_mat @ mult - target
+    if resid[n] >= 0.0:
+        raise InfeasibleError("constraint set is (numerically) empty")
+    x = point - scale * resid[:n] / resid[n]
+    active = mult > 0.0
+    for _ in range(2):
+        x -= np.linalg.lstsq(a_mat[active], a_mat[active] @ x - b_vec[active], rcond=None)[0]
+    feas_tol = max(feas_tol, 1e-14 * float(np.linalg.norm(x)))
+    if not float((a_mat @ x - b_vec).max()) <= feas_tol:
+        raise InfeasibleError("constraint set is (numerically) empty")
+    return x
+
+
+def supremum_refining_every_peak(cert_grid, weights):
+    """``CertificateGrid.supremum`` with every scan local maximum
+    Newton-refined, whatever its value: (t, sup q), ties to the smallest t."""
+    q = cert_grid.values(weights)
+    i_max = int(np.argmax(q))
+    best_t, best_v = float(cert_grid.scan[i_max]), float(q[i_max])
+    peaks = cert_grid.local_max_indices(q)
+    for t, (v, _, _), _ in cert_grid._refined(weights, peaks,
+                                              slope_floor(cert_grid.kernel, weights)):
+        if v > best_v or (v == best_v and t < best_t):
+            best_t, best_v = t, v
+    return best_t, best_v

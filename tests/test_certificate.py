@@ -11,11 +11,11 @@ from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
                                    refine_location, supremum)
 from dualspike.errors import NoConvergenceError
-from dualspike.experiments import reference_run, run_noise
+from dualspike.experiments import build_problem, reference_run, run_noise
 from dualspike.kernel import Kernel
-from dualspike.model import SampleGrid, SourceModel, synthesize
+from dualspike.model import SampleGrid, SourceModel, synthesize, uniform_noise
 from dualspike.solver import PenaltyProblem, solve
-from helpers import validate_certificate
+from helpers import supremum_refining_every_peak, validate_certificate
 
 SCAN_STEP = 1.0 / (DEFAULT_GRID_POINTS - 1)
 BRUTE_POINTS = 200_001
@@ -38,6 +38,23 @@ def certificates(draw):
     samples = np.array(samples)[order]
     keep = np.concatenate([[True], np.diff(samples) > 0])
     return Certificate(np.array(weights)[order][keep], SampleGrid(samples[keep]), Kernel(sigma))
+
+
+@st.composite
+def heavy_certificates(draw):
+    """``certificates()`` with weights scaled up to 1e6, or a certificate
+    mirrored about t = 1/2 (samples s and 1 - s, equal weights), whose
+    mirrored peaks tie up to round-off."""
+    if draw(st.booleans()):
+        cert = draw(certificates())
+        return Certificate(cert.weights * 10.0 ** draw(st.floats(0.0, 6.0)), cert.grid,
+                           cert.kernel)
+    sigma = draw(st.floats(0.03, 0.3))
+    left = np.unique(np.round(draw(st.lists(st.floats(0.0, 0.49), min_size=1, max_size=5)), 6))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=left.size, max_size=left.size))
+    weights = np.array(weights) * 10.0 ** draw(st.floats(0.0, 6.0))
+    return Certificate(np.concatenate([weights, weights[::-1]]),
+                       SampleGrid(np.concatenate([left, 1.0 - left[::-1]])), Kernel(sigma))
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +153,22 @@ class TestSupremum:
         assert 0.0 <= t <= 1.0
         assert v == pytest.approx(cert.value(t), abs=roundoff)
         assert brute - roundoff <= v <= brute + quantization + roundoff
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(certificates(), heavy_certificates()))
+    def test_matches_refining_every_peak(self, cert):
+        # the per-peak margin skips only peaks that cannot change the result
+        cg = CertificateGrid(cert.grid, cert.kernel)
+        assert cg.supremum(cert.weights) == supremum_refining_every_peak(cg, cert.weights)
+
+    def test_matches_refining_every_peak_on_noisy_solve(self):
+        # bundle iterates carry |lambda|_1 up to ~1e6 with several peaks near 1
+        cfg = three_spike_config()
+        problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
+        state = solve(problem, level_mix=cfg.alpha, max_iters=100, record_iterates=True)
+        cg = CertificateGrid(problem.measurements.grid, problem.kernel)
+        for weights in state.iterate_history:
+            assert cg.supremum(weights) == supremum_refining_every_peak(cg, weights)
 
     def test_dominates_random_points(self, small_converged):
         _, cert = small_converged
@@ -257,6 +290,22 @@ class TestCertificateGrid:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=51)
+
+    def test_needs_a_resolved_kernel(self):
+        # ten scan spacings: 2.5e-3 on the default scan, 0.1 on a 101-point one
+        grid = SampleGrid.equispaced(5)
+        assert certificate.min_kernel_width() == 10.0 / (DEFAULT_GRID_POINTS - 1)
+        for sigma, n_points in ((2.4e-3, DEFAULT_GRID_POINTS), (0.099, 101)):
+            with pytest.raises(ValueError, match="spacings"):
+                CertificateGrid(grid, Kernel(sigma), n_points=n_points)
+        CertificateGrid(grid, Kernel(2.5e-3))
+        CertificateGrid(grid, Kernel(0.1), n_points=101)
+
+    def test_curvature_table(self):
+        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
+        diffs = cg.scan[:, None] - cg.grid.samples[None, :]
+        np.testing.assert_array_equal(cg.table, cg.kernel.value(diffs))
+        np.testing.assert_array_equal(cg.curvature, cg.kernel.derivative(diffs, 2))
 
     def test_table_shape(self):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)

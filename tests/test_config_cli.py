@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualspike import experiments
 from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, main
 from dualspike.config import _KNOWN_KEYS, ExperimentConfig, parse_config
 from dualspike.errors import ConfigError
@@ -72,11 +73,18 @@ class TestParsing:
         # finite inputs that overflow: the default pi, a location difference
         ("sources=0.2,0.6\namplitudes=1e308,1e308\nsigma=0.1\nm=5\n", "pi"),
         ("sources=-1e308,1e308\namplitudes=1,1\nsigma=0.1\nm=5\n", "sources"),
+        # a seed numpy's generators reject; a kernel the certificate scan
+        # cannot resolve (below ten of its 2.5e-4 spacings)
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nseed=-3\n", "seed"),
+        ("sources=0.5\namplitudes=1\nsigma=2.4e-3\nm=5\n", "sigma"),
     ])
     def test_errors_name_the_key(self, text, key):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
         assert excinfo.value.key == key
+
+    def test_narrowest_resolved_kernel(self):
+        assert parse_config("sources=0.5\namplitudes=1\nsigma=2.5e-3\nm=5\n").sigma == 2.5e-3
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
@@ -175,6 +183,21 @@ class TestCli:
         code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "noise_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,flags", [("seed = -3\n", []), ("", ["--seed", "-3"])])
+    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, capsys, extra, flags):
+        # rejected before the clean reference solve, in the config or on the
+        # command line
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(experiments, "solve", no_solve)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("seed = 3\n", extra))
+        code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     *flags])
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # every HiGHS solve unclean, warm and cold: the solve fails loud

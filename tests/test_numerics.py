@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
 from dualspike.numerics import least_squares, project_polyhedron, svd
-from helpers import lp_minimum
+from helpers import full_row_projection, lp_minimum
 
 
 def penalty_projection_oracle(point, a_mat, b_vec):
@@ -79,6 +79,39 @@ def scaled_polyhedra(draw):
     order = rng.permutation(b_full.size)
     point = interior + 10.0 ** draw(st.floats(-2.0, 0.7)) * box * rng.normal(size=n)
     return point, a_full[order], b_full[order], interior
+
+
+@st.composite
+def missed_row_polyhedra(draw):
+    """(point, A, b, x_star, active): a projection x_star built from its KKT
+    conditions, point = x_star + sum_i mu_i a_i over the active rows, with
+    one active row pointing against the others, so that its excess at the
+    point can fall below minus the largest excess (outside the starting
+    working set); plus inactive rows with slack at x_star, a box of radius
+    about 1e5, mixed row scales and shuffled row order.  ``active`` flags the
+    rows active at x_star."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 2))
+    box = 10.0 ** draw(st.floats(4.5, 5.5))
+    ahead = rng.normal(size=(k, n))
+    ahead /= np.linalg.norm(ahead, axis=1)[:, None]
+    against = -ahead.sum(axis=0) + 0.3 * rng.normal(size=n) / np.sqrt(n)
+    rows = np.vstack([ahead, against / np.linalg.norm(against)])
+    mu = np.append(rng.uniform(0.5, 2.0, size=k), rng.uniform(0.05, 0.5))
+    x_star = rng.uniform(-0.5, 0.5, size=n) * box
+    move = mu @ rows * box * 10.0 ** draw(st.floats(-4.0, -0.5))
+    n_inactive = draw(st.integers(0, 5))
+    inactive = rng.normal(size=(n_inactive, n))
+    inactive /= np.linalg.norm(inactive, axis=1)[:, None]
+    slack = rng.uniform(0.01, 3.0, size=n_inactive) * np.linalg.norm(move)
+    a_full, b_full = with_box(np.vstack([rows, inactive]),
+                              np.concatenate([rows @ x_star, inactive @ x_star + slack]), n, box)
+    row_scale = 10.0 ** rng.uniform(-3.0, 3.0, size=b_full.size)
+    active = np.arange(b_full.size) <= k
+    order = rng.permutation(b_full.size)
+    return (x_star + move, (a_full * row_scale[:, None])[order], (b_full * row_scale)[order],
+            x_star, active[order])
 
 
 def lp_vertex_oracle(offsets, slopes, box):
@@ -256,6 +289,20 @@ class TestProjection:
         assert np.linalg.norm(point - x - a_unit[active].T @ mu) <= 1e-12 * scale
         inside = project_polyhedron(interior, a_full, b_full)
         assert np.array_equal(inside, interior) and inside is not interior
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(missed_row_polyhedra())
+    def test_working_set_matches_full_row_oracle(self, instance):
+        point, a_full, b_full, x_star, active = instance
+        norms = np.linalg.norm(a_full, axis=1)
+        excess = (a_full @ point - b_full) / norms
+        # the rows within one largest-violation distance of the point, which
+        # the working set starts from, leave out a row active at x_star
+        assume(np.any(active & (excess < -excess.max())))
+        x = project_polyhedron(point, a_full, b_full)
+        scale = max(1.0, np.linalg.norm(point))
+        assert np.linalg.norm(x - full_row_projection(point, a_full, b_full)) <= 1e-12 * scale
+        assert np.linalg.norm(x - x_star) <= 1e-12 * scale
 
     def test_nnls_iteration_limit_is_no_convergence(self, monkeypatch):
         def stalled(*args, **kwargs):

@@ -3,6 +3,8 @@ certificate-to-signal pipeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualspike import numerics
 from dualspike.bounds import phi_shift_lipschitz_log10
@@ -22,6 +24,20 @@ def random_separated_sources(rng, sigma, max_k=5):
             amps = rng.uniform(0.5, 2.0, size=k)
             return locs, amps
     raise AssertionError("could not draw a separated configuration")
+
+
+@st.composite
+def separated_problems(draw):
+    """(grid, kernel, locations, amplitudes): one to five sources in
+    [0.05, 0.95] at least sigma apart, sigma in [0.05, 0.12], amplitudes in
+    [0.5, 2], on 21, 31 or 41 equispaced samples."""
+    sigma = draw(st.floats(0.05, 0.12))
+    k = draw(st.integers(1, 5))
+    room = 0.9 - (k - 1) * sigma
+    extra = np.sort(draw(st.lists(st.floats(0.0, room), min_size=k, max_size=k)))
+    amplitudes = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+    grid = SampleGrid.equispaced(draw(st.sampled_from([21, 31, 41])))
+    return grid, Kernel(sigma), 0.05 + sigma * np.arange(k) + extra, amplitudes
 
 
 class TestBuildPhi:
@@ -117,6 +133,29 @@ class TestRecoverAmplitudes:
             result = recover_amplitudes(grid, kernel, locs, ms.y)
             err = np.linalg.norm(result.amplitudes - amps) / np.linalg.norm(amps)
             assert err <= 1e-10
+
+
+class TestRecoverProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(separated_problems())
+    def test_true_support_gives_the_amplitudes(self, problem):
+        grid, kernel, locs, amps = problem
+        ms = synthesize(SourceModel(locs, amps), grid, kernel)
+        result = recover_amplitudes(grid, kernel, locs, ms.y)
+        assert np.linalg.norm(result.amplitudes - amps) <= 1e-10 * np.linalg.norm(amps)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(separated_problems(), st.data())
+    def test_collapsed_pair_is_rank_deficient(self, problem, data):
+        # a twin at most 1e-14 from a source: its column differs by about
+        # 1e-14 |phi'| < 1e-12, below the rank rule; no amplitudes come back
+        grid, kernel, locs, amps = problem
+        i = data.draw(st.integers(0, locs.size - 1))
+        gap = 10.0 ** data.draw(st.floats(-15.5, -14.0))
+        twin = np.sort(np.append(locs, locs[i] + gap))
+        y = synthesize(SourceModel(locs, amps), grid, kernel).y
+        with pytest.raises(RankDeficientError):
+            recover_amplitudes(grid, kernel, twin, y)
 
 
 class TestRecover:
