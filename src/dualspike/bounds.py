@@ -103,6 +103,11 @@ def amplitude_error_rate_log10(sigma, n_samples, amp_norm, sigma_min_phi):
     return log10, linear
 
 
+def phi_singular_values(grid: SampleGrid, kernel: Kernel, locations):
+    """Singular values of the translate matrix Phi at ``locations``, descending."""
+    return np.linalg.svd(build_phi(grid, kernel, locations), compute_uv=False)
+
+
 def location_perturbation_limit_log10(sigma, n_samples, sigma_max_phi, sigma_min_phi):
     """log10 of the support-perturbation radius under which the amplitude
     bound applies."""
@@ -277,15 +282,17 @@ class BoundsReport:
     errors: dict = field(default_factory=dict)
 
     def _scalar_items(self):
+        """(name, value) pairs with plain Python ints and floats, which
+        ``repr`` writes as bare numbers."""
         items = []
         for f in fields(self):
             if f.name in ("jacobian", "errors"):
                 continue
             val = getattr(self, f.name)
             if isinstance(val, np.ndarray):
-                items.extend((f"{f.name}_{i + 1}", v) for i, v in enumerate(val))
+                items.extend((f"{f.name}_{i + 1}", v) for i, v in enumerate(val.tolist()))
             else:
-                items.append((f.name, val))
+                items.append((f.name, val.item() if isinstance(val, np.generic) else val))
         return items
 
     def to_text(self):
@@ -294,7 +301,7 @@ class BoundsReport:
             lines.append(f"{key} = {'' if val is None else repr(val)}")
         if self.jacobian is not None:
             for i, row in enumerate(self.jacobian):
-                lines.append(f"jacobian_row_{i + 1} = " + ",".join(repr(v) for v in row))
+                lines.append(f"jacobian_row_{i + 1} = " + ",".join(map(repr, row.tolist())))
         for key, msg in sorted(self.errors.items()):
             lines.append(f"error_{key} = {msg}")
         return "\n".join(lines) + "\n"
@@ -340,8 +347,7 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
             [location_error_rate_alt(c, sigma, m, dual_norm) for c in curvatures])
         report.rate_form_ratio = report.location_rates / report.location_rates_alt
 
-    phi = build_phi(grid, kernel, src.locations)
-    singulars = np.linalg.svd(phi, compute_uv=False)
+    singulars = phi_singular_values(grid, kernel, src.locations)
     report.sigma_max_phi = float(singulars[0])
     report.sigma_min_phi = float(singulars[-1])
     if report.sigma_min_phi > 0:

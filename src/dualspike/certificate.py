@@ -41,7 +41,8 @@ def _derivatives(kernel: Kernel, samples, weights, t):
     return float(k0 @ weights), float(k1 @ weights), float(k2 @ weights)
 
 
-def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter):
+def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter,
+                    start=None):
     """Drive q' to zero from t inside the bracket [lo, hi].
 
     Each step is Newton's where q'' < 0 and lands inside the bracket, and
@@ -49,9 +50,11 @@ def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter
     moves to the new point.  Stops when |q'| <= ``floor``, when a step leaves
     t unchanged, or when the bracket is ``BRACKET_ULPS`` ulps wide.  Returns
     (t, (q, q', q'') at t, converged); ``converged`` is False only when
-    ``max_iter`` steps ran out first.
+    ``max_iter`` steps ran out first.  ``start``, when given, is (q, q', q'')
+    at t, equal to what ``_derivatives`` returns there; otherwise it is
+    evaluated.
     """
-    derivs = _derivatives(kernel, samples, weights, t)
+    derivs = _derivatives(kernel, samples, weights, t) if start is None else start
     for _ in range(max_iter):
         _, slope, curv = derivs
         if abs(slope) <= floor:
@@ -113,9 +116,11 @@ class MaximizerSet:
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Precomputes phi(t_i - s_j) and phi''(t_i - s_j) on a uniform scan of
-    [0,1] so that repeated suprema (one per bundle iteration) reduce to a
-    matrix-vector product.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
+    Precomputes phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on a
+    uniform scan of [0,1] so that repeated suprema (one per bundle
+    iteration) reduce to a matrix-vector product, and each Newton run from a
+    scan local maximum starts from three row products instead of a kernel
+    evaluation.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
     spacings (``min_kernel_width``) raises ValueError: the scan would not
     show each of its bumps as a local maximum.
     """
@@ -129,8 +134,11 @@ class CertificateGrid:
         self.grid = grid
         self.kernel = kernel
         self.scan = np.linspace(0.0, 1.0, n_points)
-        self.table, _, self.curvature = kernel.value_and_derivatives(
+        self.table, self.slope, self.curvature = kernel.value_and_derivatives(
             self.scan[:, None] - grid.samples[None, :])
+        # phi' in the first two and the last two scan cells, for the bumps
+        # hiding at the ends
+        self.end_slope = self.slope[[0, 1, -2, -1]]
 
     def values(self, weights):
         return self.table @ weights
@@ -145,17 +153,23 @@ class CertificateGrid:
 
         The scan cannot see a bump that rises and falls entirely within the
         first (or last) grid cell, so the slopes there are checked directly.
+        A run from a scan point starts from that point's rows of the tables,
+        which equal ``_derivatives`` there bit for bit (unlike the entries
+        of the matrix-vector product ``values``).
         """
-        scan, samples = self.scan, self.grid.samples
-        starts = [(scan[i], scan[i - 1], scan[i + 1]) for i in indices]
+        scan, samples, kernel = self.scan, self.grid.samples, self.kernel
+        starts = [(scan[i], scan[i - 1], scan[i + 1],
+                   (float(self.table[i] @ weights), float(self.slope[i] @ weights),
+                    float(self.curvature[i] @ weights)))
+                  for i in indices]
         ends = scan[[0, 1, -2, -1]]
-        slopes = self.kernel.derivative(ends[:, None] - samples[None, :], 1) @ weights
+        slopes = self.end_slope @ weights
         for k in (0, 2):
             if slopes[k] > 0.0 and slopes[k + 1] < 0.0:
-                starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1]))
-        return [newton_on_slope(self.kernel, samples, weights, float(t0), float(lo),
-                                float(hi), floor, GRID_NEWTON_ITERS)
-                for t0, lo, hi in starts]
+                starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1], None))
+        return [newton_on_slope(kernel, samples, weights, float(t0), float(lo), float(hi),
+                                floor, GRID_NEWTON_ITERS, start)
+                for t0, lo, hi, start in starts]
 
     def supremum(self, weights):
         """Global supremum of q over [0,1]; ties resolved to the smallest t."""

@@ -13,7 +13,7 @@ from . import bounds
 from .certificate import Certificate, dump_curve, refine_location
 from .config import ExperimentConfig
 from .errors import ConfigError, NoConvergenceError
-from .model import build_phi, noise_grid, synthesize, uniform_noise
+from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
 from .solver import BundleState, PenaltyProblem, solve
 
@@ -178,10 +178,9 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     grid = cfg.sample_grid()
     kernel = cfg.kernel()
     y = problem.measurements.y
-    phi = build_phi(grid, kernel, src.locations)
     amp_log10, _ = bounds.amplitude_error_rate_log10(
         cfg.sigma, grid.n_samples, float(np.linalg.norm(src.amplitudes)),
-        float(np.linalg.svd(phi, compute_uv=False)[-1]))
+        float(bounds.phi_singular_values(grid, kernel, src.locations)[-1]))
     rows = []
     for p, _, in_window, cert_p in window:
         try:

@@ -5,8 +5,8 @@ constraints.  The SVD and least squares are LAPACK-backed; the projection
 onto a polyhedron is a least-distance program, solved as a non-negative
 least-squares problem by scipy's compiled NNLS on a growing working set of
 rows, and needs no feasible starting point.  Failures raise: nothing here
-retries with another method.  The cut model's LP lives with its HiGHS
-instance in ``solver.CutModel``.
+retries with another method.  The cut model's LP is solved by its own
+warm-started dual simplex in ``solver.CutModel``.
 """
 
 import numpy as np

@@ -3,15 +3,16 @@ level bundle method that minimizes it.
 
 The objective is Psi(lam) = -y.lam + penalty * max(sup_t q_lam(t) - 1, 0)
 over the box |lam|_inf <= box_radius.  Each iteration adds one cutting
-plane, re-solves the polyhedral model over the box (warm-started from the
-previous basis) for a lower bound, and projects the previous iterate onto a
-level set interpolated between the best value seen and the model minimum.
+plane, re-solves the polyhedral model over the box for a lower bound (a
+dual simplex warm-started from the previous basis), and projects the
+previous iterate onto a level set interpolated between the best value seen
+and the model minimum.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+from scipy.linalg import lapack
 
 from . import numerics
 from .certificate import CertificateGrid
@@ -21,6 +22,13 @@ from .model import MeasurementSet, build_phi
 
 ACTIVE_SUP_TOL = 1e-12
 DEFAULT_GAP_TOL = 1e-12
+# a cut-model row counts as violated above this, relative to max(1, |h|);
+# at 1e-9 the solves stop where the maxima of a certificate miss a 1e-9
+# stationarity test
+LP_ROW_TOL = 1e-10
+# pivots allowed per basis row and LP: a noise sweep needs up to 21 for
+# one LP, about 1.2 on average
+LP_PIVOTS_PER_ROW = 50
 
 
 @dataclass(frozen=True)
@@ -89,76 +97,114 @@ def penalty_objective(problem: PenaltyProblem, weights) -> float:
 class CutModel:
     """The polyhedral model max_i (offsets_i + slopes_i . lam) over the box.
 
-    Holds the cuts in preallocated arrays and the epigraph LP
-    min t s.t. slopes_i . lam - t <= -offsets_i, |lam|_inf <= box_radius
-    in one HiGHS instance.  Each added cut is one more row; ``minimum``
-    re-solves from the previous optimal basis.
+    Holds the epigraph LP min t s.t. G z <= h over z = (lam, t) in
+    preallocated arrays: first the 2n box rows +-e_j with h = box_radius,
+    then one row [slopes_i, -1] with h = -offsets_i per cut.  ``minimum``
+    solves it by the dual simplex method on a basis of n + 1 rows B, kept
+    with multipliers y >= 0 such that e_t + G_B^T y = 0 (dual feasible) and
+    with its vertex z = G_B^-1 h_B.  The first cut sets the basis in closed
+    form; every later cut starts from the previous optimal basis, so a cut
+    the vertex already satisfies costs one product with G.
     """
 
     def __init__(self, n, box_radius, capacity):
         self.box_radius = box_radius
         self.size = 0
-        self._offsets = np.empty(capacity)
-        self._slopes = np.empty((capacity, n))
-        # the box as rows of the level set, stacked below the cuts
-        self.box_rows = np.vstack([np.eye(n), -np.eye(n)])
-        self.box_rhs = np.full(2 * n, float(box_radius))
-        self._row_index = np.arange(n + 1, dtype=np.int32)
-        self._row_value = np.empty(n + 1)
-        self._row_value[-1] = -1.0
-        self._lp = _Highs()
-        self._lp.setOptionValue("output_flag", False)
-        # a reduced cost left at the default 1e-7 costs up to 2 * box_radius
-        # times that in the objective (2e-2 at box_radius 1e5)
-        self._lp.setOptionValue("dual_feasibility_tolerance", 1e-10)
-        lower = np.append(np.full(n, -box_radius), -kHighsInf)
-        upper = np.append(np.full(n, box_radius), kHighsInf)
-        cost = np.zeros(n + 1)
-        cost[-1] = 1.0
-        empty = np.empty(0, dtype=np.int32)
-        self._lp.addCols(n + 1, cost, lower, upper, 0, empty, empty, np.empty(0))
+        self._rows = np.zeros((2 * n + capacity, n + 1))
+        self._rhs = np.empty(2 * n + capacity)
+        self._rows[:n, :n] = np.eye(n)
+        self._rows[n:2 * n, :n] = -np.eye(n)
+        self._rows[2 * n:, n] = -1.0
+        self._rhs[:2 * n] = box_radius
+        # views of the box rows, which the level set stacks below the cuts
+        self.box_rows = self._rows[:2 * n, :n]
+        self.box_rhs = self._rhs[:2 * n]
+        self._basis = None
+        self._mult = None
+        self._lu = None
+        self._vertex = None
 
     @property
     def offsets(self):
-        return self._offsets[:self.size]
+        return -self._rhs[self._cut_rows]
 
     @property
     def slopes(self):
-        return self._slopes[:self.size]
+        return self._rows[self._cut_rows, :-1]
+
+    @property
+    def _cut_rows(self):
+        first = self.box_rhs.size
+        return slice(first, first + self.size)
 
     def add(self, cut):
-        offset = cut.value - float(cut.slope @ cut.anchor)
-        self._offsets[self.size] = offset
-        self._slopes[self.size] = cut.slope
+        row = self.box_rhs.size + self.size
+        self._rows[row, :-1] = cut.slope
+        self._rhs[row] = float(cut.slope @ cut.anchor) - cut.value
         self.size += 1
-        self._row_value[:-1] = cut.slope
-        self._lp.addRow(-kHighsInf, -offset, self._row_index.size,
-                        self._row_index, self._row_value)
+        if self._basis is None:
+            # the one cut's minimum over the box: lam_j on its lower bound
+            # where slope_j > 0 and on its upper bound elsewhere, the bound
+            # rows weighted |slope_j| and the cut 1
+            n = cut.slope.size
+            self._basis = np.append(np.where(cut.slope > 0.0, n + np.arange(n), np.arange(n)),
+                                    row)
+            self._mult = np.append(np.abs(cut.slope), 1.0)
+            self._factor_basis()
 
-    def _run_clean(self):
-        """Solve; True when HiGHS reports optimal with no dual infeasibility."""
-        self._lp.run()
-        return (self._lp.getModelStatus() == HighsModelStatus.kOptimal
-                and self._lp.getInfo().num_dual_infeasibilities == 0)
+    def _factor_basis(self):
+        """LU-factor the basis rows and solve for their vertex."""
+        lu, pivots, info = lapack.dgetrf(self._rows[self._basis])
+        if info != 0:
+            raise NoConvergenceError(f"cut model LP ({self.size} cuts): singular basis")
+        self._lu = lu, pivots
+        self._vertex = lapack.dgetrs(lu, pivots, self._rhs[self._basis])[0]
 
     def minimum(self):
         """(value, argmin) of the model over the box.
 
-        A warm solve that is not optimal, or that HiGHS flags with dual
-        infeasibilities (its value can then overstate the minimum), is redone
-        cold on the same instance.  When that cold solve is not clean either,
-        raises NoConvergenceError: no valid lower bound is available.
+        Dual simplex from the current basis: while a row is violated by more
+        than ``LP_ROW_TOL`` relative to max(1, |h|), the most violated one
+        enters the basis and the row that the ratio test picks (lowest row
+        index on ties) leaves it; the vertex is then solved afresh.  The
+        value is the objective of a dual feasible basis, sum_i mu_i
+        offsets_i - box_radius |slopes^T mu|_1 with mu the cut multipliers,
+        so it bounds the model minimum from below up to round-off.  Raises
+        NoConvergenceError, naming the cut count, when there is no cut, when
+        the basis is singular, when no basis row can leave (the LP would be
+        infeasible) or after ``LP_PIVOTS_PER_ROW`` pivots per basis row.
         """
-        if not self._run_clean():
-            self._lp.clearSolver()
-            if not self._run_clean():
-                status = self._lp.modelStatusToString(self._lp.getModelStatus())
-                flagged = self._lp.getInfo().num_dual_infeasibilities
+        if self.size == 0:
+            raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
+        rows = self._rows[:self.box_rhs.size + self.size]
+        rhs = self._rhs[:rows.shape[0]]
+        basis, mult = self._basis, self._mult
+        max_pivots = LP_PIVOTS_PER_ROW * basis.size
+        for pivots in range(max_pivots + 1):
+            excess = (rows @ self._vertex - rhs) / np.maximum(1.0, np.abs(rhs))
+            # basis rows hold with equality; what they show is round-off
+            excess[basis] = 0.0
+            entering = int(np.argmax(excess))
+            if not excess[entering] > LP_ROW_TOL:
+                return float(self._vertex[-1]), self._vertex[:-1].copy()
+            if pivots == max_pivots:
                 raise NoConvergenceError(
-                    f"cut model LP ({self.size} cuts) not clean after a cold re-solve: "
-                    f"status {status}, {flagged} dual infeasibilities")
-        x = np.array(self._lp.getSolution().col_value)
-        return self._lp.getObjectiveValue(), x[:-1]
+                    f"cut model LP ({self.size} cuts): no optimal basis after "
+                    f"{max_pivots} pivots")
+            # G_B^T direction = g_entering, from the LU of G_B
+            direction = lapack.dgetrs(*self._lu, rows[entering], trans=1)[0]
+            can_leave = np.flatnonzero(direction > 0.0)
+            if can_leave.size == 0:
+                raise NoConvergenceError(
+                    f"cut model LP ({self.size} cuts): no basis row can leave")
+            ratios = mult[can_leave] / direction[can_leave]
+            tied = can_leave[ratios == ratios.min()]
+            leaving = tied[np.argmin(basis[tied])]
+            step = mult[leaving] / direction[leaving]
+            np.maximum(mult - step * direction, 0.0, out=mult)
+            mult[leaving] = step
+            basis[leaving] = entering
+            self._factor_basis()
 
 
 def model_value(cuts, weights):
@@ -212,10 +258,11 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
     the next oracle call would return the last cut again, so the model, both
     bounds, the level and the projection would all repeat.  Also stops when
     the gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is an upper bound.
-    The model minimum is HiGHS's optimal value, re-solved cold when HiGHS
-    flags dual infeasibilities; when the cold solve is not clean either, the
-    solve stops with NoConvergenceError (see ``CutModel.minimum``), which the
-    command line reports with exit code 3.
+    The lower bound is the model minimum as the objective of a dual
+    feasible basis of the cut-model LP, warm-started from the previous
+    iteration's basis; when that LP fails (see ``CutModel.minimum``), the
+    solve stops with NoConvergenceError, which the command line reports
+    with exit code 3.
     """
     if not 0.0 < level_mix < 1.0:
         raise ValueError("level_mix must lie strictly between 0 and 1")
@@ -237,7 +284,7 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
         model.add(cut)
         state.upper_bound = min(state.upper_bound, value)
         minimum = model.minimum()
-        # the LP's primal value; the running max keeps the gap history monotone
+        # the running max keeps the gap history monotone
         state.lower_bound = max(state.lower_bound, minimum[0])
         gap = state.upper_bound - state.lower_bound
         level = level_mix * state.upper_bound + (1.0 - level_mix) * state.lower_bound

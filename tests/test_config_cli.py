@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import experiments
+from dualspike import experiments, solver
 from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, main
 from dualspike.config import _KNOWN_KEYS, ExperimentConfig, parse_config
 from dualspike.errors import ConfigError
-from dualspike.solver import CutModel
 
 TINY_CONFIG = """\
 # one source, quick solve
@@ -200,13 +199,14 @@ class TestCli:
         assert "seed" in capsys.readouterr().err
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # every HiGHS solve unclean, warm and cold: the solve fails loud
-        monkeypatch.setattr(CutModel, "_run_clean", lambda model: False)
+        # no pivot allowed: the second cut's LP has no optimal basis and the
+        # solve fails loud
+        monkeypatch.setattr(solver, "LP_PIVOTS_PER_ROW", 0)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG)
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_SOLVER
-        assert "cold re-solve" in capsys.readouterr().err
+        assert "no optimal basis after 0 pivots" in capsys.readouterr().err
 
     def test_zero_iterations_no_support(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -264,4 +264,15 @@ class TestCli:
                      "--iters", "80"]) == EXIT_OK
         text = (out / "bounds_report.txt").read_text()
         assert "noise_rate" in text
-        assert (out / "bounds_report.csv").exists()
+        # plain numbers, as in the other CSVs: every field parses as a float
+        lines = (out / "bounds_report.csv").read_text().splitlines()
+        header, row = lines[1].split(","), lines[2].split(",")
+        assert len(header) == len(row)
+        for name, field in zip(header, row):
+            if field:
+                float(field)
+        for line in text.splitlines():
+            if not line.startswith(("#", "error_")):
+                for field in line.split(" = ", 1)[1].split(","):
+                    if field:
+                        float(field)

@@ -1,7 +1,7 @@
 """Every definition in src/ serves the pipeline: no code that only the unit
 tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
-``dualspike.__all__``."""
+``dualspike.__all__``.  And src/ imports no private scipy module."""
 
 import ast
 import re
@@ -58,3 +58,38 @@ def test_no_test_only_code_in_src():
     users = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     assert unreferenced(PACKAGE, users, set(dualspike.__all__)) == []
+
+
+def private_scipy_imports(paths):
+    """Imports of a private scipy module or name (``scipy.*._*``), as
+    (file name, dotted name) pairs."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.extend((path.name, name) for name in names
+                         if name.split(".")[0] == "scipy"
+                         and any(part.startswith("_") for part in name.split(".")[1:]))
+    return found
+
+
+def test_no_private_scipy_modules_in_src():
+    # a private module's interface can change in any scipy release
+    assert private_scipy_imports(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_private_scipy_imports_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import scipy.optimize._highspy._core\n"
+                      "from scipy.optimize._highspy._core import _Highs\n"
+                      "from scipy.optimize import _nnls, nnls\n"
+                      "from scipy import linalg\n")
+    assert private_scipy_imports([module]) == [
+        ("module.py", "scipy.optimize._highspy._core"),
+        ("module.py", "scipy.optimize._highspy._core._Highs"),
+        ("module.py", "scipy.optimize._nnls")]

@@ -9,6 +9,7 @@ from scipy.optimize import lsq_linear
 from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
 from dualspike.numerics import least_squares, project_polyhedron, svd
+from dualspike.solver import Cut, CutModel
 from helpers import full_row_projection, lp_minimum
 
 
@@ -139,6 +140,23 @@ def lp_vertex_oracle(offsets, slopes, box):
         if np.all(rows @ z <= rhs + 1e-9) and z[-1] < best_val:
             best_val, best_x = z[-1], z[:n]
     return best_val, best_x
+
+
+@st.composite
+def lp_pieces(draw):
+    """(offsets, slopes, box): up to seven affine pieces in one to three
+    dimensions, with mixed scales, some exact copies and some zero slope
+    entries (degenerate vertices), over a box of radius 0.1 to 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    n_pieces = draw(st.integers(1, 5))
+    box = 10.0 ** draw(st.floats(-1.0, 1.0))
+    slopes = rng.normal(size=(n_pieces, n)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(n_pieces, 1))
+    slopes[rng.uniform(size=slopes.shape) < draw(st.floats(0.0, 0.3))] = 0.0
+    offsets = rng.normal(size=n_pieces) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    copies = rng.integers(n_pieces, size=draw(st.integers(0, 2)))
+    return (np.concatenate([offsets, offsets[copies]]), np.vstack([slopes, slopes[copies]]),
+            box)
 
 
 class TestSvd:
@@ -326,7 +344,7 @@ class TestProjection:
 
 class TestLpMin:
     """The epigraph LP min over the box of a max of affine pieces, as
-    ``solver.CutModel.minimum`` solves it: one HiGHS row per piece."""
+    ``solver.CutModel.minimum`` solves it: one LP row per piece."""
 
     def test_single_piece_closed_form(self):
         slope = np.array([[1.5, -2.0, 0.5]])
@@ -355,6 +373,24 @@ class TestLpMin:
             # the argmin must achieve the value
             achieved = np.max(offsets + slopes @ argmin)
             assert achieved == pytest.approx(value, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp_pieces())
+    def test_warm_started_prefixes_against_vertex_enumeration(self, data):
+        # pieces added one at a time, each prefix solved from the basis the
+        # previous one left, as the bundle solve does
+        offsets, slopes, box = data
+        model = CutModel(slopes.shape[1], box, offsets.size)
+        for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
+            model.add(Cut(np.zeros(slope.size), float(offset), slope))
+            value, argmin = model.minimum()
+            ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
+            scale = max(1.0, np.abs(offsets[:k]).max()
+                        + box * np.abs(slopes[:k]).sum(axis=1).max())
+            assert value == pytest.approx(ref_val, abs=1e-12 * scale)
+            assert np.abs(argmin).max() <= box * (1.0 + 1e-12)
+            assert np.max(offsets[:k] + slopes[:k] @ argmin) == pytest.approx(
+                value, abs=1e-12 * scale)
 
     def test_value_minorizes_feasible_points(self):
         rng = np.random.default_rng(8)

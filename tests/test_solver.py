@@ -4,10 +4,9 @@ method itself."""
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus
 
 from conftest import five_spike_config, three_spike_config
-from dualspike import certificate, numerics
+from dualspike import certificate, numerics, solver
 from dualspike.certificate import CertificateGrid
 from dualspike.errors import (DualSpikeError, InfeasibleError, LevelSetEmptyError,
                               NoConvergenceError)
@@ -58,44 +57,20 @@ def project(cuts, level, point, box_radius):
     return project_to_level(model, level, point, model.minimum())
 
 
-class NotOptimal:
-    """A HiGHS instance whose solves all report a non-optimal status."""
-
-    def __init__(self, lp):
-        self._lp = lp
-
-    def __getattr__(self, name):
-        return getattr(self._lp, name)
-
-    def getModelStatus(self):
-        return HighsModelStatus.kSolveError
-
-
-class DualInfeasible:
-    """A HiGHS instance whose first ``flagged`` solves report one dual
-    infeasibility, recording each ``clearSolver`` call."""
-
-    def __init__(self, lp, flagged):
-        self._lp = lp
-        self.flagged = flagged
-        self.clears = 0
-
-    def __getattr__(self, name):
-        return getattr(self._lp, name)
-
-    def run(self):
-        self.flagged -= 1
-        return self._lp.run()
-
-    def getInfo(self):
-        info = self._lp.getInfo()
-        if self.flagged >= 0:
-            info.num_dual_infeasibilities = 1
-        return info
-
-    def clearSolver(self):
-        self.clears += 1
-        return self._lp.clearSolver()
+def basis_bound(model):
+    """sum_i mu_i offsets_i - box_radius |slopes^T mu|_1 from the cut
+    multipliers mu of the model's current basis, which is the dual
+    objective of any mu >= 0 summing to 1 and so a lower bound on the model
+    minimum.  Returns (bound, mu, scale), where scale is the same sum taken
+    over the terms' absolute values: the size of its round-off."""
+    n_box = model.box_rhs.size
+    mu = np.zeros(model.size)
+    on_cuts = model._basis >= n_box
+    mu[model._basis[on_cuts] - n_box] = model._mult[on_cuts]
+    bound = float(mu @ model.offsets - model.box_radius * np.abs(model.slopes.T @ mu).sum())
+    scale = float(mu @ np.abs(model.offsets)
+                  + model.box_radius * (np.abs(model.slopes).T @ mu).sum())
+    return bound, mu, scale
 
 
 def certified_cold_minimum(offsets, slopes, box_radius):
@@ -258,41 +233,73 @@ class TestModelMinimum:
                     assert abs(value - ref_value) <= 1e-4
         assert checked >= 75 and tight >= 50
 
-    def test_non_optimal_solve_raises_no_convergence(self):
+    def test_basis_multipliers_certify_the_value(self, bench3_run, bench5_run):
+        # every cut prefix of both benchmark solves and of one noise solve,
+        # added one cut at a time as the solve does: the returned value is
+        # the dual objective of the basis multipliers, which are feasible
+        cfg = three_spike_config()
+        noisy = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
+        runs = [(problem, state.cuts) for _, problem, state, _ in (bench3_run, bench5_run)]
+        runs.append((noisy, solve(noisy, level_mix=cfg.alpha, max_iters=100).cuts))
+        checked = 0
+        for problem, cuts in runs:
+            model = CutModel(problem.measurements.grid.n_samples, problem.box_radius, len(cuts))
+            for cut in cuts:
+                model.add(cut)
+                value, argmin = model.minimum()
+                bound, mu, scale = basis_bound(model)
+                assert np.all(model._mult >= 0.0)
+                assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+                # the terms run to ~1e5 times the value on the benchmark
+                # solves, so the match is relative to their size (3e-16
+                # measured at worst)
+                assert abs(value - bound) <= 1e-14 * scale
+                # the argmin violates no cut by more than the row tolerance
+                # plus the round-off of its product with the slopes, so the
+                # model minimum lies at most that far above the value
+                excess = model.offsets + model.slopes @ argmin - value
+                roundoff = argmin.size * np.finfo(float).eps * (
+                    np.abs(model.slopes) @ np.abs(argmin) + abs(value))
+                assert np.all(excess <= solver.LP_ROW_TOL
+                              * np.maximum(1.0, np.abs(model.offsets)) + roundoff)
+                checked += 1
+        assert checked == sum(len(cuts) for _, cuts in runs)
+
+    def test_warm_basis_matches_one_cold_solve(self):
+        # a model re-solved after every cut and one that solves all cuts at
+        # once from the first cut's basis reach the same minimum
+        rng = np.random.default_rng(32)
+        cuts = random_cuts(rng, 12, 4)
+        warm = CutModel(4, 1.0, len(cuts))
+        for cut in cuts:
+            warm.add(cut)
+            warm_value, warm_argmin = warm.minimum()
+        cold_value, cold_argmin = model_minimum(cuts, 1.0)
+        assert warm_value == pytest.approx(cold_value, abs=1e-12)
+        np.testing.assert_allclose(warm_argmin, cold_argmin, atol=1e-12)
+
+    def test_pivot_cap_raises_no_convergence(self, monkeypatch):
         rng = np.random.default_rng(31)
         cuts = random_cuts(rng, 6, 3)
         model = cut_model(cuts, 1.0)
-        assert model.minimum()[0] == pytest.approx(model_minimum(cuts, 1.0)[0], abs=1e-9)
-        model._lp = NotOptimal(model._lp)
-        # neither the warm solve nor the cold re-solve is optimal: no
-        # valid lower bound, so the model fails loud
-        with pytest.raises(NoConvergenceError, match="6 cuts"):
+        monkeypatch.setattr(solver, "LP_PIVOTS_PER_ROW", 0)
+        # the first cut's basis is not optimal for all six, and no pivot is
+        # allowed: no valid lower bound, so the model fails loud
+        with pytest.raises(NoConvergenceError, match=r"6 cuts.*after 0 pivots"):
             model.minimum()
 
-    def test_dual_infeasible_solve_is_redone_cold(self):
-        rng = np.random.default_rng(32)
-        cuts = random_cuts(rng, 6, 3)
-        clean = model_minimum(cuts, 1.0)
-        model = CutModel(3, 1.0, len(cuts))
-        for cut in cuts[:-1]:
-            model.add(cut)
-        model.minimum()
-        model._lp = flagged = DualInfeasible(model._lp, flagged=1)
-        model.add(cuts[-1])
-        value, argmin = model.minimum()
-        # one cold re-solve on the same instance, which comes back clean
-        assert flagged.clears == 1
-        assert value == pytest.approx(clean[0], abs=1e-9)
-        np.testing.assert_allclose(argmin, clean[1], atol=1e-9)
-
-    def test_dual_infeasible_resolve_raises_no_convergence(self):
+    def test_singular_basis_raises_no_convergence(self):
         rng = np.random.default_rng(33)
         cuts = random_cuts(rng, 6, 3)
-        model = cut_model(cuts, 1.0)
-        model._lp = flagged = DualInfeasible(model._lp, flagged=2)
-        with pytest.raises(NoConvergenceError, match="1 dual infeasibilities"):
+        model = CutModel(3, 1.0, len(cuts))
+        for cut in cuts[:5]:
+            model.add(cut)
+        value, argmin = model.minimum()
+        # one row twice in the basis, and a cut the vertex violates
+        model._basis[1] = model._basis[0]
+        model.add(Cut(argmin, value + 1.0, cuts[5].slope))
+        with pytest.raises(NoConvergenceError, match=r"6 cuts.*singular basis"):
             model.minimum()
-        assert flagged.clears == 1
 
 
 class TestProjectToLevel:
@@ -436,7 +443,11 @@ class TestSolve:
         monkeypatch.setattr(CutModel, "minimum", recording_minimum)
         problem = small_problem()
         state = solve(problem, max_iters=15, record_iterates=True)
-        assert len(nnls_calls) == len(argmins) == state.n_iterations
+        assert len(argmins) == state.n_iterations
+        # the last iteration's argmin repeats the one before, so its
+        # projection starts inside the level set and returns before NNLS
+        np.testing.assert_array_equal(argmins[-1], argmins[-2])
+        assert len(nnls_calls) == state.n_iterations - 1
         box = problem.box_radius
         for iterate, argmin in zip(state.iterate_history, argmins):
             np.testing.assert_array_equal(iterate, np.clip(argmin, -box, box))
@@ -502,35 +513,84 @@ class TestSolve:
         assert first.gap_history == second.gap_history
 
 
-class TestWorkCounts:
-    """Work done by one noisy three-spike solve (w_c = 2e-3, seed 0, 100
-    iterations), pinned as counts: wall time swings too much to guard."""
+@pytest.fixture(scope="class")
+def noisy_solve_work():
+    """One noisy three-spike solve (w_c = 2e-3, seed 0, 100 iterations) and
+    the work it did: NNLS columns, level-set rows, Newton runs, their
+    ``_derivatives`` calls, ``Kernel.derivative`` calls and the cut-model
+    basis rows each LP changed."""
+    work = {key: [] for key in ("columns", "rows", "newton", "derivatives",
+                                "kernel_derivative", "basis_changes")}
+    nnls, project = numerics.nnls, numerics.project_polyhedron
+    newton, derivatives = certificate.newton_on_slope, certificate._derivatives
+    kernel_derivative, minimum = Kernel.derivative, CutModel.minimum
 
-    def test_projection_and_supremum_work(self, monkeypatch):
-        columns, rows, newton_calls = [], [], []
-        nnls, project, newton = numerics.nnls, numerics.project_polyhedron, certificate.newton_on_slope
+    def counting_nnls(e_mat, target):
+        work["columns"].append(e_mat.shape[1])
+        return nnls(e_mat, target)
 
-        def counting_nnls(e_mat, target):
-            columns.append(e_mat.shape[1])
-            return nnls(e_mat, target)
+    def counting_project(point, a_mat, b_vec):
+        work["rows"].append(a_mat.shape[0])
+        return project(point, a_mat, b_vec)
 
-        def counting_project(point, a_mat, b_vec):
-            rows.append(a_mat.shape[0])
-            return project(point, a_mat, b_vec)
+    def counting_newton(*args):
+        work["newton"].append(1)
+        return newton(*args)
 
-        def counting_newton(*args):
-            newton_calls.append(1)
-            return newton(*args)
+    def counting_derivatives(*args):
+        work["derivatives"].append(1)
+        return derivatives(*args)
 
-        monkeypatch.setattr(numerics, "nnls", counting_nnls)
-        monkeypatch.setattr(numerics, "project_polyhedron", counting_project)
-        monkeypatch.setattr(certificate, "newton_on_slope", counting_newton)
+    def counting_kernel_derivative(kernel, t, order):
+        work["kernel_derivative"].append(order)
+        return kernel_derivative(kernel, t, order)
+
+    def counting_minimum(model):
+        before = model._basis.copy()
+        result = minimum(model)
+        work["basis_changes"].append(int(np.sum(model._basis != before)))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "nnls", counting_nnls)
+        patch.setattr(numerics, "project_polyhedron", counting_project)
+        patch.setattr(certificate, "newton_on_slope", counting_newton)
+        patch.setattr(certificate, "_derivatives", counting_derivatives)
+        patch.setattr(Kernel, "derivative", counting_kernel_derivative)
+        patch.setattr(CutModel, "minimum", counting_minimum)
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
         state = solve(problem, level_mix=cfg.alpha, max_iters=100)
-        assert state.n_iterations == len(rows) == 100
+    return state, work
+
+
+class TestWorkCounts:
+    """Work done by one noisy three-spike solve, pinned as counts: wall time
+    swings too much to guard."""
+
+    def test_projection_work(self, noisy_solve_work):
+        state, work = noisy_solve_work
+        assert state.n_iterations == len(work["rows"]) == 100
         # NNLS on the working set, not on every level-set row (0.31 measured)
-        assert sum(columns) <= 0.5 * sum(rows)
+        assert sum(work["columns"]) <= 0.5 * sum(work["rows"])
+
+    def test_supremum_work(self, noisy_solve_work):
+        state, work = noisy_solve_work
         # Newton runs only from peaks that can beat the grid max: 2.07 per
         # oracle call measured, 4.14 with one margin for every peak
-        assert len(newton_calls) <= 3.0 * state.n_iterations
+        assert len(work["newton"]) <= 3.0 * state.n_iterations
+        # a run from a scan peak starts from the grid's table rows: 2.47
+        # kernel evaluations per run measured, 3.47 when each run evaluated
+        # its start
+        assert len(work["derivatives"]) <= 3.0 * len(work["newton"])
+        # the end-cell slopes come from the grid's table too (one
+        # Kernel.derivative call per supremum before)
+        assert work["kernel_derivative"] == []
+
+    def test_cut_model_work(self, noisy_solve_work):
+        state, work = noisy_solve_work
+        assert len(work["basis_changes"]) == state.n_iterations
+        # each LP starts from the previous basis: 1.10 basis rows changed per
+        # iteration measured, where a start from the first cut's basis takes
+        # 32 to 119 pivots per LP from iteration 20 on
+        assert sum(work["basis_changes"]) <= 1.5 * state.n_iterations
