@@ -20,8 +20,7 @@ import numpy as np
 
 from .certificate import Certificate, refine_location
 from .errors import (CurvatureSignError, InsufficientSamplesError,
-                     NoConvergenceError, RadiusTooLargeError,
-                     RankDeficientError)
+                     NoConvergenceError, RadiusTooLargeError)
 from .kernel import THIRD_SUP_COEFF, Kernel
 from .model import SampleGrid, SourceModel, build_phi
 
@@ -225,19 +224,19 @@ def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
     dphi_kept = kernel.derivative(peaks[None, :] - s_kept[:, None], 1)
     weights = src.amplitudes / curvatures
     left = dphi_sel @ (weights[:, None] * dphi_kept.T)
-    right = -kernel.value(peaks[None, :] - s_sel[:, None])
+    right = -build_phi(grid, kernel, peaks)[selected]
     return np.hstack([left, right]), selected, kept
 
 
-def noise_rate_and_radius(jacobian, drift_rate):
-    """Dual error per unit noise and the admissible noise radius."""
-    singulars = np.linalg.svd(np.asarray(jacobian, dtype=float), compute_uv=False)
-    sigma_min = float(singulars[-1])
-    if sigma_min <= 0:
-        raise RankDeficientError("reduced Jacobian is singular", sigma_min=sigma_min)
-    if not drift_rate > 0:
-        raise ValueError("drift rate must be positive")
-    return 2.0 / sigma_min, sigma_min**2 / (4.0 * drift_rate)
+def noise_rate_and_radius(sigma_min, drift_rate):
+    """Dual error per unit noise, 2 / sigma_min, and the admissible noise
+    radius sigma_min^2 / (4 drift_rate), None without a drift rate.
+
+    ``sigma_min`` is the reduced Jacobian's smallest singular value and
+    must be positive.
+    """
+    radius = None if drift_rate is None else sigma_min**2 / (4.0 * drift_rate)
+    return 2.0 / sigma_min, radius
 
 
 @dataclass
@@ -305,12 +304,6 @@ class BoundsReport:
         for key, msg in sorted(self.errors.items()):
             lines.append(f"error_{key} = {msg}")
         return "\n".join(lines) + "\n"
-
-    def csv_header_and_row(self):
-        items = self._scalar_items()
-        header = ",".join(k for k, _ in items)
-        row = ",".join("" if v is None else repr(v) for _, v in items)
-        return header, row
 
 
 def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
@@ -388,18 +381,13 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
         except RadiusTooLargeError as exc:
             report.errors["drift"] = str(exc)
 
-    if report.jacobian is not None and report.sigma_min_jacobian > 0:
-        if report.jacobian_rate is not None:
-            try:
-                report.noise_rate, report.noise_radius = noise_rate_and_radius(
-                    report.jacobian, report.jacobian_rate)
-            except (RankDeficientError, ValueError) as exc:
-                report.errors["noise_rate"] = str(exc)
-        else:
-            # the rate alone only needs the smallest singular value
-            report.noise_rate = 2.0 / report.sigma_min_jacobian
+    sigma_min = report.sigma_min_jacobian
+    if sigma_min is not None and sigma_min > 0:
+        report.noise_rate, report.noise_radius = noise_rate_and_radius(
+            sigma_min, report.jacobian_rate)
+        if report.noise_radius is None:
             report.errors.setdefault("noise_radius", "drift rate unavailable")
-    elif report.jacobian is not None:
+    elif sigma_min is not None:
         report.errors["noise_rate"] = "reduced Jacobian is singular"
 
     return report

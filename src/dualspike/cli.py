@@ -60,8 +60,7 @@ def main(argv=None):
 
     try:
         if args.command == "solve":
-            artifacts = experiments.run_solve(cfg, args.out)
-            for path in artifacts.files:
+            for path in experiments.run_solve(cfg, args.out):
                 print(path)
         elif args.command == "exp-lambda-t":
             path, _ = experiments.run_lambda_t(cfg, args.out)

@@ -1,18 +1,20 @@
-"""Experiment drivers: reference solves, the three ratio experiments, the
-noise sweep, and the bounds report.  Every driver writes deterministic CSV
-artifacts (header row plus a comment line with the config digest and seed).
+"""Experiment drivers: the reference stage, the ratio experiments, the
+noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
+from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
+final iterate, and takes its stability constants from that report.  Every
+driver writes deterministic CSV artifacts (header row plus a comment line
+with the config digest and seed).
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
 from .certificate import Certificate, dump_curve, refine_location
 from .config import ExperimentConfig
-from .errors import ConfigError, NoConvergenceError
+from .errors import ConfigError, DualSpikeError, NoConvergenceError
 from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
 from .solver import BundleState, PenaltyProblem, solve
@@ -54,22 +56,14 @@ def _certificate(problem: PenaltyProblem, weights) -> Certificate:
     return Certificate(weights, problem.measurements.grid, problem.kernel)
 
 
-@dataclass
-class SolveArtifacts:
-    state: BundleState
-    problem: PenaltyProblem
-    recovery: object | None
-    files: list
-
-
-def run_solve(cfg: ExperimentConfig, out_dir, iterations=None) -> SolveArtifacts:
+def run_solve(cfg: ExperimentConfig, out_dir):
     """Single solve: convergence, certificate curve, and recovery CSVs.
 
-    Raises EmptySupportError (after writing the convergence and certificate
-    files) when no maximizer qualifies as support.
+    Returns the paths written.  Raises EmptySupportError (after writing the
+    convergence and certificate files) when no maximizer qualifies as
+    support.
     """
-    if iterations is None:
-        iterations = cfg.iterations if cfg.iterations is not None else DEFAULT_SOLVE_ITERS
+    iterations = cfg.iterations if cfg.iterations is not None else DEFAULT_SOLVE_ITERS
     problem = build_problem(cfg)
     state = solve(problem, level_mix=cfg.alpha, max_iters=iterations)
     os.makedirs(out_dir, exist_ok=True)
@@ -93,14 +87,32 @@ def run_solve(cfg: ExperimentConfig, out_dir, iterations=None) -> SolveArtifacts
     write_csv(rec_path, comment, ["location", "amplitude"],
               list(zip(recovery.locations, recovery.amplitudes)))
     files.append(rec_path)
-    return SolveArtifacts(state, problem, recovery, files)
+    return files
 
 
 def reference_run(cfg: ExperimentConfig, iterations):
-    """Reference solve with recorded iterates; returns (problem, state)."""
+    """The reference stage of every experiment: the clean solve and the
+    stability constants at its final iterate.
+
+    Returns (problem, state, report), with ``report`` from
+    ``bounds.full_report``, the one place the constants the drivers compare
+    against (location rates, amplitude rate, reduced-Jacobian sigma_min)
+    are computed.
+    """
     problem = build_problem(cfg)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iterations, record_iterates=True)
-    return problem, state
+    state = solve(problem, level_mix=cfg.alpha, max_iters=iterations)
+    report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
+                                state.iterate, cfg.pi, cfg.tau)
+    return problem, state, report
+
+
+def _constant(report: bounds.BoundsReport, name):
+    """A report field a driver needs; DualSpikeError (exit code 3) naming
+    the report's errors when it could not be computed."""
+    value = getattr(report, name)
+    if value is None:
+        raise DualSpikeError(f"reference report has no {name}: {report.errors}")
+    return value
 
 
 def window_threshold(state: BundleState):
@@ -118,17 +130,18 @@ def _reference_iterations(cfg: ExperimentConfig):
 
 
 def reference_window(cfg: ExperimentConfig):
-    """Reference solve of a ratio experiment and its iteration window.
+    """Reference stage of a ratio experiment and its iteration window.
 
-    Returns (problem, state, window); ``window`` yields, for each iteration
-    p from ``window_start`` to ``window_end``, the tuple (p, dual_err,
-    in_window, cert_p) of the p-th iterate against the final one.
+    Returns (problem, report, window): ``report`` is the reference run's
+    constants report, and ``window`` yields, for each iteration p from
+    ``window_start`` to ``window_end``, the tuple (p, dual_err, in_window,
+    cert_p) of the p-th iterate against the final one.
     """
     ref_iters = _reference_iterations(cfg)
     if ref_iters <= cfg.window_end:
         raise ConfigError("key 'window_end': reference_iterations must exceed the window",
                           key="window_end")
-    problem, state = reference_run(cfg, ref_iters)
+    problem, state, report = reference_run(cfg, ref_iters)
     threshold = window_threshold(state)
 
     def window():
@@ -139,17 +152,15 @@ def reference_window(cfg: ExperimentConfig):
             dual_err = float(np.linalg.norm(iterate - best))
             yield p, dual_err, int(dual_err >= threshold), _certificate(problem, iterate)
 
-    return problem, state, window()
+    return problem, report, window()
 
 
 def run_lambda_t(cfg: ExperimentConfig, out_dir):
-    """Location error against dual error across the iteration window."""
-    problem, state, window = reference_window(cfg)
+    """Location error against dual error across the iteration window, next
+    to the reference report's per-source ``location_rates``."""
+    _, report, window = reference_window(cfg)
+    rates = _constant(report, "location_rates")
     src = cfg.source_model()
-    _, curvatures = bounds.refine_peaks(_certificate(problem, state.iterate), src.locations)
-    dual_norm = float(np.linalg.norm(state.iterate))
-    rates = np.array([bounds.location_error_rate(c, cfg.sigma, len(cfg.samples), dual_norm)
-                      for c in curvatures])
     rows = []
     for p, dual_err, in_window, cert_p in window:
         for i, t_true in enumerate(src.locations):
@@ -172,19 +183,18 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
 
 
 def run_t_a(cfg: ExperimentConfig, out_dir):
-    """Amplitude error against location error across the iteration window."""
-    problem, _, window = reference_window(cfg)
+    """Amplitude error against location error across the iteration window,
+    next to the reference report's ``amp_rate_log10``."""
+    problem, report, window = reference_window(cfg)
+    amp_log10 = _constant(report, "amp_rate_log10")
     src = cfg.source_model()
     grid = cfg.sample_grid()
     kernel = cfg.kernel()
     y = problem.measurements.y
-    amp_log10, _ = bounds.amplitude_error_rate_log10(
-        cfg.sigma, grid.n_samples, float(np.linalg.norm(src.amplitudes)),
-        float(bounds.phi_singular_values(grid, kernel, src.locations)[-1]))
     rows = []
     for p, _, in_window, cert_p in window:
         try:
-            t_p = np.array([refine_location(cert_p, t) for t in src.locations])
+            t_p, _ = bounds.refine_peaks(cert_p, src.locations)
         except NoConvergenceError:
             rows.append((p, None, None, None, amp_log10, 0, "refine_failed"))
             continue
@@ -210,14 +220,12 @@ def _noise_point(args):
     noise = uniform_noise(len(cfg.samples), w_c, seed)
     problem = build_problem(cfg, noise=noise)
     state = solve(problem, level_mix=cfg.alpha, max_iters=iters)
-    cert = _certificate(problem, state.iterate)
-    peaks = []
-    for t in cfg.source_model().locations:
-        try:
-            peaks.append(refine_location(cert, t))
-        except NoConvergenceError:
-            return index, noise, state.iterate, None, "refine_failed"
-    return index, noise, state.iterate, np.array(peaks), ""
+    try:
+        peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
+                                       cfg.source_model().locations)
+    except NoConvergenceError:
+        return index, noise, state.iterate, None, "refine_failed"
+    return index, noise, state.iterate, peaks, ""
 
 
 def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
@@ -225,18 +233,19 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
 
     The clean reference and every sweep point run for the same iteration
     count (default 100).  Each point draws its noise from seed + index, so
-    points are reproducible independently of execution order.
+    points are reproducible independently of execution order.  The
+    ``noise_rate`` column is 2 / ``sigma_min_jacobian`` of the reference
+    report, inf when that singular value is 0, and the restricted errors
+    run over the report's ``selected_samples``.
     """
     iters = cfg.iterations if cfg.iterations is not None else DEFAULT_NOISE_ITERS
     grid_vals = cfg.noise_grid if cfg.noise_grid is not None else noise_grid()
-    problem, state = reference_run(cfg, iters)
+    _, state, report = reference_run(cfg, iters)
+    smallest = _constant(report, "sigma_min_jacobian")
+    noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
+    selected = report.selected_samples
     src = cfg.source_model()
     ref = state.iterate
-    peaks, curvatures = bounds.refine_peaks(_certificate(problem, ref), src.locations)
-    jac, selected, _ = bounds.assemble_jacobian(src, cfg.sample_grid(), cfg.kernel(),
-                                                peaks, curvatures)
-    smallest = float(np.linalg.svd(jac, compute_uv=False)[-1])
-    noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
 
     tasks = [(i, float(w_c), cfg, iters) for i, w_c in enumerate(grid_vals)]
     if jobs > 1:
@@ -272,21 +281,15 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
 
 
 def run_bounds(cfg: ExperimentConfig, out_dir):
-    """Reference solve followed by the full constants report."""
-    iters = _reference_iterations(cfg)
-    problem = build_problem(cfg)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iters)
-    report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
-                                state.iterate, cfg.pi, cfg.tau)
+    """The reference stage's constants report, as text and as a one-row CSV."""
+    _, _, report = reference_run(cfg, _reference_iterations(cfg))
     os.makedirs(out_dir, exist_ok=True)
+    comment = _comment(cfg, cfg.seed)
     text_path = os.path.join(out_dir, "bounds_report.txt")
     with open(text_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_comment(cfg, cfg.seed)}\n")
+        fh.write(f"# {comment}\n")
         fh.write(report.to_text())
     csv_path = os.path.join(out_dir, "bounds_report.csv")
-    header, row = report.csv_header_and_row()
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_comment(cfg, cfg.seed)}\n")
-        fh.write(header + "\n")
-        fh.write(row + "\n")
+    items = report._scalar_items()
+    write_csv(csv_path, comment, [name for name, _ in items], [[v for _, v in items]])
     return report, [text_path, csv_path]

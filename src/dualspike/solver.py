@@ -58,7 +58,8 @@ class Cut:
 
 @dataclass
 class BundleState:
-    """Solver state: final iterate, cut collection, and per-iteration history."""
+    """Solver state: final iterate, cut collection, and per-iteration history
+    (bounds, level, gap and the projected iterate)."""
 
     iterate: np.ndarray
     cuts: list[Cut] = field(default_factory=list)
@@ -68,7 +69,7 @@ class BundleState:
     upper_history: list[float] = field(default_factory=list)
     lower_history: list[float] = field(default_factory=list)
     level_history: list[float] = field(default_factory=list)
-    iterate_history: list[np.ndarray] | None = None
+    iterate_history: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_iterations(self):
@@ -245,14 +246,15 @@ def project_to_level(model, level, point, minimum):
     return np.clip(projected, -model.box_radius, model.box_radius)
 
 
-def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500,
-          record_iterates: bool = False) -> BundleState:
+def solve(problem: PenaltyProblem, level_mix: float = 0.25,
+          max_iters: int = 500) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current
     iterate, append the cut, refresh the model minimum (lower bound) and
     best value seen (upper bound), then project the iterate onto the set
     {model <= level_mix * upper + (1 - level_mix) * lower} inside the box.
+    Every projected iterate is kept in ``iterate_history``.
 
     Stops when the projected iterate equals the previous one bit for bit:
     the next oracle call would return the last cut again, so the model, both
@@ -269,8 +271,6 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
     m = problem.measurements.grid.n_samples
     cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
-    if record_iterates:
-        state.iterate_history = []
     if max_iters <= 0:
         return state
     model = None
@@ -294,8 +294,7 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25, max_iters: int = 500
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)
         state.gap_history.append(gap)
-        if record_iterates:
-            state.iterate_history.append(state.iterate.copy())
+        state.iterate_history.append(state.iterate.copy())
         if gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous):
             break
     return state

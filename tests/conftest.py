@@ -53,7 +53,7 @@ def bench3_run():
     cfg = three_spike_config()
     problem = build_problem(cfg)
     start = time.perf_counter()
-    state = solve(problem, level_mix=cfg.alpha, max_iters=500, record_iterates=True)
+    state = solve(problem, level_mix=cfg.alpha, max_iters=500)
     elapsed = time.perf_counter() - start
     return cfg, problem, state, elapsed
 
@@ -63,6 +63,6 @@ def bench5_run():
     cfg = five_spike_config()
     problem = build_problem(cfg)
     start = time.perf_counter()
-    state = solve(problem, level_mix=cfg.alpha, max_iters=2000, record_iterates=True)
+    state = solve(problem, level_mix=cfg.alpha, max_iters=2000)
     elapsed = time.perf_counter() - start
     return cfg, problem, state, elapsed

@@ -10,7 +10,7 @@ import pytest
 from dualspike import bounds
 from dualspike.certificate import Certificate
 from dualspike.errors import (CurvatureSignError, InsufficientSamplesError,
-                              RadiusTooLargeError, RankDeficientError)
+                              RadiusTooLargeError)
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize
 from dualspike.solver import PenaltyProblem, solve
@@ -28,6 +28,17 @@ def offgrid_single():
     kernel = Kernel(0.12)
     ms = synthesize(src, grid, kernel)
     state = solve(PenaltyProblem(ms, kernel, 2.0, 1e3), max_iters=250)
+    return src, grid, kernel, Certificate(state.iterate, grid, kernel)
+
+
+@pytest.fixture(scope="module")
+def onsample_single():
+    """One source on the middle sample: a singular reduced Jacobian."""
+    src = SourceModel([0.5], [1.0])
+    grid = SampleGrid.equispaced(7)
+    kernel = Kernel(0.1)
+    ms = synthesize(src, grid, kernel)
+    state = solve(PenaltyProblem(ms, kernel, 2.0, 1e2), max_iters=60)
     return src, grid, kernel, Certificate(state.iterate, grid, kernel)
 
 
@@ -275,20 +286,25 @@ class TestJacobianAssembly:
 
 class TestNoiseRate:
     def test_unit_case(self):
-        rate, radius = bounds.noise_rate_and_radius(np.diag([3.0, 2.0]), 1.0)
+        rate, radius = bounds.noise_rate_and_radius(2.0, 1.0)
         assert rate == pytest.approx(1.0, rel=1e-14)
         assert radius == pytest.approx(1.0, rel=1e-14)
+        assert bounds.noise_rate_and_radius(2.0, None) == (rate, None)
 
     def test_scaling(self):
-        jac = np.diag([3.0, 2.0])
-        rate1, rad1 = bounds.noise_rate_and_radius(jac, 1.0)
-        rate2, rad2 = bounds.noise_rate_and_radius(10.0 * jac, 1.0)
+        rate1, rad1 = bounds.noise_rate_and_radius(2.0, 1.0)
+        rate2, rad2 = bounds.noise_rate_and_radius(20.0, 1.0)
         assert rate2 == pytest.approx(rate1 / 10.0, rel=1e-13)
         assert rad2 == pytest.approx(100.0 * rad1, rel=1e-13)
 
-    def test_singular_jacobian(self):
-        with pytest.raises(RankDeficientError):
-            bounds.noise_rate_and_radius(np.zeros((2, 2)), 1.0)
+    def test_singular_jacobian(self, onsample_single):
+        # a source on a sample: the kept sample's phi'(0) zeroes the left
+        # block, so sigma_min is exactly 0 and the report has no noise rate
+        src, grid, kernel, cert = onsample_single
+        report = bounds.full_report(src, grid, kernel, cert.weights, 2.0, 1e2)
+        assert report.sigma_min_jacobian == 0.0
+        assert report.noise_rate is None and report.noise_radius is None
+        assert report.errors["noise_rate"] == "reduced Jacobian is singular"
 
 
 class TestSingularValuePerturbation:
@@ -317,8 +333,9 @@ class TestFullReport:
         assert report.noise_radius > 0
         text = report.to_text()
         assert "noise_rate" in text
-        header, row = report.csv_header_and_row()
-        assert len(header.split(",")) == len(row.split(","))
+        names = [name for name, _ in report._scalar_items()]
+        assert len(set(names)) == len(names)
+        assert {"noise_rate", "noise_radius", "location_rates_1"} <= set(names)
 
     def test_error_isolation(self, offgrid_single):
         src, grid, kernel, _ = offgrid_single

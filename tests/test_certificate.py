@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_spike_config
-from dualspike import bounds, certificate
+from dualspike import certificate
 from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
                                    refine_location, supremum)
@@ -165,7 +165,7 @@ class TestSupremum:
         # bundle iterates carry |lambda|_1 up to ~1e6 with several peaks near 1
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
-        state = solve(problem, level_mix=cfg.alpha, max_iters=100, record_iterates=True)
+        state = solve(problem, level_mix=cfg.alpha, max_iters=100)
         cg = CertificateGrid(problem.measurements.grid, problem.kernel)
         for weights in state.iterate_history:
             assert cg.supremum(weights) == supremum_refining_every_peak(cg, weights)
@@ -273,9 +273,9 @@ class TestRefinementStops:
 
     def test_three_spike_reference_solve(self, outcomes):
         cfg = three_spike_config()
-        problem, state = reference_run(cfg, 500)
-        cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
-        bounds.refine_peaks(cert, cfg.source_model().locations)
+        # the reference stage refines the final certificate's peaks for its report
+        _, state, report = reference_run(cfg, 500)
+        assert report.refined_peaks is not None
         assert len(outcomes) >= state.n_iterations
         assert all(outcomes)
 

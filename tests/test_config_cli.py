@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualspike import experiments, solver
+from dualspike import bounds, experiments, solver
 from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, main
 from dualspike.config import _KNOWN_KEYS, ExperimentConfig, parse_config
 from dualspike.errors import ConfigError
@@ -208,6 +208,19 @@ class TestCli:
         assert code == EXIT_SOLVER
         assert "no optimal basis after 0 pivots" in capsys.readouterr().err
 
+    def test_missing_reference_constant_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a singular translate matrix leaves the report without the amplitude
+        # rate exp-t-a compares against: a solver error naming the report's
+        # errors, not a crash
+        monkeypatch.setattr(bounds, "phi_singular_values", lambda *args: np.zeros(1))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG + "window_start=5\nwindow_end=20\n"
+                            "reference_iterations=40\n")
+        code = main(["exp-t-a", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "amp_rate_log10" in err and "translate matrix is singular" in err
+
     def test_zero_iterations_no_support(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG)
@@ -255,6 +268,9 @@ class TestCli:
         assert len(data) == 2
         ratios = [float(r.split(",")[3]) for r in data]
         assert all(r > 0 for r in ratios)
+        # the source sits on a sample: the reference Jacobian's sigma_min is
+        # exactly 0, and the noise rate column reads inf
+        assert [r.split(",")[4] for r in data] == ["inf", "inf"]
 
     def test_bounds_report_files(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -264,6 +280,7 @@ class TestCli:
                      "--iters", "80"]) == EXIT_OK
         text = (out / "bounds_report.txt").read_text()
         assert "noise_rate" in text
+        assert "error_noise_rate = reduced Jacobian is singular" in text.splitlines()
         # plain numbers, as in the other CSVs: every field parses as a float
         lines = (out / "bounds_report.csv").read_text().splitlines()
         header, row = lines[1].split(","), lines[2].split(",")

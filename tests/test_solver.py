@@ -364,7 +364,7 @@ class TestSolve:
             solve(small_problem(), level_mix=1.0, max_iters=1)
 
     def test_bound_monotonicity_and_order(self):
-        state = solve(small_problem(), max_iters=120, record_iterates=True)
+        state = solve(small_problem(), max_iters=120)
         upper = np.array(state.upper_history)
         lower = np.array(state.lower_history)
         assert np.all(np.diff(upper) <= 1e-9)
@@ -383,7 +383,7 @@ class TestSolve:
 
     def test_projected_iterates_feasible(self):
         problem = small_problem()
-        state = solve(problem, max_iters=80, record_iterates=True)
+        state = solve(problem, max_iters=80)
         for idx, lam in enumerate(state.iterate_history):
             level = state.level_history[idx]
             cuts = state.cuts[:idx + 1]
@@ -414,7 +414,7 @@ class TestSolve:
         monkeypatch.setattr(CutModel, "minimum", counting_minimum)
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
         problem = small_problem()
-        state = solve(problem, max_iters=15, record_iterates=True)
+        state = solve(problem, max_iters=15)
         # the solve stops at the first iterate that repeats its predecessor
         iterates = [np.zeros(5)] + state.iterate_history
         repeats = [np.array_equal(a, b) for a, b in zip(iterates, iterates[1:])]
@@ -442,7 +442,7 @@ class TestSolve:
         monkeypatch.setattr(numerics, "nnls", stalled)
         monkeypatch.setattr(CutModel, "minimum", recording_minimum)
         problem = small_problem()
-        state = solve(problem, max_iters=15, record_iterates=True)
+        state = solve(problem, max_iters=15)
         assert len(argmins) == state.n_iterations
         # the last iteration's argmin repeats the one before, so its
         # projection starts inside the level set and returns before NNLS
@@ -481,6 +481,27 @@ class TestSolve:
         lam, cut, level = state.iterate, state.cuts[0], state.level_history[0]
         excess = cut.value + cut.slope @ (lam - cut.anchor) - level
         assert excess <= 1e-14 * np.linalg.norm(cut.slope) * np.linalg.norm(lam)
+
+    def test_converged_noisy_solve_falls_back_and_keeps_invariants(self, projection_failures):
+        # run to its fixed point, this noisy solve meets a level set thinner
+        # than the projection resolves (at 194 rows): the model argmin stands
+        # in once, and the iterates still satisfy criterion 9's checks
+        cfg = three_spike_config()
+        problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 6e-6, 2))
+        state = solve(problem, level_mix=cfg.alpha, max_iters=3000)
+        assert projection_failures
+        assert all(isinstance(exc, InfeasibleError) for exc in projection_failures)
+        assert state.n_iterations < 3000
+        np.testing.assert_array_equal(state.iterate_history[-1], state.iterate_history[-2])
+        upper = np.array(state.upper_history)
+        lower = np.array(state.lower_history)
+        assert np.all(np.diff(upper) <= 1e-9) and np.all(np.diff(lower) >= -1e-9)
+        for idx, lam in enumerate(state.iterate_history):
+            level = state.level_history[idx]
+            for cut in state.cuts[:idx + 1]:
+                residual = cut.value + cut.slope @ (lam - cut.anchor) - level
+                assert residual <= 1e-8 * max(1.0, float(np.linalg.norm(cut.slope)))
+            assert np.abs(lam).max() <= problem.box_radius + 1e-8
 
     def test_exit_repeats_last_cut(self, bench3_run):
         # at the fixed point, the next oracle call would add the last cut again
