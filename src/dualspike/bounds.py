@@ -217,11 +217,10 @@ def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
     if np.any(curvatures >= 0):
         raise CurvatureSignError(
             f"non-negative curvature at a source: {curvatures}")
-    s_sel = grid.samples[selected]
-    s_kept = grid.samples[kept]
-    # d_left[j, l] = sum_i a_i phi'(t_i - s_j) phi'(t_i - s_l) / q''(t_i)
-    dphi_sel = kernel.derivative(peaks[None, :] - s_sel[:, None], 1)
-    dphi_kept = kernel.derivative(peaks[None, :] - s_kept[:, None], 1)
+    # d_left[j, l] = sum_i a_i phi'(t_i - s_j) phi'(t_i - s_l) / q''(t_i);
+    # the kept samples are among the selected ones, so their rows are shared
+    dphi_sel = kernel.derivative(peaks[None, :] - grid.samples[selected][:, None], 1)
+    dphi_kept = dphi_sel[np.searchsorted(selected, kept)]
     weights = src.amplitudes / curvatures
     left = dphi_sel @ (weights[:, None] * dphi_kept.T)
     right = -build_phi(grid, kernel, peaks)[selected]

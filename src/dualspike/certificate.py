@@ -19,6 +19,9 @@ ROUNDOFF_REL = 1e-13
 # a Newton bracket this many ulps wide holds no further progress
 BRACKET_ULPS = 4
 GRID_NEWTON_ITERS = 100
+# refine_location's stopping slope and Newton step budget
+REFINE_SLOPE_TOL = 1e-12
+REFINE_STEPS = 50
 # the scan shows every bump of q as a local maximum only for kernels at
 # least this many scan spacings wide
 MIN_SIGMA_STEPS = 10
@@ -29,10 +32,10 @@ def slope_floor(kernel: Kernel, weights):
     return ROUNDOFF_REL * float(np.abs(weights).sum()) * kernel.deriv_sup_bounds()[0]
 
 
-def min_kernel_width(n_points=DEFAULT_GRID_POINTS):
-    """Narrowest sigma an ``n_points`` scan of [0,1] resolves:
-    ``MIN_SIGMA_STEPS`` scan spacings (2.5e-3 for the default scan)."""
-    return MIN_SIGMA_STEPS / (n_points - 1)
+def min_kernel_width():
+    """Narrowest sigma the ``DEFAULT_GRID_POINTS`` scan of [0,1] resolves:
+    ``MIN_SIGMA_STEPS`` scan spacings (2.5e-3 for 4001 points)."""
+    return MIN_SIGMA_STEPS / (DEFAULT_GRID_POINTS - 1)
 
 
 def _derivatives(kernel: Kernel, samples, weights, t):
@@ -116,24 +119,22 @@ class MaximizerSet:
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Precomputes phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on a
-    uniform scan of [0,1] so that repeated suprema (one per bundle
-    iteration) reduce to a matrix-vector product, and each Newton run from a
-    scan local maximum starts from three row products instead of a kernel
-    evaluation.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
-    spacings (``min_kernel_width``) raises ValueError: the scan would not
-    show each of its bumps as a local maximum.
+    Precomputes phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on the
+    uniform ``DEFAULT_GRID_POINTS`` scan of [0,1] so that repeated suprema
+    (one per bundle iteration) reduce to a matrix-vector product, and each
+    Newton run from a scan local maximum starts from three row products
+    instead of a kernel evaluation.  A kernel narrower than
+    ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
+    ValueError: the scan would not show each of its bumps as a local maximum.
     """
 
-    def __init__(self, grid: SampleGrid, kernel: Kernel, n_points: int = DEFAULT_GRID_POINTS):
-        if n_points < 101:
-            raise ValueError("need at least 101 scan points")
-        if kernel.sigma < min_kernel_width(n_points):
+    def __init__(self, grid: SampleGrid, kernel: Kernel):
+        if kernel.sigma < min_kernel_width():
             raise ValueError(f"kernel width {kernel.sigma} is below {MIN_SIGMA_STEPS} "
-                             f"spacings of the {n_points}-point scan")
+                             f"spacings of the {DEFAULT_GRID_POINTS}-point scan")
         self.grid = grid
         self.kernel = kernel
-        self.scan = np.linspace(0.0, 1.0, n_points)
+        self.scan = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
         self.table, self.slope, self.curvature = kernel.value_and_derivatives(
             self.scan[:, None] - grid.samples[None, :])
         # phi' in the first two and the last two scan cells, for the bumps
@@ -195,14 +196,15 @@ class CertificateGrid:
                 best_t, best_v = t, v
         return best_t, best_v
 
-    def maximizers(self, weights, merge_tol=DEFAULT_MERGE_TOL, value_tol=None):
+    def maximizers(self, weights):
+        """Stationary local maxima of q within 1e-3 of its scan spread of the
+        top, Newton-refined; maxima closer than ``DEFAULT_MERGE_TOL`` merge."""
         q = self.values(weights)
         sup, inf = float(q.max()), float(q.min())
         spread = sup - inf
         if spread <= 1e-15 * max(1.0, abs(sup)):
             return MaximizerSet(np.empty(0), np.empty(0), np.empty(0))
-        if value_tol is None:
-            value_tol = 1e-3 * spread
+        value_tol = 1e-3 * spread
         # q' and q'' cannot be evaluated below their roundoff floors, which
         # grow with |weights|; widen the stationarity test accordingly
         floor = slope_floor(self.kernel, weights)
@@ -220,7 +222,7 @@ class CertificateGrid:
         found.sort()
         merged = []
         for cand in found:
-            if merged and cand[0] - merged[-1][0] < merge_tol:
+            if merged and cand[0] - merged[-1][0] < DEFAULT_MERGE_TOL:
                 if cand[1] > merged[-1][1]:
                     merged[-1] = cand
             else:
@@ -231,31 +233,27 @@ class CertificateGrid:
         return MaximizerSet(locs, vals, curvs)
 
 
-def supremum(cert: Certificate, grid_points: int = DEFAULT_GRID_POINTS):
-    """Location and value of sup q over [0,1]."""
-    return CertificateGrid(cert.grid, cert.kernel, grid_points).supremum(cert.weights)
+def supremum(cert: Certificate):
+    """Location and value of sup q over [0,1], from the default scan."""
+    return CertificateGrid(cert.grid, cert.kernel).supremum(cert.weights)
 
 
-def global_maximizers(cert: Certificate, grid_points: int = DEFAULT_GRID_POINTS,
-                      merge_tol: float = DEFAULT_MERGE_TOL, value_tol=None) -> MaximizerSet:
-    """All near-top stationary local maxima of q, Newton-refined and merged."""
-    if merge_tol <= 0:
-        raise ValueError("merge_tol must be positive")
-    return CertificateGrid(cert.grid, cert.kernel, grid_points).maximizers(
-        cert.weights, merge_tol=merge_tol, value_tol=value_tol)
+def global_maximizers(cert: Certificate) -> MaximizerSet:
+    """All near-top stationary local maxima of q, Newton-refined and merged
+    (``CertificateGrid.maximizers`` on the default scan)."""
+    return CertificateGrid(cert.grid, cert.kernel).maximizers(cert.weights)
 
 
-def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,
-                    max_iter: int = 50) -> float:
+def refine_location(cert: Certificate, t0: float) -> float:
     """Polish a stationary point of q from t0 by safeguarded Newton on q'.
 
     The search is confined to [t0 - sigma, t0 + sigma] (clipped to [0,1]);
     a sign change of q' must exist there (or t0 itself must be a concave
     stationary point), otherwise NoConvergenceError is raised with the last
     iterate attached.  Newton (``newton_on_slope``)
-    stops at |q'| <= max(slope_tol, round-off floor), at a step that does
-    not move, or at a bracket a few ulps wide; running out of ``max_iter``
-    steps first also raises NoConvergenceError.
+    stops at |q'| <= max(``REFINE_SLOPE_TOL``, round-off floor), at a step
+    that does not move, or at a bracket a few ulps wide; running out of
+    ``REFINE_STEPS`` steps first also raises NoConvergenceError.
     """
     sigma = cert.kernel.sigma
     lo = max(0.0, t0 - sigma)
@@ -264,7 +262,7 @@ def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,
     def slope(t):
         return cert.value(t, 1)
 
-    if abs(slope(t0)) < slope_tol:
+    if abs(slope(t0)) < REFINE_SLOPE_TOL:
         if cert.value(t0, 2) < 0.0:
             return t0
         raise NoConvergenceError(
@@ -286,17 +284,17 @@ def refine_location(cert: Certificate, t0: float, slope_tol: float = 1e-12,
     if not (slope_lo > 0.0 > slope_hi):
         raise NoConvergenceError(
             f"no local maximum bracketed near {t0}", last_iterate=t0)
-    floor = max(slope_tol, slope_floor(cert.kernel, cert.weights))
+    floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
     t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights,
-                                      min(max(t0, bl), bh), bl, bh, floor, max_iter)
+                                      min(max(t0, bl), bh), bl, bh, floor, REFINE_STEPS)
     if not converged:
         raise NoConvergenceError(
-            f"refinement near {t0} ran {max_iter} steps without converging",
+            f"refinement near {t0} ran {REFINE_STEPS} steps without converging",
             last_iterate=t)
     return t
 
 
-def dump_curve(cert: Certificate, grid_points: int = DEFAULT_GRID_POINTS):
-    """(t, q(t)) pairs at scan resolution, for external plotting."""
-    cg = CertificateGrid(cert.grid, cert.kernel, grid_points)
+def dump_curve(cert: Certificate):
+    """(t, q(t)) pairs on the default scan, for external plotting."""
+    cg = CertificateGrid(cert.grid, cert.kernel)
     return np.column_stack([cg.scan, cg.values(cert.weights)])

@@ -236,8 +236,12 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     points are reproducible independently of execution order.  The
     ``noise_rate`` column is 2 / ``sigma_min_jacobian`` of the reference
     report, inf when that singular value is 0, and the restricted errors
-    run over the report's ``selected_samples``.
+    run over the report's ``selected_samples``.  The points run in at most
+    ``jobs`` worker processes, one per point at most; ``jobs`` below 1
+    raises ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}", key="jobs")
     iters = cfg.iterations if cfg.iterations is not None else DEFAULT_NOISE_ITERS
     grid_vals = cfg.noise_grid if cfg.noise_grid is not None else noise_grid()
     _, state, report = reference_run(cfg, iters)
@@ -248,8 +252,9 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     ref = state.iterate
 
     tasks = [(i, float(w_c), cfg, iters) for i, w_c in enumerate(grid_vals)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_noise_point, tasks))
     else:
         results = [_noise_point(t) for t in tasks]

@@ -47,15 +47,13 @@ def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> Recove
                           float(singulars[0]), float(singulars[-1]))
 
 
-def recover(cert: Certificate, y, value_threshold: float = SUPPORT_VALUE_THRESHOLD) -> RecoveryResult:
-    """Full reconstruction from a dual vector.
-
-    The support is the set of certificate maximizers with value at least
-    ``value_threshold``; amplitudes follow by least squares.
-    """
+def recover(cert: Certificate, y) -> RecoveryResult:
+    """Full reconstruction from a dual vector: the support is the set of
+    certificate maximizers reaching ``SUPPORT_VALUE_THRESHOLD``, and the
+    amplitudes follow by least squares."""
     maxima = global_maximizers(cert)
-    good = maxima.values >= value_threshold
+    good = maxima.values >= SUPPORT_VALUE_THRESHOLD
     if not np.any(good):
         raise EmptySupportError(
-            f"no certificate maximizer reaches {value_threshold}")
+            f"no certificate maximizer reaches {SUPPORT_VALUE_THRESHOLD}")
     return recover_amplitudes(cert.grid, cert.kernel, maxima.locations[good], y)

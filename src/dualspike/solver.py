@@ -29,6 +29,8 @@ LP_ROW_TOL = 1e-10
 # pivots allowed per basis row and LP: a noise sweep needs up to 21 for
 # one LP, about 1.2 on average
 LP_PIVOTS_PER_ROW = 50
+# cut rows a new CutModel has room for; the room doubles whenever it fills
+CUT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,32 +100,39 @@ def penalty_objective(problem: PenaltyProblem, weights) -> float:
 class CutModel:
     """The polyhedral model max_i (offsets_i + slopes_i . lam) over the box.
 
-    Holds the epigraph LP min t s.t. G z <= h over z = (lam, t) in
-    preallocated arrays: first the 2n box rows +-e_j with h = box_radius,
-    then one row [slopes_i, -1] with h = -offsets_i per cut.  ``minimum``
-    solves it by the dual simplex method on a basis of n + 1 rows B, kept
-    with multipliers y >= 0 such that e_t + G_B^T y = 0 (dual feasible) and
-    with its vertex z = G_B^-1 h_B.  The first cut sets the basis in closed
-    form; every later cut starts from the previous optimal basis, so a cut
-    the vertex already satisfies costs one product with G.
+    Holds the epigraph LP min t s.t. G z <= h over z = (lam, t) in arrays
+    with room for ``CUT_BLOCK`` cuts, doubled whenever they fill: first the
+    2n box rows +-e_j with h = box_radius, then one row [slopes_i, -1] with
+    h = -offsets_i per cut.  ``minimum`` solves it by the dual simplex
+    method on a basis of n + 1 rows B, kept with multipliers y >= 0 such
+    that e_t + G_B^T y = 0 (dual feasible) and with its vertex
+    z = G_B^-1 h_B.  The first cut sets the basis in closed form; every
+    later cut starts from the previous optimal basis, so a cut the vertex
+    already satisfies costs one product with G.
     """
 
-    def __init__(self, n, box_radius, capacity):
+    def __init__(self, n, box_radius):
         self.box_radius = box_radius
         self.size = 0
-        self._rows = np.zeros((2 * n + capacity, n + 1))
-        self._rhs = np.empty(2 * n + capacity)
+        self._n_box = 2 * n
+        self._rows = np.zeros((2 * n + CUT_BLOCK, n + 1))
+        self._rhs = np.empty(2 * n + CUT_BLOCK)
         self._rows[:n, :n] = np.eye(n)
         self._rows[n:2 * n, :n] = -np.eye(n)
-        self._rows[2 * n:, n] = -1.0
         self._rhs[:2 * n] = box_radius
-        # views of the box rows, which the level set stacks below the cuts
-        self.box_rows = self._rows[:2 * n, :n]
-        self.box_rhs = self._rhs[:2 * n]
         self._basis = None
         self._mult = None
         self._lu = None
         self._vertex = None
+
+    # the box rows, which the level set stacks below the cuts
+    @property
+    def box_rows(self):
+        return self._rows[:self._n_box, :-1]
+
+    @property
+    def box_rhs(self):
+        return self._rhs[:self._n_box]
 
     @property
     def offsets(self):
@@ -135,12 +144,16 @@ class CutModel:
 
     @property
     def _cut_rows(self):
-        first = self.box_rhs.size
-        return slice(first, first + self.size)
+        return slice(self._n_box, self._n_box + self.size)
 
     def add(self, cut):
-        row = self.box_rhs.size + self.size
+        row = self._n_box + self.size
+        if row == self._rhs.size:
+            # no room left: double the cut block
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows[self._n_box:])])
+            self._rhs = np.concatenate([self._rhs, np.empty(self.size)])
         self._rows[row, :-1] = cut.slope
+        self._rows[row, -1] = -1.0
         self._rhs[row] = float(cut.slope @ cut.anchor) - cut.value
         self.size += 1
         if self._basis is None:
@@ -177,7 +190,7 @@ class CutModel:
         """
         if self.size == 0:
             raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
-        rows = self._rows[:self.box_rhs.size + self.size]
+        rows = self._rows[:self._n_box + self.size]
         rhs = self._rhs[:rows.shape[0]]
         basis, mult = self._basis, self._mult
         max_pivots = LP_PIVOTS_PER_ROW * basis.size
@@ -271,14 +284,9 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25,
     m = problem.measurements.grid.n_samples
     cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
-    if max_iters <= 0:
-        return state
-    model = None
+    model = CutModel(m, problem.box_radius)
     for _ in range(max_iters):
         value, slope, _ = _oracle(problem, state.iterate, cert_grid)
-        if model is None:
-            # built after the first oracle call, which ends the set-up phase
-            model = CutModel(m, problem.box_radius, max_iters)
         cut = Cut(state.iterate.copy(), value, slope)
         state.cuts.append(cut)
         model.add(cut)

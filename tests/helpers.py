@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from dualspike.certificate import (DEFAULT_GRID_POINTS, DEFAULT_MERGE_TOL, CertificateGrid,
-                                   slope_floor)
+from dualspike.certificate import DEFAULT_MERGE_TOL, CertificateGrid, slope_floor
 from dualspike.errors import InfeasibleError
 from dualspike.solver import Cut, CutModel, _oracle
 
@@ -20,7 +19,7 @@ def cut_model(cuts, box_radius):
     """A ``CutModel`` holding ``cuts``, in order."""
     if not cuts:
         raise ValueError("model needs at least one cut")
-    model = CutModel(cuts[0].slope.size, box_radius, len(cuts))
+    model = CutModel(cuts[0].slope.size, box_radius)
     for cut in cuts:
         model.add(cut)
     return model
@@ -36,7 +35,7 @@ def lp_minimum(offsets, slopes, box_radius):
     solved by a ``CutModel`` holding one row per piece.  With no pieces the
     LP is unbounded and ``CutModel.minimum`` raises NoConvergenceError."""
     slopes = np.asarray(slopes, dtype=float)
-    model = CutModel(slopes.shape[1], box_radius, slopes.shape[0])
+    model = CutModel(slopes.shape[1], box_radius)
     for offset, slope in zip(np.asarray(offsets, dtype=float), slopes):
         model.add(Cut(np.zeros(slope.size), float(offset), slope))
     return model.minimum()
@@ -63,12 +62,11 @@ class ValidationReport:
     passed: bool
 
 
-def validate_certificate(cert, src, tol, grid_points=DEFAULT_GRID_POINTS,
-                         exclusion=DEFAULT_MERGE_TOL):
-    """Check q = 1 on the support and q <= 1 away from it."""
+def validate_certificate(cert, src, tol, exclusion=DEFAULT_MERGE_TOL):
+    """Check q = 1 on the support and q <= 1 away from it, on the default scan."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cg = CertificateGrid(cert.grid, cert.kernel, grid_points)
+    cg = CertificateGrid(cert.grid, cert.kernel)
     source_errors = np.abs(cert.value(src.locations) - 1.0)
     q = cg.values(cert.weights)
     away = np.all(np.abs(cg.scan[:, None] - src.locations[None, :]) > exclusion, axis=1)

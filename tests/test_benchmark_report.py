@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualspike import bounds
+from dualspike import bounds, experiments
 from dualspike.certificate import Certificate
 from dualspike.experiments import run_noise
 from helpers import validate_certificate
@@ -85,6 +85,28 @@ class TestNoiseSweepEdges:
         assert rows[0][10] == "zero_noise"
         assert rows[0][3] is None
         assert rows[1][10] == "" and rows[1][3] > 0
+
+    def test_one_worker_per_point_at_most(self, tmp_path, monkeypatch):
+        from conftest import three_spike_config
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = three_spike_config(noise_grid=np.array([0.001, 0.02]), iterations=100)
+        run_noise(cfg, tmp_path, jobs=64)
+        assert workers == [2]
 
     def test_parallel_matches_serial(self, tmp_path):
         from conftest import three_spike_config

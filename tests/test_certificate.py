@@ -198,16 +198,13 @@ class TestGlobalMaximizers:
             assert abs(cert.value(t, 1)) <= 1e-9
             assert cert.value(t, 2) <= 1e-9
 
-    def test_grid_resolution_stability(self, small_converged):
+    def test_grid_resolution_stability(self, small_converged, monkeypatch):
         _, cert = small_converged
-        coarse = global_maximizers(cert, grid_points=4001)
-        fine = global_maximizers(cert, grid_points=8001)
+        coarse = global_maximizers(cert)
+        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 8001)
+        fine = global_maximizers(cert)
         assert coarse.locations.size == fine.locations.size
         np.testing.assert_allclose(coarse.locations, fine.locations, atol=1e-4)
-
-    def test_merge_tol_required_positive(self, single_bump):
-        with pytest.raises(ValueError):
-            global_maximizers(single_bump, merge_tol=0.0)
 
 
 class TestValidate:
@@ -287,32 +284,34 @@ class TestRefinementStops:
 
 
 class TestCertificateGrid:
-    def test_needs_enough_points(self):
-        with pytest.raises(ValueError):
-            CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=51)
+    @pytest.fixture
+    def scan_101(self, monkeypatch):
+        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 101)
 
-    def test_needs_a_resolved_kernel(self):
+    def test_needs_a_resolved_kernel(self, monkeypatch):
         # ten scan spacings: 2.5e-3 on the default scan, 0.1 on a 101-point one
         grid = SampleGrid.equispaced(5)
         assert certificate.min_kernel_width() == 10.0 / (DEFAULT_GRID_POINTS - 1)
-        for sigma, n_points in ((2.4e-3, DEFAULT_GRID_POINTS), (0.099, 101)):
-            with pytest.raises(ValueError, match="spacings"):
-                CertificateGrid(grid, Kernel(sigma), n_points=n_points)
+        with pytest.raises(ValueError, match="spacings"):
+            CertificateGrid(grid, Kernel(2.4e-3))
         CertificateGrid(grid, Kernel(2.5e-3))
-        CertificateGrid(grid, Kernel(0.1), n_points=101)
+        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 101)
+        with pytest.raises(ValueError, match="spacings of the 101-point scan"):
+            CertificateGrid(grid, Kernel(0.099))
+        CertificateGrid(grid, Kernel(0.1))
 
-    def test_curvature_table(self):
-        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
+    def test_curvature_table(self, scan_101):
+        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         diffs = cg.scan[:, None] - cg.grid.samples[None, :]
         np.testing.assert_array_equal(cg.table, cg.kernel.value(diffs))
         np.testing.assert_array_equal(cg.curvature, cg.kernel.derivative(diffs, 2))
 
-    def test_table_shape(self):
-        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
+    def test_table_shape(self, scan_101):
+        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         assert cg.table.shape == (101, 5)
 
-    def test_local_max_indices_match_scalar_scan(self):
-        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1), n_points=101)
+    def test_local_max_indices_match_scalar_scan(self, scan_101):
+        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
 
         def scalar(q):
             return [i for i in range(1, q.size - 1) if q[i] >= q[i - 1] and q[i] > q[i + 1]]

@@ -198,6 +198,19 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    def test_zero_jobs_exit_code(self, tmp_path, monkeypatch, capsys):
+        # rejected before the clean reference solve, not run serially
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(experiments, "solve", no_solve)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--jobs", "0"])
+        assert code == EXIT_CONFIG
+        assert "jobs" in capsys.readouterr().err
+
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # no pivot allowed: the second cut's LP has no optimal basis and the
         # solve fails loud

@@ -380,7 +380,7 @@ class TestLpMin:
         # pieces added one at a time, each prefix solved from the basis the
         # previous one left, as the bundle solve does
         offsets, slopes, box = data
-        model = CutModel(slopes.shape[1], box, offsets.size)
+        model = CutModel(slopes.shape[1], box)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             model.add(Cut(np.zeros(slope.size), float(offset), slope))
             value, argmin = model.minimum()

@@ -1,6 +1,8 @@
 """Penalty objective, subgradient oracle, model operations, and the bundle
 method itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -198,10 +200,13 @@ class TestModelMinimum:
         with pytest.raises(ValueError):
             model_minimum([], 1.0)
 
-    def test_views_follow_added_cuts(self):
+    def test_views_follow_added_cuts(self, monkeypatch):
         rng = np.random.default_rng(30)
         cuts = random_cuts(rng, 5, 3)
-        model = CutModel(3, 1.0, 8)
+        minima = [model_minimum(cuts[:k], 1.0) for k in range(1, 6)]
+        # room for two cuts: the arrays double twice on the way to five
+        monkeypatch.setattr(solver, "CUT_BLOCK", 2)
+        model = CutModel(3, 1.0)
         for k, cut in enumerate(cuts, start=1):
             model.add(cut)
             assert model.size == k
@@ -209,6 +214,11 @@ class TestModelMinimum:
             np.testing.assert_allclose(model.offsets,
                                        [c.value - c.slope @ c.anchor for c in cuts[:k]],
                                        rtol=1e-15, atol=1e-15)
+            np.testing.assert_array_equal(model.box_rows, np.vstack([np.eye(3), -np.eye(3)]))
+            np.testing.assert_array_equal(model.box_rhs, np.ones(6))
+            value, argmin = model.minimum()
+            assert value == pytest.approx(minima[k - 1][0], abs=1e-12)
+            np.testing.assert_allclose(argmin, minima[k - 1][1], atol=1e-12)
 
     def test_incremental_minimum_matches_tight_cold_solve(self, bench3_run, bench5_run):
         # every prefix of both benchmark solves, added one cut at a time as
@@ -216,7 +226,7 @@ class TestModelMinimum:
         checked = tight = 0
         for _, problem, state, _ in (bench3_run, bench5_run):
             box = problem.box_radius
-            model = CutModel(problem.measurements.grid.n_samples, box, len(state.cuts))
+            model = CutModel(problem.measurements.grid.n_samples, box)
             for cut in state.cuts:
                 model.add(cut)
                 value, argmin = model.minimum()
@@ -243,7 +253,7 @@ class TestModelMinimum:
         runs.append((noisy, solve(noisy, level_mix=cfg.alpha, max_iters=100).cuts))
         checked = 0
         for problem, cuts in runs:
-            model = CutModel(problem.measurements.grid.n_samples, problem.box_radius, len(cuts))
+            model = CutModel(problem.measurements.grid.n_samples, problem.box_radius)
             for cut in cuts:
                 model.add(cut)
                 value, argmin = model.minimum()
@@ -270,7 +280,7 @@ class TestModelMinimum:
         # once from the first cut's basis reach the same minimum
         rng = np.random.default_rng(32)
         cuts = random_cuts(rng, 12, 4)
-        warm = CutModel(4, 1.0, len(cuts))
+        warm = CutModel(4, 1.0)
         for cut in cuts:
             warm.add(cut)
             warm_value, warm_argmin = warm.minimum()
@@ -291,7 +301,7 @@ class TestModelMinimum:
     def test_singular_basis_raises_no_convergence(self):
         rng = np.random.default_rng(33)
         cuts = random_cuts(rng, 6, 3)
-        model = CutModel(3, 1.0, len(cuts))
+        model = CutModel(3, 1.0)
         for cut in cuts[:5]:
             model.add(cut)
         value, argmin = model.minimum()
@@ -356,6 +366,18 @@ class TestSolve:
         assert state.cuts == []
         assert state.n_iterations == 0
         np.testing.assert_array_equal(state.iterate, np.zeros(5))
+
+    def test_memory_follows_cuts_not_iteration_cap(self):
+        # the one-source TINY problem stops at its fixed point within a few
+        # dozen iterations; room for a million cuts would take ~64 MB
+        tracemalloc.start()
+        try:
+            state = solve(small_problem(m=7, penalty=2.0, box=100.0), max_iters=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.n_iterations < 1000
+        assert peak < 10 * 2**20
 
     def test_level_mix_validation(self):
         with pytest.raises(ValueError):
