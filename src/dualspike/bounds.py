@@ -140,9 +140,7 @@ def sensitivity_drift_rate(n_sources, n_samples, sigma, loc_rate, dual_norm,
     evaluated at the worst case inside the dual stability ball."""
     denom_root = sigma**2 * curv_floor - 2.0 * math.sqrt(n_samples) * dual_radius
     if denom_root <= 0:
-        raise RadiusTooLargeError(
-            "dual radius exceeds the drift bound's validity region",
-            margin=denom_root)
+        raise RadiusTooLargeError("dual radius exceeds the drift bound's validity region")
     numer = (CURV_MIX_COEFF * loc_rate * math.sqrt(n_samples) * (dual_norm + dual_radius)
              + (2.0 * math.sqrt(2.0) / SQRT_E) * sigma) * math.sqrt(n_sources)
     return numer / denom_root**2

@@ -249,11 +249,11 @@ def refine_location(cert: Certificate, t0: float) -> float:
 
     The search is confined to [t0 - sigma, t0 + sigma] (clipped to [0,1]);
     a sign change of q' must exist there (or t0 itself must be a concave
-    stationary point), otherwise NoConvergenceError is raised with the last
-    iterate attached.  Newton (``newton_on_slope``)
-    stops at |q'| <= max(``REFINE_SLOPE_TOL``, round-off floor), at a step
-    that does not move, or at a bracket a few ulps wide; running out of
-    ``REFINE_STEPS`` steps first also raises NoConvergenceError.
+    stationary point), otherwise NoConvergenceError is raised.  Newton
+    (``newton_on_slope``) stops at |q'| <= max(``REFINE_SLOPE_TOL``,
+    round-off floor), at a step that does not move, or at a bracket a few
+    ulps wide; running out of ``REFINE_STEPS`` steps first also raises
+    NoConvergenceError.
     """
     sigma = cert.kernel.sigma
     lo = max(0.0, t0 - sigma)
@@ -265,8 +265,7 @@ def refine_location(cert: Certificate, t0: float) -> float:
     if abs(slope(t0)) < REFINE_SLOPE_TOL:
         if cert.value(t0, 2) < 0.0:
             return t0
-        raise NoConvergenceError(
-            f"stationary but not concave at {t0}", last_iterate=t0)
+        raise NoConvergenceError(f"stationary but not concave at {t0}")
     # shrink toward t0 until the bracket endpoints straddle the stationary point
     bl, bh = lo, hi
     slope_lo, slope_hi = slope(bl), slope(bh)
@@ -282,15 +281,13 @@ def refine_location(cert: Certificate, t0: float) -> float:
         if bh - bl < 1e-15:
             break
     if not (slope_lo > 0.0 > slope_hi):
-        raise NoConvergenceError(
-            f"no local maximum bracketed near {t0}", last_iterate=t0)
+        raise NoConvergenceError(f"no local maximum bracketed near {t0}")
     floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
     t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights,
                                       min(max(t0, bl), bh), bl, bh, floor, REFINE_STEPS)
     if not converged:
         raise NoConvergenceError(
-            f"refinement near {t0} ran {REFINE_STEPS} steps without converging",
-            last_iterate=t)
+            f"refinement near {t0} ran {REFINE_STEPS} steps without converging")
     return t
 
 

@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from . import experiments
-from .config import check_seed, load_config
+from .config import check_non_negative, load_config
 from .errors import ConfigError, DualSpikeError, EmptySupportError
 
 EXIT_OK = 0
@@ -47,16 +47,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            check_seed(args.seed)
+            check_non_negative("seed", args.seed)
             cfg.seed = args.seed
+        if args.iters is not None:
+            check_non_negative("iterations", args.iters)
+            cfg.iterations = args.iters
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.iters is not None:
-        if args.command in ("exp-lambda-t", "exp-t-a", "bounds"):
-            cfg.reference_iterations = args.iters
-        else:
-            cfg.iterations = args.iters
 
     try:
         if args.command == "solve":

@@ -8,12 +8,8 @@ Recognized keys (comma-separated lists where plural):
     m | samples                equispaced sample count, or explicit samples
     tau                        dual box radius          (default 1e5)
     pi                         penalty weight           (default 2*sum(amplitudes))
-    alpha                      level interpolation      (default 0.25)
-    iterations                 solve length             (default per command)
-    reference_iterations       reference-solve length   (default per command)
+    iterations                 solve length, >= 0       (default per command)
     seed                       base RNG seed, >= 0      (default 0)
-    window_start, window_end   ratio-experiment window  (default 20, 270)
-    noise_grid                 optional sweep override (entries >= 0)
 
 Lines starting with '#' and blank lines are ignored.  Every number must be
 finite: nan and inf are rejected.
@@ -38,13 +34,8 @@ class ExperimentConfig:
     samples: np.ndarray
     tau: float = 1e5
     pi: float = 0.0
-    alpha: float = 0.25
     iterations: int | None = None
-    reference_iterations: int | None = None
     seed: int = 0
-    window_start: int = 20
-    window_end: int = 270
-    noise_grid: np.ndarray | None = None
     digest: str = field(default="", repr=False)
 
     def source_model(self) -> SourceModel:
@@ -61,9 +52,9 @@ def _parse_float(raw, key):
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {raw!r}", key=key) from None
+        raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
     if not np.isfinite(value):
-        raise ConfigError(f"key '{key}': expected a finite number, got {raw!r}", key=key)
+        raise ConfigError(f"key '{key}': expected a finite number, got {raw!r}")
     return value
 
 
@@ -71,25 +62,22 @@ def _parse_int(raw, key):
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {raw!r}", key=key) from None
+        raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from None
 
 
 def _parse_floats(raw, key):
     try:
         values = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
-        raise ConfigError(f"key '{key}': expected comma-separated numbers, got {raw!r}",
-                          key=key) from None
+        raise ConfigError(
+            f"key '{key}': expected comma-separated numbers, got {raw!r}") from None
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"key '{key}': expected finite numbers, got {raw!r}", key=key)
+        raise ConfigError(f"key '{key}': expected finite numbers, got {raw!r}")
     return values
 
 
-_OPTIONAL_KEYS = {
-    "tau": _parse_float, "pi": _parse_float, "alpha": _parse_float,
-    "iterations": _parse_int, "reference_iterations": _parse_int, "seed": _parse_int,
-    "window_start": _parse_int, "window_end": _parse_int, "noise_grid": _parse_floats,
-}
+_OPTIONAL_KEYS = {"tau": _parse_float, "pi": _parse_float, "iterations": _parse_int,
+                  "seed": _parse_int}
 _KNOWN_KEYS = {"sources", "amplitudes", "sigma", "m", "samples", *_OPTIONAL_KEYS}
 
 
@@ -104,29 +92,29 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip().lower()
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key '{key}'", key=key)
+            raise ConfigError(f"unknown key '{key}'")
         if key in pairs:
-            raise ConfigError(f"duplicate key '{key}'", key=key)
+            raise ConfigError(f"duplicate key '{key}'")
         pairs[key] = raw.strip()
 
     for required in ("sources", "amplitudes", "sigma"):
         if required not in pairs:
-            raise ConfigError(f"missing required key '{required}'", key=required)
+            raise ConfigError(f"missing required key '{required}'")
     sources = _parse_floats(pairs["sources"], "sources")
     amplitudes = _parse_floats(pairs["amplitudes"], "amplitudes")
     sigma = _parse_float(pairs["sigma"], "sigma")
 
     if "samples" in pairs and "m" in pairs:
-        raise ConfigError("give either 'm' or 'samples', not both", key="samples")
+        raise ConfigError("give either 'm' or 'samples', not both")
     if "samples" in pairs:
         samples = _parse_floats(pairs["samples"], "samples")
     elif "m" in pairs:
         m = _parse_int(pairs["m"], "m")
         if m < 2:
-            raise ConfigError("key 'm': need at least 2 samples", key="m")
+            raise ConfigError("key 'm': need at least 2 samples")
         samples = np.linspace(0.0, 1.0, m)
     else:
-        raise ConfigError("missing required key 'm' (or 'samples')", key="m")
+        raise ConfigError("missing required key 'm' (or 'samples')")
 
     # absent keys take the ExperimentConfig defaults, except pi's computed one
     optional = {key: parse(pairs[key], key)
@@ -141,38 +129,33 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         cfg.source_model()
     except ValueError as exc:
-        raise ConfigError(f"key 'sources': {exc}", key="sources") from None
+        raise ConfigError(f"key 'sources': {exc}") from None
     try:
         cfg.sample_grid()
     except ValueError as exc:
-        raise ConfigError(f"key 'samples': {exc}", key="samples") from None
+        raise ConfigError(f"key 'samples': {exc}") from None
     try:
         cfg.kernel()
     except ValueError as exc:
-        raise ConfigError(f"key 'sigma': {exc}", key="sigma") from None
+        raise ConfigError(f"key 'sigma': {exc}") from None
     if cfg.sigma < min_kernel_width():
         raise ConfigError(f"key 'sigma': below {min_kernel_width():g}, the narrowest kernel "
-                          "the certificate scan resolves", key="sigma")
-    check_seed(cfg.seed)
+                          "the certificate scan resolves")
+    check_non_negative("seed", cfg.seed)
+    if cfg.iterations is not None:
+        check_non_negative("iterations", cfg.iterations)
     if not cfg.tau > 0:
-        raise ConfigError("key 'tau': must be positive", key="tau")
+        raise ConfigError("key 'tau': must be positive")
     if not 0 < cfg.pi < np.inf:
-        raise ConfigError("key 'pi': must be positive and finite", key="pi")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError("key 'alpha': must lie strictly between 0 and 1", key="alpha")
-    if cfg.window_start < 1 or cfg.window_end < cfg.window_start:
-        raise ConfigError("key 'window_start': need 1 <= window_start <= window_end",
-                          key="window_start")
-    if cfg.noise_grid is not None and np.any(cfg.noise_grid < 0):
-        raise ConfigError("key 'noise_grid': coefficients must be non-negative",
-                          key="noise_grid")
+        raise ConfigError("key 'pi': must be positive and finite")
     return cfg
 
 
-def check_seed(seed):
-    """Raise ConfigError for a negative seed, which numpy's generators reject."""
-    if seed < 0:
-        raise ConfigError(f"key 'seed': must be non-negative, got {seed}", key="seed")
+def check_non_negative(key, value):
+    """Raise ConfigError for a negative seed (numpy's generators reject one)
+    or iteration count, from the config or the command line."""
+    if value < 0:
+        raise ConfigError(f"key '{key}': must be non-negative, got {value}")
 
 
 def load_config(path) -> ExperimentConfig:

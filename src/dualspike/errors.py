@@ -6,11 +6,7 @@ class DualSpikeError(Exception):
 
 
 class NoConvergenceError(DualSpikeError):
-    """An iterative refinement failed; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An iterative refinement failed."""
 
 
 class LevelSetEmptyError(DualSpikeError):
@@ -22,11 +18,7 @@ class InfeasibleError(DualSpikeError):
 
 
 class RankDeficientError(DualSpikeError):
-    """A matrix is (numerically) rank deficient; carries sigma_min."""
-
-    def __init__(self, message, sigma_min=None):
-        super().__init__(message)
-        self.sigma_min = sigma_min
+    """A matrix is (numerically) rank deficient."""
 
 
 class EmptySupportError(DualSpikeError):
@@ -44,14 +36,6 @@ class CurvatureSignError(DualSpikeError):
 class RadiusTooLargeError(DualSpikeError):
     """A perturbation radius exceeds the bound's validity region."""
 
-    def __init__(self, message, margin=None):
-        super().__init__(message)
-        self.margin = margin
-
 
 class ConfigError(DualSpikeError):
-    """An experiment configuration file is invalid; carries the key."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+    """An experiment configuration file is invalid; the message names the key."""

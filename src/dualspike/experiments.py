@@ -19,9 +19,11 @@ from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
 from .solver import BundleState, PenaltyProblem, solve
 
-DEFAULT_SOLVE_ITERS = 500
-DEFAULT_RATIO_ITERS = 500
+DEFAULT_ITERS = 500
 DEFAULT_NOISE_ITERS = 100
+# iterations of the reference solve the ratio experiments compare
+WINDOW_START = 20
+WINDOW_END = 270
 # dual errors below this relative floor cannot be resolved in double
 # precision once the trajectory has converged onto the reference iterate
 WINDOW_REL_FLOOR = 1e-9
@@ -47,6 +49,10 @@ def _comment(cfg: ExperimentConfig, seed):
     return f"config={cfg.digest or 'inline'} seed={seed} rng=pcg64"
 
 
+def _iterations(cfg: ExperimentConfig, default):
+    return cfg.iterations if cfg.iterations is not None else default
+
+
 def build_problem(cfg: ExperimentConfig, noise=None):
     measurements = synthesize(cfg.source_model(), cfg.sample_grid(), cfg.kernel(), noise)
     return PenaltyProblem(measurements, cfg.kernel(), cfg.pi, cfg.tau)
@@ -63,9 +69,8 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     convergence and certificate files) when no maximizer qualifies as
     support.
     """
-    iterations = cfg.iterations if cfg.iterations is not None else DEFAULT_SOLVE_ITERS
     problem = build_problem(cfg)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iterations)
+    state = solve(problem, max_iters=_iterations(cfg, DEFAULT_ITERS))
     os.makedirs(out_dir, exist_ok=True)
     comment = _comment(cfg, cfg.seed)
     files = []
@@ -100,7 +105,7 @@ def reference_run(cfg: ExperimentConfig, iterations):
     are computed.
     """
     problem = build_problem(cfg)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iterations)
+    state = solve(problem, max_iters=iterations)
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
                                 state.iterate, cfg.pi, cfg.tau)
     return problem, state, report
@@ -124,30 +129,26 @@ def window_threshold(state: BundleState):
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
-def _reference_iterations(cfg: ExperimentConfig):
-    return (cfg.reference_iterations if cfg.reference_iterations is not None
-            else DEFAULT_RATIO_ITERS)
-
-
 def reference_window(cfg: ExperimentConfig):
     """Reference stage of a ratio experiment and its iteration window.
 
     Returns (problem, report, window): ``report`` is the reference run's
     constants report, and ``window`` yields, for each iteration p from
-    ``window_start`` to ``window_end``, the tuple (p, dual_err, in_window,
-    cert_p) of the p-th iterate against the final one.
+    ``WINDOW_START`` to ``WINDOW_END``, the tuple (p, dual_err, in_window,
+    cert_p) of the p-th iterate against the final one.  The iteration cap
+    must exceed ``WINDOW_END``; ConfigError otherwise.
     """
-    ref_iters = _reference_iterations(cfg)
-    if ref_iters <= cfg.window_end:
-        raise ConfigError("key 'window_end': reference_iterations must exceed the window",
-                          key="window_end")
-    problem, state, report = reference_run(cfg, ref_iters)
+    iterations = _iterations(cfg, DEFAULT_ITERS)
+    if iterations <= WINDOW_END:
+        raise ConfigError(f"key 'iterations': must exceed the window end {WINDOW_END}, "
+                          f"got {iterations}")
+    problem, state, report = reference_run(cfg, iterations)
     threshold = window_threshold(state)
 
     def window():
         best = state.iterate
-        p_max = min(cfg.window_end, len(state.iterate_history))
-        for p in range(cfg.window_start, p_max + 1):
+        p_max = min(WINDOW_END, len(state.iterate_history))
+        for p in range(WINDOW_START, p_max + 1):
             iterate = state.iterate_history[p - 1]
             dual_err = float(np.linalg.norm(iterate - best))
             yield p, dual_err, int(dual_err >= threshold), _certificate(problem, iterate)
@@ -219,7 +220,7 @@ def _noise_point(args):
     seed = cfg.seed + index
     noise = uniform_noise(len(cfg.samples), w_c, seed)
     problem = build_problem(cfg, noise=noise)
-    state = solve(problem, level_mix=cfg.alpha, max_iters=iters)
+    state = solve(problem, max_iters=iters)
     try:
         peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
                                        cfg.source_model().locations)
@@ -241,9 +242,9 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     raises ConfigError.
     """
     if jobs < 1:
-        raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}", key="jobs")
-    iters = cfg.iterations if cfg.iterations is not None else DEFAULT_NOISE_ITERS
-    grid_vals = cfg.noise_grid if cfg.noise_grid is not None else noise_grid()
+        raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
+    iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
+    grid_vals = noise_grid()
     _, state, report = reference_run(cfg, iters)
     smallest = _constant(report, "sigma_min_jacobian")
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
@@ -287,7 +288,7 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
 
 def run_bounds(cfg: ExperimentConfig, out_dir):
     """The reference stage's constants report, as text and as a one-row CSV."""
-    _, _, report = reference_run(cfg, _reference_iterations(cfg))
+    _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS))
     os.makedirs(out_dir, exist_ok=True)
     comment = _comment(cfg, cfg.seed)
     text_path = os.path.join(out_dir, "bounds_report.txt")

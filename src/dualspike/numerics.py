@@ -35,8 +35,7 @@ def least_squares(a, b):
     u, s, v = svd(a)
     if s[-1] <= 1e-12 or s[-1] < 1e-12 * s[0]:
         raise RankDeficientError(
-            f"matrix is numerically rank deficient (sigma_min={s[-1]:.3e})",
-            sigma_min=float(s[-1]))
+            f"matrix is numerically rank deficient (sigma_min={s[-1]:.3e})")
     return v @ ((u.T @ b) / s), s
 
 
@@ -82,7 +81,7 @@ def project_polyhedron(point, a_mat, b_vec):
         try:
             mult, _ = nnls(e_mat, target)
         except RuntimeError as exc:
-            raise NoConvergenceError(f"projection: {exc}", last_iterate=None) from None
+            raise NoConvergenceError(f"projection: {exc}") from None
         resid = e_mat @ mult - target
         if resid[n] >= 0.0:
             raise InfeasibleError("constraint set is (numerically) empty")

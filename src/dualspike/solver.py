@@ -31,6 +31,9 @@ LP_ROW_TOL = 1e-10
 LP_PIVOTS_PER_ROW = 50
 # cut rows a new CutModel has room for; the room doubles whenever it fills
 CUT_BLOCK = 64
+# the level method's parameter: each level lies this fraction of the gap
+# above the lower bound
+LEVEL_MIX = 0.25
 
 
 @dataclass(frozen=True)
@@ -259,14 +262,13 @@ def project_to_level(model, level, point, minimum):
     return np.clip(projected, -model.box_radius, model.box_radius)
 
 
-def solve(problem: PenaltyProblem, level_mix: float = 0.25,
-          max_iters: int = 500) -> BundleState:
+def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current
     iterate, append the cut, refresh the model minimum (lower bound) and
     best value seen (upper bound), then project the iterate onto the set
-    {model <= level_mix * upper + (1 - level_mix) * lower} inside the box.
+    {model <= LEVEL_MIX * upper + (1 - LEVEL_MIX) * lower} inside the box.
     Every projected iterate is kept in ``iterate_history``.
 
     Stops when the projected iterate equals the previous one bit for bit:
@@ -279,8 +281,6 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25,
     solve stops with NoConvergenceError, which the command line reports
     with exit code 3.
     """
-    if not 0.0 < level_mix < 1.0:
-        raise ValueError("level_mix must lie strictly between 0 and 1")
     m = problem.measurements.grid.n_samples
     cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
@@ -295,7 +295,7 @@ def solve(problem: PenaltyProblem, level_mix: float = 0.25,
         # the running max keeps the gap history monotone
         state.lower_bound = max(state.lower_bound, minimum[0])
         gap = state.upper_bound - state.lower_bound
-        level = level_mix * state.upper_bound + (1.0 - level_mix) * state.lower_bound
+        level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
         previous = state.iterate
         state.iterate = project_to_level(model, level, previous, minimum)
         state.upper_history.append(state.upper_bound)

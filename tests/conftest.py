@@ -23,7 +23,6 @@ def three_spike_config(**overrides):
         samples=np.linspace(0.0, 1.0, 21),
         tau=1e5,
         pi=100.0,
-        alpha=0.25,
         seed=0,
         digest="bench3",
     )
@@ -40,7 +39,6 @@ def five_spike_config(**overrides):
         samples=np.linspace(0.0, 1.0, 15),
         tau=1e5,
         pi=10.0,
-        alpha=0.25,
         seed=0,
         digest="bench5",
     )
@@ -53,7 +51,7 @@ def bench3_run():
     cfg = three_spike_config()
     problem = build_problem(cfg)
     start = time.perf_counter()
-    state = solve(problem, level_mix=cfg.alpha, max_iters=500)
+    state = solve(problem, max_iters=500)
     elapsed = time.perf_counter() - start
     return cfg, problem, state, elapsed
 
@@ -63,6 +61,6 @@ def bench5_run():
     cfg = five_spike_config()
     problem = build_problem(cfg)
     start = time.perf_counter()
-    state = solve(problem, level_mix=cfg.alpha, max_iters=2000)
+    state = solve(problem, max_iters=2000)
     elapsed = time.perf_counter() - start
     return cfg, problem, state, elapsed

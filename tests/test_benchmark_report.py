@@ -78,9 +78,10 @@ class TestBenchmarkReport:
 
 
 class TestNoiseSweepEdges:
-    def test_zero_coefficient_marker(self, tmp_path):
+    def test_zero_coefficient_marker(self, tmp_path, monkeypatch):
         from conftest import three_spike_config
-        cfg = three_spike_config(noise_grid=np.array([0.0, 0.01]), iterations=100)
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.0, 0.01]))
+        cfg = three_spike_config(iterations=100)
         _, rows = run_noise(cfg, tmp_path)
         assert rows[0][10] == "zero_noise"
         assert rows[0][3] is None
@@ -104,13 +105,15 @@ class TestNoiseSweepEdges:
                 return map(func, tasks)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        cfg = three_spike_config(noise_grid=np.array([0.001, 0.02]), iterations=100)
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.02]))
+        cfg = three_spike_config(iterations=100)
         run_noise(cfg, tmp_path, jobs=64)
         assert workers == [2]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         from conftest import three_spike_config
-        cfg = three_spike_config(noise_grid=np.array([0.001, 0.02]), iterations=100)
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.02]))
+        cfg = three_spike_config(iterations=100)
         path_serial, _ = run_noise(cfg, tmp_path / "serial", jobs=1)
         path_par, _ = run_noise(cfg, tmp_path / "par", jobs=2)
         with open(path_serial, "rb") as a, open(path_par, "rb") as b:

@@ -165,7 +165,7 @@ class TestSupremum:
         # bundle iterates carry |lambda|_1 up to ~1e6 with several peaks near 1
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
-        state = solve(problem, level_mix=cfg.alpha, max_iters=100)
+        state = solve(problem, max_iters=100)
         cg = CertificateGrid(problem.measurements.grid, problem.kernel)
         for weights in state.iterate_history:
             assert cg.supremum(weights) == supremum_refining_every_peak(cg, weights)
@@ -243,9 +243,8 @@ class TestRefineLocation:
 
     def test_non_concave_raises(self):
         cert = Certificate([-1.0], SampleGrid([0.5]), Kernel(0.1))
-        with pytest.raises(NoConvergenceError) as excinfo:
+        with pytest.raises(NoConvergenceError):
             refine_location(cert, 0.5)
-        assert excinfo.value.last_iterate is not None
 
     def test_no_bracket_in_tail(self, single_bump):
         with pytest.raises(NoConvergenceError):

@@ -1,6 +1,8 @@
 """Configuration parsing and the command-line interface."""
 
 import dataclasses
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualspike import bounds, experiments, solver
-from dualspike.cli import EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, main
-from dualspike.config import _KNOWN_KEYS, ExperimentConfig, parse_config
-from dualspike.errors import ConfigError
+from dualspike.cli import (EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, _build_parser,
+                           main)
+from dualspike.config import _KNOWN_KEYS, ExperimentConfig, load_config, parse_config
+from dualspike.errors import ConfigError, DualSpikeError
+
+from conftest import five_spike_config, three_spike_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_CONFIG = """\
 # one source, quick solve
@@ -20,7 +27,6 @@ sigma = 0.1
 m = 7
 tau = 100
 pi = 2
-alpha = 0.25
 iterations = 60
 seed = 3
 """
@@ -39,10 +45,8 @@ class TestParsing:
         cfg = parse_config("sources=0.2,0.6\namplitudes=1,0.5\nsigma=0.1\nm=9\n")
         assert cfg.tau == 1e5
         assert cfg.pi == pytest.approx(3.0)  # 2 * sum(amplitudes)
-        assert cfg.alpha == 0.25
         assert cfg.seed == 0
-        assert (cfg.window_start, cfg.window_end) == (20, 270)
-        assert cfg.iterations is None and cfg.noise_grid is None
+        assert cfg.iterations is None
 
     def test_explicit_samples(self):
         cfg = parse_config("sources=0.5\namplitudes=1\nsigma=0.1\nsamples=0.1,0.5,0.9\n")
@@ -56,31 +60,28 @@ class TestParsing:
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nbogus=1\n", "bogus"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nsamples=0.1,0.9\n", "samples"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\ntau=-1\n", "tau"),
-        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nalpha=1.5\n", "alpha"),
         ("sources=0.7,0.2\namplitudes=1,1\nsigma=0.1\nm=5\n", "sources"),
-        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nwindow_start=9\nwindow_end=4\n",
-         "window_start"),
-        # non-finite numbers and negative noise coefficients
+        # non-finite numbers
         ("sources=nan\namplitudes=1\nsigma=0.1\nm=5\n", "sources"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nsamples=nan\n", "samples"),
         ("sources=0.5\namplitudes=inf\nsigma=0.1\nm=5\n", "amplitudes"),
         ("sources=0.5\namplitudes=1\nsigma=inf\nm=5\n", "sigma"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\ntau=inf\n", "tau"),
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\npi=inf\n", "pi"),
-        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=-1\n", "noise_grid"),
-        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=0.01,nan\n", "noise_grid"),
         # finite inputs that overflow: the default pi, a location difference
         ("sources=0.2,0.6\namplitudes=1e308,1e308\nsigma=0.1\nm=5\n", "pi"),
         ("sources=-1e308,1e308\namplitudes=1,1\nsigma=0.1\nm=5\n", "sources"),
-        # a seed numpy's generators reject; a kernel the certificate scan
-        # cannot resolve (below ten of its 2.5e-4 spacings)
+        # a seed numpy's generators reject, a negative iteration count; a
+        # kernel the certificate scan cannot resolve (below ten of its 2.5e-4
+        # spacings)
         ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nseed=-3\n", "seed"),
+        ("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\niterations=-3\n", "iterations"),
         ("sources=0.5\namplitudes=1\nsigma=2.4e-3\nm=5\n", "sigma"),
     ])
     def test_errors_name_the_key(self, text, key):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
-        assert excinfo.value.key == key
+        assert f"'{key}'" in str(excinfo.value)
 
     def test_narrowest_resolved_kernel(self):
         assert parse_config("sources=0.5\namplitudes=1\nsigma=2.5e-3\nm=5\n").sigma == 2.5e-3
@@ -89,9 +90,40 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("sigma=0.1\nsigma=0.2\nsources=0.5\namplitudes=1\nm=5\n")
 
-    def test_noise_grid_override(self):
-        cfg = parse_config("sources=0.5\namplitudes=1\nsigma=0.1\nm=5\nnoise_grid=0.01,0.02\n")
-        np.testing.assert_array_equal(cfg.noise_grid, [0.01, 0.02])
+    @pytest.mark.parametrize("line", ["alpha=0.25", "reference_iterations=500",
+                                      "window_start=20", "window_end=270",
+                                      "noise_grid=0.01,0.02"])
+    def test_constants_are_not_keys(self, line):
+        # the level parameter, the ratio window and the noise sweep are
+        # module constants; one iterations key serves every command
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"sources=0.5\namplitudes=1\nsigma=0.1\nm=5\n{line}\n")
+
+
+class TestCheckedInConfigs:
+    @pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.cfg")), ids=lambda p: p.name)
+    def test_loads(self, path):
+        load_config(path)
+
+    @pytest.mark.parametrize("name,fixture", [("three_spikes.cfg", three_spike_config),
+                                              ("five_spikes.cfg", five_spike_config)])
+    def test_fixture_matches_file(self, name, fixture):
+        parsed, expected = load_config(ROOT / "configs" / name), fixture()
+        for key in ("sources", "amplitudes", "sigma", "samples", "tau", "pi", "seed"):
+            np.testing.assert_array_equal(getattr(parsed, key), getattr(expected, key),
+                                          err_msg=key)
+
+    def test_benchmark_commands_parse(self):
+        # the benchmark's command lines, as its runner completes them, parse
+        # with this CLI, and the configs they name load
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+        parser = _build_parser()
+        for workload in workloads.values():
+            config = str(ROOT / workload.config)
+            load_config(config)
+            for command in workload.commands:
+                parser.parse_args([*command, "--config", config, "--out", "out",
+                                   "--seed", "0"])
 
 
 _SPECIAL = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e308", "-1e308",
@@ -176,15 +208,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    def test_negative_noise_grid_exit_code(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "noise_grid = -1\n")
-        code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG
-        assert "noise_grid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extra,flags", [("seed = -3\n", []), ("", ["--seed", "-3"])])
-    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, capsys, extra, flags):
+    @pytest.mark.parametrize("command,key,flags", [
+        ("exp-noise", "seed", []),
+        ("exp-noise", "seed", ["--seed", "-3"]),
+        ("exp-noise", "iterations", []),
+        ("bounds", "iterations", ["--iters", "-5"]),
+    ])
+    def test_negative_seed_or_iterations_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                   command, key, flags):
         # rejected before the clean reference solve, in the config or on the
         # command line
         def no_solve(*args, **kwargs):
@@ -192,11 +223,30 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "solve", no_solve)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG.replace("seed = 3\n", extra))
-        code = main(["exp-noise", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        cfg_path.write_text(TINY_CONFIG if flags
+                            else TINY_CONFIG.replace(f"{key} = ", f"{key} = -"))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                      *flags])
         assert code == EXIT_CONFIG
-        assert "seed" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "exp-lambda-t", "exp-t-a", "exp-noise",
+                                         "bounds"])
+    def test_config_iterations_reach_every_command(self, tmp_path, monkeypatch, command):
+        # one iterations key: without --iters, the first solve of every
+        # command runs for the config's count
+        caps = []
+
+        def first_solve(problem, max_iters):
+            caps.append(max_iters)
+            raise DualSpikeError("stop after the first solve")
+
+        monkeypatch.setattr(experiments, "solve", first_solve)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("iterations = 60", "iterations = 300"))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_SOLVER
+        assert caps == [300]
 
     def test_zero_jobs_exit_code(self, tmp_path, monkeypatch, capsys):
         # rejected before the clean reference solve, not run serially
@@ -226,10 +276,12 @@ class TestCli:
         # rate exp-t-a compares against: a solver error naming the report's
         # errors, not a crash
         monkeypatch.setattr(bounds, "phi_singular_values", lambda *args: np.zeros(1))
+        monkeypatch.setattr(experiments, "WINDOW_START", 5)
+        monkeypatch.setattr(experiments, "WINDOW_END", 20)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "window_start=5\nwindow_end=20\n"
-                            "reference_iterations=40\n")
-        code = main(["exp-t-a", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        cfg_path.write_text(TINY_CONFIG)
+        code = main(["exp-t-a", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--iters", "40"])
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "amp_rate_log10" in err and "translate matrix is singular" in err
@@ -241,13 +293,14 @@ class TestCli:
                      str(tmp_path / "o"), "--iters", "0"])
         assert code == EXIT_NO_SUPPORT
 
-    def test_window_precondition(self, tmp_path):
+    def test_window_precondition(self, tmp_path, capsys):
+        # the iteration cap must exceed the window's last iteration
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "window_start=2\nwindow_end=50\n"
-                            "reference_iterations=40\n")
+        cfg_path.write_text(TINY_CONFIG)
         code = main(["exp-lambda-t", "--config", str(cfg_path), "--out",
-                     str(tmp_path / "o")])
+                     str(tmp_path / "o"), "--iters", str(experiments.WINDOW_END)])
         assert code == EXIT_CONFIG
+        assert "'iterations'" in capsys.readouterr().err
 
     def test_seed_override_recorded(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -257,12 +310,14 @@ class TestCli:
         first = (out / "convergence.csv").read_text().splitlines()[0]
         assert "seed=77" in first
 
-    def test_ratio_experiment_row_count(self, tmp_path):
+    def test_ratio_experiment_row_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "WINDOW_START", 5)
+        monkeypatch.setattr(experiments, "WINDOW_END", 20)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "window_start=5\nwindow_end=20\n"
-                            "reference_iterations=40\n")
+        cfg_path.write_text(TINY_CONFIG)
         out = tmp_path / "out"
-        assert main(["exp-lambda-t", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert main(["exp-lambda-t", "--config", str(cfg_path), "--out", str(out),
+                     "--iters", "40"]) == EXIT_OK
         lines = (out / "exp_lambda_t.csv").read_text().splitlines()
         header = lines[1].split(",")
         assert header[:5] == ["iter", "source", "loc_err", "dual_err", "ratio"]
@@ -270,9 +325,10 @@ class TestCli:
         # one row per (iteration, source) across the window
         assert len(data) == 16
 
-    def test_noise_experiment_with_override(self, tmp_path):
+    def test_noise_experiment_two_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.01]))
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY_CONFIG + "noise_grid=0.001,0.01\n")
+        cfg_path.write_text(TINY_CONFIG)
         out = tmp_path / "out"
         assert main(["exp-noise", "--config", str(cfg_path), "--out", str(out),
                      "--iters", "40"]) == EXIT_OK

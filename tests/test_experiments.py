@@ -18,9 +18,11 @@ def read_rows(path):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    cfg = three_spike_config(noise_grid=np.array([2e-6, 2e-3]))
+    cfg = three_spike_config()
     out = tmp_path_factory.mktemp("three_spike")
-    noise_path, _ = experiments.run_noise(cfg, out)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
+        noise_path, _ = experiments.run_noise(cfg, out)
     lambda_t_path, _ = experiments.run_lambda_t(cfg, out)
     t_a_path, _ = experiments.run_t_a(cfg, out)
     _, (_, report_path) = experiments.run_bounds(cfg, out)

@@ -201,9 +201,8 @@ class TestLeastSquares:
 
     def test_rank_deficiency(self):
         a = np.column_stack([np.ones(5), np.ones(5)])
-        with pytest.raises(RankDeficientError) as excinfo:
+        with pytest.raises(RankDeficientError):
             least_squares(a, np.ones(5))
-        assert excinfo.value.sigma_min is not None
 
     def test_rank_rule_absolute_below_unit_norm(self):
         # sigma_max < 1: sigma_min at 1e-12 is rejected although it is not

@@ -250,7 +250,7 @@ class TestModelMinimum:
         cfg = three_spike_config()
         noisy = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
         runs = [(problem, state.cuts) for _, problem, state, _ in (bench3_run, bench5_run)]
-        runs.append((noisy, solve(noisy, level_mix=cfg.alpha, max_iters=100).cuts))
+        runs.append((noisy, solve(noisy, max_iters=100).cuts))
         checked = 0
         for problem, cuts in runs:
             model = CutModel(problem.measurements.grid.n_samples, problem.box_radius)
@@ -379,12 +379,6 @@ class TestSolve:
         assert state.n_iterations < 1000
         assert peak < 10 * 2**20
 
-    def test_level_mix_validation(self):
-        with pytest.raises(ValueError):
-            solve(small_problem(), level_mix=0.0, max_iters=1)
-        with pytest.raises(ValueError):
-            solve(small_problem(), level_mix=1.0, max_iters=1)
-
     def test_bound_monotonicity_and_order(self):
         state = solve(small_problem(), max_iters=120)
         upper = np.array(state.upper_history)
@@ -478,7 +472,7 @@ class TestSolve:
         # both benchmark solves reach their fixed point with every level-set
         # projection solved, none replaced by the model argmin
         for cfg, max_iters in ((three_spike_config(), 500), (five_spike_config(), 2000)):
-            state = solve(build_problem(cfg), level_mix=cfg.alpha, max_iters=max_iters)
+            state = solve(build_problem(cfg), max_iters=max_iters)
             assert state.n_iterations < max_iters
         assert projection_failures == []
 
@@ -488,7 +482,7 @@ class TestSolve:
         # left out; that row must join the set and the NNLS be solved again
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 8e-6, 10))
-        solve(problem, level_mix=cfg.alpha, max_iters=100)
+        solve(problem, max_iters=100)
         assert projection_failures == []
 
     @pytest.mark.parametrize("w_c,seed", [(0.004, 17), (0.006, 19), (4e-6, 2), (0.06, 29)])
@@ -498,7 +492,7 @@ class TestSolve:
         # draws of the three-spike sweep used to fall back to a box vertex
         cfg = three_spike_config()
         noise = uniform_noise(cfg.samples.size, w_c, seed)
-        state = solve(build_problem(cfg, noise=noise), level_mix=cfg.alpha, max_iters=1)
+        state = solve(build_problem(cfg, noise=noise), max_iters=1)
         assert projection_failures == []
         lam, cut, level = state.iterate, state.cuts[0], state.level_history[0]
         excess = cut.value + cut.slope @ (lam - cut.anchor) - level
@@ -510,7 +504,7 @@ class TestSolve:
         # in once, and the iterates still satisfy criterion 9's checks
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 6e-6, 2))
-        state = solve(problem, level_mix=cfg.alpha, max_iters=3000)
+        state = solve(problem, max_iters=3000)
         assert projection_failures
         assert all(isinstance(exc, InfeasibleError) for exc in projection_failures)
         assert state.n_iterations < 3000
@@ -538,8 +532,8 @@ class TestSolve:
 
     def test_max_iters_is_an_upper_bound(self):
         problem = build_problem(three_spike_config())
-        long = solve(problem, level_mix=0.25, max_iters=2000)
-        short = solve(problem, level_mix=0.25, max_iters=long.n_iterations)
+        long = solve(problem, max_iters=2000)
+        short = solve(problem, max_iters=long.n_iterations)
         assert long.n_iterations < 2000
         assert short.upper_history == long.upper_history
         assert short.lower_history == long.lower_history
@@ -549,8 +543,8 @@ class TestSolve:
 
     def test_deterministic_histories(self):
         problem = build_problem(three_spike_config())
-        first = solve(problem, level_mix=0.25, max_iters=150)
-        second = solve(problem, level_mix=0.25, max_iters=150)
+        first = solve(problem, max_iters=150)
+        second = solve(problem, max_iters=150)
         assert first.upper_history == second.upper_history
         assert first.lower_history == second.lower_history
         assert first.gap_history == second.gap_history
@@ -603,7 +597,7 @@ def noisy_solve_work():
         patch.setattr(CutModel, "minimum", counting_minimum)
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
-        state = solve(problem, level_mix=cfg.alpha, max_iters=100)
+        state = solve(problem, max_iters=100)
     return state, work
 
 
