@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bounds
-from .certificate import Certificate, dump_curve, refine_location
+from .certificate import Certificate, CertificateGrid, dump_curve, refine_location
 from .config import ExperimentConfig
 from .errors import ConfigError, DualSpikeError, NoConvergenceError
 from .model import noise_grid, synthesize, uniform_noise
@@ -95,17 +95,22 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     return files
 
 
-def reference_run(cfg: ExperimentConfig, iterations):
+def reference_run(cfg: ExperimentConfig, iterations, cert_grid=None):
     """The reference stage of every experiment: the clean solve and the
-    stability constants at its final iterate.
+    stability constants at its final iterate.  ``cert_grid`` is passed on
+    to ``solve``.
 
     Returns (problem, state, report), with ``report`` from
     ``bounds.full_report``, the one place the constants the drivers compare
     against (location rates, amplitude rate, reduced-Jacobian sigma_min)
-    are computed.
+    are computed.  A solve that ran no iteration leaves the zero vector,
+    not a reference: DualSpikeError (exit code 3) naming ``iterations``.
     """
     problem = build_problem(cfg)
-    state = solve(problem, max_iters=iterations)
+    state = solve(problem, max_iters=iterations, cert_grid=cert_grid)
+    if state.n_iterations == 0:
+        raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
+                             f"(iterations = {iterations})")
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
                                 state.iterate, cfg.pi, cfg.tau)
     return problem, state, report
@@ -214,13 +219,17 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     return path, rows
 
 
-def _noise_point(args):
-    """One sweep point: solve the noisy problem, return dual and support data."""
+def _noise_point(args, cert_grid=None):
+    """One sweep point: solve the noisy problem, return dual and support data.
+
+    ``cert_grid`` is the sweep's scan tables when the caller shares one
+    across points; a worker process builds its own.
+    """
     (index, w_c, cfg, iters) = args
     seed = cfg.seed + index
     noise = uniform_noise(len(cfg.samples), w_c, seed)
     problem = build_problem(cfg, noise=noise)
-    state = solve(problem, max_iters=iters)
+    state = solve(problem, max_iters=iters, cert_grid=cert_grid)
     try:
         peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
                                        cfg.source_model().locations)
@@ -239,13 +248,16 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     report, inf when that singular value is 0, and the restricted errors
     run over the report's ``selected_samples``.  The points run in at most
     ``jobs`` worker processes, one per point at most; ``jobs`` below 1
-    raises ConfigError.
+    raises ConfigError.  A serial sweep builds the scan tables once, for
+    the reference and every point; a worker builds its own per point.
     """
     if jobs < 1:
         raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
     iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
     grid_vals = noise_grid()
-    _, state, report = reference_run(cfg, iters)
+    # every sweep point has the reference's (grid, kernel): one scan table
+    cert_grid = CertificateGrid(cfg.sample_grid(), cfg.kernel())
+    _, state, report = reference_run(cfg, iters, cert_grid)
     smallest = _constant(report, "sigma_min_jacobian")
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
     selected = report.selected_samples
@@ -258,7 +270,7 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_noise_point, tasks))
     else:
-        results = [_noise_point(t) for t in tasks]
+        results = [_noise_point(t, cert_grid) for t in tasks]
 
     rows = []
     for (index, noise, lam_noisy, peaks, note), w_c in zip(results, grid_vals):

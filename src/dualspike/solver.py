@@ -4,15 +4,16 @@ level bundle method that minimizes it.
 The objective is Psi(lam) = -y.lam + penalty * max(sup_t q_lam(t) - 1, 0)
 over the box |lam|_inf <= box_radius.  Each iteration adds one cutting
 plane, re-solves the polyhedral model over the box for a lower bound (a
-dual simplex warm-started from the previous basis), and projects the
-previous iterate onto a level set interpolated between the best value seen
-and the model minimum.
+dual simplex warm-started from the previous basis, its basis systems
+solved by ``numpy.linalg.solve``), and projects the previous iterate onto
+a level set interpolated between the best value seen and the model
+minimum (a least-distance NNLS warm-started from the previous
+projection's active rows).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import numerics
 from .certificate import CertificateGrid
@@ -29,6 +30,10 @@ LP_ROW_TOL = 1e-10
 # pivots allowed per basis row and LP: a noise sweep needs up to 21 for
 # one LP, about 1.2 on average
 LP_PIVOTS_PER_ROW = 50
+# a basis row can leave only where the pivot direction exceeds this,
+# relative to its largest entry: a round-off entry of a zero would make
+# the next basis singular
+LP_PIVOT_TOL = 1e-12
 # cut rows a new CutModel has room for; the room doubles whenever it fills
 CUT_BLOCK = 64
 # the level method's parameter: each level lies this fraction of the gap
@@ -109,9 +114,11 @@ class CutModel:
     h = -offsets_i per cut.  ``minimum`` solves it by the dual simplex
     method on a basis of n + 1 rows B, kept with multipliers y >= 0 such
     that e_t + G_B^T y = 0 (dual feasible) and with its vertex
-    z = G_B^-1 h_B.  The first cut sets the basis in closed form; every
-    later cut starts from the previous optimal basis, so a cut the vertex
-    already satisfies costs one product with G.
+    z = G_B^-1 h_B.  Each pivot solves two systems with G_B by
+    ``numpy.linalg.solve`` (an LU each); no inverse is updated.  The first
+    cut sets the basis in closed form; every later cut starts from the
+    previous optimal basis, so a cut the vertex already satisfies costs
+    one product with G.
     """
 
     def __init__(self, n, box_radius):
@@ -125,10 +132,9 @@ class CutModel:
         self._rhs[:2 * n] = box_radius
         self._basis = None
         self._mult = None
-        self._lu = None
         self._vertex = None
 
-    # the box rows, which the level set stacks below the cuts
+    # the box rows, which the level set stacks above the cuts
     @property
     def box_rows(self):
         return self._rows[:self._n_box, :-1]
@@ -167,15 +173,16 @@ class CutModel:
             self._basis = np.append(np.where(cut.slope > 0.0, n + np.arange(n), np.arange(n)),
                                     row)
             self._mult = np.append(np.abs(cut.slope), 1.0)
-            self._factor_basis()
+            self._vertex = self._basis_solve(self._rows[self._basis], self._rhs[self._basis])
 
-    def _factor_basis(self):
-        """LU-factor the basis rows and solve for their vertex."""
-        lu, pivots, info = lapack.dgetrf(self._rows[self._basis])
-        if info != 0:
-            raise NoConvergenceError(f"cut model LP ({self.size} cuts): singular basis")
-        self._lu = lu, pivots
-        self._vertex = lapack.dgetrs(lu, pivots, self._rhs[self._basis])[0]
+    def _basis_solve(self, matrix, rhs):
+        """``numpy.linalg.solve`` on a basis system; NoConvergenceError,
+        naming the cut count, when the basis is singular."""
+        try:
+            return np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError:
+            raise NoConvergenceError(
+                f"cut model LP ({self.size} cuts): singular basis") from None
 
     def minimum(self):
         """(value, argmin) of the model over the box.
@@ -189,28 +196,33 @@ class CutModel:
         so it bounds the model minimum from below up to round-off.  Raises
         NoConvergenceError, naming the cut count, when there is no cut, when
         the basis is singular, when no basis row can leave (the LP would be
-        infeasible) or after ``LP_PIVOTS_PER_ROW`` pivots per basis row.
+        infeasible) or after ``LP_PIVOTS_PER_ROW`` pivots per basis row.  A
+        row leaves only where the direction exceeds ``LP_PIVOT_TOL`` of its
+        largest entry.
         """
         if self.size == 0:
             raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
         rows = self._rows[:self._n_box + self.size]
         rhs = self._rhs[:rows.shape[0]]
+        row_scale = np.maximum(1.0, np.abs(rhs))
         basis, mult = self._basis, self._mult
         max_pivots = LP_PIVOTS_PER_ROW * basis.size
         for pivots in range(max_pivots + 1):
-            excess = (rows @ self._vertex - rhs) / np.maximum(1.0, np.abs(rhs))
+            excess = rows @ self._vertex
+            excess -= rhs
+            excess /= row_scale
             # basis rows hold with equality; what they show is round-off
             excess[basis] = 0.0
-            entering = int(np.argmax(excess))
+            entering = int(excess.argmax())
             if not excess[entering] > LP_ROW_TOL:
                 return float(self._vertex[-1]), self._vertex[:-1].copy()
             if pivots == max_pivots:
                 raise NoConvergenceError(
                     f"cut model LP ({self.size} cuts): no optimal basis after "
                     f"{max_pivots} pivots")
-            # G_B^T direction = g_entering, from the LU of G_B
-            direction = lapack.dgetrs(*self._lu, rows[entering], trans=1)[0]
-            can_leave = np.flatnonzero(direction > 0.0)
+            basis_rows = rows.take(basis, 0)
+            direction = self._basis_solve(basis_rows.T, rows[entering])
+            can_leave = (direction > LP_PIVOT_TOL * abs(direction).max()).nonzero()[0]
             if can_leave.size == 0:
                 raise NoConvergenceError(
                     f"cut model LP ({self.size} cuts): no basis row can leave")
@@ -221,7 +233,8 @@ class CutModel:
             np.maximum(mult - step * direction, 0.0, out=mult)
             mult[leaving] = step
             basis[leaving] = entering
-            self._factor_basis()
+            basis_rows[leaving] = rows[entering]
+            self._vertex = self._basis_solve(basis_rows, rhs.take(basis))
 
 
 def model_value(cuts, weights):
@@ -234,24 +247,27 @@ def model_value(cuts, weights):
 
 
 def _level_constraints(model, level):
-    a_mat = np.vstack([model.slopes, model.box_rows])
-    b_vec = np.concatenate([level - model.offsets, model.box_rhs])
+    """The level set's rows in ``CutModel`` order, box rows first and then
+    the cuts, so a row keeps its index from one iteration to the next."""
+    a_mat = np.vstack([model.box_rows, model.slopes])
+    b_vec = np.concatenate([model.box_rhs, level - model.offsets])
     return a_mat, b_vec
 
 
-def project_to_level(model, level, point, minimum):
+def project_to_level(model, level, point, minimum, warm=None):
     """Euclidean projection of ``point`` onto {model <= level}, clipped to the box.
 
-    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin).  When the
-    set is numerically too thin to project onto, the model argmin (which
-    attains the model minimum and therefore lies in any level set with
-    level >= model minimum) is returned instead.  A level strictly below the
-    model minimum raises LevelSetEmptyError.
+    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin); ``warm``
+    is the ``numerics.WarmStart`` of the previous projection onto the same
+    model, if any.  When the set is numerically too thin to project onto,
+    the model argmin (which attains the model minimum and therefore lies in
+    any level set with level >= model minimum) is returned instead.  A
+    level strictly below the model minimum raises LevelSetEmptyError.
     """
     point = np.asarray(point, dtype=float)
     a_mat, b_vec = _level_constraints(model, level)
     try:
-        projected = numerics.project_polyhedron(point, a_mat, b_vec)
+        projected = numerics.project_polyhedron(point, a_mat, b_vec, warm=warm)
     except (InfeasibleError, NoConvergenceError):
         # level set thinner than double precision resolves: the model
         # argmin is the limit of the projections
@@ -262,7 +278,7 @@ def project_to_level(model, level, point, minimum):
     return np.clip(projected, -model.box_radius, model.box_radius)
 
 
-def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
+def solve(problem: PenaltyProblem, max_iters: int = 500, cert_grid=None) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current
@@ -279,12 +295,17 @@ def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
     feasible basis of the cut-model LP, warm-started from the previous
     iteration's basis; when that LP fails (see ``CutModel.minimum``), the
     solve stops with NoConvergenceError, which the command line reports
-    with exit code 3.
+    with exit code 3.  Each projection starts from the rows the previous
+    one ended on (one ``numerics.WarmStart`` per call).  ``cert_grid`` is
+    the scan tables of the problem's (grid, kernel), built here when not
+    given.
     """
     m = problem.measurements.grid.n_samples
-    cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
+    if cert_grid is None:
+        cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
     model = CutModel(m, problem.box_radius)
+    warm = numerics.WarmStart()
     for _ in range(max_iters):
         value, slope, _ = _oracle(problem, state.iterate, cert_grid)
         cut = Cut(state.iterate.copy(), value, slope)
@@ -297,7 +318,7 @@ def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
         gap = state.upper_bound - state.lower_bound
         level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
         previous = state.iterate
-        state.iterate = project_to_level(model, level, previous, minimum)
+        state.iterate = project_to_level(model, level, previous, minimum, warm)
         state.upper_history.append(state.upper_bound)
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)

@@ -237,7 +237,7 @@ class TestCli:
         # command runs for the config's count
         caps = []
 
-        def first_solve(problem, max_iters):
+        def first_solve(problem, max_iters, cert_grid=None):
             caps.append(max_iters)
             raise DualSpikeError("stop after the first solve")
 
@@ -292,6 +292,18 @@ class TestCli:
         code = main(["solve", "--config", str(cfg_path), "--out",
                      str(tmp_path / "o"), "--iters", "0"])
         assert code == EXIT_NO_SUPPORT
+
+    @pytest.mark.parametrize("command", ["bounds", "exp-noise"])
+    def test_zero_iteration_reference_exit_code(self, tmp_path, capsys, command):
+        # a reference solve that ran no iteration is the zero vector, not a
+        # reference: a solver error naming the key, and no report written
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg_path), "--out", str(out), "--iters", "0"])
+        assert code == EXIT_SOLVER
+        assert "iterations" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_window_precondition(self, tmp_path, capsys):
         # the iteration cap must exceed the window's last iteration

@@ -2,12 +2,13 @@
 the same number must appear in every artifact that carries it."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import three_spike_config
-from dualspike import experiments
+from dualspike import certificate, experiments
 
 
 def read_rows(path):
@@ -48,3 +49,20 @@ def test_amplitude_rate_matches_report(artifacts):
     _, _, t_a, report = artifacts
     assert t_a
     assert {float(row["amp_rate_log10"]) for row in t_a} == {report["amp_rate_log10"]}
+
+
+def test_serial_sweep_builds_one_scan_table(monkeypatch, tmp_path):
+    # the reference and every sweep point share the (grid, kernel), so a
+    # serial sweep builds the scan tables once
+    builds = []
+    init = certificate.CertificateGrid.__init__
+
+    def counting_init(grid, *args):
+        builds.append(1)
+        init(grid, *args)
+
+    monkeypatch.setattr(certificate.CertificateGrid, "__init__", counting_init)
+    monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.0, 2e-6, 2e-3]))
+    cfg = dataclasses.replace(three_spike_config(), iterations=100)
+    experiments.run_noise(cfg, tmp_path / "noise", jobs=1)
+    assert len(builds) == 1

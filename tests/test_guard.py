@@ -2,10 +2,14 @@
 tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
-there, or it is a constant.  And src/ imports no private scipy module."""
+there, or it is a constant.  And src/ imports nothing from scipy: the
+runtime is numpy alone."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dualspike
@@ -150,9 +154,9 @@ def test_unset_defaults_are_found(tmp_path):
         "scale(offset, clip)", "Grid.at(order)"]
 
 
-def private_scipy_imports(paths):
-    """Imports of a private scipy module or name (``scipy.*._*``), as
-    (file name, dotted name) pairs."""
+def scipy_imports(paths):
+    """Imports of scipy or of anything in it, as (file name, dotted name)
+    pairs."""
     found = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -162,24 +166,48 @@ def private_scipy_imports(paths):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found.extend((path.name, name) for name in names
-                         if name.split(".")[0] == "scipy"
-                         and any(part.startswith("_") for part in name.split(".")[1:]))
+            found.extend((path.name, name) for name in names if name.split(".")[0] == "scipy")
     return found
 
 
-def test_no_private_scipy_modules_in_src():
-    # a private module's interface can change in any scipy release
-    assert private_scipy_imports(sorted(PACKAGE.glob("*.py"))) == []
+def test_no_scipy_in_src():
+    # scipy costs each command process about 0.6 s of imports and 40 MB
+    assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == []
 
 
-def test_private_scipy_imports_are_found(tmp_path):
+def test_scipy_imports_are_found(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import scipy.optimize._highspy._core\n"
-                      "from scipy.optimize._highspy._core import _Highs\n"
-                      "from scipy.optimize import _nnls, nnls\n"
-                      "from scipy import linalg\n")
-    assert private_scipy_imports([module]) == [
+                      "from scipy.optimize import nnls\n"
+                      "from scipy import linalg\n"
+                      "import scipy\n"
+                      "from . import scipy_like\n"
+                      "import numpy.linalg\n")
+    assert scipy_imports([module]) == [
         ("module.py", "scipy.optimize._highspy._core"),
-        ("module.py", "scipy.optimize._highspy._core._Highs"),
-        ("module.py", "scipy.optimize._nnls")]
+        ("module.py", "scipy.optimize.nnls"),
+        ("module.py", "scipy.linalg"),
+        ("module.py", "scipy")]
+
+
+TINY_SOLVE = """\
+import sys
+import numpy as np
+import dualspike.cli
+from dualspike.kernel import Kernel
+from dualspike.model import SampleGrid, SourceModel, synthesize
+from dualspike.solver import PenaltyProblem, solve
+kernel = Kernel(0.1)
+measurements = synthesize(SourceModel([0.5], [1.0]), SampleGrid.equispaced(7), kernel)
+state = solve(PenaltyProblem(measurements, kernel, 2.0, 100.0), max_iters=50)
+assert state.n_iterations > 1
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_solve_loads_no_scipy():
+    # the command line and a solve, with its projections and LPs, in a fresh
+    # interpreter: scipy never gets imported
+    result = subprocess.run([sys.executable, "-c", TINY_SOLVE], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert result.stdout.strip() == "[]"

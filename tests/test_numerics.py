@@ -8,7 +8,7 @@ from scipy.optimize import lsq_linear
 
 from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
-from dualspike.numerics import least_squares, project_polyhedron, svd
+from dualspike.numerics import WarmStart, least_squares, project_polyhedron, svd
 from dualspike.solver import Cut, CutModel
 from helpers import full_row_projection, lp_minimum
 
@@ -113,6 +113,50 @@ def missed_row_polyhedra(draw):
     order = rng.permutation(b_full.size)
     return (x_star + move, (a_full * row_scale[:, None])[order], (b_full * row_scale)[order],
             x_star, active[order])
+
+
+@st.composite
+def growing_polyhedra(draw):
+    """(points, A, b): box rows of radius about 1e5 first, then halfspaces of
+    mixed row scale around an interior point with exact and nearly parallel
+    copies among them, and one point per added halfspace.  Projection k sees
+    the box and the first k halfspaces, as a bundle solve's level sets grow;
+    each point is the previous point's projection under the cold solve,
+    moved by up to about one box radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    n_rows = draw(st.integers(2, 14))
+    box = 10.0 ** draw(st.floats(4.5, 5.5))
+    interior = rng.uniform(-0.5, 0.5, size=n) * box
+    a = rng.normal(size=(n_rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n_rows, 1))
+    for i in range(1, n_rows):
+        kind = rng.uniform()
+        if kind < 0.15:
+            a[i] = a[rng.integers(i)] * 10.0 ** rng.uniform(-2.0, 2.0)
+        elif kind < 0.3:
+            a[i] = a[rng.integers(i)] * (1.0 + 10.0 ** rng.uniform(-12.0, -6.0)
+                                         * rng.normal(size=n))
+    slack = np.linalg.norm(a, axis=1) * rng.uniform(1e-3, 0.5, size=n_rows) * box
+    a_full, b_full = with_box(np.zeros((0, n)), np.zeros(0), n, box)
+    a_full = np.vstack([a_full, a])
+    b_full = np.concatenate([b_full, a @ interior + slack])
+    moves = 10.0 ** rng.uniform(-3.0, 0.0, size=n_rows) * box
+    steps = rng.normal(size=(n_rows, n))
+    return moves, steps, a_full, b_full, 2 * n
+
+
+def assert_projection_kkt(point, x, a_mat, b_vec):
+    """Slack >= -feas_tol and stationarity with multipliers >= 0 on the rows
+    active at x, to 1e-12 of max(1, |point|, |x|)."""
+    norms = np.linalg.norm(a_mat, axis=1)
+    a_unit, b_unit = a_mat / norms[:, None], b_vec / norms
+    slack = b_unit - a_unit @ x
+    scale = max(1.0, np.linalg.norm(point), np.linalg.norm(x))
+    assert slack.min() >= -max(1e-12, 1e-14 * scale)
+    active = slack <= 1e-9 * scale
+    mu = (lsq_linear(a_unit[active].T, point - x, bounds=(0.0, np.inf), method="bvls").x
+          if active.any() else np.zeros(0))
+    assert np.linalg.norm(point - x - a_unit[active].T @ mu) <= 1e-12 * scale
 
 
 def lp_vertex_oracle(offsets, slopes, box):
@@ -321,17 +365,51 @@ class TestProjection:
         assert np.linalg.norm(x - full_row_projection(point, a_full, b_full)) <= 1e-12 * scale
         assert np.linalg.norm(x - x_star) <= 1e-12 * scale
 
-    def test_nnls_iteration_limit_is_no_convergence(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(growing_polyhedra())
+    def test_warm_start_matches_cold_and_full_row_oracle(self, instance):
+        # rows appended one at a time, each projection warm-started from the
+        # previous one's rows: the same point as a cold solve and as the
+        # full-row reference, satisfying the KKT conditions
+        moves, steps, a_full, b_full, n_box = instance
+        warm = WarmStart()
+        point = np.zeros(steps.shape[1])
+        for k, (move, step) in enumerate(zip(moves, steps), start=1):
+            a_k, b_k = a_full[:n_box + k], b_full[:n_box + k]
+            point = point + move * step / np.linalg.norm(step)
+            x_warm = project_polyhedron(point, a_k, b_k, warm)
+            x_cold = project_polyhedron(point, a_k, b_k)
+            scale = max(1.0, np.linalg.norm(point))
+            assert np.linalg.norm(x_warm - x_cold) <= 1e-12 * scale
+            assert np.linalg.norm(x_warm - full_row_projection(point, a_k, b_k)) <= 1e-12 * scale
+            assert_projection_kkt(point, x_warm, a_k, b_k)
+            assert np.all(warm.multipliers > 0.0) and warm.rows.size == warm.multipliers.size
+            point = x_cold
 
-        monkeypatch.setattr(numerics, "nnls", stalled)
-        a_full, b_full = with_box(np.array([[1.0, 0.0]]), np.array([0.0]), 2, 10.0)
+    def test_nnls_iteration_limit_is_no_convergence(self, monkeypatch):
+        # {x_0 <= 0, x_1 <= 0}: the NNLS starts from the most violated row
+        # alone and must add the other one
+        monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 0)
+        a_full, b_full = with_box(np.eye(2), np.zeros(2), 2, 10.0)
         with pytest.raises(NoConvergenceError):
-            project_polyhedron(np.array([2.0, 0.3]), a_full, b_full)
+            project_polyhedron(np.array([2.0, 3.0]), a_full, b_full)
         # a point already inside never reaches the solver
-        np.testing.assert_array_equal(project_polyhedron(np.array([-2.0, 0.3]), a_full, b_full),
-                                      [-2.0, 0.3])
+        np.testing.assert_array_equal(project_polyhedron(np.array([-2.0, -0.3]), a_full, b_full),
+                                      [-2.0, -0.3])
+        monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 3)
+        np.testing.assert_allclose(project_polyhedron(np.array([2.0, 3.0]), a_full, b_full),
+                                   [0.0, 0.0], atol=1e-14)
+
+    def test_zero_rows(self):
+        # a zero row keeps its place (warm starts index the rows) and holds
+        # everywhere with b >= 0, nowhere with b < 0
+        a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        warm = WarmStart()
+        x = project_polyhedron(np.array([1.0, 2.0]), a, np.array([0.0, 1.0, 0.0]), warm)
+        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-14)
+        assert 1 not in warm.rows.tolist()
+        with pytest.raises(InfeasibleError):
+            project_polyhedron(np.array([1.0, 2.0]), a, np.array([0.0, -1.0, 0.0]))
 
     def test_infeasible_detected(self):
         # x >= 1 and x <= -1 simultaneously
@@ -390,6 +468,25 @@ class TestLpMin:
             assert np.abs(argmin).max() <= box * (1.0 + 1e-12)
             assert np.max(offsets[:k] + slopes[:k] @ argmin) == pytest.approx(
                 value, abs=1e-12 * scale)
+
+    def test_degenerate_pivot_keeps_the_basis_regular(self):
+        # pieces added one at a time: at the fourth, the direction has a
+        # round-off entry on a basis row with a zero multiplier, and that
+        # row leaving would make the next basis singular (one of three such
+        # instances in 40,000 drawn like lp_pieces)
+        offsets = np.array([-0.1711412054181293, -0.7092322971800362, -0.49496592383835747,
+                            -0.1996029875742229, -0.2061445032823704, -0.1711412054181293])
+        slopes = np.array([[0.0, -0.616271760907752], [1.5496463826580815, 2.6060495329781754],
+                           [2.3112210415221317, 0.0], [0.0, 6.6538212643136685],
+                           [-0.1321437171546007, 0.15690672707852163], [0.0, -0.616271760907752]])
+        box = 0.162027844180569
+        model = CutModel(2, box)
+        for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
+            model.add(Cut(np.zeros(2), float(offset), slope))
+            value, argmin = model.minimum()
+            ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
+            assert value == pytest.approx(ref_val, abs=1e-12)
+            assert np.max(offsets[:k] + slopes[:k] @ argmin) == pytest.approx(value, abs=1e-12)
 
     def test_value_minorizes_feasible_points(self):
         rng = np.random.default_rng(8)

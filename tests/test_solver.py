@@ -27,7 +27,7 @@ def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
     return PenaltyProblem(synthesize(src, grid, kernel), kernel, penalty, box)
 
 
-def failing_projection(point, a_mat, b_vec):
+def failing_projection(point, a_mat, b_vec, warm=None):
     raise InfeasibleError("forced fallback")
 
 
@@ -38,9 +38,9 @@ def projection_failures(monkeypatch):
     raised = []
     project = numerics.project_polyhedron
 
-    def recording(point, a_mat, b_vec):
+    def recording(point, a_mat, b_vec, warm=None):
         try:
-            return project(point, a_mat, b_vec)
+            return project(point, a_mat, b_vec, warm)
         except DualSpikeError as exc:
             raised.append(exc)
             raise
@@ -440,33 +440,36 @@ class TestSolve:
         np.testing.assert_array_equal(state.iterate, np.clip(argmins[-1], -box, box))
 
     def test_nnls_failure_falls_back_to_model_argmin(self, monkeypatch):
-        # nnls at its iteration limit: each projection raises
-        # NoConvergenceError and the iterate becomes the clipped LP argmin
-        nnls_calls = []
-        argmins = []
-        minimum = CutModel.minimum
-
-        def stalled(*args, **kwargs):
-            nnls_calls.append(1)
-            raise RuntimeError("Maximum number of iterations reached.")
+        # no NNLS step allowed: a projection whose most violated row is not
+        # its whole active set raises NoConvergenceError and the iterate
+        # becomes that iteration's clipped LP argmin
+        argmins, outcomes = [], []
+        minimum, project = CutModel.minimum, numerics.project_polyhedron
 
         def recording_minimum(model):
             value, argmin = minimum(model)
             argmins.append(argmin)
             return value, argmin
 
-        monkeypatch.setattr(numerics, "nnls", stalled)
+        def recording_project(point, a_mat, b_vec, warm=None):
+            try:
+                outcomes.append(project(point, a_mat, b_vec, warm))
+            except NoConvergenceError:
+                outcomes.append(None)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 0)
+        monkeypatch.setattr(numerics, "project_polyhedron", recording_project)
         monkeypatch.setattr(CutModel, "minimum", recording_minimum)
         problem = small_problem()
         state = solve(problem, max_iters=15)
-        assert len(argmins) == state.n_iterations
-        # the last iteration's argmin repeats the one before, so its
-        # projection starts inside the level set and returns before NNLS
-        np.testing.assert_array_equal(argmins[-1], argmins[-2])
-        assert len(nnls_calls) == state.n_iterations - 1
+        assert len(argmins) == len(outcomes) == state.n_iterations
+        assert sum(outcome is None for outcome in outcomes) >= state.n_iterations // 2
         box = problem.box_radius
-        for iterate, argmin in zip(state.iterate_history, argmins):
-            np.testing.assert_array_equal(iterate, np.clip(argmin, -box, box))
+        for iterate, argmin, outcome in zip(state.iterate_history, argmins, outcomes):
+            expected = np.clip(argmin if outcome is None else outcome, -box, box)
+            np.testing.assert_array_equal(iterate, expected)
 
     def test_benchmark_solves_never_fall_back(self, projection_failures):
         # both benchmark solves reach their fixed point with every level-set
@@ -553,22 +556,28 @@ class TestSolve:
 @pytest.fixture(scope="class")
 def noisy_solve_work():
     """One noisy three-spike solve (w_c = 2e-3, seed 0, 100 iterations) and
-    the work it did: NNLS columns, level-set rows, Newton runs, their
-    ``_derivatives`` calls, ``Kernel.derivative`` calls and the cut-model
-    basis rows each LP changed."""
-    work = {key: [] for key in ("columns", "rows", "newton", "derivatives",
+    the work it did: NNLS QR factorizations and added columns, level-set
+    rows, Newton runs, their ``_derivatives`` calls, ``Kernel.derivative``
+    calls and the cut-model basis rows each LP changed."""
+    work = {key: [] for key in ("factorizations", "added", "rows", "newton", "derivatives",
                                 "kernel_derivative", "basis_changes")}
-    nnls, project = numerics.nnls, numerics.project_polyhedron
+    refactor, add = numerics._PassiveQR.refactor, numerics._PassiveQR.add
+    project = numerics.project_polyhedron
     newton, derivatives = certificate.newton_on_slope, certificate._derivatives
     kernel_derivative, minimum = Kernel.derivative, CutModel.minimum
 
-    def counting_nnls(e_mat, target):
-        work["columns"].append(e_mat.shape[1])
-        return nnls(e_mat, target)
+    def counting_refactor(passive, cols):
+        work["factorizations"].append(1)
+        return refactor(passive, cols)
 
-    def counting_project(point, a_mat, b_vec):
+    def counting_add(passive, t):
+        added = add(passive, t)
+        work["added"].append(added)
+        return added
+
+    def counting_project(point, a_mat, b_vec, warm=None):
         work["rows"].append(a_mat.shape[0])
-        return project(point, a_mat, b_vec)
+        return project(point, a_mat, b_vec, warm)
 
     def counting_newton(*args):
         work["newton"].append(1)
@@ -589,7 +598,8 @@ def noisy_solve_work():
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "nnls", counting_nnls)
+        patch.setattr(numerics._PassiveQR, "refactor", counting_refactor)
+        patch.setattr(numerics._PassiveQR, "add", counting_add)
         patch.setattr(numerics, "project_polyhedron", counting_project)
         patch.setattr(certificate, "newton_on_slope", counting_newton)
         patch.setattr(certificate, "_derivatives", counting_derivatives)
@@ -608,8 +618,11 @@ class TestWorkCounts:
     def test_projection_work(self, noisy_solve_work):
         state, work = noisy_solve_work
         assert state.n_iterations == len(work["rows"]) == 100
-        # NNLS on the working set, not on every level-set row (0.31 measured)
-        assert sum(work["columns"]) <= 0.5 * sum(work["rows"])
+        # each NNLS starts from the previous projection's rows: QR
+        # factorizations plus added columns per projection, 5.8 measured,
+        # where a start from the most violated row alone takes 14.0
+        steps = len(work["factorizations"]) + sum(work["added"])
+        assert steps <= 8.0 * state.n_iterations
 
     def test_supremum_work(self, noisy_solve_work):
         state, work = noisy_solve_work
