@@ -1,6 +1,7 @@
 """Dual certificates q(t) = sum_j lambda_j phi(t - s_j): evaluation,
 maximizer search and local refinement."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,14 +117,30 @@ class MaximizerSet:
     curvatures: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_tables(kernel: Kernel, samples: bytes, points):
+    """The ``points``-point scan of [0,1], phi, phi' and phi'' at (scan -
+    sample), and phi' in the first two and last two scan cells, all
+    read-only.  Kept for the last arguments asked for: every solve, curve
+    and recovery of a process shares one (grid, kernel)."""
+    scan = np.linspace(0.0, 1.0, points)
+    tables = kernel.value_and_derivatives(scan[:, None] - np.frombuffer(samples)[None, :])
+    tables = (scan, *tables, tables[1][[0, 1, -2, -1]])
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Precomputes phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on the
+    Holds phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on the
     uniform ``DEFAULT_GRID_POINTS`` scan of [0,1] so that repeated suprema
     (one per bundle iteration) reduce to a matrix-vector product, and each
     Newton run from a scan local maximum starts from three row products
-    instead of a kernel evaluation.  A kernel narrower than
+    instead of a kernel evaluation.  The tables are read-only and kept
+    for the last (samples, kernel) a grid was made for, so a process that
+    works on one input builds them once.  A kernel narrower than
     ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
     ValueError: the scan would not show each of its bumps as a local maximum.
     """
@@ -134,12 +151,9 @@ class CertificateGrid:
                              f"spacings of the {DEFAULT_GRID_POINTS}-point scan")
         self.grid = grid
         self.kernel = kernel
-        self.scan = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-        self.table, self.slope, self.curvature = kernel.value_and_derivatives(
-            self.scan[:, None] - grid.samples[None, :])
-        # phi' in the first two and the last two scan cells, for the bumps
-        # hiding at the ends
-        self.end_slope = self.slope[[0, 1, -2, -1]]
+        # end_slope is phi' in the end cells, for the bumps hiding there
+        self.scan, self.table, self.slope, self.curvature, self.end_slope = _scan_tables(
+            kernel, grid.samples.tobytes(), DEFAULT_GRID_POINTS)
 
     def values(self, weights):
         return self.table @ weights

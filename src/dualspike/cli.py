@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: solve, exp-lambda-t, exp-t-a, exp-noise, bounds.
-Exit codes: 0 success, 2 config error, 3 solver error, 4 empty support.
+Exit codes: 0 success, 2 config error or an --out that cannot be written,
+3 solver error, 4 empty support.
 """
 
 import argparse
+import os
 import sys
 
 from . import experiments
@@ -57,6 +59,8 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
+        # before any solve: an --out that cannot be a directory fails here
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "solve":
             for path in experiments.run_solve(cfg, args.out):
                 print(path)
@@ -82,6 +86,9 @@ def main(argv=None):
     except DualSpikeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -7,12 +7,11 @@ with the config digest and seed).
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import bounds
-from .certificate import Certificate, CertificateGrid, dump_curve, refine_location
+from .certificate import Certificate, dump_curve, refine_location
 from .config import ExperimentConfig
 from .errors import ConfigError, DualSpikeError, NoConvergenceError
 from .model import noise_grid, synthesize, uniform_noise
@@ -95,10 +94,9 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     return files
 
 
-def reference_run(cfg: ExperimentConfig, iterations, cert_grid=None):
+def reference_run(cfg: ExperimentConfig, iterations):
     """The reference stage of every experiment: the clean solve and the
-    stability constants at its final iterate.  ``cert_grid`` is passed on
-    to ``solve``.
+    stability constants at its final iterate.
 
     Returns (problem, state, report), with ``report`` from
     ``bounds.full_report``, the one place the constants the drivers compare
@@ -107,7 +105,7 @@ def reference_run(cfg: ExperimentConfig, iterations, cert_grid=None):
     not a reference: DualSpikeError (exit code 3) naming ``iterations``.
     """
     problem = build_problem(cfg)
-    state = solve(problem, max_iters=iterations, cert_grid=cert_grid)
+    state = solve(problem, max_iters=iterations)
     if state.n_iterations == 0:
         raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
                              f"(iterations = {iterations})")
@@ -219,17 +217,13 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     return path, rows
 
 
-def _noise_point(args, cert_grid=None):
-    """One sweep point: solve the noisy problem, return dual and support data.
-
-    ``cert_grid`` is the sweep's scan tables when the caller shares one
-    across points; a worker process builds its own.
-    """
+def _noise_point(args):
+    """One sweep point: solve the noisy problem, return dual and support data."""
     (index, w_c, cfg, iters) = args
     seed = cfg.seed + index
     noise = uniform_noise(len(cfg.samples), w_c, seed)
     problem = build_problem(cfg, noise=noise)
-    state = solve(problem, max_iters=iters, cert_grid=cert_grid)
+    state = solve(problem, max_iters=iters)
     try:
         peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
                                        cfg.source_model().locations)
@@ -248,16 +242,13 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     report, inf when that singular value is 0, and the restricted errors
     run over the report's ``selected_samples``.  The points run in at most
     ``jobs`` worker processes, one per point at most; ``jobs`` below 1
-    raises ConfigError.  A serial sweep builds the scan tables once, for
-    the reference and every point; a worker builds its own per point.
+    raises ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
     iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
     grid_vals = noise_grid()
-    # every sweep point has the reference's (grid, kernel): one scan table
-    cert_grid = CertificateGrid(cfg.sample_grid(), cfg.kernel())
-    _, state, report = reference_run(cfg, iters, cert_grid)
+    _, state, report = reference_run(cfg, iters)
     smallest = _constant(report, "sigma_min_jacobian")
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
     selected = report.selected_samples
@@ -267,17 +258,15 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     tasks = [(i, float(w_c), cfg, iters) for i, w_c in enumerate(grid_vals)]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: a serial command does not pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_noise_point, tasks))
     else:
-        results = [_noise_point(t, cert_grid) for t in tasks]
+        results = [_noise_point(t) for t in tasks]
 
     rows = []
     for (index, noise, lam_noisy, peaks, note), w_c in zip(results, grid_vals):
-        if w_c == 0.0:
-            rows.append((w_c, None, None, None, noise_rate, None, None, None,
-                         None, None, "zero_noise"))
-            continue
         w_sel = float(np.linalg.norm(noise[selected]))
         w_full = float(np.linalg.norm(noise))
         dual_sel = float(np.linalg.norm(lam_noisy[selected] - ref[selected]))

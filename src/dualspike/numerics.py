@@ -48,13 +48,9 @@ NNLS_STEPS_PER_ROW = 3
 
 
 class WarmStart:
-    """The rows a projection ended on, with their NNLS multipliers.
-
-    ``project_polyhedron`` starts from them and leaves its own there, so a
-    caller that keeps one per sequence of projections, with the rows of
-    each stacked in the same order and new rows appended, starts every
-    projection from the previous one's active rows.
-    """
+    """The rows a projection ended on, as indices into its constraint
+    rows, with their NNLS multipliers.  ``project_polyhedron`` starts from
+    them and leaves its own there."""
 
     def __init__(self):
         self.rows = np.empty(0, dtype=int)
@@ -274,8 +270,7 @@ def project_polyhedron(point, a_mat, b_vec, warm=None):
     Hanson, ch. 23): ``_nnls`` on the columns [-a_i; excess_i / max excess]
     of every row against e_{n+1}.  With a ``WarmStart``, the NNLS starts
     from the rows and multipliers the previous projection ended on, plus
-    the most violated row, and the rows it ends on are stored back; the
-    rows must keep their order from call to call, new rows appended.  Two
+    the most violated row, and the rows it ends on are stored back.  Two
     min-norm corrections onto the rows with a positive multiplier run only
     when the NNLS point fails the final check; a corrected point that still
     fails it lies within round-off of the set, and is projected once more.

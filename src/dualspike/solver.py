@@ -119,6 +119,10 @@ class CutModel:
     cut sets the basis in closed form; every later cut starts from the
     previous optimal basis, so a cut the vertex already satisfies costs
     one product with G.
+
+    Rows are only ever appended, so a row keeps its index in every
+    ``level_set``; ``warm`` is the ``numerics.WarmStart`` that carries one
+    level-set projection's active rows into the next.
     """
 
     def __init__(self, n, box_radius):
@@ -133,27 +137,14 @@ class CutModel:
         self._basis = None
         self._mult = None
         self._vertex = None
+        self.warm = numerics.WarmStart()
 
-    # the box rows, which the level set stacks above the cuts
-    @property
-    def box_rows(self):
-        return self._rows[:self._n_box, :-1]
-
-    @property
-    def box_rhs(self):
-        return self._rhs[:self._n_box]
-
-    @property
-    def offsets(self):
-        return -self._rhs[self._cut_rows]
-
-    @property
-    def slopes(self):
-        return self._rows[self._cut_rows, :-1]
-
-    @property
-    def _cut_rows(self):
-        return slice(self._n_box, self._n_box + self.size)
+    def level_set(self, level):
+        """(A, b) with {lam : A lam <= b} = {model <= level}: the box rows and
+        then the cuts in the order they were added, as a view of the model's
+        rows with b = h - level * (last column)."""
+        rows = self._rows[:self._n_box + self.size]
+        return rows[:, :-1], self._rhs[:rows.shape[0]] - level * rows[:, -1]
 
     def add(self, cut):
         row = self._n_box + self.size
@@ -246,28 +237,20 @@ def model_value(cuts, weights):
                         - np.einsum("ij,ij->i", slopes, anchors)))
 
 
-def _level_constraints(model, level):
-    """The level set's rows in ``CutModel`` order, box rows first and then
-    the cuts, so a row keeps its index from one iteration to the next."""
-    a_mat = np.vstack([model.box_rows, model.slopes])
-    b_vec = np.concatenate([model.box_rhs, level - model.offsets])
-    return a_mat, b_vec
-
-
-def project_to_level(model, level, point, minimum, warm=None):
+def project_to_level(model, level, point, minimum):
     """Euclidean projection of ``point`` onto {model <= level}, clipped to the box.
 
-    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin); ``warm``
-    is the ``numerics.WarmStart`` of the previous projection onto the same
-    model, if any.  When the set is numerically too thin to project onto,
+    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin); the
+    projection starts from the rows the model's previous projection ended
+    on.  When the set is numerically too thin to project onto,
     the model argmin (which attains the model minimum and therefore lies in
     any level set with level >= model minimum) is returned instead.  A
     level strictly below the model minimum raises LevelSetEmptyError.
     """
     point = np.asarray(point, dtype=float)
-    a_mat, b_vec = _level_constraints(model, level)
+    a_mat, b_vec = model.level_set(level)
     try:
-        projected = numerics.project_polyhedron(point, a_mat, b_vec, warm=warm)
+        projected = numerics.project_polyhedron(point, a_mat, b_vec, warm=model.warm)
     except (InfeasibleError, NoConvergenceError):
         # level set thinner than double precision resolves: the model
         # argmin is the limit of the projections
@@ -278,7 +261,7 @@ def project_to_level(model, level, point, minimum, warm=None):
     return np.clip(projected, -model.box_radius, model.box_radius)
 
 
-def solve(problem: PenaltyProblem, max_iters: int = 500, cert_grid=None) -> BundleState:
+def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current
@@ -296,16 +279,12 @@ def solve(problem: PenaltyProblem, max_iters: int = 500, cert_grid=None) -> Bund
     iteration's basis; when that LP fails (see ``CutModel.minimum``), the
     solve stops with NoConvergenceError, which the command line reports
     with exit code 3.  Each projection starts from the rows the previous
-    one ended on (one ``numerics.WarmStart`` per call).  ``cert_grid`` is
-    the scan tables of the problem's (grid, kernel), built here when not
-    given.
+    one ended on (``CutModel.warm``).
     """
     m = problem.measurements.grid.n_samples
-    if cert_grid is None:
-        cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
+    cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
     state = BundleState(iterate=np.zeros(m))
     model = CutModel(m, problem.box_radius)
-    warm = numerics.WarmStart()
     for _ in range(max_iters):
         value, slope, _ = _oracle(problem, state.iterate, cert_grid)
         cut = Cut(state.iterate.copy(), value, slope)
@@ -318,7 +297,7 @@ def solve(problem: PenaltyProblem, max_iters: int = 500, cert_grid=None) -> Bund
         gap = state.upper_bound - state.lower_bound
         level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
         previous = state.iterate
-        state.iterate = project_to_level(model, level, previous, minimum, warm)
+        state.iterate = project_to_level(model, level, previous, minimum)
         state.upper_history.append(state.upper_bound)
         state.lower_history.append(state.lower_bound)
         state.level_history.append(level)

@@ -1,5 +1,5 @@
 """Test-side views of the solver and certificate: building a cut model from
-a list of cuts, the subgradient alone, and a certificate validity check;
+a list of cuts and its offsets and slopes, the subgradient alone, and a certificate validity check;
 and the reference rules the faster production paths are checked against:
 the level projection solved on every row at once, and the supremum that
 refines every scan local maximum.  The command-line pipeline never needs
@@ -23,6 +23,14 @@ def cut_model(cuts, box_radius):
     for cut in cuts:
         model.add(cut)
     return model
+
+
+def cut_arrays(cuts):
+    """(offsets, slopes) of the model max_i (offsets_i + slopes_i . lam) of
+    ``cuts``, with offsets_i = value_i - slope_i . anchor_i as a ``CutModel``
+    rounds them."""
+    offsets = np.array([c.value - float(c.slope @ c.anchor) for c in cuts])
+    return offsets, np.array([c.slope for c in cuts])
 
 
 def model_minimum(cuts, box_radius):

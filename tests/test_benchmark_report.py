@@ -1,5 +1,6 @@
 """Constants report and certificate diagnostics on the main benchmark run."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -78,15 +79,6 @@ class TestBenchmarkReport:
 
 
 class TestNoiseSweepEdges:
-    def test_zero_coefficient_marker(self, tmp_path, monkeypatch):
-        from conftest import three_spike_config
-        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.0, 0.01]))
-        cfg = three_spike_config(iterations=100)
-        _, rows = run_noise(cfg, tmp_path)
-        assert rows[0][10] == "zero_noise"
-        assert rows[0][3] is None
-        assert rows[1][10] == "" and rows[1][3] > 0
-
     def test_one_worker_per_point_at_most(self, tmp_path, monkeypatch):
         from conftest import three_spike_config
         workers = []
@@ -104,7 +96,8 @@ class TestNoiseSweepEdges:
             def map(self, func, tasks):
                 return map(func, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # run_noise imports the pool class only when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.02]))
         cfg = three_spike_config(iterations=100)
         run_noise(cfg, tmp_path, jobs=64)

@@ -277,7 +277,7 @@ class TestRefinementStops:
 
     def test_noise_sweep(self, outcomes, tmp_path):
         _, rows = run_noise(three_spike_config(seed=1), tmp_path)
-        assert all(r[10] in ("", "zero_noise") for r in rows)
+        assert all(r[10] == "" for r in rows)
         assert len(outcomes) >= 34 * 100
         assert all(outcomes)
 
@@ -308,6 +308,28 @@ class TestCertificateGrid:
     def test_table_shape(self, scan_101):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         assert cg.table.shape == (101, 5)
+
+    def test_tables_are_shared_and_read_only(self):
+        first = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
+        # equal inputs, not the same objects
+        second = CertificateGrid(SampleGrid(np.linspace(0.0, 1.0, 5)), Kernel(0.1))
+        for name in ("scan", "table", "slope", "curvature", "end_slope"):
+            assert getattr(second, name) is getattr(first, name)
+            assert not getattr(first, name).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.table[0, 0] = 0.0
+
+    def test_other_sigma_or_samples_rebuild_the_tables(self):
+        certificate._scan_tables.cache_clear()
+        inputs = [(SampleGrid.equispaced(5), Kernel(0.1)), (SampleGrid.equispaced(5), Kernel(0.2)),
+                  (SampleGrid.equispaced(6), Kernel(0.2)), (SampleGrid.equispaced(5), Kernel(0.1))]
+        for builds, (grid, kernel) in enumerate(inputs, start=1):
+            cg = CertificateGrid(grid, kernel)
+            assert certificate._scan_tables.cache_info().misses == builds
+            diffs = cg.scan[:, None] - grid.samples[None, :]
+            np.testing.assert_array_equal(cg.table, kernel.value(diffs))
+            np.testing.assert_array_equal(cg.slope, kernel.derivative(diffs, 1))
+            np.testing.assert_array_equal(cg.end_slope, cg.slope[[0, 1, -2, -1]])
 
     def test_local_max_indices_match_scalar_scan(self, scan_101):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))

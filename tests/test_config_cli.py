@@ -237,7 +237,7 @@ class TestCli:
         # command runs for the config's count
         caps = []
 
-        def first_solve(problem, max_iters, cert_grid=None):
+        def first_solve(problem, max_iters):
             caps.append(max_iters)
             raise DualSpikeError("stop after the first solve")
 
@@ -260,6 +260,33 @@ class TestCli:
                      "--jobs", "0"])
         assert code == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err
+
+    def test_out_that_cannot_be_created_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a path under a file: rejected before the reference solve, in one line
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(experiments, "solve", no_solve)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["bounds", "--config", str(cfg_path), "--out", str(blocker / "sub")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+
+    def test_unwritable_output_file_exit_code(self, tmp_path, capsys):
+        # the directory exists, but one artifact's path is a directory
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        (tmp_path / "o" / "convergence.csv").mkdir(parents=True)
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "convergence.csv" in err
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # no pivot allowed: the second cut's LP has no optimal basis and the

@@ -51,18 +51,23 @@ def test_amplitude_rate_matches_report(artifacts):
     assert {float(row["amp_rate_log10"]) for row in t_a} == {report["amp_rate_log10"]}
 
 
-def test_serial_sweep_builds_one_scan_table(monkeypatch, tmp_path):
-    # the reference and every sweep point share the (grid, kernel), so a
-    # serial sweep builds the scan tables once
-    builds = []
-    init = certificate.CertificateGrid.__init__
+@pytest.fixture
+def table_builds():
+    """Scan-table builds from here on, as a process would count them from
+    its start."""
+    certificate._scan_tables.cache_clear()
+    return lambda: certificate._scan_tables.cache_info().misses
 
-    def counting_init(grid, *args):
-        builds.append(1)
-        init(grid, *args)
 
-    monkeypatch.setattr(certificate.CertificateGrid, "__init__", counting_init)
-    monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.0, 2e-6, 2e-3]))
+def test_solve_command_builds_one_scan_table(table_builds, tmp_path):
+    # the solve, the certificate curve and the recovery share one (grid, kernel)
+    experiments.run_solve(three_spike_config(iterations=100), tmp_path)
+    assert table_builds() == 1
+
+
+def test_serial_sweep_builds_one_scan_table(table_builds, monkeypatch, tmp_path):
+    # the reference and every sweep point share the (grid, kernel)
+    monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
     cfg = dataclasses.replace(three_spike_config(), iterations=100)
     experiments.run_noise(cfg, tmp_path / "noise", jobs=1)
-    assert len(builds) == 1
+    assert table_builds() == 1

@@ -3,7 +3,7 @@ tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
 there, or it is a constant.  And src/ imports nothing from scipy: the
-runtime is numpy alone."""
+runtime is numpy alone, and a serial command loads no multiprocessing."""
 
 import ast
 import os
@@ -190,24 +190,32 @@ def test_scipy_imports_are_found(tmp_path):
         ("module.py", "scipy")]
 
 
-TINY_SOLVE = """\
+TINY_CONFIG = """\
+sources = 0.5
+amplitudes = 1.0
+sigma = 0.1
+m = 7
+tau = 100
+pi = 2
+seed = 3
+"""
+
+SERIAL_SWEEP = """\
 import sys
-import numpy as np
-import dualspike.cli
-from dualspike.kernel import Kernel
-from dualspike.model import SampleGrid, SourceModel, synthesize
-from dualspike.solver import PenaltyProblem, solve
-kernel = Kernel(0.1)
-measurements = synthesize(SourceModel([0.5], [1.0]), SampleGrid.equispaced(7), kernel)
-state = solve(PenaltyProblem(measurements, kernel, 2.0, 100.0), max_iters=50)
-assert state.n_iterations > 1
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+from dualspike.cli import main
+assert main(["exp-noise", "--config", sys.argv[1], "--out", sys.argv[2], "--iters", "20"]) == 0
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent")))
 """
 
 
-def test_a_solve_loads_no_scipy():
-    # the command line and a solve, with its projections and LPs, in a fresh
-    # interpreter: scipy never gets imported
-    result = subprocess.run([sys.executable, "-c", TINY_SOLVE], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
-    assert result.stdout.strip() == "[]"
+def test_a_solve_loads_no_scipy(tmp_path):
+    # a serial noise sweep from the command line, in a fresh interpreter:
+    # its solves, projections and LPs never import scipy, and one worker
+    # never imports multiprocessing (about 30 ms per process)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    result = subprocess.run([sys.executable, "-c", SERIAL_SWEEP, str(config), str(tmp_path)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.stdout.strip().splitlines()[-1] == "[]"

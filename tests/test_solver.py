@@ -17,7 +17,7 @@ from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, build_phi, synthesize, uniform_noise
 from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle, model_value,
                               penalty_objective, project_to_level, solve)
-from helpers import cut_model, model_minimum, subgradient
+from helpers import cut_arrays, cut_model, model_minimum, subgradient
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -59,19 +59,19 @@ def project(cuts, level, point, box_radius):
     return project_to_level(model, level, point, model.minimum())
 
 
-def basis_bound(model):
+def basis_bound(model, offsets, slopes):
     """sum_i mu_i offsets_i - box_radius |slopes^T mu|_1 from the cut
     multipliers mu of the model's current basis, which is the dual
     objective of any mu >= 0 summing to 1 and so a lower bound on the model
-    minimum.  Returns (bound, mu, scale), where scale is the same sum taken
+    minimum; ``offsets`` and ``slopes`` are those of the cuts the model
+    holds.  Returns (bound, mu, scale), where scale is the same sum taken
     over the terms' absolute values: the size of its round-off."""
-    n_box = model.box_rhs.size
+    n_box = 2 * slopes.shape[1]
     mu = np.zeros(model.size)
     on_cuts = model._basis >= n_box
     mu[model._basis[on_cuts] - n_box] = model._mult[on_cuts]
-    bound = float(mu @ model.offsets - model.box_radius * np.abs(model.slopes.T @ mu).sum())
-    scale = float(mu @ np.abs(model.offsets)
-                  + model.box_radius * (np.abs(model.slopes).T @ mu).sum())
+    bound = float(mu @ offsets - model.box_radius * np.abs(slopes.T @ mu).sum())
+    scale = float(mu @ np.abs(offsets) + model.box_radius * (np.abs(slopes).T @ mu).sum())
     return bound, mu, scale
 
 
@@ -210,12 +210,11 @@ class TestModelMinimum:
         for k, cut in enumerate(cuts, start=1):
             model.add(cut)
             assert model.size == k
-            np.testing.assert_array_equal(model.slopes, [c.slope for c in cuts[:k]])
-            np.testing.assert_allclose(model.offsets,
-                                       [c.value - c.slope @ c.anchor for c in cuts[:k]],
-                                       rtol=1e-15, atol=1e-15)
-            np.testing.assert_array_equal(model.box_rows, np.vstack([np.eye(3), -np.eye(3)]))
-            np.testing.assert_array_equal(model.box_rhs, np.ones(6))
+            # box rows first, then the cuts in the order they came
+            offsets, slopes = cut_arrays(cuts[:k])
+            a_mat, b_vec = model.level_set(0.5)
+            np.testing.assert_array_equal(a_mat, np.vstack([np.eye(3), -np.eye(3), slopes]))
+            np.testing.assert_array_equal(b_vec, np.concatenate([np.ones(6), 0.5 - offsets]))
             value, argmin = model.minimum()
             assert value == pytest.approx(minima[k - 1][0], abs=1e-12)
             np.testing.assert_allclose(argmin, minima[k - 1][1], atol=1e-12)
@@ -227,10 +226,10 @@ class TestModelMinimum:
         for _, problem, state, _ in (bench3_run, bench5_run):
             box = problem.box_radius
             model = CutModel(problem.measurements.grid.n_samples, box)
-            for cut in state.cuts:
+            for k, cut in enumerate(state.cuts, start=1):
                 model.add(cut)
                 value, argmin = model.minimum()
-                reference = certified_cold_minimum(model.offsets, model.slopes, box)
+                reference = certified_cold_minimum(*cut_arrays(state.cuts[:k]), box)
                 assert np.abs(argmin).max() <= box * (1 + 1e-12)
                 if reference is None:
                     continue
@@ -254,10 +253,11 @@ class TestModelMinimum:
         checked = 0
         for problem, cuts in runs:
             model = CutModel(problem.measurements.grid.n_samples, problem.box_radius)
-            for cut in cuts:
+            for k, cut in enumerate(cuts, start=1):
                 model.add(cut)
                 value, argmin = model.minimum()
-                bound, mu, scale = basis_bound(model)
+                offsets, slopes = cut_arrays(cuts[:k])
+                bound, mu, scale = basis_bound(model, offsets, slopes)
                 assert np.all(model._mult >= 0.0)
                 assert mu.sum() == pytest.approx(1.0, abs=1e-12)
                 # the terms run to ~1e5 times the value on the benchmark
@@ -267,11 +267,11 @@ class TestModelMinimum:
                 # the argmin violates no cut by more than the row tolerance
                 # plus the round-off of its product with the slopes, so the
                 # model minimum lies at most that far above the value
-                excess = model.offsets + model.slopes @ argmin - value
+                excess = offsets + slopes @ argmin - value
                 roundoff = argmin.size * np.finfo(float).eps * (
-                    np.abs(model.slopes) @ np.abs(argmin) + abs(value))
+                    np.abs(slopes) @ np.abs(argmin) + abs(value))
                 assert np.all(excess <= solver.LP_ROW_TOL
-                              * np.maximum(1.0, np.abs(model.offsets)) + roundoff)
+                              * np.maximum(1.0, np.abs(offsets)) + roundoff)
                 checked += 1
         assert checked == sum(len(cuts) for _, cuts in runs)
 
