@@ -2,7 +2,7 @@
 
 Subcommands: solve, exp-lambda-t, exp-t-a, exp-noise, bounds.
 Exit codes: 0 success, 2 config error or an --out that cannot be written,
-3 solver error, 4 empty support.
+3 solver error or a pi too small for the data, 4 empty support.
 """
 
 import argparse
@@ -25,14 +25,18 @@ def _build_parser():
         description="Spike recovery through the dual semi-infinite program, "
                     "plus its stability experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "run one solve and write convergence/certificate/recovery CSVs"),
-        ("exp-lambda-t", "location error vs dual error across iterations"),
-        ("exp-t-a", "amplitude error vs location error across iterations"),
-        ("exp-noise", "dual and support error across the noise sweep"),
-        ("bounds", "reference solve plus the full constants report"),
+    # looked up per call, so a driver replaced after import is the one run
+    for name, run, help_text in [
+        ("solve", experiments.run_solve,
+         "run one solve and write convergence/certificate/recovery CSVs"),
+        ("exp-lambda-t", experiments.run_lambda_t,
+         "location error vs dual error across iterations"),
+        ("exp-t-a", experiments.run_t_a, "amplitude error vs location error across iterations"),
+        ("exp-noise", experiments.run_noise, "dual and support error across the noise sweep"),
+        ("bounds", experiments.run_bounds, "reference solve plus the full constants report"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")
         cmd.add_argument("--out", default="out", help="output directory (default: out)")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -61,22 +65,13 @@ def main(argv=None):
     try:
         # before any solve: an --out that cannot be a directory fails here
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "solve":
-            for path in experiments.run_solve(cfg, args.out):
-                print(path)
-        elif args.command == "exp-lambda-t":
-            path, _ = experiments.run_lambda_t(cfg, args.out)
+        # exp-noise by name: --jobs is its own
+        if args.command == "exp-noise":
+            paths, _ = experiments.run_noise(cfg, args.out, jobs=args.jobs)
+        else:
+            paths, _ = args.run(cfg, args.out)
+        for path in paths:
             print(path)
-        elif args.command == "exp-t-a":
-            path, _ = experiments.run_t_a(cfg, args.out)
-            print(path)
-        elif args.command == "exp-noise":
-            path, _ = experiments.run_noise(cfg, args.out, jobs=args.jobs)
-            print(path)
-        elif args.command == "bounds":
-            _, paths = experiments.run_bounds(cfg, args.out)
-            for path in paths:
-                print(path)
     except EmptySupportError as exc:
         print(f"no support recovered: {exc}", file=sys.stderr)
         return EXIT_NO_SUPPORT

@@ -2,8 +2,8 @@
 noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
 final iterate, and takes its stability constants from that report.  Every
-driver writes deterministic CSV artifacts (header row plus a comment line
-with the config digest and seed).
+driver writes deterministic artifacts (``write_csv``) and returns (the
+paths it wrote, its data).
 """
 
 import os
@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from . import bounds
-from .certificate import Certificate, dump_curve, refine_location
+from .certificate import Certificate, dump_curve, refine_location, supremum
 from .config import ExperimentConfig
 from .errors import ConfigError, DualSpikeError, NoConvergenceError
 from .model import noise_grid, synthesize, uniform_noise
@@ -36,16 +36,23 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_csv(path, comment, header, rows):
+def _write(cfg: ExperimentConfig, out_dir, name, text):
+    """Write ``name`` into ``out_dir``, created if missing: the comment line
+    with the config digest and seed, then ``text``.  Returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        fh.write(f"# config={cfg.digest or 'inline'} seed={cfg.seed} rng=pcg64\n")
+        fh.write(text)
+    return path
 
 
-def _comment(cfg: ExperimentConfig, seed):
-    return f"config={cfg.digest or 'inline'} seed={seed} rng=pcg64"
+def write_csv(cfg: ExperimentConfig, out_dir, name, header, rows):
+    """One CSV artifact: the comment line, the header row and ``rows``
+    (None as an empty field, strings as they are).  Returns its path."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return _write(cfg, out_dir, name, "\n".join(lines) + "\n")
 
 
 def _iterations(cfg: ExperimentConfig, default):
@@ -61,37 +68,40 @@ def _certificate(problem: PenaltyProblem, weights) -> Certificate:
     return Certificate(weights, problem.measurements.grid, problem.kernel)
 
 
+def _check_penalty(problem: PenaltyProblem, state: BundleState):
+    """DualSpikeError (exit code 3) naming ``pi`` when pi <= L = y.lam /
+    max(1, sup q) at the final iterate.  lam / max(1, sup q) is dual
+    feasible, so by weak duality L bounds the primal mass |a|_1 from below:
+    pi <= L proves that the penalty need not be exact.  Clean y only: noisy
+    y lies outside the cone, where L says nothing about pi."""
+    _, sup_q = supremum(_certificate(problem, state.iterate))
+    mass_bound = float(problem.measurements.y @ state.iterate) / max(1.0, sup_q)
+    if problem.penalty <= mass_bound:
+        raise DualSpikeError(f"key 'pi': {problem.penalty:g} does not exceed {mass_bound:.6g} "
+                             f"= y.lam / max(1, sup q), a lower bound on the primal mass")
+
+
 def run_solve(cfg: ExperimentConfig, out_dir):
     """Single solve: convergence, certificate curve, and recovery CSVs.
 
-    Returns the paths written.  Raises EmptySupportError (after writing the
-    convergence and certificate files) when no maximizer qualifies as
-    support.
+    Returns (paths, recovery).  Raises DualSpikeError, before writing
+    anything, when the penalty is too small (``_check_penalty``), and
+    EmptySupportError (after writing the convergence and certificate files)
+    when no maximizer qualifies as support.
     """
     problem = build_problem(cfg)
     state = solve(problem, max_iters=_iterations(cfg, DEFAULT_ITERS))
-    os.makedirs(out_dir, exist_ok=True)
-    comment = _comment(cfg, cfg.seed)
-    files = []
-
-    conv_path = os.path.join(out_dir, "convergence.csv")
-    write_csv(conv_path, comment, ["iter", "upper", "lower", "gap"],
-              [(i + 1, u, lo, g) for i, (u, lo, g) in enumerate(
-                  zip(state.upper_history, state.lower_history, state.gap_history))])
-    files.append(conv_path)
-
+    _check_penalty(problem, state)
+    paths = [write_csv(cfg, out_dir, "convergence.csv", ["iter", "upper", "lower", "gap"],
+                       [(i + 1, u, lo, g) for i, (u, lo, g) in enumerate(
+                           zip(state.upper_history, state.lower_history,
+                               state.gap_history))])]
     cert = _certificate(problem, state.iterate)
-    curve = dump_curve(cert)
-    cert_path = os.path.join(out_dir, "certificate.csv")
-    write_csv(cert_path, comment, ["t", "q"], [tuple(row) for row in curve])
-    files.append(cert_path)
-
+    paths.append(write_csv(cfg, out_dir, "certificate.csv", ["t", "q"], dump_curve(cert)))
     recovery = recover(cert, problem.measurements.y)
-    rec_path = os.path.join(out_dir, "recovery.csv")
-    write_csv(rec_path, comment, ["location", "amplitude"],
-              list(zip(recovery.locations, recovery.amplitudes)))
-    files.append(rec_path)
-    return files
+    paths.append(write_csv(cfg, out_dir, "recovery.csv", ["location", "amplitude"],
+                           zip(recovery.locations, recovery.amplitudes)))
+    return paths, recovery
 
 
 def reference_run(cfg: ExperimentConfig, iterations):
@@ -103,12 +113,14 @@ def reference_run(cfg: ExperimentConfig, iterations):
     against (location rates, amplitude rate, reduced-Jacobian sigma_min)
     are computed.  A solve that ran no iteration leaves the zero vector,
     not a reference: DualSpikeError (exit code 3) naming ``iterations``.
+    So does a penalty too small for the data (``_check_penalty``).
     """
     problem = build_problem(cfg)
     state = solve(problem, max_iters=iterations)
     if state.n_iterations == 0:
         raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
                              f"(iterations = {iterations})")
+    _check_penalty(problem, state)
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
                                 state.iterate, cfg.pi, cfg.tau)
     return problem, state, report
@@ -178,12 +190,9 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
             ratio = loc_err / dual_err if dual_err > 0 else None
             rows.append((p, i + 1, loc_err, dual_err, ratio, rates[i],
                          2.0 * rates[i], in_window if ratio is not None else 0, ""))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "exp_lambda_t.csv")
-    write_csv(path, _comment(cfg, cfg.seed),
-              ["iter", "source", "loc_err", "dual_err", "ratio",
-               "loc_rate", "two_loc_rate", "in_window", "note"], rows)
-    return path, rows
+    return [write_csv(cfg, out_dir, "exp_lambda_t.csv",
+                      ["iter", "source", "loc_err", "dual_err", "ratio",
+                       "loc_rate", "two_loc_rate", "in_window", "note"], rows)], rows
 
 
 def run_t_a(cfg: ExperimentConfig, out_dir):
@@ -192,9 +201,7 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     problem, report, window = reference_window(cfg)
     amp_log10 = _constant(report, "amp_rate_log10")
     src = cfg.source_model()
-    grid = cfg.sample_grid()
-    kernel = cfg.kernel()
-    y = problem.measurements.y
+    grid, y = problem.measurements.grid, problem.measurements.y
     rows = []
     for p, _, in_window, cert_p in window:
         try:
@@ -206,15 +213,12 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
         if loc_err == 0.0:
             rows.append((p, None, 0.0, None, amp_log10, 0, "zero_loc_err"))
             continue
-        result = recover_amplitudes(grid, kernel, t_p, y)
+        result = recover_amplitudes(grid, problem.kernel, t_p, y)
         amp_err = float(np.linalg.norm(result.amplitudes - src.amplitudes))
         rows.append((p, amp_err, loc_err, amp_err / loc_err, amp_log10, in_window, ""))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "exp_t_a.csv")
-    write_csv(path, _comment(cfg, cfg.seed),
-              ["iter", "amp_err", "loc_err", "ratio", "amp_rate_log10",
-               "in_window", "note"], rows)
-    return path, rows
+    return [write_csv(cfg, out_dir, "exp_t_a.csv",
+                      ["iter", "amp_err", "loc_err", "ratio", "amp_rate_log10",
+                       "in_window", "note"], rows)], rows
 
 
 def _noise_point(args):
@@ -278,25 +282,17 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
             dual_full / w_full if w_full > 0 else None,
             (loc_err / w_full) if (loc_err is not None and w_full > 0) else None,
             note))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "exp_noise.csv")
-    write_csv(path, _comment(cfg, cfg.seed),
-              ["w_c", "noise_norm_sel", "dual_err_sel", "ratio_sel",
-               "noise_rate", "loc_err", "noise_norm_full", "dual_err_full",
-               "ratio_full", "loc_ratio", "note"], rows)
-    return path, rows
+    return [write_csv(cfg, out_dir, "exp_noise.csv",
+                      ["w_c", "noise_norm_sel", "dual_err_sel", "ratio_sel",
+                       "noise_rate", "loc_err", "noise_norm_full", "dual_err_full",
+                       "ratio_full", "loc_ratio", "note"], rows)], rows
 
 
 def run_bounds(cfg: ExperimentConfig, out_dir):
-    """The reference stage's constants report, as text and as a one-row CSV."""
+    """The reference stage's constants report, as text and as a one-row CSV.
+    Returns (paths, report)."""
     _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS))
-    os.makedirs(out_dir, exist_ok=True)
-    comment = _comment(cfg, cfg.seed)
-    text_path = os.path.join(out_dir, "bounds_report.txt")
-    with open(text_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(report.to_text())
-    csv_path = os.path.join(out_dir, "bounds_report.csv")
     items = report._scalar_items()
-    write_csv(csv_path, comment, [name for name, _ in items], [[v for _, v in items]])
-    return report, [text_path, csv_path]
+    return [_write(cfg, out_dir, "bounds_report.txt", report.to_text()),
+            write_csv(cfg, out_dir, "bounds_report.csv", [name for name, _ in items],
+                      [[v for _, v in items]])], report

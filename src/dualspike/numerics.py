@@ -147,8 +147,8 @@ def _warm_columns(e_mat, cols, weights):
     Gram matrix of the columns with each dropped column taken out by a
     Schur complement.  It only picks where ``_nnls`` starts: that loop
     re-solves on QR factors and drops what still fails.  LinAlgError when
-    the Gram matrix is singular, its solution not finite or every column
-    dropped.
+    the Gram matrix is singular (a zero Schur pivot included), its solution
+    not finite or every column dropped.
     """
     sub = e_mat.take(cols, 1)
     inv = np.linalg.inv(sub.T @ sub)
@@ -171,6 +171,10 @@ def _warm_columns(e_mat, cols, weights):
             dropped = np.setdiff1d(np.arange(size), keep)
         for j in dropped:
             row = inv[j]
+            if row[j] == 0.0:
+                # singular to round-off: np.linalg.inv rejects only exact
+                # singularity, and this pivot would fill inv with inf and nan
+                raise np.linalg.LinAlgError("warm start: zero Schur pivot")
             inv = inv - row[:, None] * (row / row[j])
         inv = inv.take(keep, 0).take(keep, 1)
         cols, rhs = cols.take(keep), rhs.take(keep)
@@ -236,15 +240,14 @@ def _least_distance(point, a_mat, b_vec, warm):
     np.negative(a_mat.T, out=e_mat[:n])
     np.multiply(excess, 1.0 / scale, out=e_mat[n])
     cols, weights = top, np.ones(1)
-    if warm is not None and warm.rows.size:
+    if warm.rows.size:
         # the warm rows and the most violated row
         cols, weights = warm.rows, warm.multipliers
         if not (cols == top[0]).any():
             cols = np.concatenate((cols, top))
             weights = np.concatenate((weights, (weights[weights.argmax()],)))
     cols, mult, resid = _nnls(e_mat, cols, weights)
-    if warm is not None:
-        warm.rows, warm.multipliers = cols, mult
+    warm.rows, warm.multipliers = cols, mult
     # resid[n] = 1 - |Q^T e_last|^2 cancels to 0 on a level set thinner than
     # double precision resolves; the corrections then start from the point
     x = point - (scale / resid[n]) * resid[:n] if resid[n] > 0.0 else point.copy()
@@ -263,14 +266,15 @@ def _least_distance(point, a_mat, b_vec, warm):
     return x, bool((a_mat @ x - b_vec).max() <= tol)  # False also on NaN
 
 
-def project_polyhedron(point, a_mat, b_vec, warm=None):
+def project_polyhedron(point, a_mat, b_vec, warm):
     """Euclidean projection of ``point`` onto {x : A x <= b}.
 
     Least-distance programming by non-negative least squares (Lawson and
     Hanson, ch. 23): ``_nnls`` on the columns [-a_i; excess_i / max excess]
-    of every row against e_{n+1}.  With a ``WarmStart``, the NNLS starts
-    from the rows and multipliers the previous projection ended on, plus
-    the most violated row, and the rows it ends on are stored back.  Two
+    of every row against e_{n+1}.  The NNLS starts from the rows and
+    multipliers the previous projection ended on (``warm``, a
+    ``WarmStart``), plus the most violated row, or from that row alone
+    when ``warm`` is fresh; the rows it ends on are stored back.  Two
     min-norm corrections onto the rows with a positive multiplier run only
     when the NNLS point fails the final check; a corrected point that still
     fails it lies within round-off of the set, and is projected once more.

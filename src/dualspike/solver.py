@@ -261,7 +261,7 @@ def project_to_level(model, level, point, minimum):
     return np.clip(projected, -model.box_radius, model.box_radius)
 
 
-def solve(problem: PenaltyProblem, max_iters: int = 500) -> BundleState:
+def solve(problem: PenaltyProblem, max_iters: int) -> BundleState:
     """Run the level bundle method from the zero vector.
 
     Per iteration: evaluate the objective and a subgradient at the current

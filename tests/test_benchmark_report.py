@@ -107,7 +107,7 @@ class TestNoiseSweepEdges:
         from conftest import three_spike_config
         monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.02]))
         cfg = three_spike_config(iterations=100)
-        path_serial, _ = run_noise(cfg, tmp_path / "serial", jobs=1)
-        path_par, _ = run_noise(cfg, tmp_path / "par", jobs=2)
+        (path_serial,), _ = run_noise(cfg, tmp_path / "serial", jobs=1)
+        (path_par,), _ = run_noise(cfg, tmp_path / "par", jobs=2)
         with open(path_serial, "rb") as a, open(path_par, "rb") as b:
             assert a.read() == b.read()

@@ -313,6 +313,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "amp_rate_log10" in err and "translate matrix is singular" in err
 
+    @pytest.mark.parametrize("pi,code", [(2.0, EXIT_SOLVER), (2.3, EXIT_OK)])
+    def test_penalty_below_the_primal_mass_exit_code(self, tmp_path, capsys, pi, code):
+        # the three-spike primal mass is 2.2: at pi = 2 y.lam / max(1, sup q)
+        # proves the penalty too small, and the solve fails in one line
+        # naming the key, before writing anything; pi = 2.3 is exact
+        text = (ROOT / "configs" / "three_spikes.cfg").read_text()
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text.replace("pi = 100", f"pi = {pi}"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_SOLVER:
+            assert err.startswith("solver error: key 'pi': ") and err.count("\n") == 1
+            assert not any(out.iterdir())
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("command,flags", [
+        ("solve", []),
+        ("exp-lambda-t", ["--iters", "300"]),
+        ("exp-t-a", ["--iters", "300"]),
+        ("exp-noise", ["--iters", "20"]),
+        ("bounds", []),
+    ])
+    def test_stdout_lists_the_files_written(self, tmp_path, capsys, command, flags):
+        # one path per line for every artifact the command wrote, and every
+        # artifact starts with the same comment line
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), *flags]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(str(path) for path in out.iterdir())
+        comment = f"# config={parse_config(TINY_CONFIG).digest} seed=3 rng=pcg64"
+        for path in printed:
+            assert Path(path).read_text().splitlines()[0] == comment
+
     def test_zero_iterations_no_support(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CONFIG)

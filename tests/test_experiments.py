@@ -23,10 +23,10 @@ def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("three_spike")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
-        noise_path, _ = experiments.run_noise(cfg, out)
-    lambda_t_path, _ = experiments.run_lambda_t(cfg, out)
-    t_a_path, _ = experiments.run_t_a(cfg, out)
-    _, (_, report_path) = experiments.run_bounds(cfg, out)
+        (noise_path,), _ = experiments.run_noise(cfg, out)
+    (lambda_t_path,), _ = experiments.run_lambda_t(cfg, out)
+    (t_a_path,), _ = experiments.run_t_a(cfg, out)
+    (_, report_path), _ = experiments.run_bounds(cfg, out)
     (report,) = read_rows(report_path)
     return (read_rows(noise_path), read_rows(lambda_t_path), read_rows(t_a_path),
             {name: float(value) for name, value in report.items() if value})

@@ -2,7 +2,8 @@
 tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
-there, or it is a constant.  And src/ imports nothing from scipy: the
+there, or it is a constant, and left to its default by some call there,
+or the default is dead.  And src/ imports nothing from scipy: the
 runtime is numpy alone, and a serial command loads no multiprocessing."""
 
 import ast
@@ -116,21 +117,34 @@ def calls_by_callee(paths):
     return calls
 
 
-def unset_defaults(package_paths, users):
-    """``label(names)`` for each function whose defaulted parameters no call
-    in ``users`` sets, by position or by keyword."""
+def _defaults_where(package_paths, users, picked):
+    """``label(names)`` for each function with defaulted parameters for which
+    ``picked(setting)`` holds, ``setting`` listing, per call in ``users``,
+    whether it sets the parameter, by position or by keyword."""
     calls = calls_by_callee(users)
     found = []
     for path in package_paths:
         for qual, label, callee, params in defaulted_parameters(path):
             seen = calls.get(callee, [])
-            unset = [name for name, position in params
-                     if not any(name in keywords
+            names = [name for name, position in params
+                     if picked([name in keywords
                                 or (position is not None and positional > position)
-                                for positional, keywords in seen)]
-            if unset and qual not in EXEMPT:
-                found.append(f"{label}({', '.join(unset)})")
+                                for positional, keywords in seen])]
+            if names and qual not in EXEMPT:
+                found.append(f"{label}({', '.join(names)})")
     return found
+
+
+def unset_defaults(package_paths, users):
+    """Defaulted parameters no call in ``users`` sets."""
+    return _defaults_where(package_paths, users, lambda setting: not any(setting))
+
+
+def overridden_defaults(package_paths, users):
+    """Defaulted parameters that every call in ``users`` sets, when there is
+    one: a default no call relies on."""
+    return _defaults_where(package_paths, users,
+                           lambda setting: bool(setting) and all(setting))
 
 
 def test_no_parameter_only_tests_set():
@@ -152,6 +166,29 @@ def test_unset_defaults_are_found(tmp_path):
                       "Grid(4, 0.5).at(1)\n")
     assert unset_defaults([module], [module]) == [
         "scale(offset, clip)", "Grid.at(order)"]
+
+
+def test_no_default_every_call_overrides():
+    # a default that every pipeline call replaces is a second, dead copy
+    assert overridden_defaults(sorted(PACKAGE.glob("*.py")), _users()) == []
+
+
+def test_overridden_defaults_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("def scale(x, factor=2.0, offset=0.0, *, clip=None):\n"
+                      "    return factor * x + offset\n"
+                      "class Grid:\n"
+                      "    def __init__(self, n, step=1.0):\n"
+                      "        self.n = n\n"
+                      "    def at(self, i, order=0):\n"
+                      "        return i\n"
+                      "def unused(x, y=1):\n"
+                      "    return x\n"
+                      "scale(1.0, 3.0, clip=1.0)\n"
+                      "scale(2.0, factor=1.0, clip=2.0)\n"
+                      "Grid(4, 0.5).at(1, order=2)\n"
+                      "Grid(*[4, 0.5]).at(2, 0)\n")
+    assert overridden_defaults([module], [module]) == ["scale(factor, clip)", "Grid.at(order)"]
 
 
 def scipy_imports(paths):

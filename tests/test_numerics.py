@@ -274,14 +274,15 @@ class TestLeastSquares:
 class TestProjection:
     def test_interior_point_unchanged(self):
         p = np.array([0.5, -0.5, 0.2])
-        out = project_polyhedron(p, *with_box(np.zeros((0, 3)), np.zeros(0), 3, 10.0))
+        out = project_polyhedron(p, *with_box(np.zeros((0, 3)), np.zeros(0), 3, 10.0),
+                                 WarmStart())
         np.testing.assert_allclose(out, p, atol=1e-14)
 
     def test_single_halfspace_closed_form(self):
         # {x : x_0 <= 0} inside a wide box; projection zeroes the first coord
         p = np.array([2.0, 0.3, -0.4])
         a = np.array([[1.0, 0.0, 0.0]])
-        out = project_polyhedron(p, *with_box(a, np.array([0.0]), 3, 10.0))
+        out = project_polyhedron(p, *with_box(a, np.array([0.0]), 3, 10.0), WarmStart())
         np.testing.assert_allclose(out, [0.0, 0.3, -0.4], atol=1e-12)
 
     def test_against_penalty_oracle(self):
@@ -290,7 +291,7 @@ class TestProjection:
             a, b = feasible_instance(rng, 5, 3, box=10.0)
             p = rng.normal(size=3) * 3.0
             a_full, b_full = with_box(a, b, 3, 10.0)
-            out = project_polyhedron(p, a_full, b_full)
+            out = project_polyhedron(p, a_full, b_full, WarmStart())
             ref = penalty_projection_oracle(p, a_full, b_full)
             assert np.linalg.norm(out - ref) <= 1e-5
 
@@ -302,7 +303,7 @@ class TestProjection:
             eye = np.eye(4)
             a_full = np.vstack([a, eye, -eye])
             b_full = np.concatenate([b, np.full(8, 5.0)])
-            x = project_polyhedron(p, a_full, b_full)
+            x = project_polyhedron(p, a_full, b_full, WarmStart())
             slack = b_full - a_full @ x
             assert slack.min() >= -1e-10
             active = slack <= 1e-8
@@ -320,8 +321,8 @@ class TestProjection:
         for _ in range(10):
             a, b = feasible_instance(rng, 5, 3, box=8.0)
             p = rng.normal(size=3) * 4.0
-            once = project_polyhedron(p, *with_box(a, b, 3, 8.0))
-            twice = project_polyhedron(once, *with_box(a, b, 3, 8.0))
+            once = project_polyhedron(p, *with_box(a, b, 3, 8.0), WarmStart())
+            twice = project_polyhedron(once, *with_box(a, b, 3, 8.0), WarmStart())
             assert np.linalg.norm(once - twice) <= 1e-10
 
     def test_nonexpansive(self):
@@ -329,15 +330,15 @@ class TestProjection:
         a_full, b_full = with_box(*feasible_instance(rng, 5, 3, box=8.0), 3, 8.0)
         for _ in range(20):
             p, q = rng.normal(size=3) * 3, rng.normal(size=3) * 3
-            px = project_polyhedron(p, a_full, b_full)
-            qx = project_polyhedron(q, a_full, b_full)
+            px = project_polyhedron(p, a_full, b_full, WarmStart())
+            qx = project_polyhedron(q, a_full, b_full, WarmStart())
             assert np.linalg.norm(px - qx) <= np.linalg.norm(p - q) + 1e-12
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scaled_polyhedra())
     def test_kkt_on_scaled_and_duplicated_rows(self, instance):
         point, a_full, b_full, interior = instance
-        x = project_polyhedron(point, a_full, b_full)
+        x = project_polyhedron(point, a_full, b_full, WarmStart())
         norms = np.linalg.norm(a_full, axis=1)
         a_unit, b_unit = a_full / norms[:, None], b_full / norms
         slack = b_unit - a_unit @ x
@@ -348,7 +349,7 @@ class TestProjection:
         mu = (lsq_linear(a_unit[active].T, point - x, bounds=(0.0, np.inf), method="bvls").x
               if active.any() else np.zeros(0))
         assert np.linalg.norm(point - x - a_unit[active].T @ mu) <= 1e-12 * scale
-        inside = project_polyhedron(interior, a_full, b_full)
+        inside = project_polyhedron(interior, a_full, b_full, WarmStart())
         assert np.array_equal(inside, interior) and inside is not interior
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -360,7 +361,7 @@ class TestProjection:
         # the rows within one largest-violation distance of the point, which
         # the working set starts from, leave out a row active at x_star
         assume(np.any(active & (excess < -excess.max())))
-        x = project_polyhedron(point, a_full, b_full)
+        x = project_polyhedron(point, a_full, b_full, WarmStart())
         scale = max(1.0, np.linalg.norm(point))
         assert np.linalg.norm(x - full_row_projection(point, a_full, b_full)) <= 1e-12 * scale
         assert np.linalg.norm(x - x_star) <= 1e-12 * scale
@@ -378,7 +379,7 @@ class TestProjection:
             a_k, b_k = a_full[:n_box + k], b_full[:n_box + k]
             point = point + move * step / np.linalg.norm(step)
             x_warm = project_polyhedron(point, a_k, b_k, warm)
-            x_cold = project_polyhedron(point, a_k, b_k)
+            x_cold = project_polyhedron(point, a_k, b_k, WarmStart())
             scale = max(1.0, np.linalg.norm(point))
             assert np.linalg.norm(x_warm - x_cold) <= 1e-12 * scale
             assert np.linalg.norm(x_warm - full_row_projection(point, a_k, b_k)) <= 1e-12 * scale
@@ -392,12 +393,14 @@ class TestProjection:
         monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 0)
         a_full, b_full = with_box(np.eye(2), np.zeros(2), 2, 10.0)
         with pytest.raises(NoConvergenceError):
-            project_polyhedron(np.array([2.0, 3.0]), a_full, b_full)
+            project_polyhedron(np.array([2.0, 3.0]), a_full, b_full, WarmStart())
         # a point already inside never reaches the solver
-        np.testing.assert_array_equal(project_polyhedron(np.array([-2.0, -0.3]), a_full, b_full),
+        np.testing.assert_array_equal(project_polyhedron(np.array([-2.0, -0.3]), a_full, b_full,
+                                                         WarmStart()),
                                       [-2.0, -0.3])
         monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 3)
-        np.testing.assert_allclose(project_polyhedron(np.array([2.0, 3.0]), a_full, b_full),
+        np.testing.assert_allclose(project_polyhedron(np.array([2.0, 3.0]), a_full, b_full,
+                                                      WarmStart()),
                                    [0.0, 0.0], atol=1e-14)
 
     def test_zero_rows(self):
@@ -409,14 +412,14 @@ class TestProjection:
         np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-14)
         assert 1 not in warm.rows.tolist()
         with pytest.raises(InfeasibleError):
-            project_polyhedron(np.array([1.0, 2.0]), a, np.array([0.0, -1.0, 0.0]))
+            project_polyhedron(np.array([1.0, 2.0]), a, np.array([0.0, -1.0, 0.0]), WarmStart())
 
     def test_infeasible_detected(self):
         # x >= 1 and x <= -1 simultaneously
         a = np.array([[1.0], [-1.0]])
         b = np.array([-1.0, -1.0])
         with pytest.raises(InfeasibleError):
-            project_polyhedron(np.array([0.0]), a, b)
+            project_polyhedron(np.array([0.0]), a, b, WarmStart())
 
 
 class TestLpMin:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dualspike import numerics
 from dualspike.bounds import phi_shift_lipschitz_log10
 from dualspike.certificate import Certificate
-from dualspike.errors import EmptySupportError, RankDeficientError
+from dualspike.config import ExperimentConfig
+from dualspike.errors import DualSpikeError, EmptySupportError, RankDeficientError
+from dualspike.experiments import run_solve
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize
 from dualspike.recovery import build_phi, recover, recover_amplitudes
@@ -172,6 +174,29 @@ class TestRecover:
         result = recover(cert, np.array([1.0]))
         np.testing.assert_allclose(result.locations, [0.5], atol=1e-10)
         np.testing.assert_allclose(result.amplitudes, [1.0], atol=1e-10)
+
+
+class TestPenaltyCheck:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.12), st.integers(21, 41))
+    def test_penalty_below_the_mass_fails_and_above_recovers(self, tmp_path_factory, seed,
+                                                             sigma, m):
+        # pi = 0.9 |a|_1 is not an exact penalty, and y.lam / max(1, sup q),
+        # a lower bound on |a|_1, proves it; pi = 1.5 |a|_1 is exact and the
+        # solve recovers every source within criterion 2's tolerances
+        locs, amps = random_separated_sources(np.random.default_rng(seed), sigma)
+        out = tmp_path_factory.mktemp("penalty")
+
+        def config(ratio):
+            return ExperimentConfig(sources=locs, amplitudes=amps, sigma=sigma,
+                                    samples=np.linspace(0.0, 1.0, m), pi=ratio * amps.sum())
+
+        with pytest.raises(DualSpikeError, match="key 'pi'"):
+            run_solve(config(0.9), out)
+        _, result = run_solve(config(1.5), out)
+        assert result.locations.size == locs.size
+        assert np.abs(result.locations - locs).max() <= 5e-4
+        assert np.abs(result.amplitudes - amps).max() <= 1e-3
 
 
 class TestTranslateLipschitz:
