@@ -1,5 +1,13 @@
 """Dual certificates q(t) = sum_j lambda_j phi(t - s_j): evaluation,
-maximizer search and local refinement."""
+maximizer search and local refinement.
+
+Every refinement goes through one safeguarded Newton routine,
+``newton_on_slope``, which advances a batch of runs together: the
+supremum of a lockstep batch of certificates (one per bundle problem)
+sends the runs of all of them through one call, while each certificate
+keeps its own scan product and peak selection.  A run's result is the
+same bit for bit whatever runs share its call.
+"""
 
 import functools
 import math
@@ -40,44 +48,69 @@ def min_kernel_width():
 
 
 def _derivatives(kernel: Kernel, samples, weights, t):
-    """q(t), q'(t) and q''(t) from one kernel exponential."""
-    k0, k1, k2 = kernel.value_and_derivatives(t - samples)
-    return float(k0 @ weights), float(k1 @ weights), float(k2 @ weights)
+    """q, q' and q'' of run r at t[r], for the rows of ``weights``, from one
+    kernel exponential per entry.  Each is a row dot product (stacked
+    ``np.matmul``), so a run gets the bits of ``k @ weights[r]`` whatever
+    runs share the call."""
+    tables = np.array(kernel.value_and_derivatives(t[:, None] - samples))
+    return np.matmul(tables[:, :, None, :], weights[:, :, None])[..., 0, 0]
 
 
 def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter,
                     start=None):
-    """Drive q' to zero from t inside the bracket [lo, hi].
+    """Drive q' to zero from t inside the bracket [lo, hi], for a batch of
+    runs: run r works on ``weights[r]`` from ``t[r]`` in [``lo[r]``,
+    ``hi[r]``] down to the slope ``floor[r]``.
 
     Each step is Newton's where q'' < 0 and lands inside the bracket, and
     bisection otherwise; the bracket end on the side of the new slope's sign
-    moves to the new point.  Stops when |q'| <= ``floor``, when a step leaves
-    t unchanged, or when the bracket is ``BRACKET_ULPS`` ulps wide.  Returns
-    (t, (q, q', q'') at t, converged); ``converged`` is False only when
-    ``max_iter`` steps ran out first.  ``start``, when given, is (q, q', q'')
-    at t, equal to what ``_derivatives`` returns there; otherwise it is
-    evaluated.
+    moves to the new point.  A run stops when |q'| <= its floor, when a step
+    leaves t unchanged, or when its bracket is ``BRACKET_ULPS`` ulps wide.
+    The runs still going take each step together: one ``_derivatives``
+    call evaluates all their new points, and the tests and bracket updates
+    run per run in floats, so a run's arithmetic is the same whatever runs
+    share it.  Returns (t, (q, q', q'') at t, converged), lists with one
+    entry per run; ``converged`` is False only where ``max_iter`` steps ran
+    out first.  ``start``, when given, is (q, q', q'') at t, equal to what
+    ``_derivatives`` returns there; otherwise it is evaluated.
     """
-    derivs = _derivatives(kernel, samples, weights, t) if start is None else start
+    if start is None:
+        start = _derivatives(kernel, samples, weights, np.asarray(t, dtype=float))
+    t, lo, hi, floor = np.array([t, lo, hi, floor], dtype=float).tolist()
+    q, slope, curv = np.asarray(start, dtype=float).tolist()
+    converged = [False] * len(t)
+    going = range(len(t))
     for _ in range(max_iter):
-        _, slope, curv = derivs
-        if abs(slope) <= floor:
-            return t, derivs, True
-        mid = 0.5 * (lo + hi)
-        t_new = t - slope / curv if curv < 0.0 else mid
-        if not lo <= t_new <= hi:
-            t_new = mid
-        if t_new == t:
-            return t, derivs, True
-        t = t_new
-        derivs = _derivatives(kernel, samples, weights, t)
-        if derivs[1] > 0.0:
-            lo = t
-        else:
-            hi = t
-        if hi - lo <= BRACKET_ULPS * math.ulp(max(abs(lo), abs(hi))):
-            return t, derivs, True
-    return t, derivs, False
+        moved = []
+        for r in going:
+            if abs(slope[r]) <= floor[r]:
+                converged[r] = True
+                continue
+            mid = 0.5 * (lo[r] + hi[r])
+            t_new = t[r] - slope[r] / curv[r] if curv[r] < 0.0 else mid
+            if not lo[r] <= t_new <= hi[r]:
+                t_new = mid
+            if t_new == t[r]:
+                converged[r] = True
+                continue
+            t[r] = t_new
+            moved.append(r)
+        if not moved:
+            break
+        moved_weights = weights if len(moved) == len(t) else weights[moved]
+        derivs = _derivatives(kernel, samples, moved_weights, np.array([t[r] for r in moved]))
+        going = []
+        for r, at_t in zip(moved, zip(*derivs.tolist())):
+            q[r], slope[r], curv[r] = at_t
+            if slope[r] > 0.0:
+                lo[r] = t[r]
+            else:
+                hi[r] = t[r]
+            if hi[r] - lo[r] <= BRACKET_ULPS * math.ulp(max(abs(lo[r]), abs(hi[r]))):
+                converged[r] = True
+            else:
+                going.append(r)
+    return t, (q, slope, curv), converged
 
 
 @dataclass(frozen=True)
@@ -136,9 +169,9 @@ class CertificateGrid:
 
     Holds phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on the
     uniform ``DEFAULT_GRID_POINTS`` scan of [0,1] so that repeated suprema
-    (one per bundle iteration) reduce to a matrix-vector product, and each
-    Newton run from a scan local maximum starts from three row products
-    instead of a kernel evaluation.  The tables are read-only and kept
+    (one per bundle problem and iteration) reduce to a matrix-vector
+    product each, and each Newton run from a scan local maximum starts
+    from three row products instead of a kernel evaluation.  The tables are read-only and kept
     for the last (samples, kernel) a grid was made for, so a process that
     works on one input builds them once.  A kernel narrower than
     ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
@@ -162,9 +195,13 @@ class CertificateGrid:
         """Interior scan indices that top both neighbours (one per plateau)."""
         return np.flatnonzero((q[1:-1] >= q[:-2]) & (q[1:-1] > q[2:])) + 1
 
-    def _refined(self, weights, indices, floor):
-        """Newton results from the scan local maxima ``indices`` and from any
-        bump hiding between an endpoint and its neighbour.
+    def _refined(self, weights, owners, indices, floors):
+        """Newton results, as (owners, t, (q, q', q''), converged), from the
+        scan local maxima ``indices`` of the certificates ``weights[owners]``
+        and from any bump hiding between an endpoint and its neighbour, all
+        in one ``newton_on_slope`` call; ``floors`` holds each certificate's
+        stopping slope and ``owners`` comes back with the end-cell runs
+        appended.
 
         The scan cannot see a bump that rises and falls entirely within the
         first (or last) grid cell, so the slopes there are checked directly.
@@ -173,25 +210,29 @@ class CertificateGrid:
         of the matrix-vector product ``values``).
         """
         scan, samples, kernel = self.scan, self.grid.samples, self.kernel
-        starts = [(scan[i], scan[i - 1], scan[i + 1],
-                   (float(self.table[i] @ weights), float(self.slope[i] @ weights),
-                    float(self.curvature[i] @ weights)))
-                  for i in indices]
-        ends = scan[[0, 1, -2, -1]]
-        slopes = self.end_slope @ weights
-        for k in (0, 2):
-            if slopes[k] > 0.0 and slopes[k + 1] < 0.0:
-                starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1], None))
-        return [newton_on_slope(kernel, samples, weights, float(t0), float(lo), float(hi),
-                                floor, GRID_NEWTON_ITERS, start)
-                for t0, lo, hi, start in starts]
+        rows = np.array((self.table[indices], self.slope[indices], self.curvature[indices]))
+        start = np.matmul(rows[:, :, None, :], weights[owners][:, :, None])[..., 0, 0]
+        t, lo, hi = scan[indices], scan[indices - 1], scan[indices + 1]
+        # per certificate: phi' . weights at scan points 0, 1, -2 and -1
+        slopes = np.matmul(self.end_slope, weights[:, :, None])[:, :, 0]
+        end_owners, cells = ((slopes[:, 0::2] > 0.0) & (slopes[:, 1::2] < 0.0)).nonzero()
+        if end_owners.size:
+            ends = scan[[0, 1, -2, -1]]
+            end_lo, end_hi = ends[2 * cells], ends[2 * cells + 1]
+            end_t = 0.5 * (end_lo + end_hi)
+            start = np.concatenate(
+                (start, _derivatives(kernel, samples, weights[end_owners], end_t)), axis=1)
+            owners = np.concatenate((owners, end_owners))
+            t, lo, hi = (np.concatenate(pair) for pair in
+                         ((t, end_t), (lo, end_lo), (hi, end_hi)))
+        return (owners, *newton_on_slope(kernel, samples, weights[owners], t, lo, hi,
+                                         floors[owners], GRID_NEWTON_ITERS, start))
 
     def supremum(self, weights):
-        """Global supremum of q over [0,1]; ties resolved to the smallest t."""
-        q = self.values(weights)
-        i_max = int(np.argmax(q))
-        grid_max = float(q[i_max])
-        best_t, best_v = float(self.scan[i_max]), grid_max
+        """Global supremum of q over [0,1] for each row of ``weights``:
+        arrays (t, sup q), ties resolved to the smallest t.  Each row's scan
+        and peak selection run on their own; the Newton runs of all rows
+        advance together."""
         # Newton from the scan local max t_i stays in [t_i - h, t_i + h].  q
         # tops q(t_i) there only at a local max t* inside a cell whose ends
         # do not top q(t_i), one of them within h/2 of t*, so by at most
@@ -199,16 +240,28 @@ class CertificateGrid:
         # h |weights|_1 sup|phi'''|.  Only peaks whose bound, plus evaluation
         # round-off, reaches the grid max can change the result.
         h = self.scan[1] - self.scan[0]
-        mass = float(np.abs(weights).sum())
-        peaks = self.local_max_indices(q)
-        curv = np.abs(self.curvature[peaks] @ weights)
-        third = h * mass * self.kernel.deriv_sup_bounds()[2]
-        margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
-        peaks = peaks[q[peaks] + margin >= grid_max]
-        for t, (v, _, _), _ in self._refined(weights, peaks, slope_floor(self.kernel, weights)):
-            if v > best_v or (v == best_v and t < best_t):
-                best_t, best_v = t, v
-        return best_t, best_v
+        best_t, best_v, floors, owners, peaks = [], [], [], [], []
+        for owner, w in enumerate(weights):
+            q = self.values(w)
+            i_max = int(np.argmax(q))
+            grid_max = float(q[i_max])
+            best_t.append(float(self.scan[i_max]))
+            best_v.append(grid_max)
+            mass = float(np.abs(w).sum())
+            found = self.local_max_indices(q)
+            curv = np.abs(self.curvature[found] @ w)
+            third = h * mass * self.kernel.deriv_sup_bounds()[2]
+            margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
+            found = found[q[found] + margin >= grid_max]
+            peaks.append(found)
+            owners.append(np.full(found.size, owner))
+            floors.append(slope_floor(self.kernel, w))
+        runs, t, (v, _, _), _ = self._refined(weights, np.concatenate(owners),
+                                              np.concatenate(peaks), np.array(floors))
+        for owner, t_run, v_run in zip(runs.tolist(), t, v):
+            if v_run > best_v[owner] or (v_run == best_v[owner] and t_run < best_t[owner]):
+                best_t[owner], best_v[owner] = t_run, v_run
+        return np.array(best_t), np.array(best_v)
 
     def maximizers(self, weights):
         """Stationary local maxima of q within 1e-3 of its scan spread of the
@@ -227,8 +280,10 @@ class CertificateGrid:
                        * self.kernel.deriv_sup_bounds()[1])
         peaks = self.local_max_indices(q)
         peaks = peaks[q[peaks] >= sup - value_tol]
+        _, ts, derivs, _ = self._refined(weights[None], np.zeros(peaks.size, dtype=int), peaks,
+                                         np.array([floor]))
         found = []
-        for t, (value, slope, curv), _ in self._refined(weights, peaks, floor):
+        for t, value, slope, curv in zip(ts, *derivs):
             if value < sup - value_tol:
                 continue
             if abs(slope) <= slope_tol and curv <= curv_tol:
@@ -249,7 +304,8 @@ class CertificateGrid:
 
 def supremum(cert: Certificate):
     """Location and value of sup q over [0,1], from the default scan."""
-    return CertificateGrid(cert.grid, cert.kernel).supremum(cert.weights)
+    t, value = CertificateGrid(cert.grid, cert.kernel).supremum(cert.weights[None])
+    return float(t[0]), float(value[0])
 
 
 def global_maximizers(cert: Certificate) -> MaximizerSet:
@@ -297,12 +353,12 @@ def refine_location(cert: Certificate, t0: float) -> float:
     if not (slope_lo > 0.0 > slope_hi):
         raise NoConvergenceError(f"no local maximum bracketed near {t0}")
     floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
-    t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights,
-                                      min(max(t0, bl), bh), bl, bh, floor, REFINE_STEPS)
-    if not converged:
+    t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights[None],
+                                      [min(max(t0, bl), bh)], [bl], [bh], [floor], REFINE_STEPS)
+    if not converged[0]:
         raise NoConvergenceError(
             f"refinement near {t0} ran {REFINE_STEPS} steps without converging")
-    return t
+    return t[0]
 
 
 def dump_curve(cert: Certificate):

@@ -3,7 +3,9 @@ noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
 final iterate, and takes its stability constants from that report.  Every
 driver writes deterministic artifacts (``write_csv``) and returns (the
-paths it wrote, its data).
+paths it wrote, its data).  The noise sweep solves its points in lockstep
+(``solver.solve_batch``), one batch per worker process, each on a
+contiguous chunk of points; the reference solves go through ``solve``.
 """
 
 import os
@@ -16,7 +18,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, DualSpikeError, NoConvergenceError
 from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
-from .solver import BundleState, PenaltyProblem, solve
+from .solver import BundleState, PenaltyProblem, solve, solve_batch
 
 DEFAULT_ITERS = 500
 DEFAULT_NOISE_ITERS = 100
@@ -49,9 +51,14 @@ def _write(cfg: ExperimentConfig, out_dir, name, text):
 
 def write_csv(cfg: ExperimentConfig, out_dir, name, header, rows):
     """One CSV artifact: the comment line, the header row and ``rows``
-    (None as an empty field, strings as they are).  Returns its path."""
+    (None as an empty field, strings as they are).  Returns its path.
+    ``rows`` may be a float array: each row goes through ``tolist`` and
+    ``repr`` at once, which writes what ``_fmt`` writes per value."""
     lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    if isinstance(rows, np.ndarray):
+        lines += [",".join(map(repr, row.tolist())) for row in rows]
+    else:
+        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
     return _write(cfg, out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -221,19 +228,22 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
                        "in_window", "note"], rows)], rows
 
 
-def _noise_point(args):
-    """One sweep point: solve the noisy problem, return dual and support data."""
-    (index, w_c, cfg, iters) = args
-    seed = cfg.seed + index
-    noise = uniform_noise(len(cfg.samples), w_c, seed)
-    problem = build_problem(cfg, noise=noise)
-    state = solve(problem, max_iters=iters)
-    try:
-        peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
-                                       cfg.source_model().locations)
-    except NoConvergenceError:
-        return index, noise, state.iterate, None, "refine_failed"
-    return index, noise, state.iterate, peaks, ""
+def _noise_chunk(args):
+    """A contiguous chunk of sweep points, solved as one batch: per point
+    (noise, final iterate, refined peaks or None, note)."""
+    cfg, iters, points = args
+    noises = [uniform_noise(len(cfg.samples), w_c, cfg.seed + index) for index, w_c in points]
+    problems = [build_problem(cfg, noise=noise) for noise in noises]
+    results = []
+    for noise, problem, state in zip(noises, problems, solve_batch(problems, iters)):
+        try:
+            peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
+                                           cfg.source_model().locations)
+        except NoConvergenceError:
+            results.append((noise, state.iterate, None, "refine_failed"))
+            continue
+        results.append((noise, state.iterate, peaks, ""))
+    return results
 
 
 def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
@@ -245,8 +255,10 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     ``noise_rate`` column is 2 / ``sigma_min_jacobian`` of the reference
     report, inf when that singular value is 0, and the restricted errors
     run over the report's ``selected_samples``.  The points run in at most
-    ``jobs`` worker processes, one per point at most; ``jobs`` below 1
-    raises ConfigError.
+    ``jobs`` worker processes, one per point at most, each solving a
+    contiguous chunk of points in lockstep (``solver.solve_batch``); a
+    point's result does not depend on the chunk it lands in.  ``jobs``
+    below 1 raises ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
@@ -259,18 +271,21 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     src = cfg.source_model()
     ref = state.iterate
 
-    tasks = [(i, float(w_c), cfg, iters) for i, w_c in enumerate(grid_vals)]
-    workers = min(jobs, len(tasks))
+    points = [(i, float(w_c)) for i, w_c in enumerate(grid_vals)]
+    workers = min(jobs, len(points))
+    chunks = [(cfg, iters, [points[i] for i in part])
+              for part in np.array_split(np.arange(len(points)), workers)]
     if workers > 1:
         # imported here: a serial command does not pay for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_noise_point, tasks))
+            results = list(pool.map(_noise_chunk, chunks))
     else:
-        results = [_noise_point(t) for t in tasks]
+        results = [_noise_chunk(chunk) for chunk in chunks]
 
     rows = []
-    for (index, noise, lam_noisy, peaks, note), w_c in zip(results, grid_vals):
+    for (noise, lam_noisy, peaks, note), w_c in zip(
+            (point for chunk in results for point in chunk), grid_vals):
         w_sel = float(np.linalg.norm(noise[selected]))
         w_full = float(np.linalg.norm(noise))
         dual_sel = float(np.linalg.norm(lam_noisy[selected] - ref[selected]))

@@ -9,8 +9,17 @@ solved by ``numpy.linalg.solve``), and projects the previous iterate onto
 a level set interpolated between the best value seen and the model
 minimum (a least-distance NNLS warm-started from the previous
 projection's active rows).
+
+One bundle loop (``solve_batch``) advances a batch of problems that share
+grid, kernel, penalty and box in lockstep: per iteration, one batched
+certificate supremum and one round-based LP serve every problem still
+running, and each problem keeps its own cuts, model, projection and exit.
+Stacked products and solves give each problem the bits of its own, so a
+problem's result does not depend on its batch; ``solve`` is the batch of
+one.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +66,7 @@ class PenaltyProblem:
             raise ValueError("box_radius must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """One cutting plane: value + slope.(lam - anchor) minorizes the objective."""
 
@@ -68,11 +77,11 @@ class Cut:
 
 @dataclass
 class BundleState:
-    """Solver state: final iterate, cut collection, and per-iteration history
-    (bounds, level, gap and the projected iterate)."""
+    """Solver state: final iterate, per-iteration history (bounds, level,
+    gap and the projected iterate) and the cuts, kept as their values and
+    slope rows; ``cuts`` builds them as ``Cut`` objects when first asked."""
 
     iterate: np.ndarray
-    cuts: list[Cut] = field(default_factory=list)
     upper_bound: float = np.inf
     lower_bound: float = -np.inf
     gap_history: list[float] = field(default_factory=list)
@@ -80,38 +89,54 @@ class BundleState:
     lower_history: list[float] = field(default_factory=list)
     level_history: list[float] = field(default_factory=list)
     iterate_history: list[np.ndarray] = field(default_factory=list)
+    cut_values: list[float] = field(default_factory=list)
+    cut_slopes: np.ndarray | None = None
 
     @property
     def n_iterations(self):
         return len(self.gap_history)
 
+    @functools.cached_property
+    def cuts(self):
+        """The cuts in the order they were added: cut k is anchored at the
+        zero start (k = 0) or at iterate k of the history."""
+        if not self.cut_values:
+            return []
+        anchors = [np.zeros_like(self.iterate), *self.iterate_history[:-1]]
+        return [Cut(*cut) for cut in zip(anchors, self.cut_values, self.cut_slopes)]
 
-def _oracle(problem: PenaltyProblem, weights, cert_grid: CertificateGrid):
-    """Objective value, a subgradient, and the active location (or None)."""
-    y = problem.measurements.y
+
+def _oracle(penalty, ys, weights, cert_grid: CertificateGrid):
+    """Objective values, subgradients and active locations (NaN where the
+    penalty is inactive) at each row of ``weights``, the data ``ys`` row by
+    row; one batched supremum serves every row."""
     t_star, sup_val = cert_grid.supremum(weights)
-    value = -float(y @ weights) + problem.penalty * max(sup_val - 1.0, 0.0)
-    if sup_val >= 1.0 - ACTIVE_SUP_TOL:
-        column = build_phi(problem.measurements.grid, problem.kernel, [t_star])[:, 0]
-        slope = -y + problem.penalty * column
-        return value, slope, t_star
-    return value, -y.copy(), None
+    # row dot products, with the bits of a 1-D y @ weights
+    values = -np.matmul(ys[:, None, :], weights[:, :, None])[:, 0, 0]
+    values += penalty * np.maximum(sup_val - 1.0, 0.0)
+    slopes = -ys
+    active = sup_val >= 1.0 - ACTIVE_SUP_TOL
+    columns = build_phi(cert_grid.grid, cert_grid.kernel, t_star[active]).T
+    slopes[active] += penalty * columns
+    return values, slopes, np.where(active, t_star, np.nan)
 
 
 def penalty_objective(problem: PenaltyProblem, weights) -> float:
     """Psi at one dual vector."""
     weights = np.asarray(weights, dtype=float)
     grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-    return _oracle(problem, weights, grid)[0]
+    return float(_oracle(problem.penalty, problem.measurements.y[None], weights[None], grid)[0][0])
 
 
 class CutModel:
-    """The polyhedral model max_i (offsets_i + slopes_i . lam) over the box.
+    """The polyhedral models max_i (offsets_i + slopes_i . lam) over the box
+    of a lockstep batch: one model per point, with as many cuts each.
 
-    Holds the epigraph LP min t s.t. G z <= h over z = (lam, t) in arrays
-    with room for ``CUT_BLOCK`` cuts, doubled whenever they fill: first the
+    Holds, for point p, the epigraph LP min t s.t. G z <= h over
+    z = (lam, t) in ``_rows[p]`` and ``_rhs[p]``, one block for all points
+    with room for ``CUT_BLOCK`` cuts, doubled whenever it fills: first the
     2n box rows +-e_j with h = box_radius, then one row [slopes_i, -1] with
-    h = -offsets_i per cut.  ``minimum`` solves it by the dual simplex
+    h = -offsets_i per cut.  ``minima`` solves each LP by the dual simplex
     method on a basis of n + 1 rows B, kept with multipliers y >= 0 such
     that e_t + G_B^T y = 0 (dual feasible) and with its vertex
     z = G_B^-1 h_B.  Each pivot solves two systems with G_B by
@@ -121,111 +146,146 @@ class CutModel:
     one product with G.
 
     Rows are only ever appended, so a row keeps its index in every
-    ``level_set``; ``warm`` is the ``numerics.WarmStart`` that carries one
-    level-set projection's active rows into the next.
+    ``level_set``; ``warm[p]`` is the ``numerics.WarmStart`` that carries
+    point p's level-set projection's active rows into its next one.
+    ``keep`` drops the points that left the batch.
     """
 
-    def __init__(self, n, box_radius):
+    def __init__(self, points, n, box_radius):
         self.box_radius = box_radius
         self.size = 0
         self._n_box = 2 * n
-        self._rows = np.zeros((2 * n + CUT_BLOCK, n + 1))
-        self._rhs = np.empty(2 * n + CUT_BLOCK)
-        self._rows[:n, :n] = np.eye(n)
-        self._rows[n:2 * n, :n] = -np.eye(n)
-        self._rhs[:2 * n] = box_radius
+        self._rows = np.zeros((points, 2 * n + CUT_BLOCK, n + 1))
+        self._rhs = np.empty((points, 2 * n + CUT_BLOCK))
+        self._rows[:, :n, :n] = np.eye(n)
+        self._rows[:, n:2 * n, :n] = -np.eye(n)
+        self._rhs[:, :2 * n] = box_radius
         self._basis = None
         self._mult = None
         self._vertex = None
-        self.warm = numerics.WarmStart()
+        self.warm = [numerics.WarmStart() for _ in range(points)]
 
-    def level_set(self, level):
-        """(A, b) with {lam : A lam <= b} = {model <= level}: the box rows and
-        then the cuts in the order they were added, as a view of the model's
-        rows with b = h - level * (last column)."""
-        rows = self._rows[:self._n_box + self.size]
-        return rows[:, :-1], self._rhs[:rows.shape[0]] - level * rows[:, -1]
+    def level_set(self, point, level):
+        """(A, b) with {lam : A lam <= b} = {model <= level} for one point:
+        the box rows and then the cuts in the order they were added, as a
+        view of the model's rows with b = h - level * (last column)."""
+        rows = self._rows[point, :self._n_box + self.size]
+        return rows[:, :-1], self._rhs[point, :rows.shape[0]] - level * rows[:, -1]
 
-    def add(self, cut):
+    def slopes(self, point):
+        """The slopes of point p's cuts, in the order they were added, as a
+        view of its rows."""
+        return self._rows[point, self._n_box:self._n_box + self.size, :-1]
+
+    def add(self, anchors, values, slopes):
+        """Append one cut per point: value + slope.(lam - anchor), from the
+        rows of ``anchors`` and ``slopes`` and the entries of ``values``."""
         row = self._n_box + self.size
-        if row == self._rhs.size:
+        if row == self._rhs.shape[1]:
             # no room left: double the cut block
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows[self._n_box:])])
-            self._rhs = np.concatenate([self._rhs, np.empty(self.size)])
-        self._rows[row, :-1] = cut.slope
-        self._rows[row, -1] = -1.0
-        self._rhs[row] = float(cut.slope @ cut.anchor) - cut.value
+            self._rows = np.concatenate(
+                [self._rows, np.zeros_like(self._rows[:, self._n_box:])], axis=1)
+            self._rhs = np.concatenate([self._rhs, np.empty_like(self._rhs[:, self._n_box:])],
+                                       axis=1)
+        self._rows[:, row, :-1] = slopes
+        self._rows[:, row, -1] = -1.0
+        # row dot products, with the bits of a 1-D slope @ anchor
+        self._rhs[:, row] = np.matmul(slopes[:, None, :], anchors[:, :, None])[:, 0, 0]
+        self._rhs[:, row] -= values
         self.size += 1
         if self._basis is None:
             # the one cut's minimum over the box: lam_j on its lower bound
             # where slope_j > 0 and on its upper bound elsewhere, the bound
             # rows weighted |slope_j| and the cut 1
-            n = cut.slope.size
-            self._basis = np.append(np.where(cut.slope > 0.0, n + np.arange(n), np.arange(n)),
-                                    row)
-            self._mult = np.append(np.abs(cut.slope), 1.0)
-            self._vertex = self._basis_solve(self._rows[self._basis], self._rhs[self._basis])
+            points, n = slopes.shape
+            self._basis = np.column_stack(
+                (np.where(slopes > 0.0, n + np.arange(n), np.arange(n)), np.full(points, row)))
+            self._mult = np.column_stack((np.abs(slopes), np.ones(points)))
+            each = np.arange(points)[:, None]
+            self._vertex = _basis_solve(self.size, self._rows[each, self._basis],
+                                        self._rhs[each, self._basis])
 
-    def _basis_solve(self, matrix, rhs):
-        """``numpy.linalg.solve`` on a basis system; NoConvergenceError,
-        naming the cut count, when the basis is singular."""
-        try:
-            return np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError(
-                f"cut model LP ({self.size} cuts): singular basis") from None
+    def keep(self, points):
+        """Keep only the models of ``points`` (indices, in order)."""
+        self._rows, self._rhs = self._rows[points], self._rhs[points]
+        self._basis, self._mult, self._vertex = (
+            self._basis[points], self._mult[points], self._vertex[points])
+        self.warm = [self.warm[p] for p in points]
 
-    def minimum(self):
-        """(value, argmin) of the model over the box.
+    def minima(self):
+        """(value, argmin) of each point's model over the box.
 
-        Dual simplex from the current basis: while a row is violated by more
-        than ``LP_ROW_TOL`` relative to max(1, |h|), the most violated one
-        enters the basis and the row that the ratio test picks (lowest row
-        index on ties) leaves it; the vertex is then solved afresh.  The
-        value is the objective of a dual feasible basis, sum_i mu_i
-        offsets_i - box_radius |slopes^T mu|_1 with mu the cut multipliers,
-        so it bounds the model minimum from below up to round-off.  Raises
-        NoConvergenceError, naming the cut count, when there is no cut, when
-        the basis is singular, when no basis row can leave (the LP would be
-        infeasible) or after ``LP_PIVOTS_PER_ROW`` pivots per basis row.  A
-        row leaves only where the direction exceeds ``LP_PIVOT_TOL`` of its
-        largest entry.
+        Dual simplex from each point's current basis: while a row is
+        violated by more than ``LP_ROW_TOL`` relative to max(1, |h|), the
+        most violated one enters the basis and the row that the ratio test
+        picks (lowest row index on ties) leaves it; the vertex is then
+        solved afresh.  The points pivot in rounds: one stacked check of
+        every model (``np.matmul`` on the row block), then stacked
+        ``numpy.linalg.solve`` calls for the points with a violated row.
+        Each point's arithmetic is the same whatever points share a round.
+        The value is the objective of a dual feasible basis, sum_i mu_i
+        offsets_i - box_radius |slopes^T mu|_1 with mu the cut
+        multipliers, so it bounds the model minimum from below up to
+        round-off.  Raises NoConvergenceError, naming the cut count, when
+        there is no cut, when a basis is singular, when no basis row of a
+        point can leave (its LP would be infeasible) or after
+        ``LP_PIVOTS_PER_ROW`` pivots per basis row of one LP.  A row leaves
+        only where the direction exceeds ``LP_PIVOT_TOL`` of its largest
+        entry.
         """
-        if self.size == 0:
+        size = self.size
+        if size == 0:
             raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
-        rows = self._rows[:self._n_box + self.size]
-        rhs = self._rhs[:rows.shape[0]]
+        n_rows = self._n_box + size
+        rows, rhs = self._rows[:, :n_rows], self._rhs[:, :n_rows]
         row_scale = np.maximum(1.0, np.abs(rhs))
-        basis, mult = self._basis, self._mult
-        max_pivots = LP_PIVOTS_PER_ROW * basis.size
+        basis, mult, vertex = self._basis, self._mult, self._vertex
+        each = np.arange(basis.shape[0])[:, None]
+        max_pivots = LP_PIVOTS_PER_ROW * basis.shape[1]
         for pivots in range(max_pivots + 1):
-            excess = rows @ self._vertex
+            # every point's check in one product: a point that is done
+            # shows the same excess again
+            excess = np.matmul(rows, vertex[:, :, None])[:, :, 0]
             excess -= rhs
             excess /= row_scale
             # basis rows hold with equality; what they show is round-off
-            excess[basis] = 0.0
-            entering = int(excess.argmax())
-            if not excess[entering] > LP_ROW_TOL:
-                return float(self._vertex[-1]), self._vertex[:-1].copy()
+            excess[each, basis] = 0.0
+            pending = (excess.max(1) > LP_ROW_TOL).nonzero()[0]
+            if not pending.size:
+                break
             if pivots == max_pivots:
                 raise NoConvergenceError(
-                    f"cut model LP ({self.size} cuts): no optimal basis after "
-                    f"{max_pivots} pivots")
-            basis_rows = rows.take(basis, 0)
-            direction = self._basis_solve(basis_rows.T, rows[entering])
-            can_leave = (direction > LP_PIVOT_TOL * abs(direction).max()).nonzero()[0]
-            if can_leave.size == 0:
-                raise NoConvergenceError(
-                    f"cut model LP ({self.size} cuts): no basis row can leave")
-            ratios = mult[can_leave] / direction[can_leave]
-            tied = can_leave[ratios == ratios.min()]
-            leaving = tied[np.argmin(basis[tied])]
-            step = mult[leaving] / direction[leaving]
-            np.maximum(mult - step * direction, 0.0, out=mult)
-            mult[leaving] = step
-            basis[leaving] = entering
-            basis_rows[leaving] = rows[entering]
-            self._vertex = self._basis_solve(basis_rows, rhs.take(basis))
+                    f"cut model LP ({size} cuts): no optimal basis after {max_pivots} pivots")
+            entering = excess[pending].argmax(1)
+            direction = _basis_solve(
+                size, rows[pending[:, None], basis[pending]].transpose(0, 2, 1),
+                rows[pending, entering])
+            for p, d, row in zip(pending.tolist(), direction, entering.tolist()):
+                can_leave = (d > LP_PIVOT_TOL * abs(d).max()).nonzero()[0]
+                if can_leave.size == 0:
+                    raise NoConvergenceError(
+                        f"cut model LP ({size} cuts): no basis row can leave")
+                b, mu = basis[p], mult[p]
+                ratios = mu[can_leave] / d[can_leave]
+                tied = can_leave[ratios == ratios.min()]
+                leaving = tied[np.argmin(b[tied])]
+                step = mu[leaving] / d[leaving]
+                np.maximum(mu - step * d, 0.0, out=mu)
+                mu[leaving] = step
+                b[leaving] = row
+            held = basis[pending]
+            vertex[pending] = _basis_solve(size, rows[pending[:, None], held],
+                                           rhs[pending[:, None], held])
+        return [(float(v[-1]), v[:-1].copy()) for v in vertex]
+
+
+def _basis_solve(size, matrix, rhs):
+    """``numpy.linalg.solve`` on one basis system or a stack of them;
+    NoConvergenceError, naming the cut count, when a basis is singular."""
+    try:
+        return np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise NoConvergenceError(f"cut model LP ({size} cuts): singular basis") from None
 
 
 def model_value(cuts, weights):
@@ -237,20 +297,22 @@ def model_value(cuts, weights):
                         - np.einsum("ij,ij->i", slopes, anchors)))
 
 
-def project_to_level(model, level, point, minimum):
-    """Euclidean projection of ``point`` onto {model <= level}, clipped to the box.
+def project_to_level(model, point, level, x, minimum):
+    """Euclidean projection of ``x`` onto {model <= level} of one point of
+    the batch, clipped to the box.
 
-    ``model`` is a ``CutModel`` and ``minimum`` its (value, argmin); the
-    projection starts from the rows the model's previous projection ended
-    on.  When the set is numerically too thin to project onto,
-    the model argmin (which attains the model minimum and therefore lies in
-    any level set with level >= model minimum) is returned instead.  A
-    level strictly below the model minimum raises LevelSetEmptyError.
+    ``model`` is a ``CutModel``, ``point`` the index of the model in it and
+    ``minimum`` that model's (value, argmin); the projection starts from
+    the rows the point's previous projection ended on.  When the set is
+    numerically too thin to project onto, the model argmin (which attains
+    the model minimum and therefore lies in any level set with level >=
+    model minimum) is returned instead.  A level strictly below the model
+    minimum raises LevelSetEmptyError.
     """
-    point = np.asarray(point, dtype=float)
-    a_mat, b_vec = model.level_set(level)
+    x = np.asarray(x, dtype=float)
+    a_mat, b_vec = model.level_set(point, level)
     try:
-        projected = numerics.project_polyhedron(point, a_mat, b_vec, warm=model.warm)
+        projected = numerics.project_polyhedron(x, a_mat, b_vec, warm=model.warm[point])
     except (InfeasibleError, NoConvergenceError):
         # level set thinner than double precision resolves: the model
         # argmin is the limit of the projections
@@ -262,47 +324,86 @@ def project_to_level(model, level, point, minimum):
 
 
 def solve(problem: PenaltyProblem, max_iters: int) -> BundleState:
-    """Run the level bundle method from the zero vector.
+    """The level bundle method on one problem: ``solve_batch`` on a batch
+    of one."""
+    return solve_batch([problem], max_iters)[0]
 
-    Per iteration: evaluate the objective and a subgradient at the current
-    iterate, append the cut, refresh the model minimum (lower bound) and
-    best value seen (upper bound), then project the iterate onto the set
-    {model <= LEVEL_MIX * upper + (1 - LEVEL_MIX) * lower} inside the box.
-    Every projected iterate is kept in ``iterate_history``.
 
-    Stops when the projected iterate equals the previous one bit for bit:
-    the next oracle call would return the last cut again, so the model, both
-    bounds, the level and the projection would all repeat.  Also stops when
-    the gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is an upper bound.
-    The lower bound is the model minimum as the objective of a dual
-    feasible basis of the cut-model LP, warm-started from the previous
-    iteration's basis; when that LP fails (see ``CutModel.minimum``), the
-    solve stops with NoConvergenceError, which the command line reports
+def solve_batch(problems, max_iters: int):
+    """Run the level bundle method from the zero vector on each problem,
+    all in lockstep; returns one ``BundleState`` per problem.
+
+    The problems share grid, kernel, penalty and box (ValueError
+    otherwise); they differ in their data y.  Per iteration, for each
+    problem still running: evaluate the objective and a subgradient at the
+    current iterate, append the cut, refresh the model minimum (lower
+    bound) and best value seen (upper bound), then project the iterate onto
+    the set {model <= LEVEL_MIX * upper + (1 - LEVEL_MIX) * lower} inside
+    the box.  Every projected iterate is kept in ``iterate_history``.  One
+    batched oracle call (``CertificateGrid.supremum``) and one
+    ``CutModel`` serve all running problems; each keeps its own cut rows,
+    LP basis, projection warm start and exit, and its arithmetic does not
+    depend on the others, so a problem's result is the same bit for bit in
+    any batch.  A problem's cut slopes stay in its model's rows until it
+    stops (``BundleState.cut_slopes``), so the batch holds each slope once.
+
+    A problem stops when its projected iterate equals the previous one bit
+    for bit: the next oracle call would return the last cut again, so the
+    model, both bounds, the level and the projection would all repeat.  It
+    also stops when its gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is
+    an upper bound.  The lower bound is the model minimum as the objective
+    of a dual feasible basis of the cut-model LP, warm-started from the
+    previous iteration's basis; when an LP fails (see ``CutModel.minima``),
+    the solve stops with NoConvergenceError, which the command line reports
     with exit code 3.  Each projection starts from the rows the previous
     one ended on (``CutModel.warm``).
     """
-    m = problem.measurements.grid.n_samples
-    cert_grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-    state = BundleState(iterate=np.zeros(m))
-    model = CutModel(m, problem.box_radius)
+    first = problems[0]
+    grid, kernel = first.measurements.grid, first.kernel
+    for other in problems[1:]:
+        if not (np.array_equal(other.measurements.grid.samples, grid.samples)
+                and other.kernel == kernel and other.penalty == first.penalty
+                and other.box_radius == first.box_radius):
+            raise ValueError("a batch shares grid, kernel, penalty and box_radius")
+    m = grid.n_samples
+    cert_grid = CertificateGrid(grid, kernel)
+    ys = np.array([problem.measurements.y for problem in problems])
+    states = [BundleState(iterate=np.zeros(m)) for _ in problems]
+    model = CutModel(len(problems), m, first.box_radius)
+    # the problem behind each point of the model, and its data
+    running = list(range(len(problems)))
     for _ in range(max_iters):
-        value, slope, _ = _oracle(problem, state.iterate, cert_grid)
-        cut = Cut(state.iterate.copy(), value, slope)
-        state.cuts.append(cut)
-        model.add(cut)
-        state.upper_bound = min(state.upper_bound, value)
-        minimum = model.minimum()
-        # the running max keeps the gap history monotone
-        state.lower_bound = max(state.lower_bound, minimum[0])
-        gap = state.upper_bound - state.lower_bound
-        level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
-        previous = state.iterate
-        state.iterate = project_to_level(model, level, previous, minimum)
-        state.upper_history.append(state.upper_bound)
-        state.lower_history.append(state.lower_bound)
-        state.level_history.append(level)
-        state.gap_history.append(gap)
-        state.iterate_history.append(state.iterate.copy())
-        if gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous):
+        if not running:
             break
-    return state
+        iterates = np.array([states[i].iterate for i in running])
+        cut_values, slopes, _ = _oracle(first.penalty, ys, iterates, cert_grid)
+        model.add(iterates, cut_values, slopes)
+        minima = model.minima()
+        going = []
+        for point, (i, value, minimum) in enumerate(zip(running, cut_values.tolist(), minima)):
+            state = states[i]
+            state.cut_values.append(value)
+            state.upper_bound = min(state.upper_bound, value)
+            # the running max keeps the gap history monotone
+            state.lower_bound = max(state.lower_bound, minimum[0])
+            gap = state.upper_bound - state.lower_bound
+            level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
+            previous = state.iterate
+            state.iterate = project_to_level(model, point, level, previous, minimum)
+            state.upper_history.append(state.upper_bound)
+            state.lower_history.append(state.lower_bound)
+            state.level_history.append(level)
+            state.gap_history.append(gap)
+            state.iterate_history.append(state.iterate)
+            if gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous):
+                # a copy: keep() drops the rows of the points that stopped
+                state.cut_slopes = model.slopes(point).copy()
+            else:
+                going.append(point)
+        if len(going) < len(running):
+            model.keep(going)
+            ys = ys[going]
+            running = [running[point] for point in going]
+    for point, i in enumerate(running):
+        states[i].cut_slopes = model.slopes(point)
+    return states

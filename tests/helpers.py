@@ -1,27 +1,36 @@
 """Test-side views of the solver and certificate: building a cut model from
 a list of cuts and its offsets and slopes, the subgradient alone, and a certificate validity check;
 and the reference rules the faster production paths are checked against:
-the level projection solved on every row at once, and the supremum that
-refines every scan local maximum.  The command-line pipeline never needs
+the level projection solved on every row at once, the supremum that
+refines every scan local maximum, and the Newton runs and supremum taken
+one run at a time, in floats, as the batched ones must reproduce bit for
+bit.  The command-line pipeline never needs
 these, so they live with the tests."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from dualspike.certificate import DEFAULT_MERGE_TOL, CertificateGrid, slope_floor
+from dualspike.certificate import (BRACKET_ULPS, DEFAULT_MERGE_TOL, GRID_NEWTON_ITERS,
+                                   ROUNDOFF_REL, CertificateGrid, slope_floor)
 from dualspike.errors import InfeasibleError
 from dualspike.solver import Cut, CutModel, _oracle
+
+
+def add_cut(model, cut):
+    """Append ``cut`` to a ``CutModel`` of one point."""
+    model.add(cut.anchor[None], [cut.value], cut.slope[None])
 
 
 def cut_model(cuts, box_radius):
     """A ``CutModel`` holding ``cuts``, in order."""
     if not cuts:
         raise ValueError("model needs at least one cut")
-    model = CutModel(cuts[0].slope.size, box_radius)
+    model = CutModel(1, cuts[0].slope.size, box_radius)
     for cut in cuts:
-        model.add(cut)
+        add_cut(model, cut)
     return model
 
 
@@ -35,18 +44,18 @@ def cut_arrays(cuts):
 
 def model_minimum(cuts, box_radius):
     """(value, argmin) of the polyhedral model of ``cuts`` over the box."""
-    return cut_model(cuts, box_radius).minimum()
+    return cut_model(cuts, box_radius).minima()[0]
 
 
 def lp_minimum(offsets, slopes, box_radius):
     """(value, argmin) of max_i (offsets_i + slopes_i . x) over the box,
     solved by a ``CutModel`` holding one row per piece.  With no pieces the
-    LP is unbounded and ``CutModel.minimum`` raises NoConvergenceError."""
+    LP is unbounded and ``CutModel.minima`` raises NoConvergenceError."""
     slopes = np.asarray(slopes, dtype=float)
-    model = CutModel(slopes.shape[1], box_radius)
+    model = CutModel(1, slopes.shape[1], box_radius)
     for offset, slope in zip(np.asarray(offsets, dtype=float), slopes):
-        model.add(Cut(np.zeros(slope.size), float(offset), slope))
-    return model.minimum()
+        add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
+    return model.minima()[0]
 
 
 def subgradient(problem, weights):
@@ -57,8 +66,9 @@ def subgradient(problem, weights):
     """
     weights = np.asarray(weights, dtype=float)
     grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-    _, slope, t_active = _oracle(problem, weights, grid)
-    return slope, t_active
+    _, slopes, t_active = _oracle(problem.penalty, problem.measurements.y[None],
+                                  weights[None], grid)
+    return slopes[0], None if np.isnan(t_active[0]) else float(t_active[0])
 
 
 @dataclass(frozen=True)
@@ -117,14 +127,83 @@ def full_row_projection(point, a_mat, b_vec):
 
 
 def supremum_refining_every_peak(cert_grid, weights):
-    """``CertificateGrid.supremum`` with every scan local maximum
-    Newton-refined, whatever its value: (t, sup q), ties to the smallest t."""
+    """``CertificateGrid.supremum`` of one certificate with every scan local
+    maximum Newton-refined, whatever its value: (t, sup q), ties to the
+    smallest t."""
     q = cert_grid.values(weights)
     i_max = int(np.argmax(q))
     best_t, best_v = float(cert_grid.scan[i_max]), float(q[i_max])
     peaks = cert_grid.local_max_indices(q)
-    for t, (v, _, _), _ in cert_grid._refined(weights, peaks,
-                                              slope_floor(cert_grid.kernel, weights)):
+    _, ts, (vs, _, _), _ = cert_grid._refined(
+        weights[None], np.zeros(peaks.size, dtype=int), peaks,
+        np.array([slope_floor(cert_grid.kernel, weights)]))
+    for t, v in zip(ts, vs):
+        if v > best_v or (v == best_v and t < best_t):
+            best_t, best_v = t, v
+    return best_t, best_v
+
+
+def derivatives_per_run(kernel, samples, weights, t):
+    """q(t), q'(t) and q''(t) of one certificate from one kernel exponential,
+    as floats."""
+    k0, k1, k2 = kernel.value_and_derivatives(t - samples)
+    return float(k0 @ weights), float(k1 @ weights), float(k2 @ weights)
+
+
+def newton_per_run(kernel, samples, weights, t, lo, hi, floor, max_iter, start=None):
+    """``certificate.newton_on_slope`` for one run, in floats, one kernel
+    evaluation per step: (t, (q, q', q''), converged)."""
+    derivs = derivatives_per_run(kernel, samples, weights, t) if start is None else start
+    for _ in range(max_iter):
+        _, slope, curv = derivs
+        if abs(slope) <= floor:
+            return t, derivs, True
+        mid = 0.5 * (lo + hi)
+        t_new = t - slope / curv if curv < 0.0 else mid
+        if not lo <= t_new <= hi:
+            t_new = mid
+        if t_new == t:
+            return t, derivs, True
+        t = t_new
+        derivs = derivatives_per_run(kernel, samples, weights, t)
+        if derivs[1] > 0.0:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= BRACKET_ULPS * math.ulp(max(abs(lo), abs(hi))):
+            return t, derivs, True
+    return t, derivs, False
+
+
+def supremum_per_point(cert_grid, weights):
+    """``CertificateGrid.supremum`` of one certificate with its Newton runs
+    taken one at a time by ``newton_per_run``: (t, sup q), ties to the
+    smallest t."""
+    scan, kernel, samples = cert_grid.scan, cert_grid.kernel, cert_grid.grid.samples
+    q = cert_grid.values(weights)
+    i_max = int(np.argmax(q))
+    grid_max = float(q[i_max])
+    best_t, best_v = float(scan[i_max]), grid_max
+    h = scan[1] - scan[0]
+    mass = float(np.abs(weights).sum())
+    peaks = cert_grid.local_max_indices(q)
+    curv = np.abs(cert_grid.curvature[peaks] @ weights)
+    third = h * mass * kernel.deriv_sup_bounds()[2]
+    margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
+    peaks = peaks[q[peaks] + margin >= grid_max]
+    starts = [(scan[i], scan[i - 1], scan[i + 1],
+               (float(cert_grid.table[i] @ weights), float(cert_grid.slope[i] @ weights),
+                float(cert_grid.curvature[i] @ weights)))
+              for i in peaks]
+    ends = scan[[0, 1, -2, -1]]
+    slopes = cert_grid.end_slope @ weights
+    for k in (0, 2):
+        if slopes[k] > 0.0 and slopes[k + 1] < 0.0:
+            starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1], None))
+    floor = slope_floor(kernel, weights)
+    for t0, lo, hi, start in starts:
+        t, (v, _, _), _ = newton_per_run(kernel, samples, weights, float(t0), float(lo),
+                                         float(hi), floor, GRID_NEWTON_ITERS, start)
         if v > best_v or (v == best_v and t < best_t):
             best_t, best_v = t, v
     return best_t, best_v

@@ -103,9 +103,36 @@ class TestNoiseSweepEdges:
         run_noise(cfg, tmp_path, jobs=64)
         assert workers == [2]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_workers_take_contiguous_chunks(self, tmp_path, monkeypatch):
         from conftest import three_spike_config
-        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([0.001, 0.02]))
+        chunks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                tasks = list(tasks)
+                chunks.extend([index for index, _ in points] for _, _, points in tasks)
+                return map(func, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.linspace(1e-3, 5e-3, 5))
+        run_noise(three_spike_config(iterations=100), tmp_path, jobs=2)
+        assert chunks == [[0, 1, 2], [3, 4]]
+
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # two workers take contiguous chunks of 3 and 2 points: a point's
+        # result must not depend on which points share its batch
+        from conftest import three_spike_config
+        monkeypatch.setattr(experiments, "noise_grid",
+                            lambda: np.array([2e-6, 4e-4, 0.001, 0.006, 0.02]))
         cfg = three_spike_config(iterations=100)
         (path_serial,), _ = run_noise(cfg, tmp_path / "serial", jobs=1)
         (path_par,), _ = run_noise(cfg, tmp_path / "par", jobs=2)

@@ -159,7 +159,8 @@ class TestSupremum:
     def test_matches_refining_every_peak(self, cert):
         # the per-peak margin skips only peaks that cannot change the result
         cg = CertificateGrid(cert.grid, cert.kernel)
-        assert cg.supremum(cert.weights) == supremum_refining_every_peak(cg, cert.weights)
+        (t,), (v,) = cg.supremum(cert.weights[None])
+        assert (t, v) == supremum_refining_every_peak(cg, cert.weights)
 
     def test_matches_refining_every_peak_on_noisy_solve(self):
         # bundle iterates carry |lambda|_1 up to ~1e6 with several peaks near 1
@@ -167,8 +168,9 @@ class TestSupremum:
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
         state = solve(problem, max_iters=100)
         cg = CertificateGrid(problem.measurements.grid, problem.kernel)
-        for weights in state.iterate_history:
-            assert cg.supremum(weights) == supremum_refining_every_peak(cg, weights)
+        ts, vs = cg.supremum(np.array(state.iterate_history))
+        for t, v, weights in zip(ts, vs, state.iterate_history):
+            assert (t, v) == supremum_refining_every_peak(cg, weights)
 
     def test_dominates_random_points(self, small_converged):
         _, cert = small_converged
@@ -261,7 +263,7 @@ class TestRefinementStops:
 
         def recording(*args):
             result = newton(*args)
-            converged.append(result[2])
+            converged.extend(result[2])
             return result
 
         monkeypatch.setattr(certificate, "newton_on_slope", recording)

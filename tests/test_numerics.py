@@ -10,7 +10,7 @@ from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
 from dualspike.numerics import WarmStart, least_squares, project_polyhedron, svd
 from dualspike.solver import Cut, CutModel
-from helpers import full_row_projection, lp_minimum
+from helpers import add_cut, full_row_projection, lp_minimum
 
 
 def penalty_projection_oracle(point, a_mat, b_vec):
@@ -424,7 +424,7 @@ class TestProjection:
 
 class TestLpMin:
     """The epigraph LP min over the box of a max of affine pieces, as
-    ``solver.CutModel.minimum`` solves it: one LP row per piece."""
+    ``solver.CutModel.minima`` solves it: one LP row per piece."""
 
     def test_single_piece_closed_form(self):
         slope = np.array([[1.5, -2.0, 0.5]])
@@ -460,10 +460,10 @@ class TestLpMin:
         # pieces added one at a time, each prefix solved from the basis the
         # previous one left, as the bundle solve does
         offsets, slopes, box = data
-        model = CutModel(slopes.shape[1], box)
+        model = CutModel(1, slopes.shape[1], box)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
-            model.add(Cut(np.zeros(slope.size), float(offset), slope))
-            value, argmin = model.minimum()
+            add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
+            value, argmin = model.minima()[0]
             ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
             scale = max(1.0, np.abs(offsets[:k]).max()
                         + box * np.abs(slopes[:k]).sum(axis=1).max())
@@ -483,10 +483,10 @@ class TestLpMin:
                            [2.3112210415221317, 0.0], [0.0, 6.6538212643136685],
                            [-0.1321437171546007, 0.15690672707852163], [0.0, -0.616271760907752]])
         box = 0.162027844180569
-        model = CutModel(2, box)
+        model = CutModel(1, 2, box)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
-            model.add(Cut(np.zeros(2), float(offset), slope))
-            value, argmin = model.minimum()
+            add_cut(model, Cut(np.zeros(2), float(offset), slope))
+            value, argmin = model.minima()[0]
             ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
             assert value == pytest.approx(ref_val, abs=1e-12)
             assert np.max(offsets[:k] + slopes[:k] @ argmin) == pytest.approx(value, abs=1e-12)

@@ -17,7 +17,7 @@ from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, build_phi, synthesize, uniform_noise
 from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle, model_value,
                               penalty_objective, project_to_level, solve)
-from helpers import cut_arrays, cut_model, model_minimum, subgradient
+from helpers import add_cut, cut_arrays, cut_model, model_minimum, subgradient
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -56,7 +56,7 @@ def random_cuts(rng, n_cuts, m):
 
 def project(cuts, level, point, box_radius):
     model = cut_model(cuts, box_radius)
-    return project_to_level(model, level, point, model.minimum())
+    return project_to_level(model, 0, level, point, model.minima()[0])
 
 
 def basis_bound(model, offsets, slopes):
@@ -68,8 +68,9 @@ def basis_bound(model, offsets, slopes):
     over the terms' absolute values: the size of its round-off."""
     n_box = 2 * slopes.shape[1]
     mu = np.zeros(model.size)
-    on_cuts = model._basis >= n_box
-    mu[model._basis[on_cuts] - n_box] = model._mult[on_cuts]
+    (basis,), (mult,) = model._basis, model._mult
+    on_cuts = basis >= n_box
+    mu[basis[on_cuts] - n_box] = mult[on_cuts]
     bound = float(mu @ offsets - model.box_radius * np.abs(slopes.T @ mu).sum())
     scale = float(mu @ np.abs(offsets) + model.box_radius * (np.abs(slopes).T @ mu).sum())
     return bound, mu, scale
@@ -206,16 +207,16 @@ class TestModelMinimum:
         minima = [model_minimum(cuts[:k], 1.0) for k in range(1, 6)]
         # room for two cuts: the arrays double twice on the way to five
         monkeypatch.setattr(solver, "CUT_BLOCK", 2)
-        model = CutModel(3, 1.0)
+        model = CutModel(1, 3, 1.0)
         for k, cut in enumerate(cuts, start=1):
-            model.add(cut)
+            add_cut(model, cut)
             assert model.size == k
             # box rows first, then the cuts in the order they came
             offsets, slopes = cut_arrays(cuts[:k])
-            a_mat, b_vec = model.level_set(0.5)
+            a_mat, b_vec = model.level_set(0, 0.5)
             np.testing.assert_array_equal(a_mat, np.vstack([np.eye(3), -np.eye(3), slopes]))
             np.testing.assert_array_equal(b_vec, np.concatenate([np.ones(6), 0.5 - offsets]))
-            value, argmin = model.minimum()
+            value, argmin = model.minima()[0]
             assert value == pytest.approx(minima[k - 1][0], abs=1e-12)
             np.testing.assert_allclose(argmin, minima[k - 1][1], atol=1e-12)
 
@@ -225,10 +226,10 @@ class TestModelMinimum:
         checked = tight = 0
         for _, problem, state, _ in (bench3_run, bench5_run):
             box = problem.box_radius
-            model = CutModel(problem.measurements.grid.n_samples, box)
+            model = CutModel(1, problem.measurements.grid.n_samples, box)
             for k, cut in enumerate(state.cuts, start=1):
-                model.add(cut)
-                value, argmin = model.minimum()
+                add_cut(model, cut)
+                value, argmin = model.minima()[0]
                 reference = certified_cold_minimum(*cut_arrays(state.cuts[:k]), box)
                 assert np.abs(argmin).max() <= box * (1 + 1e-12)
                 if reference is None:
@@ -252,10 +253,10 @@ class TestModelMinimum:
         runs.append((noisy, solve(noisy, max_iters=100).cuts))
         checked = 0
         for problem, cuts in runs:
-            model = CutModel(problem.measurements.grid.n_samples, problem.box_radius)
+            model = CutModel(1, problem.measurements.grid.n_samples, problem.box_radius)
             for k, cut in enumerate(cuts, start=1):
-                model.add(cut)
-                value, argmin = model.minimum()
+                add_cut(model, cut)
+                value, argmin = model.minima()[0]
                 offsets, slopes = cut_arrays(cuts[:k])
                 bound, mu, scale = basis_bound(model, offsets, slopes)
                 assert np.all(model._mult >= 0.0)
@@ -280,10 +281,10 @@ class TestModelMinimum:
         # once from the first cut's basis reach the same minimum
         rng = np.random.default_rng(32)
         cuts = random_cuts(rng, 12, 4)
-        warm = CutModel(4, 1.0)
+        warm = CutModel(1, 4, 1.0)
         for cut in cuts:
-            warm.add(cut)
-            warm_value, warm_argmin = warm.minimum()
+            add_cut(warm, cut)
+            warm_value, warm_argmin = warm.minima()[0]
         cold_value, cold_argmin = model_minimum(cuts, 1.0)
         assert warm_value == pytest.approx(cold_value, abs=1e-12)
         np.testing.assert_allclose(warm_argmin, cold_argmin, atol=1e-12)
@@ -296,20 +297,20 @@ class TestModelMinimum:
         # the first cut's basis is not optimal for all six, and no pivot is
         # allowed: no valid lower bound, so the model fails loud
         with pytest.raises(NoConvergenceError, match=r"6 cuts.*after 0 pivots"):
-            model.minimum()
+            model.minima()
 
     def test_singular_basis_raises_no_convergence(self):
         rng = np.random.default_rng(33)
         cuts = random_cuts(rng, 6, 3)
-        model = CutModel(3, 1.0)
+        model = CutModel(1, 3, 1.0)
         for cut in cuts[:5]:
-            model.add(cut)
-        value, argmin = model.minimum()
+            add_cut(model, cut)
+        value, argmin = model.minima()[0]
         # one row twice in the basis, and a cut the vertex violates
-        model._basis[1] = model._basis[0]
-        model.add(Cut(argmin, value + 1.0, cuts[5].slope))
+        model._basis[0, 1] = model._basis[0, 0]
+        add_cut(model, Cut(argmin, value + 1.0, cuts[5].slope))
         with pytest.raises(NoConvergenceError, match=r"6 cuts.*singular basis"):
-            model.minimum()
+            model.minima()
 
 
 class TestProjectToLevel:
@@ -331,10 +332,10 @@ class TestProjectToLevel:
         for _ in range(10):
             cuts = random_cuts(rng, 5, 3)
             model = cut_model(cuts, 5.0)
-            minimum = model.minimum()
+            minimum = model.minima()[0]
             level = minimum[0] + 1.0
             point = rng.normal(size=3) * 4.0
-            out = project_to_level(model, level, point, minimum)
+            out = project_to_level(model, 0, level, point, minimum)
             slopes = np.array([c.slope for c in cuts])
             offsets = np.array([c.value - c.slope @ c.anchor for c in cuts])
             eye = np.eye(3)
@@ -346,18 +347,18 @@ class TestProjectToLevel:
     def test_empty_level_raises(self):
         rng = np.random.default_rng(28)
         model = cut_model(random_cuts(rng, 4, 3), 2.0)
-        minimum = model.minimum()
+        minimum = model.minima()[0]
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(model, minimum[0] - 1.0, np.zeros(3), minimum)
+            project_to_level(model, 0, minimum[0] - 1.0, np.zeros(3), minimum)
 
     def test_fallback_clips_model_argmin(self, monkeypatch):
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
         model = cut_model([Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
         minimum = (-1.0, np.array([-3.0, 0.5, 2.0]))
-        out = project_to_level(model, 0.0, np.zeros(3), minimum)
+        out = project_to_level(model, 0, 0.0, np.zeros(3), minimum)
         np.testing.assert_array_equal(out, [-1.0, 0.5, 1.0])
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(model, -2.0, np.zeros(3), minimum)
+            project_to_level(model, 0, -2.0, np.zeros(3), minimum)
 
 
 class TestSolve:
@@ -412,7 +413,7 @@ class TestSolve:
         problem = small_problem(m=7)
         state = solve(problem, max_iters=200)
         grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-        t, v = grid.supremum(state.iterate)
+        (t,), (v,) = grid.supremum(state.iterate[None])
         assert abs(t - 0.5) < 1e-6
         assert v == pytest.approx(1.0, abs=1e-5)
 
@@ -420,14 +421,14 @@ class TestSolve:
         # a projection that always fails makes every iteration fall back to
         # the model argmin, which must come from that iteration's single solve
         argmins = []
-        minimum = CutModel.minimum
+        minima = CutModel.minima
 
-        def counting_minimum(model):
-            value, argmin = minimum(model)
-            argmins.append(argmin)
-            return value, argmin
+        def counting_minima(model):
+            (solution,) = minima(model)
+            argmins.append(solution[1])
+            return [solution]
 
-        monkeypatch.setattr(CutModel, "minimum", counting_minimum)
+        monkeypatch.setattr(CutModel, "minima", counting_minima)
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
         problem = small_problem()
         state = solve(problem, max_iters=15)
@@ -444,12 +445,12 @@ class TestSolve:
         # its whole active set raises NoConvergenceError and the iterate
         # becomes that iteration's clipped LP argmin
         argmins, outcomes = [], []
-        minimum, project = CutModel.minimum, numerics.project_polyhedron
+        minima, project = CutModel.minima, numerics.project_polyhedron
 
-        def recording_minimum(model):
-            value, argmin = minimum(model)
-            argmins.append(argmin)
-            return value, argmin
+        def recording_minima(model):
+            (solution,) = minima(model)
+            argmins.append(solution[1])
+            return [solution]
 
         def recording_project(point, a_mat, b_vec, warm=None):
             try:
@@ -461,7 +462,7 @@ class TestSolve:
 
         monkeypatch.setattr(numerics, "NNLS_STEPS_PER_ROW", 0)
         monkeypatch.setattr(numerics, "project_polyhedron", recording_project)
-        monkeypatch.setattr(CutModel, "minimum", recording_minimum)
+        monkeypatch.setattr(CutModel, "minima", recording_minima)
         problem = small_problem()
         state = solve(problem, max_iters=15)
         assert len(argmins) == len(outcomes) == state.n_iterations
@@ -529,7 +530,8 @@ class TestSolve:
         last = state.cuts[-1]
         np.testing.assert_array_equal(state.iterate, last.anchor)
         grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-        value, slope, _ = _oracle(problem, state.iterate, grid)
+        (value,), (slope,), _ = _oracle(problem.penalty, problem.measurements.y[None],
+                                        state.iterate[None], grid)
         assert value == last.value
         np.testing.assert_array_equal(slope, last.slope)
 
@@ -557,14 +559,15 @@ class TestSolve:
 def noisy_solve_work():
     """One noisy three-spike solve (w_c = 2e-3, seed 0, 100 iterations) and
     the work it did: NNLS QR factorizations and added columns, level-set
-    rows, Newton runs, their ``_derivatives`` calls, ``Kernel.derivative``
-    calls and the cut-model basis rows each LP changed."""
+    rows, the runs of each ``newton_on_slope`` call, the runs evaluated by
+    each ``_derivatives`` call, ``Kernel.derivative`` calls and the
+    cut-model basis rows each LP changed."""
     work = {key: [] for key in ("factorizations", "added", "rows", "newton", "derivatives",
                                 "kernel_derivative", "basis_changes")}
     refactor, add = numerics._PassiveQR.refactor, numerics._PassiveQR.add
     project = numerics.project_polyhedron
     newton, derivatives = certificate.newton_on_slope, certificate._derivatives
-    kernel_derivative, minimum = Kernel.derivative, CutModel.minimum
+    kernel_derivative, minima = Kernel.derivative, CutModel.minima
 
     def counting_refactor(passive, cols):
         work["factorizations"].append(1)
@@ -579,21 +582,21 @@ def noisy_solve_work():
         work["rows"].append(a_mat.shape[0])
         return project(point, a_mat, b_vec, warm)
 
-    def counting_newton(*args):
-        work["newton"].append(1)
-        return newton(*args)
+    def counting_newton(kernel, samples, weights, t, *args):
+        work["newton"].append(len(t))
+        return newton(kernel, samples, weights, t, *args)
 
-    def counting_derivatives(*args):
-        work["derivatives"].append(1)
-        return derivatives(*args)
+    def counting_derivatives(kernel, samples, weights, t):
+        work["derivatives"].append(len(t))
+        return derivatives(kernel, samples, weights, t)
 
     def counting_kernel_derivative(kernel, t, order):
         work["kernel_derivative"].append(order)
         return kernel_derivative(kernel, t, order)
 
-    def counting_minimum(model):
+    def counting_minima(model):
         before = model._basis.copy()
-        result = minimum(model)
+        result = minima(model)
         work["basis_changes"].append(int(np.sum(model._basis != before)))
         return result
 
@@ -604,7 +607,7 @@ def noisy_solve_work():
         patch.setattr(certificate, "newton_on_slope", counting_newton)
         patch.setattr(certificate, "_derivatives", counting_derivatives)
         patch.setattr(Kernel, "derivative", counting_kernel_derivative)
-        patch.setattr(CutModel, "minimum", counting_minimum)
+        patch.setattr(CutModel, "minima", counting_minima)
         cfg = three_spike_config()
         problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
         state = solve(problem, max_iters=100)
@@ -626,19 +629,25 @@ class TestWorkCounts:
 
     def test_supremum_work(self, noisy_solve_work):
         state, work = noisy_solve_work
+        # one newton_on_slope call per oracle call takes all its runs
+        assert len(work["newton"]) == state.n_iterations
         # Newton runs only from peaks that can beat the grid max: 2.07 per
         # oracle call measured, 4.14 with one margin for every peak
-        assert len(work["newton"]) <= 3.0 * state.n_iterations
+        assert sum(work["newton"]) <= 3.0 * state.n_iterations
         # a run from a scan peak starts from the grid's table rows: 2.47
         # kernel evaluations per run measured, 3.47 when each run evaluated
         # its start
-        assert len(work["derivatives"]) <= 3.0 * len(work["newton"])
+        assert sum(work["derivatives"]) <= 3.0 * sum(work["newton"])
+        # each step evaluates every run still going in one call: 2.46 calls
+        # per oracle call measured, 5.12 with one call per run and step
+        assert len(work["derivatives"]) <= 3.0 * state.n_iterations
         # the end-cell slopes come from the grid's table too (one
         # Kernel.derivative call per supremum before)
         assert work["kernel_derivative"] == []
 
     def test_cut_model_work(self, noisy_solve_work):
         state, work = noisy_solve_work
+        # one CutModel.minima call per iteration
         assert len(work["basis_changes"]) == state.n_iterations
         # each LP starts from the previous basis: 1.10 basis rows changed per
         # iteration measured, where a start from the first cut's basis takes
