@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import three_spike_config
-from dualspike import certificate, experiments
+from dualspike import bounds, certificate, experiments
+from dualspike.errors import NoConvergenceError
+from dualspike.model import uniform_noise
+from dualspike.solver import solve
 
 
 def read_rows(path):
@@ -71,3 +74,57 @@ def test_serial_sweep_builds_one_scan_table(table_builds, monkeypatch, tmp_path)
     cfg = dataclasses.replace(three_spike_config(), iterations=100)
     experiments.run_noise(cfg, tmp_path / "noise", jobs=1)
     assert table_builds() == 1
+
+
+def failing_refiner(monkeypatch, weights, location):
+    """Make every refinement from ``location`` on the certificate of
+    ``weights`` raise NoConvergenceError, wherever the drivers refine."""
+    refine = certificate.refine_location
+
+    def refiner(cert, t0):
+        if t0 == location and np.array_equal(cert.weights, weights):
+            raise NoConvergenceError("refinement failed")
+        return refine(cert, t0)
+
+    monkeypatch.setattr(experiments, "refine_location", refiner)
+    monkeypatch.setattr(bounds, "refine_location", refiner)
+
+
+def test_window_refine_failure_rows(bench3_run, monkeypatch, tmp_path):
+    # source 2 fails at window iterate p = 50; every other row is as before
+    cfg, _, state, _ = bench3_run
+    p = 50
+    _, lambda_t = experiments.run_lambda_t(cfg, tmp_path / "clean")
+    _, t_a = experiments.run_t_a(cfg, tmp_path / "clean")
+    failing_refiner(monkeypatch, state.iterate_history[p - 1], cfg.sources[1])
+    _, failed_lambda_t = experiments.run_lambda_t(cfg, tmp_path / "failed")
+    _, failed_t_a = experiments.run_t_a(cfg, tmp_path / "failed")
+
+    at = [row[:2] for row in lambda_t].index((p, 2))
+    _, _, _, dual_err, _, rate, two_rate, _, _ = lambda_t[at]
+    assert failed_lambda_t[at] == (p, 2, None, dual_err, None, rate, two_rate, 0,
+                                   "refine_failed")
+    assert failed_lambda_t[:at] + failed_lambda_t[at + 1:] == lambda_t[:at] + lambda_t[at + 1:]
+
+    at = [row[0] for row in t_a].index(p)
+    amp_log10 = t_a[at][4]
+    assert failed_t_a[at] == (p, None, None, None, amp_log10, 0, "refine_failed")
+    assert failed_t_a[:at] + failed_t_a[at + 1:] == t_a[:at] + t_a[at + 1:]
+
+
+def test_sweep_refine_failure_row(monkeypatch, tmp_path):
+    # source 2 fails at the second sweep point; the first point is as before
+    cfg = three_spike_config()
+    monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
+    _, rows = experiments.run_noise(cfg, tmp_path / "clean")
+    noisy = experiments.build_problem(
+        cfg, noise=uniform_noise(cfg.samples.size, 2e-3, cfg.seed + 1))
+    failing_refiner(monkeypatch, solve(noisy, experiments.DEFAULT_NOISE_ITERS).iterate,
+                    cfg.sources[1])
+    _, failed = experiments.run_noise(cfg, tmp_path / "failed")
+
+    assert failed[0] == rows[0]
+    assert rows[1][5] is not None and rows[1][-1] == ""
+    w_c, w_sel, dual_sel, ratio_sel, noise_rate, _, w_full, dual_full, ratio_full, _, _ = rows[1]
+    assert failed[1] == (w_c, w_sel, dual_sel, ratio_sel, noise_rate, None, w_full, dual_full,
+                         ratio_full, None, "refine_failed")
