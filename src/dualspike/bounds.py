@@ -189,14 +189,9 @@ def select_informative_samples(src: SourceModel, grid: SampleGrid):
 
 
 def refine_peaks(cert: Certificate, locations):
-    """Certificate maximizers refined from each location, and q'' at them.
-
-    Returns (peaks, curvatures); raises NoConvergenceError when a
-    refinement fails.
-    """
-    peaks = np.array([refine_location(cert, t) for t in locations])
-    curvatures = np.array([cert.value(t, 2) for t in peaks])
-    return peaks, curvatures
+    """Certificate maximizers refined from each location; raises
+    NoConvergenceError when a refinement fails."""
+    return np.array([refine_location(cert, t) for t in locations])
 
 
 def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
@@ -205,9 +200,9 @@ def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
 
     Rows run over the selected samples; the left k columns differentiate
     with respect to the kept dual entries, the right k with respect to the
-    (penalty-scaled) convex weights.  ``peaks`` and ``curvatures`` are the
-    reference certificate's refined maximizers near each source and q''
-    there, as returned by ``refine_peaks``.
+    (penalty-scaled) convex weights.  ``peaks`` are the reference
+    certificate's refined maximizers near each source (``refine_peaks``)
+    and ``curvatures`` its q'' there.
 
     Returns (jacobian, selected_sample_indices, kept_dual_indices).
     """
@@ -318,8 +313,9 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
                           source_locations=src.locations.copy())
 
     try:
-        report.refined_peaks, report.curvatures = refine_peaks(cert, src.locations)
-        curvatures = report.curvatures
+        report.refined_peaks = refine_peaks(cert, src.locations)
+        report.curvatures = curvatures = np.array(
+            [cert.value(t, 2) for t in report.refined_peaks])
         if np.any(curvatures >= 0):
             raise CurvatureSignError(f"non-negative curvature: {curvatures}")
     except (NoConvergenceError, CurvatureSignError) as exc:

@@ -3,7 +3,8 @@ noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
 final iterate, and takes its stability constants from that report.  Every
 driver writes deterministic artifacts (``write_csv``) and returns (the
-paths it wrote, its data).  The noise sweep solves its points in lockstep
+paths it wrote, its data); drivers read a solve's iterates and histories,
+never its cuts.  The noise sweep solves its points in lockstep
 (``solver.solve_batch``), one batch per worker process, each on a
 contiguous chunk of points; the reference solves go through ``solve``.
 """
@@ -151,14 +152,22 @@ def window_threshold(state: BundleState):
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
+def _refined_or_none(cert: Certificate, t0):
+    try:
+        return refine_location(cert, t0)
+    except NoConvergenceError:
+        return None
+
+
 def reference_window(cfg: ExperimentConfig):
     """Reference stage of a ratio experiment and its iteration window.
 
     Returns (problem, report, window): ``report`` is the reference run's
     constants report, and ``window`` yields, for each iteration p from
     ``WINDOW_START`` to ``WINDOW_END``, the tuple (p, dual_err, in_window,
-    cert_p) of the p-th iterate against the final one.  The iteration cap
-    must exceed ``WINDOW_END``; ConfigError otherwise.
+    peaks) of the p-th iterate against the final one, ``peaks`` its
+    certificate refined once from each source (None where that fails).
+    The iteration cap must exceed ``WINDOW_END``; ConfigError otherwise.
     """
     iterations = _iterations(cfg, DEFAULT_ITERS)
     if iterations <= WINDOW_END:
@@ -166,6 +175,7 @@ def reference_window(cfg: ExperimentConfig):
                           f"got {iterations}")
     problem, state, report = reference_run(cfg, iterations)
     threshold = window_threshold(state)
+    locations = cfg.source_model().locations
 
     def window():
         best = state.iterate
@@ -173,7 +183,9 @@ def reference_window(cfg: ExperimentConfig):
         for p in range(WINDOW_START, p_max + 1):
             iterate = state.iterate_history[p - 1]
             dual_err = float(np.linalg.norm(iterate - best))
-            yield p, dual_err, int(dual_err >= threshold), _certificate(problem, iterate)
+            cert = _certificate(problem, iterate)
+            yield (p, dual_err, int(dual_err >= threshold),
+                   [_refined_or_none(cert, t) for t in locations])
 
     return problem, report, window()
 
@@ -185,11 +197,9 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
     rates = _constant(report, "location_rates")
     src = cfg.source_model()
     rows = []
-    for p, dual_err, in_window, cert_p in window:
-        for i, t_true in enumerate(src.locations):
-            try:
-                t_p = refine_location(cert_p, t_true)
-            except NoConvergenceError:
+    for p, dual_err, in_window, peaks in window:
+        for i, (t_true, t_p) in enumerate(zip(src.locations, peaks)):
+            if t_p is None:
                 rows.append((p, i + 1, None, dual_err, None, rates[i],
                              2.0 * rates[i], 0, "refine_failed"))
                 continue
@@ -210,12 +220,11 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     src = cfg.source_model()
     grid, y = problem.measurements.grid, problem.measurements.y
     rows = []
-    for p, _, in_window, cert_p in window:
-        try:
-            t_p, _ = bounds.refine_peaks(cert_p, src.locations)
-        except NoConvergenceError:
+    for p, _, in_window, peaks in window:
+        if None in peaks:
             rows.append((p, None, None, None, amp_log10, 0, "refine_failed"))
             continue
+        t_p = np.array(peaks)
         loc_err = float(np.linalg.norm(t_p - src.locations))
         if loc_err == 0.0:
             rows.append((p, None, 0.0, None, amp_log10, 0, "zero_loc_err"))
@@ -237,8 +246,8 @@ def _noise_chunk(args):
     results = []
     for noise, problem, state in zip(noises, problems, solve_batch(problems, iters)):
         try:
-            peaks, _ = bounds.refine_peaks(_certificate(problem, state.iterate),
-                                           cfg.source_model().locations)
+            peaks = bounds.refine_peaks(_certificate(problem, state.iterate),
+                                        cfg.source_model().locations)
         except NoConvergenceError:
             results.append((noise, state.iterate, None, "refine_failed"))
             continue

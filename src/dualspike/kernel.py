@@ -18,6 +18,12 @@ GRAD_SUP_COEFF = math.sqrt(2.0 / math.e)
 CURV_SUP_COEFF = 2.0
 THIRD_SUP_COEFF = 4.0 * math.sqrt(9.0 - 3.0 * math.sqrt(6.0)) * math.exp(-(3.0 - math.sqrt(6.0)) / 2.0)
 
+# derivative k of exp(-t^2/s2) is factor_k(t, s2) * exp(-t^2/s2): the one
+# formula of each order, shared by ``derivative`` and ``value_and_derivatives``
+_FACTORS = {1: lambda t, s2: -2.0 * t / s2,
+            2: lambda t, s2: 4.0 * t * t / s2**2 - 2.0 / s2,
+            3: lambda t, s2: 12.0 * t / s2**2 - 8.0 * t**3 / s2**3}
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -47,16 +53,10 @@ class Kernel:
         -------
         float or ndarray
         """
+        if order not in _FACTORS:
+            raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
         t = np.asarray(t, dtype=float)
-        s2 = self.sigma**2
-        base = self.value(t)
-        if order == 1:
-            return (-2.0 * t / s2) * base
-        if order == 2:
-            return (4.0 * t * t / s2**2 - 2.0 / s2) * base
-        if order == 3:
-            return (12.0 * t / s2**2 - 8.0 * t**3 / s2**3) * base
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
+        return _FACTORS[order](t, self.sigma**2) * self.value(t)
 
     def value_and_derivatives(self, t):
         """The kernel and its first two derivatives at ``t`` from one exponential.
@@ -67,7 +67,7 @@ class Kernel:
         t = np.asarray(t, dtype=float)
         s2 = self.sigma**2
         base = self.value(t)
-        return base, (-2.0 * t / s2) * base, (4.0 * t * t / s2**2 - 2.0 / s2) * base
+        return base, _FACTORS[1](t, s2) * base, _FACTORS[2](t, s2) * base
 
     def deriv_sup_bounds(self):
         """Suprema of |first|, |second| and |third| derivative over the line.

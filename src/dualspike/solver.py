@@ -16,7 +16,8 @@ certificate supremum and one round-based LP serve every problem still
 running, and each problem keeps its own cuts, model, projection and exit.
 Stacked products and solves give each problem the bits of its own, so a
 problem's result does not depend on its batch; ``solve`` is the batch of
-one.
+one.  A solve returns a record of its run that holds no row of its LP:
+``BundleState.cuts`` evaluates the oracle again at the anchors.
 """
 
 import functools
@@ -66,7 +67,7 @@ class PenaltyProblem:
             raise ValueError("box_radius must be positive")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Cut:
     """One cutting plane: value + slope.(lam - anchor) minorizes the objective."""
 
@@ -77,10 +78,11 @@ class Cut:
 
 @dataclass
 class BundleState:
-    """Solver state: final iterate, per-iteration history (bounds, level,
-    gap and the projected iterate) and the cuts, kept as their values and
-    slope rows; ``cuts`` builds them as ``Cut`` objects when first asked."""
+    """The record of one solve: its problem, the final iterate and the
+    per-iteration history (bounds, level, gap and the projected iterate);
+    ``cuts`` evaluates the solve's cuts again when first asked."""
 
+    problem: PenaltyProblem
     iterate: np.ndarray
     upper_bound: float = np.inf
     lower_bound: float = -np.inf
@@ -89,8 +91,6 @@ class BundleState:
     lower_history: list[float] = field(default_factory=list)
     level_history: list[float] = field(default_factory=list)
     iterate_history: list[np.ndarray] = field(default_factory=list)
-    cut_values: list[float] = field(default_factory=list)
-    cut_slopes: np.ndarray | None = None
 
     @property
     def n_iterations(self):
@@ -99,11 +99,16 @@ class BundleState:
     @functools.cached_property
     def cuts(self):
         """The cuts in the order they were added: cut k is anchored at the
-        zero start (k = 0) or at iterate k of the history."""
-        if not self.cut_values:
+        zero start (k = 0) or at iterate k of the history.  One oracle call
+        on the anchors gives each cut the bits the solve gave it."""
+        if not self.iterate_history:
             return []
-        anchors = [np.zeros_like(self.iterate), *self.iterate_history[:-1]]
-        return [Cut(*cut) for cut in zip(anchors, self.cut_values, self.cut_slopes)]
+        problem = self.problem
+        anchors = np.array([np.zeros_like(self.iterate), *self.iterate_history[:-1]])
+        ys = np.repeat(problem.measurements.y[None], len(anchors), axis=0)
+        values, slopes, _ = _oracle(problem.penalty, ys, anchors,
+                                    CertificateGrid(problem.measurements.grid, problem.kernel))
+        return [Cut(*cut) for cut in zip(anchors, values.tolist(), slopes)]
 
 
 def _oracle(penalty, ys, weights, cert_grid: CertificateGrid):
@@ -171,11 +176,6 @@ class CutModel:
         view of the model's rows with b = h - level * (last column)."""
         rows = self._rows[point, :self._n_box + self.size]
         return rows[:, :-1], self._rhs[point, :rows.shape[0]] - level * rows[:, -1]
-
-    def slopes(self, point):
-        """The slopes of point p's cuts, in the order they were added, as a
-        view of its rows."""
-        return self._rows[point, self._n_box:self._n_box + self.size, :-1]
 
     def add(self, anchors, values, slopes):
         """Append one cut per point: value + slope.(lam - anchor), from the
@@ -344,8 +344,7 @@ def solve_batch(problems, max_iters: int):
     ``CutModel`` serve all running problems; each keeps its own cut rows,
     LP basis, projection warm start and exit, and its arithmetic does not
     depend on the others, so a problem's result is the same bit for bit in
-    any batch.  A problem's cut slopes stay in its model's rows until it
-    stops (``BundleState.cut_slopes``), so the batch holds each slope once.
+    any batch.  The returned states share no memory with the model.
 
     A problem stops when its projected iterate equals the previous one bit
     for bit: the next oracle call would return the last cut again, so the
@@ -368,7 +367,7 @@ def solve_batch(problems, max_iters: int):
     m = grid.n_samples
     cert_grid = CertificateGrid(grid, kernel)
     ys = np.array([problem.measurements.y for problem in problems])
-    states = [BundleState(iterate=np.zeros(m)) for _ in problems]
+    states = [BundleState(problem, np.zeros(m)) for problem in problems]
     model = CutModel(len(problems), m, first.box_radius)
     # the problem behind each point of the model, and its data
     running = list(range(len(problems)))
@@ -382,7 +381,6 @@ def solve_batch(problems, max_iters: int):
         going = []
         for point, (i, value, minimum) in enumerate(zip(running, cut_values.tolist(), minima)):
             state = states[i]
-            state.cut_values.append(value)
             state.upper_bound = min(state.upper_bound, value)
             # the running max keeps the gap history monotone
             state.lower_bound = max(state.lower_bound, minimum[0])
@@ -395,15 +393,10 @@ def solve_batch(problems, max_iters: int):
             state.level_history.append(level)
             state.gap_history.append(gap)
             state.iterate_history.append(state.iterate)
-            if gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous):
-                # a copy: keep() drops the rows of the points that stopped
-                state.cut_slopes = model.slopes(point).copy()
-            else:
+            if not (gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous)):
                 going.append(point)
         if len(going) < len(running):
             model.keep(going)
             ys = ys[going]
             running = [running[point] for point in going]
-    for point, i in enumerate(running):
-        states[i].cut_slopes = model.slopes(point)
     return states

@@ -70,6 +70,37 @@ class TestSolveBatch:
                      ((2e-3, 0), (0.006, 19), (4e-6, 2), (0.06, 29))], 60)
         assert len(calls) < sum(systems)
 
+    def test_cuts_are_the_solves_cuts(self, monkeypatch):
+        # the cuts a state evaluates again are the rows the solve added, bit
+        # for bit, and no returned array lives in the model's row block; the
+        # clean problem stops after 98 iterations, the noisy ones run all 150
+        added, blocks = [], {}
+        add = solver.CutModel.add
+
+        def recording(model, anchors, values, slopes):
+            added.append((anchors.copy(), values.copy(), slopes.copy()))
+            add(model, anchors, values, slopes)
+            blocks[id(model._rows)] = model._rows
+
+        monkeypatch.setattr(solver.CutModel, "add", recording)
+        problems = [build_problem(three_spike_config()), noisy_problem(2e-3, 0),
+                    noisy_problem(0.06, 29)]
+        states = solve_batch(problems, 150)
+        assert [state.n_iterations for state in states] == [98, 150, 150]
+        for i, state in enumerate(states):
+            # a call's rows are the problems still running, in batch order
+            rows = [[j for j, other in enumerate(states) if other.n_iterations > k].index(i)
+                    for k in range(state.n_iterations)]
+            cuts = state.cuts
+            assert len(cuts) == state.n_iterations
+            for part, field in enumerate(("anchor", "value", "slope")):
+                expected = np.array([added[k][part][row] for k, row in enumerate(rows)])
+                found = np.array([getattr(cut, field) for cut in cuts])
+                assert found.tobytes() == expected.tobytes()
+            arrays = [state.iterate, *state.iterate_history]
+            arrays += [a for cut in cuts for a in (cut.anchor, cut.slope)]
+            assert not any(np.shares_memory(a, block) for a in arrays for block in blocks.values())
+
     def test_mixed_problems_are_rejected(self):
         clean = build_problem(three_spike_config())
         other = build_problem(three_spike_config(pi=50.0))

@@ -231,11 +231,18 @@ class TestJacobianRate:
         assert double - fixed == pytest.approx(2.0 * (base - fixed), rel=1e-12)
 
 
+def jacobian_at_peaks(src, grid, kernel, cert):
+    """``assemble_jacobian`` at the refined peaks and q'' there, as
+    ``full_report`` calls it."""
+    peaks = bounds.refine_peaks(cert, src.locations)
+    return bounds.assemble_jacobian(src, grid, kernel, peaks,
+                                    np.array([cert.value(t, 2) for t in peaks]))
+
+
 class TestJacobianAssembly:
     def test_single_source_structure(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, selected, kept = bounds.assemble_jacobian(
-            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
+        jac, selected, kept = jacobian_at_peaks(src, grid, kernel, cert)
         assert jac.shape == (2, 2)
         assert selected.size == 2 and kept.size == 1
         assert set(kept).issubset(set(selected))
@@ -267,16 +274,14 @@ class TestJacobianAssembly:
 
     def test_translate_block_full_rank(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, _, _ = bounds.assemble_jacobian(
-            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
+        jac, _, _ = jacobian_at_peaks(src, grid, kernel, cert)
         k = src.n_sources
         right = jac[:, k:]
         assert np.linalg.svd(right, compute_uv=False)[-1] > 0
 
     def test_determinant_matches_singular_values(self, offgrid_single):
         src, grid, kernel, cert = offgrid_single
-        jac, _, _ = bounds.assemble_jacobian(
-            src, grid, kernel, *bounds.refine_peaks(cert, src.locations))
+        jac, _, _ = jacobian_at_peaks(src, grid, kernel, cert)
         singulars = np.linalg.svd(jac, compute_uv=False)
         det = np.linalg.det(jac)
         assert det != 0.0
