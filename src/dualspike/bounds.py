@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .certificate import Certificate, refine_location
-from .errors import (CurvatureSignError, InsufficientSamplesError,
-                     NoConvergenceError, RadiusTooLargeError)
+from .certificate import Certificate, refine_peaks
+from .errors import CurvatureSignError, InsufficientSamplesError, RadiusTooLargeError
 from .kernel import THIRD_SUP_COEFF, Kernel
 from .model import SampleGrid, SourceModel, build_phi
 
@@ -188,12 +187,6 @@ def select_informative_samples(src: SourceModel, grid: SampleGrid):
     return np.array(sorted(selected)), np.array(kept)
 
 
-def refine_peaks(cert: Certificate, locations):
-    """Certificate maximizers refined from each location; raises
-    NoConvergenceError when a refinement fails."""
-    return np.array([refine_location(cert, t) for t in locations])
-
-
 def assemble_jacobian(src: SourceModel, grid: SampleGrid, kernel: Kernel,
                       peaks, curvatures):
     """Reduced 2k x 2k Jacobian of the stationarity system at the optimum.
@@ -312,15 +305,14 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
                           dual_norm=dual_norm,
                           source_locations=src.locations.copy())
 
-    try:
-        report.refined_peaks = refine_peaks(cert, src.locations)
-        report.curvatures = curvatures = np.array(
-            [cert.value(t, 2) for t in report.refined_peaks])
-        if np.any(curvatures >= 0):
-            raise CurvatureSignError(f"non-negative curvature: {curvatures}")
-    except (NoConvergenceError, CurvatureSignError) as exc:
-        report.errors["curvatures"] = str(exc)
-        curvatures = None
+    peaks, curvs, failures = refine_peaks(kernel, grid.samples, cert.weights[None], src.locations)
+    if failures:
+        report.errors["curvatures"] = failures[min(failures)]
+    else:
+        report.refined_peaks, report.curvatures = peaks[0], curvs[0]
+        if np.any(curvs >= 0):
+            report.errors["curvatures"] = f"non-negative curvature: {curvs[0]}"
+    curvatures = None if "curvatures" in report.errors else report.curvatures
 
     if curvatures is not None:
         report.location_radii = np.array(

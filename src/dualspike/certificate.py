@@ -6,7 +6,10 @@ Every refinement goes through one safeguarded Newton routine,
 supremum of a lockstep batch of certificates (one per bundle problem)
 sends the runs of all of them through one call, while each certificate
 keeps its own scan product and peak selection.  A run's result is the
-same bit for bit whatever runs share its call.
+same bit for bit whatever runs share its call.  ``refine_peaks`` refines
+every start on every certificate of a batch (an iteration window, a sweep
+chunk) in one bracket search and one Newton call; ``refine_location`` is
+its batch of one.
 """
 
 import functools
@@ -28,7 +31,7 @@ ROUNDOFF_REL = 1e-13
 # a Newton bracket this many ulps wide holds no further progress
 BRACKET_ULPS = 4
 GRID_NEWTON_ITERS = 100
-# refine_location's stopping slope and Newton step budget
+# refine_peaks' stopping slope and Newton step budget
 REFINE_SLOPE_TOL = 1e-12
 REFINE_STEPS = 50
 # the scan shows every bump of q as a local maximum only for kernels at
@@ -56,8 +59,7 @@ def _derivatives(kernel: Kernel, samples, weights, t):
     return np.matmul(tables[:, :, None, :], weights[:, :, None])[..., 0, 0]
 
 
-def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter,
-                    start=None):
+def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter, start):
     """Drive q' to zero from t inside the bracket [lo, hi], for a batch of
     runs: run r works on ``weights[r]`` from ``t[r]`` in [``lo[r]``,
     ``hi[r]``] down to the slope ``floor[r]``.
@@ -71,11 +73,9 @@ def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter
     run per run in floats, so a run's arithmetic is the same whatever runs
     share it.  Returns (t, (q, q', q'') at t, converged), lists with one
     entry per run; ``converged`` is False only where ``max_iter`` steps ran
-    out first.  ``start``, when given, is (q, q', q'') at t, equal to what
-    ``_derivatives`` returns there; otherwise it is evaluated.
+    out first.  ``start`` is (q, q', q'') at t, equal to what
+    ``_derivatives`` returns there.
     """
-    if start is None:
-        start = _derivatives(kernel, samples, weights, np.asarray(t, dtype=float))
     t, lo, hi, floor = np.array([t, lo, hi, floor], dtype=float).tolist()
     q, slope, curv = np.asarray(start, dtype=float).tolist()
     converged = [False] * len(t)
@@ -130,14 +130,10 @@ class Certificate:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kernel", kernel)
 
-    def value(self, t, order=0):
-        """q(t), q'(t) or q''(t); accepts scalars or arrays of locations."""
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    def value(self, t):
+        """q(t); accepts scalars or arrays of locations."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        diffs = t_arr[:, None] - self.grid.samples[None, :]
-        table = self.kernel.value(diffs) if order == 0 else self.kernel.derivative(diffs, order)
-        out = table @ self.weights
+        out = self.kernel.value(t_arr[:, None] - self.grid.samples[None, :]) @ self.weights
         return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -314,51 +310,76 @@ def global_maximizers(cert: Certificate) -> MaximizerSet:
     return CertificateGrid(cert.grid, cert.kernel).maximizers(cert.weights)
 
 
-def refine_location(cert: Certificate, t0: float) -> float:
-    """Polish a stationary point of q from t0 by safeguarded Newton on q'.
+def refine_peaks(kernel: Kernel, samples, weights, locations):
+    """Polish a stationary point of q from every location on the
+    certificate of every row of ``weights``, all runs in lockstep.
 
-    The search is confined to [t0 - sigma, t0 + sigma] (clipped to [0,1]);
-    a sign change of q' must exist there (or t0 itself must be a concave
-    stationary point), otherwise NoConvergenceError is raised.  Newton
-    (``newton_on_slope``) stops at |q'| <= max(``REFINE_SLOPE_TOL``,
-    round-off floor), at a step that does not move, or at a bracket a few
-    ulps wide; running out of ``REFINE_STEPS`` steps first also raises
-    NoConvergenceError.
+    Run (c, l) starts from t0 = ``locations[l]`` on ``weights[c]``.  Where
+    |q'(t0)| < ``REFINE_SLOPE_TOL``, t0 is the answer if q''(t0) < 0 and the
+    run fails otherwise.  Else each end of [t0 - sigma, t0 + sigma] (clipped
+    to [0,1]) halves its distance to t0 while q' there lacks the sign of a
+    maximum, for up to 60 rounds or down to a 1e-15 width; without q' > 0
+    at the low end and q' < 0 at the high one the run fails.  Newton
+    (``newton_on_slope``) then runs from t0 down to |q'| <=
+    max(``REFINE_SLOPE_TOL``, round-off floor); running out of
+    ``REFINE_STEPS`` steps fails.  Each shrinking round evaluates every
+    moved end in one ``_derivatives`` call, its masks doing a lone run's
+    float operations, and all Newton runs share one call, so a run's bits
+    do not depend on the runs beside it.
+
+    Returns (t, q'' at t, failures): certificates x locations arrays, NaN
+    where a run fails, and a dict from each failed (c, l), in row order, to
+    its NoConvergenceError message.  A location outside [0, 1] or NaN
+    raises ValueError.
     """
-    sigma = cert.kernel.sigma
-    lo = max(0.0, t0 - sigma)
-    hi = min(1.0, t0 + sigma)
-
-    def slope(t):
-        return cert.value(t, 1)
-
-    if abs(slope(t0)) < REFINE_SLOPE_TOL:
-        if cert.value(t0, 2) < 0.0:
-            return t0
-        raise NoConvergenceError(f"stationary but not concave at {t0}")
-    # shrink toward t0 until the bracket endpoints straddle the stationary point
-    bl, bh = lo, hi
-    slope_lo, slope_hi = slope(bl), slope(bh)
+    locations = np.asarray(locations, dtype=float)
+    if not np.all((locations >= 0.0) & (locations <= 1.0)):
+        raise ValueError(f"refinement starts must lie in [0, 1], got {locations}")
+    n_locs = locations.size
+    owner = np.repeat(np.arange(len(weights)), n_locs)
+    t0 = np.tile(locations, len(weights))
+    bl, bh = np.maximum(0.0, t0 - kernel.sigma), np.minimum(1.0, t0 + kernel.sigma)
+    derivs = _derivatives(kernel, samples, weights[np.tile(owner, 3)],
+                          np.concatenate((t0, bl, bh)))
+    start, (slope_lo, slope_hi) = derivs[:, :t0.size], derivs[1, t0.size:].reshape(2, -1)
+    stationary = np.abs(start[1]) < REFINE_SLOPE_TOL
+    going = ~stationary
     for _ in range(60):
-        if slope_lo > 0.0 > slope_hi:
+        going &= ~((slope_lo > 0.0) & (slope_hi < 0.0))
+        if not going.any():
             break
-        if slope_lo <= 0.0:
-            bl = 0.5 * (bl + t0)
-            slope_lo = slope(bl)
-        if slope_hi >= 0.0:
-            bh = 0.5 * (bh + t0)
-            slope_hi = slope(bh)
-        if bh - bl < 1e-15:
-            break
-    if not (slope_lo > 0.0 > slope_hi):
-        raise NoConvergenceError(f"no local maximum bracketed near {t0}")
-    floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
-    t, _, converged = newton_on_slope(cert.kernel, cert.grid.samples, cert.weights[None],
-                                      [min(max(t0, bl), bh)], [bl], [bh], [floor], REFINE_STEPS)
-    if not converged[0]:
-        raise NoConvergenceError(
-            f"refinement near {t0} ran {REFINE_STEPS} steps without converging")
-    return t[0]
+        low, high = going & (slope_lo <= 0.0), going & (slope_hi >= 0.0)
+        bl = np.where(low, 0.5 * (bl + t0), bl)
+        bh = np.where(high, 0.5 * (bh + t0), bh)
+        slopes = _derivatives(kernel, samples, weights[np.concatenate((owner[low], owner[high]))],
+                              np.concatenate((bl[low], bh[high])))[1]
+        slope_lo[low], slope_hi[high] = np.split(slopes, [np.count_nonzero(low)])
+        going &= ~(bh - bl < 1e-15)
+    runs = np.flatnonzero(~stationary & (slope_lo > 0.0) & (slope_hi < 0.0))
+    floors = np.array([max(REFINE_SLOPE_TOL, slope_floor(kernel, w)) for w in weights])
+    t_run, (_, _, curv_run), converged = newton_on_slope(
+        kernel, samples, weights[owner[runs]], t0[runs], bl[runs], bh[runs], floors[owner[runs]],
+        REFINE_STEPS, start[:, runs])
+    t, curv = np.full((2, t0.size), np.nan)
+    done = stationary & (start[2] < 0.0)
+    t[done], curv[done] = t0[done], start[2, done]
+    converged = np.array(converged, dtype=bool)
+    t[runs[converged]], curv[runs[converged]] = np.array([t_run, curv_run])[:, converged]
+    starts = t0.tolist()
+    failures = {divmod(r, n_locs): f"stationary but not concave at {starts[r]}" if stationary[r]
+                else f"refinement near {starts[r]} ran {REFINE_STEPS} steps without converging"
+                if r in runs else f"no local maximum bracketed near {starts[r]}"
+                for r in np.flatnonzero(np.isnan(t)).tolist()}
+    return t.reshape(-1, n_locs), curv.reshape(-1, n_locs), failures
+
+
+def refine_location(cert: Certificate, t0: float) -> float:
+    """Polish a stationary point of q from t0: ``refine_peaks`` for one
+    certificate and one start, its failure raised as NoConvergenceError."""
+    t, _, failures = refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], [t0])
+    if failures:
+        raise NoConvergenceError(failures[0, 0])
+    return float(t[0, 0])
 
 
 def dump_curve(cert: Certificate):

@@ -7,6 +7,9 @@ paths it wrote, its data); drivers read a solve's iterates and histories,
 never its cuts.  The noise sweep solves its points in lockstep
 (``solver.solve_batch``), one batch per worker process, each on a
 contiguous chunk of points; the reference solves go through ``solve``.
+Each driver refines its certificates in one lockstep call
+(``certificate.refine_peaks``): the whole iteration window, each sweep
+chunk's final iterates, and the reference report's peaks.
 """
 
 import os
@@ -14,9 +17,9 @@ import os
 import numpy as np
 
 from . import bounds
-from .certificate import Certificate, dump_curve, refine_location, supremum
+from .certificate import Certificate, dump_curve, refine_peaks, supremum
 from .config import ExperimentConfig
-from .errors import ConfigError, DualSpikeError, NoConvergenceError
+from .errors import ConfigError, DualSpikeError
 from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
 from .solver import BundleState, PenaltyProblem, solve, solve_batch
@@ -152,22 +155,16 @@ def window_threshold(state: BundleState):
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
-def _refined_or_none(cert: Certificate, t0):
-    try:
-        return refine_location(cert, t0)
-    except NoConvergenceError:
-        return None
-
-
 def reference_window(cfg: ExperimentConfig):
     """Reference stage of a ratio experiment and its iteration window.
 
     Returns (problem, report, window): ``report`` is the reference run's
-    constants report, and ``window`` yields, for each iteration p from
+    constants report, and ``window`` lists, for each iteration p from
     ``WINDOW_START`` to ``WINDOW_END``, the tuple (p, dual_err, in_window,
     peaks) of the p-th iterate against the final one, ``peaks`` its
-    certificate refined once from each source (None where that fails).
-    The iteration cap must exceed ``WINDOW_END``; ConfigError otherwise.
+    certificate refined from each source (NaN where that fails), the whole
+    window in one ``refine_peaks`` call.  The iteration cap must exceed
+    ``WINDOW_END``; ConfigError otherwise.
     """
     iterations = _iterations(cfg, DEFAULT_ITERS)
     if iterations <= WINDOW_END:
@@ -175,19 +172,13 @@ def reference_window(cfg: ExperimentConfig):
                           f"got {iterations}")
     problem, state, report = reference_run(cfg, iterations)
     threshold = window_threshold(state)
-    locations = cfg.source_model().locations
-
-    def window():
-        best = state.iterate
-        p_max = min(WINDOW_END, len(state.iterate_history))
-        for p in range(WINDOW_START, p_max + 1):
-            iterate = state.iterate_history[p - 1]
-            dual_err = float(np.linalg.norm(iterate - best))
-            cert = _certificate(problem, iterate)
-            yield (p, dual_err, int(dual_err >= threshold),
-                   [_refined_or_none(cert, t) for t in locations])
-
-    return problem, report, window()
+    best = state.iterate
+    iterates = np.reshape(state.iterate_history[WINDOW_START - 1:WINDOW_END], (-1, best.size))
+    peaks, _, _ = refine_peaks(problem.kernel, problem.measurements.grid.samples, iterates,
+                               cfg.source_model().locations)
+    errors = [float(np.linalg.norm(iterate - best)) for iterate in iterates]
+    return problem, report, [(p, err, int(err >= threshold), row) for p, err, row in
+                             zip(range(WINDOW_START, WINDOW_END + 1), errors, peaks)]
 
 
 def run_lambda_t(cfg: ExperimentConfig, out_dir):
@@ -198,8 +189,8 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
     src = cfg.source_model()
     rows = []
     for p, dual_err, in_window, peaks in window:
-        for i, (t_true, t_p) in enumerate(zip(src.locations, peaks)):
-            if t_p is None:
+        for i, (t_true, t_p) in enumerate(zip(src.locations, peaks.tolist())):
+            if np.isnan(t_p):
                 rows.append((p, i + 1, None, dual_err, None, rates[i],
                              2.0 * rates[i], 0, "refine_failed"))
                 continue
@@ -221,15 +212,14 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
     grid, y = problem.measurements.grid, problem.measurements.y
     rows = []
     for p, _, in_window, peaks in window:
-        if None in peaks:
+        if np.isnan(peaks).any():
             rows.append((p, None, None, None, amp_log10, 0, "refine_failed"))
             continue
-        t_p = np.array(peaks)
-        loc_err = float(np.linalg.norm(t_p - src.locations))
+        loc_err = float(np.linalg.norm(peaks - src.locations))
         if loc_err == 0.0:
             rows.append((p, None, 0.0, None, amp_log10, 0, "zero_loc_err"))
             continue
-        result = recover_amplitudes(grid, problem.kernel, t_p, y)
+        result = recover_amplitudes(grid, problem.kernel, peaks, y)
         amp_err = float(np.linalg.norm(result.amplitudes - src.amplitudes))
         rows.append((p, amp_err, loc_err, amp_err / loc_err, amp_log10, in_window, ""))
     return [write_csv(cfg, out_dir, "exp_t_a.csv",
@@ -238,21 +228,17 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
 
 
 def _noise_chunk(args):
-    """A contiguous chunk of sweep points, solved as one batch: per point
-    (noise, final iterate, refined peaks or None, note)."""
+    """A contiguous chunk of sweep points, solved as one batch and refined
+    in one ``refine_peaks`` call: per point (noise, final iterate, refined
+    peaks or None, note)."""
     cfg, iters, points = args
     noises = [uniform_noise(len(cfg.samples), w_c, cfg.seed + index) for index, w_c in points]
     problems = [build_problem(cfg, noise=noise) for noise in noises]
-    results = []
-    for noise, problem, state in zip(noises, problems, solve_batch(problems, iters)):
-        try:
-            peaks = bounds.refine_peaks(_certificate(problem, state.iterate),
-                                        cfg.source_model().locations)
-        except NoConvergenceError:
-            results.append((noise, state.iterate, None, "refine_failed"))
-            continue
-        results.append((noise, state.iterate, peaks, ""))
-    return results
+    iterates = np.array([state.iterate for state in solve_batch(problems, iters)])
+    peaks, _, _ = refine_peaks(problems[0].kernel, problems[0].measurements.grid.samples,
+                               iterates, cfg.source_model().locations)
+    return [(noise, iterate, None, "refine_failed") if np.isnan(row).any()
+            else (noise, iterate, row, "") for noise, iterate, row in zip(noises, iterates, peaks)]
 
 
 def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):

@@ -2,9 +2,9 @@
 a list of cuts and its offsets and slopes, the subgradient alone, and a certificate validity check;
 and the reference rules the faster production paths are checked against:
 the level projection solved on every row at once, the supremum that
-refines every scan local maximum, and the Newton runs and supremum taken
-one run at a time, in floats, as the batched ones must reproduce bit for
-bit.  The command-line pipeline never needs
+refines every scan local maximum, and the Newton runs, peak refinements
+and supremum taken one run at a time, in floats, as the batched ones must
+reproduce bit for bit.  The command-line pipeline never needs
 these, so they live with the tests."""
 
 import math
@@ -14,8 +14,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from dualspike.certificate import (BRACKET_ULPS, DEFAULT_MERGE_TOL, GRID_NEWTON_ITERS,
-                                   ROUNDOFF_REL, CertificateGrid, slope_floor)
-from dualspike.errors import InfeasibleError
+                                   REFINE_SLOPE_TOL, REFINE_STEPS, ROUNDOFF_REL,
+                                   CertificateGrid, slope_floor)
+from dualspike.errors import InfeasibleError, NoConvergenceError
 from dualspike.solver import Cut, CutModel, _oracle
 
 
@@ -173,6 +174,54 @@ def newton_per_run(kernel, samples, weights, t, lo, hi, floor, max_iter, start=N
         if hi - lo <= BRACKET_ULPS * math.ulp(max(abs(lo), abs(hi))):
             return t, derivs, True
     return t, derivs, False
+
+
+def certificate_derivative(cert, t, order):
+    """q'(t) (``order`` 1) or q''(t) (``order`` 2) of ``cert`` at one
+    location, as a float: the kernel derivative on a 1 x m table times the
+    weights."""
+    table = cert.kernel.derivative(np.array([[t]]) - cert.grid.samples[None, :], order)
+    return float((table @ cert.weights)[0])
+
+
+def refine_location_per_run(cert, t0):
+    """``certificate.refine_peaks`` for one run, as a loop in floats with
+    one kernel evaluation per slope: (t, q''(t)), or NoConvergenceError
+    with the batched run's message."""
+    sigma = cert.kernel.sigma
+    lo = max(0.0, t0 - sigma)
+    hi = min(1.0, t0 + sigma)
+
+    def slope(t):
+        return certificate_derivative(cert, t, 1)
+
+    if abs(slope(t0)) < REFINE_SLOPE_TOL:
+        if certificate_derivative(cert, t0, 2) < 0.0:
+            return t0, certificate_derivative(cert, t0, 2)
+        raise NoConvergenceError(f"stationary but not concave at {t0}")
+    # shrink toward t0 until the bracket endpoints straddle the stationary point
+    bl, bh = lo, hi
+    slope_lo, slope_hi = slope(bl), slope(bh)
+    for _ in range(60):
+        if slope_lo > 0.0 > slope_hi:
+            break
+        if slope_lo <= 0.0:
+            bl = 0.5 * (bl + t0)
+            slope_lo = slope(bl)
+        if slope_hi >= 0.0:
+            bh = 0.5 * (bh + t0)
+            slope_hi = slope(bh)
+        if bh - bl < 1e-15:
+            break
+    if not (slope_lo > 0.0 > slope_hi):
+        raise NoConvergenceError(f"no local maximum bracketed near {t0}")
+    floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
+    t, _, converged = newton_per_run(cert.kernel, cert.grid.samples, cert.weights,
+                                     min(max(t0, bl), bh), bl, bh, floor, REFINE_STEPS)
+    if not converged:
+        raise NoConvergenceError(
+            f"refinement near {t0} ran {REFINE_STEPS} steps without converging")
+    return t, certificate_derivative(cert, t, 2)
 
 
 def supremum_per_point(cert_grid, weights):

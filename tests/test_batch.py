@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import three_spike_config
 from dualspike import certificate, solver
-from dualspike.certificate import (GRID_NEWTON_ITERS, Certificate, CertificateGrid,
-                                   newton_on_slope, refine_location, slope_floor)
-from dualspike.experiments import build_problem
-from dualspike.model import uniform_noise
+from dualspike.certificate import (GRID_NEWTON_ITERS, REFINE_SLOPE_TOL, Certificate,
+                                   CertificateGrid, _derivatives, newton_on_slope,
+                                   refine_location, refine_peaks, slope_floor)
+from dualspike.errors import NoConvergenceError
+from dualspike.experiments import WINDOW_END, WINDOW_START, build_problem
+from dualspike.kernel import Kernel
+from dualspike.model import SampleGrid, uniform_noise
 from dualspike.solver import solve, solve_batch
-from helpers import newton_per_run, supremum_per_point
+from helpers import (certificate_derivative, newton_per_run, refine_location_per_run,
+                     supremum_per_point)
 
 
 def noisy_problem(w_c, seed):
@@ -150,19 +154,19 @@ class TestEndCellRuns:
         lows = np.concatenate(([lo], scan[peaks - 1]))
         highs = np.concatenate(([hi], scan[peaks + 1]))
         floors = np.array([slope_floor(kernel, w) for w in stack])
-        t, derivs, converged = newton_on_slope(kernel, samples, stack, t0, lows, highs,
-                                               floors, GRID_NEWTON_ITERS)
+        t, derivs, converged = newton_on_slope(kernel, samples, stack, t0, lows, highs, floors,
+                                               GRID_NEWTON_ITERS,
+                                               _derivatives(kernel, samples, stack, t0))
         for r, w in enumerate(stack):
             alone = newton_per_run(kernel, samples, w, float(t0[r]), float(lows[r]),
                                    float(highs[r]), float(floors[r]), GRID_NEWTON_ITERS)
             assert (t[r], tuple(d[r] for d in derivs), converged[r]) == alone
 
 
-def per_run_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, start=None):
+def per_run_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, start):
     """``newton_on_slope`` taken one run at a time by ``newton_per_run``."""
     runs = [newton_per_run(kernel, samples, w, float(t_r), float(lo_r), float(hi_r),
-                           float(floor_r), max_iter,
-                           None if start is None else tuple(float(d[r]) for d in start))
+                           float(floor_r), max_iter, tuple(float(d[r]) for d in start))
             for r, (w, t_r, lo_r, hi_r, floor_r) in enumerate(zip(weights, t, lo, hi, floor))]
     return (np.array([run[0] for run in runs]),
             tuple(np.array([run[1][k] for run in runs]) for k in range(3)),
@@ -176,3 +180,101 @@ def test_refine_location_matches_per_run(run, request, monkeypatch):
     batched = [refine_location(cert, t) for t in cfg.source_model().locations]
     monkeypatch.setattr(certificate, "newton_on_slope", per_run_newton)
     assert batched == [refine_location(cert, t) for t in cfg.source_model().locations]
+
+
+def refinement_outcome(cert, t0, message):
+    """Which exit of ``refine_location_per_run`` a run from t0 takes."""
+    if message is not None:
+        return message.split(" at ")[0].split(" near ")[0]
+    if abs(certificate_derivative(cert, t0, 1)) < REFINE_SLOPE_TOL:
+        return "stationary and concave"
+    sigma = cert.kernel.sigma
+    bracketed = (certificate_derivative(cert, max(0.0, t0 - sigma), 1) > 0.0
+                 > certificate_derivative(cert, min(1.0, t0 + sigma), 1))
+    return "bracketed" if bracketed else "bracket shrunk"
+
+
+def assert_refinements_match_per_run(kernel, grid, weights, locations, order):
+    """Every run of one ``refine_peaks`` call on ``weights`` x ``locations``,
+    with both taken in ``order`` (certificate, location index arrays),
+    equals ``refine_location_per_run`` bit for bit in t, q'' and the failure
+    message.  Returns the outcomes reached."""
+    rows, cols = order
+    t, curv, failures = refine_peaks(kernel, grid.samples, weights[rows], locations[cols])
+    outcomes = set()
+    for i, c in enumerate(rows):
+        cert = Certificate(weights[c], grid, kernel)
+        for j, l in enumerate(cols):
+            t0 = float(locations[l])
+            try:
+                expected = (*refine_location_per_run(cert, t0), None)
+            except NoConvergenceError as exc:
+                expected = (None, None, str(exc))
+            message = failures.get((i, j))
+            if message is None:
+                assert (t[i, j], curv[i, j], message) == expected
+            else:
+                assert np.isnan(t[i, j]) and np.isnan(curv[i, j])
+                assert (None, None, message) == expected
+            outcomes.add(refinement_outcome(cert, t0, message))
+    return outcomes
+
+
+@pytest.mark.parametrize("run", ["bench3_run", "bench5_run"])
+def test_refine_peaks_matches_per_run_on_window(run, request):
+    # the window certificates of a ratio experiment, refined from each
+    # source, in batch order and reversed
+    cfg, problem, state, _ = request.getfixturevalue(run)
+    weights = np.array(state.iterate_history[WINDOW_START - 1:WINDOW_END])
+    locations = cfg.source_model().locations
+    grid = problem.measurements.grid
+    for order in ((np.arange(len(weights)), np.arange(locations.size)),
+                  (np.arange(len(weights))[::-1], np.arange(locations.size)[::-1])):
+        assert assert_refinements_match_per_run(problem.kernel, grid, weights, locations,
+                                                order) <= {"bracketed", "bracket shrunk"}
+
+
+def test_refine_peaks_matches_per_run_across_a_valley():
+    # bumps of weight 1 at 0.4 and 2 at 0.62, 0.1 wide, with the valley
+    # between them at 0.48274: from just left of it the high end halves its
+    # way back across the valley over about ten rounds; from just right of
+    # it, it never finds q' < 0
+    kernel, grid = Kernel(0.1), SampleGrid([0.4, 0.62])
+    weights, starts = np.array([[1.0, 2.0]]), np.array([0.4826, 0.4829])
+    outcomes = assert_refinements_match_per_run(kernel, grid, weights, starts,
+                                                (np.arange(1), np.arange(2)))
+    assert outcomes == {"bracket shrunk", "no local maximum bracketed"}
+    t, _, _ = refine_peaks(kernel, grid.samples, weights, starts)
+    assert 0.4 < t[0, 0] < 0.41
+
+
+@st.composite
+def refinement_batches(draw):
+    """A few certificates on equispaced samples, many weights 0 or +-1, a
+    kernel 0.5 to 0.7 spacings wide (so a bracket often reaches into the
+    valley before a neighbouring bump), and starts at samples or anywhere in
+    [0, 1], with a batch order for each."""
+    samples = np.linspace(0.0, 1.0, draw(st.integers(2, 6)))
+    kernel = Kernel(samples[1] * draw(st.floats(0.5, 0.7)))
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.just(-1.0), st.floats(-10.0, 10.0))
+    weights = draw(st.lists(st.lists(weight, min_size=samples.size, max_size=samples.size),
+                            min_size=1, max_size=3))
+    starts = draw(st.lists(st.one_of(st.sampled_from(samples.tolist()), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=4))
+    order = (np.array(draw(st.permutations(range(len(weights))))),
+             np.array(draw(st.permutations(range(len(starts))))))
+    return kernel, SampleGrid(samples), np.array(weights), np.array(starts), order
+
+
+def test_refine_peaks_matches_per_run_on_draws():
+    # the draws reach every exit of a run but the step budget
+    outcomes = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(refinement_batches())
+    def check(batch):
+        outcomes.update(assert_refinements_match_per_run(*batch))
+
+    check()
+    assert outcomes >= {"stationary and concave", "stationary but not concave",
+                        "no local maximum bracketed", "bracket shrunk"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualspike import bounds
-from dualspike.certificate import Certificate
+from dualspike.certificate import Certificate, refine_peaks
 from dualspike.errors import (CurvatureSignError, InsufficientSamplesError,
                               RadiusTooLargeError)
 from dualspike.kernel import Kernel
@@ -234,9 +234,8 @@ class TestJacobianRate:
 def jacobian_at_peaks(src, grid, kernel, cert):
     """``assemble_jacobian`` at the refined peaks and q'' there, as
     ``full_report`` calls it."""
-    peaks = bounds.refine_peaks(cert, src.locations)
-    return bounds.assemble_jacobian(src, grid, kernel, peaks,
-                                    np.array([cert.value(t, 2) for t in peaks]))
+    peaks, curvatures, _ = refine_peaks(kernel, grid.samples, cert.weights[None], src.locations)
+    return bounds.assemble_jacobian(src, grid, kernel, peaks[0], curvatures[0])
 
 
 class TestJacobianAssembly:
@@ -355,16 +354,15 @@ class TestFullReport:
     def test_refines_each_source_once(self, offgrid_single, monkeypatch):
         src, grid, kernel, cert = offgrid_single
         calls = []
-        refine = bounds.refine_location
 
-        def counting_refine(c, t0):
-            calls.append(t0)
-            return refine(c, t0)
+        def counting_refine(kern, samples, weights, locations):
+            calls.append((weights.tolist(), list(locations)))
+            return refine_peaks(kern, samples, weights, locations)
 
-        monkeypatch.setattr(bounds, "refine_location", counting_refine)
+        monkeypatch.setattr(bounds, "refine_peaks", counting_refine)
         report = bounds.full_report(src, grid, kernel, cert.weights, 2.0, 1e3)
         assert report.jacobian is not None
-        assert calls == list(src.locations)
+        assert calls == [([cert.weights.tolist()], list(src.locations))]
 
     def test_items_follow_field_order(self):
         report = bounds.BoundsReport(sigma=0.1, noise_radius=2.0,

@@ -9,13 +9,13 @@ from conftest import three_spike_config
 from dualspike import certificate
 from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
-                                   refine_location, supremum)
+                                   refine_location, refine_peaks, supremum)
 from dualspike.errors import NoConvergenceError
 from dualspike.experiments import build_problem, reference_run, run_noise
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize, uniform_noise
 from dualspike.solver import PenaltyProblem, solve
-from helpers import supremum_refining_every_peak, validate_certificate
+from helpers import certificate_derivative, supremum_refining_every_peak, validate_certificate
 
 SCAN_STEP = 1.0 / (DEFAULT_GRID_POINTS - 1)
 BRUTE_POINTS = 200_001
@@ -77,15 +77,12 @@ def small_converged():
 class TestEvaluation:
     def test_zero_weights(self):
         cert = Certificate(np.zeros(5), SampleGrid.equispaced(5), Kernel(0.1))
-        for order in (0, 1, 2):
-            assert cert.value(0.37, order) == 0.0
+        assert cert.value(0.37) == 0.0
+        for order in (1, 2):
+            assert certificate_derivative(cert, 0.37, order) == 0.0
 
     def test_single_sample(self, single_bump):
         assert single_bump.value(0.5) == 1.0
-
-    def test_invalid_order(self, single_bump):
-        with pytest.raises(ValueError):
-            single_bump.value(0.5, order=3)
 
     def test_linearity(self):
         grid = SampleGrid.equispaced(7)
@@ -197,8 +194,8 @@ class TestGlobalMaximizers:
         maxima = global_maximizers(cert)
         assert maxima.locations.size == 2
         for t in maxima.locations:
-            assert abs(cert.value(t, 1)) <= 1e-9
-            assert cert.value(t, 2) <= 1e-9
+            assert abs(certificate_derivative(cert, t, 1)) <= 1e-9
+            assert certificate_derivative(cert, t, 2) <= 1e-9
 
     def test_grid_resolution_stability(self, small_converged, monkeypatch):
         _, cert = small_converged
@@ -241,7 +238,7 @@ class TestRefineLocation:
     def test_converges_from_offset(self, single_bump):
         t = refine_location(single_bump, 0.45)
         assert abs(t - 0.5) < 1e-12
-        assert abs(single_bump.value(t, 1)) < 1e-12
+        assert abs(certificate_derivative(single_bump, t, 1)) < 1e-12
 
     def test_non_concave_raises(self):
         cert = Certificate([-1.0], SampleGrid([0.5]), Kernel(0.1))
@@ -251,6 +248,17 @@ class TestRefineLocation:
     def test_no_bracket_in_tail(self, single_bump):
         with pytest.raises(NoConvergenceError):
             refine_location(single_bump, 0.05)
+
+    @pytest.mark.parametrize("t0", [1.5, -0.05, float("nan")])
+    def test_start_outside_domain_raises(self, bench3_run, t0):
+        # far in the reference certificate's Gaussian tail |q'| < 1e-12, so
+        # a start at 1.5 once came back as a "maximizer" outside [0, 1]
+        _, problem, state, _ = bench3_run
+        cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            refine_location(cert, t0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], [0.25, t0])
 
 
 class TestRefinementStops:

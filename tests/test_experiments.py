@@ -9,7 +9,6 @@ import pytest
 
 from conftest import three_spike_config
 from dualspike import bounds, certificate, experiments
-from dualspike.errors import NoConvergenceError
 from dualspike.model import uniform_noise
 from dualspike.solver import solve
 
@@ -78,16 +77,18 @@ def test_serial_sweep_builds_one_scan_table(table_builds, monkeypatch, tmp_path)
 
 def failing_refiner(monkeypatch, weights, location):
     """Make every refinement from ``location`` on the certificate of
-    ``weights`` raise NoConvergenceError, wherever the drivers refine."""
-    refine = certificate.refine_location
+    ``weights`` fail, wherever the drivers refine."""
+    def refiner(kernel, samples, stack, locations):
+        t, curvatures, failures = certificate.refine_peaks(kernel, samples, stack, locations)
+        for c, row in enumerate(stack):
+            for l, t0 in enumerate(locations):
+                if t0 == location and np.array_equal(row, weights):
+                    t[c, l] = curvatures[c, l] = np.nan
+                    failures[c, l] = "refinement failed"
+        return t, curvatures, failures
 
-    def refiner(cert, t0):
-        if t0 == location and np.array_equal(cert.weights, weights):
-            raise NoConvergenceError("refinement failed")
-        return refine(cert, t0)
-
-    monkeypatch.setattr(experiments, "refine_location", refiner)
-    monkeypatch.setattr(bounds, "refine_location", refiner)
+    monkeypatch.setattr(experiments, "refine_peaks", refiner)
+    monkeypatch.setattr(bounds, "refine_peaks", refiner)
 
 
 def test_window_refine_failure_rows(bench3_run, monkeypatch, tmp_path):
@@ -128,3 +129,42 @@ def test_sweep_refine_failure_row(monkeypatch, tmp_path):
     w_c, w_sel, dual_sel, ratio_sel, noise_rate, _, w_full, dual_full, ratio_full, _, _ = rows[1]
     assert failed[1] == (w_c, w_sel, dual_sel, ratio_sel, noise_rate, None, w_full, dual_full,
                          ratio_full, None, "refine_failed")
+
+
+@pytest.fixture
+def refinement_calls(monkeypatch):
+    """The runs of each ``newton_on_slope`` call that refines peaks: the
+    calls with the refinement step budget, ``REFINE_STEPS`` (the supremum's
+    is ``GRID_NEWTON_ITERS``)."""
+    calls = []
+    newton = certificate.newton_on_slope
+
+    def counting_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, *start):
+        if max_iter == certificate.REFINE_STEPS:
+            calls.append(len(t))
+        return newton(kernel, samples, weights, t, lo, hi, floor, max_iter, *start)
+
+    monkeypatch.setattr(certificate, "newton_on_slope", counting_newton)
+    return calls
+
+
+class TestRefinementWork:
+    """One ``newton_on_slope`` call refines the reference report's peaks, one
+    the whole iteration window and one each sweep chunk, where one call per
+    refinement made 237 per window."""
+
+    @pytest.mark.parametrize("driver", [experiments.run_lambda_t, experiments.run_t_a])
+    def test_window(self, driver, refinement_calls, tmp_path):
+        # the report's 3 sources, then 79 window iterates x 3 sources
+        driver(three_spike_config(), tmp_path)
+        assert refinement_calls == [3, 237]
+
+    def test_bounds(self, refinement_calls, tmp_path):
+        experiments.run_bounds(three_spike_config(), tmp_path)
+        assert refinement_calls == [3]
+
+    def test_sweep_chunk(self, refinement_calls, monkeypatch, tmp_path):
+        # the report's 3 sources, then 3 sweep points x 3 sources
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-4, 2e-3]))
+        experiments.run_noise(three_spike_config(iterations=100), tmp_path, jobs=1)
+        assert refinement_calls == [3, 9]
