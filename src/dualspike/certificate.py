@@ -320,8 +320,11 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
     to [0,1]) halves its distance to t0 while q' there lacks the sign of a
     maximum, for up to 60 rounds or down to a 1e-15 width; without q' > 0
     at the low end and q' < 0 at the high one the run fails.  Newton
-    (``newton_on_slope``) then runs from t0 down to |q'| <=
-    max(``REFINE_SLOPE_TOL``, round-off floor); running out of
+    (``newton_on_slope``) then runs from t0 inside the half of that bracket
+    q rises into from t0, [t0, high] where q'(t0) > 0 and [low, t0]
+    otherwise, down to |q'| <= max(``REFINE_SLOPE_TOL``, round-off floor)
+    (the whole bracket is centred on t0 unless an end moved, and bisecting
+    it would stop a run at its start).  Running out of
     ``REFINE_STEPS`` steps fails.  Each shrinking round evaluates every
     moved end in one ``_derivatives`` call, its masks doing a lone run's
     float operations, and all Newton runs share one call, so a run's bits
@@ -357,9 +360,10 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
         going &= ~(bh - bl < 1e-15)
     runs = np.flatnonzero(~stationary & (slope_lo > 0.0) & (slope_hi < 0.0))
     floors = np.array([max(REFINE_SLOPE_TOL, slope_floor(kernel, w)) for w in weights])
+    rising = start[1, runs] > 0.0
     t_run, (_, _, curv_run), converged = newton_on_slope(
-        kernel, samples, weights[owner[runs]], t0[runs], bl[runs], bh[runs], floors[owner[runs]],
-        REFINE_STEPS, start[:, runs])
+        kernel, samples, weights[owner[runs]], t0[runs], np.where(rising, t0[runs], bl[runs]),
+        np.where(rising, bh[runs], t0[runs]), floors[owner[runs]], REFINE_STEPS, start[:, runs])
     t, curv = np.full((2, t0.size), np.nan)
     done = stationary & (start[2] < 0.0)
     t[done], curv[done] = t0[done], start[2, done]

@@ -15,7 +15,6 @@ Lines starting with '#' and blank lines are ignored.  Every number must be
 finite: nan and inf are rejected.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,16 @@ from .certificate import min_kernel_width
 from .errors import ConfigError
 from .kernel import Kernel
 from .model import SampleGrid, SourceModel
+
+# the interpreter's built-in SHA-256, as random.py takes its SHA-512:
+# hashlib maps OpenSSL, about 3.5 MB of every process, for one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass
@@ -123,7 +132,7 @@ def parse_config(text: str) -> ExperimentConfig:
         with np.errstate(over="ignore"):  # an infinite sum fails the pi check
             optional["pi"] = 2.0 * float(np.sum(amplitudes))
     cfg = ExperimentConfig(sources=sources, amplitudes=amplitudes, sigma=sigma, samples=samples,
-                           digest=hashlib.sha256(text.encode()).hexdigest()[:12], **optional)
+                           digest=sha256(text.encode()).hexdigest()[:12], **optional)
 
     # cross-field checks route through the domain constructors
     try:

@@ -42,28 +42,34 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write(cfg: ExperimentConfig, out_dir, name, text):
+def _write(cfg: ExperimentConfig, out_dir, name, lines):
     """Write ``name`` into ``out_dir``, created if missing: the comment line
-    with the config digest and seed, then ``text``.  Returns its path."""
+    with the config digest and seed, then the strings of ``lines``, each
+    written as it comes (a generator keeps the file out of memory).
+    Returns its path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config={cfg.digest or 'inline'} seed={cfg.seed} rng=pcg64\n")
-        fh.write(text)
+        fh.writelines(lines)
     return path
 
 
 def write_csv(cfg: ExperimentConfig, out_dir, name, header, rows):
     """One CSV artifact: the comment line, the header row and ``rows``
-    (None as an empty field, strings as they are).  Returns its path.
-    ``rows`` may be a float array: each row goes through ``tolist`` and
-    ``repr`` at once, which writes what ``_fmt`` writes per value."""
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        lines += [",".join(map(repr, row.tolist())) for row in rows]
-    else:
-        lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-    return _write(cfg, out_dir, name, "\n".join(lines) + "\n")
+    (None as an empty field, strings as they are), streamed to the file a
+    line at a time.  Returns its path.  ``rows`` may be a float array: each
+    row goes through ``tolist`` and ``repr`` at once, which writes what
+    ``_fmt`` writes per value."""
+    def lines():
+        yield ",".join(header) + "\n"
+        if isinstance(rows, np.ndarray):
+            for row in rows:
+                yield ",".join(map(repr, row.tolist())) + "\n"
+        else:
+            for row in rows:
+                yield ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+    return _write(cfg, out_dir, name, lines())
 
 
 def _iterations(cfg: ExperimentConfig, default):
@@ -303,6 +309,6 @@ def run_bounds(cfg: ExperimentConfig, out_dir):
     Returns (paths, report)."""
     _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS))
     items = report._scalar_items()
-    return [_write(cfg, out_dir, "bounds_report.txt", report.to_text()),
+    return [_write(cfg, out_dir, "bounds_report.txt", [report.to_text()]),
             write_csv(cfg, out_dir, "bounds_report.csv", [name for name, _ in items],
                       [[v for _, v in items]])], report

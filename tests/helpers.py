@@ -216,8 +216,10 @@ def refine_location_per_run(cert, t0):
     if not (slope_lo > 0.0 > slope_hi):
         raise NoConvergenceError(f"no local maximum bracketed near {t0}")
     floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
-    t, _, converged = newton_per_run(cert.kernel, cert.grid.samples, cert.weights,
-                                     min(max(t0, bl), bh), bl, bh, floor, REFINE_STEPS)
+    # Newton brackets the side of t0 that q rises into
+    lo, hi = (t0, bh) if slope(t0) > 0.0 else (bl, t0)
+    t, _, converged = newton_per_run(cert.kernel, cert.grid.samples, cert.weights, t0, lo, hi,
+                                     floor, REFINE_STEPS)
     if not converged:
         raise NoConvergenceError(
             f"refinement near {t0} ran {REFINE_STEPS} steps without converging")

@@ -248,6 +248,34 @@ def test_refine_peaks_matches_per_run_across_a_valley():
     assert 0.4 < t[0, 0] < 0.41
 
 
+def test_refine_peaks_matches_per_run_from_convex_starts():
+    # starts where q'' > 0, each at the centre of its bracket: the convex
+    # flank of one bump, and the valley between two
+    for samples, weights, start in (([0.5], [1.0], 0.42), ([0.4, 0.6], [1.0, 1.0], 0.49989)):
+        outcomes = assert_refinements_match_per_run(
+            Kernel(0.1), SampleGrid(samples), np.array([weights]), np.array([start]),
+            (np.arange(1), np.arange(1)))
+        assert outcomes == {"bracketed"}
+
+
+def test_window_peaks_are_maxima(bench3_run):
+    # early in the three-spike window q dips at the source 0.25 (q'' > 0
+    # there): every run still ends at a maximum, not at its start
+    cfg, problem, state, _ = bench3_run
+    weights = np.array(state.iterate_history[WINDOW_START - 1:WINDOW_END])
+    locations = cfg.source_model().locations
+    grid = problem.measurements.grid
+    t, curv, failures = refine_peaks(problem.kernel, grid.samples, weights, locations)
+    assert not failures and np.all(curv < 0.0)
+    convex_starts = 0
+    for w, peaks in zip(weights, t):
+        cert = Certificate(w, grid, problem.kernel)
+        floor = max(REFINE_SLOPE_TOL, slope_floor(problem.kernel, w))
+        assert all(abs(certificate_derivative(cert, p, 1)) <= floor for p in peaks)
+        convex_starts += certificate_derivative(cert, locations[0], 2) > 0.0
+    assert convex_starts > 0
+
+
 @st.composite
 def refinement_batches(draw):
     """A few certificates on equispaced samples, many weights 0 or +-1, a

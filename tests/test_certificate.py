@@ -245,6 +245,22 @@ class TestRefineLocation:
         with pytest.raises(NoConvergenceError):
             refine_location(cert, 0.5)
 
+    @pytest.mark.parametrize("samples,weights,t0,peak", [
+        # the convex flank of a bump at 0.5: q' = 8.44, q'' = +29.5 at 0.42
+        ([0.5], [1.0], 0.42, 0.5),
+        # the valley between equal bumps at 0.4 and 0.6 (whose tails move
+        # their peaks by 4e-3): q'' = +147 at 0.49989
+        ([0.4, 0.6], [1.0, 1.0], 0.49989, 0.4)])
+    def test_convex_start_reaches_a_maximum(self, samples, weights, t0, peak):
+        # the bracket is centred on t0, so bisecting it would land on t0,
+        # where q' is far from 0
+        cert = Certificate(weights, SampleGrid(samples), Kernel(0.1))
+        assert certificate_derivative(cert, t0, 2) > 0.0
+        t = refine_location(cert, t0)
+        assert abs(t - peak) < 0.01
+        assert abs(certificate_derivative(cert, t, 1)) < 1e-12
+        assert certificate_derivative(cert, t, 2) < 0.0
+
     def test_no_bracket_in_tail(self, single_bump):
         with pytest.raises(NoConvergenceError):
             refine_location(single_bump, 0.05)

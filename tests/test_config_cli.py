@@ -1,7 +1,11 @@
 """Configuration parsing and the command-line interface."""
 
 import dataclasses
+import hashlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +102,33 @@ class TestParsing:
         # module constants; one iterations key serves every command
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"sources=0.5\namplitudes=1\nsigma=0.1\nm=5\n{line}\n")
+
+
+class TestDigest:
+    def test_is_the_sha256_prefix(self):
+        digest = hashlib.sha256(TINY_CONFIG.encode()).hexdigest()[:12]
+        assert parse_config(TINY_CONFIG).digest == digest
+
+    @pytest.mark.parametrize("name,digest", [("three_spikes.cfg", "ff24e65e9bb5"),
+                                             ("five_spikes.cfg", "3bb62d8642fa")])
+    def test_checked_in_digests(self, name, digest):
+        # line 1 of every artifact the benchmark configs produce
+        path = ROOT / "configs" / name
+        text = path.read_text(encoding="utf-8")
+        assert load_config(path).digest == digest == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    def test_hashlib_fallback(self):
+        # an interpreter without the built-in SHA-256 modules digests
+        # through hashlib, to the same bytes
+        script = ("import sys\n"
+                  "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                  "import hashlib\n"
+                  "from dualspike import config\n"
+                  "print(config.sha256 is hashlib.sha256, config.parse_config(sys.argv[1]).digest)\n")
+        result = subprocess.run([sys.executable, "-c", script, TINY_CONFIG], capture_output=True,
+                                text=True, check=True,
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert result.stdout.split() == ["True", parse_config(TINY_CONFIG).digest]
 
 
 class TestCheckedInConfigs:

@@ -7,11 +7,14 @@ or the default is dead.  And src/ imports nothing from scipy: the
 runtime is numpy alone, and a serial command loads no multiprocessing."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dualspike
 
@@ -256,3 +259,26 @@ def test_a_solve_loads_no_scipy(tmp_path):
                             capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+NO_OPENSSL = """\
+import sys
+from dualspike.cli import main
+for command in ("solve", "exp-lambda-t", "exp-t-a", "bounds"):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2], "--iters", "280"]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter has no built-in SHA-256")
+def test_commands_load_no_openssl(tmp_path):
+    # solve, the ratio experiments and bounds, in a fresh interpreter: the
+    # config digest comes from the built-in SHA-256, so no command maps
+    # OpenSSL through hashlib (about 3.5 MB of every process)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    result = subprocess.run([sys.executable, "-c", NO_OPENSSL, str(config), str(tmp_path)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.stdout.strip().splitlines()[-1] == "False"
