@@ -161,8 +161,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def check_non_negative(key, value):
-    """Raise ConfigError for a negative seed (numpy's generators reject one)
-    or iteration count, from the config or the command line."""
+    """Raise ConfigError for a negative seed (the package's seed sequence,
+    ``model._seed_state``, rejects one) or iteration count, from the config or
+    the command line."""
     if value < 0:
         raise ConfigError(f"key '{key}': must be non-negative, got {value}")
 

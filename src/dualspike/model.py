@@ -113,15 +113,80 @@ def synthesize(src: SourceModel, grid: SampleGrid, kernel: Kernel, noise=None) -
     return MeasurementSet(clean + w, w, grid)
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed):
+    """The four 64-bit words of numpy's ``SeedSequence(seed).generate_state(4,
+    uint64)``: O'Neill's seed_seq_fe over the seed's 32-bit words, low first."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5  # INIT_A; hashmix steps it by MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD  # INIT_B: expand the pool to 8 words, stepped by MULT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
+
+
+def _pcg64_random(seed, m):
+    """numpy's ``default_rng(seed).random(m)`` as a list: PCG64 (128-bit LCG,
+    XSL-RR output, step before output), 53 high bits per double."""
+    s0, s1, s2, s3 = _seed_state(seed)
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    # srandom: one step from state 0 gives inc; add initstate, step again
+    state = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _MASK128
+    draws = []
+    for _ in range(m):
+        state = state * _PCG_MULT + inc & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122  # XSL-RR: rotate right by the top 6 bits
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append((x >> 11) * 2.0 ** -53)
+    return draws
+
+
 def uniform_noise(m: int, w_c: float, seed: int) -> np.ndarray:
     """Positive uniform noise w_j = w_c * X_j with X_j ~ U[0,1), seeded (PCG64).
 
-    The noise is positive on average, not zero-mean: it biases y upward.
+    X is numpy's ``default_rng(seed).random(m)`` bit for bit, reproduced in
+    the package: a command never loads numpy's random module, which maps
+    OpenSSL.  The noise is positive on average, not zero-mean: it biases y
+    upward.
     """
     if w_c < 0:
         raise ValueError("noise coefficient must be non-negative")
-    rng = np.random.default_rng(seed)
-    return w_c * rng.random(m)
+    return w_c * np.array(_pcg64_random(seed, m), dtype=float)
 
 
 def noise_grid() -> np.ndarray:

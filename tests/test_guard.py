@@ -264,21 +264,26 @@ def test_a_solve_loads_no_scipy(tmp_path):
 NO_OPENSSL = """\
 import sys
 from dualspike.cli import main
-for command in ("solve", "exp-lambda-t", "exp-t-a", "bounds"):
-    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2], "--iters", "280"]) == 0
-print("_hashlib" in sys.modules)
+loaded = []
+for command, iters in (("solve", "280"), ("exp-lambda-t", "280"), ("exp-t-a", "280"),
+                       ("bounds", "280"), ("exp-noise", "20")):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2], "--iters", iters]) == 0
+    loaded.append((command, [name for name in ("_hashlib", "numpy.random") if name in sys.modules]))
+print(loaded)
 """
 
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
                     reason="this interpreter has no built-in SHA-256")
 def test_commands_load_no_openssl(tmp_path):
-    # solve, the ratio experiments and bounds, in a fresh interpreter: the
-    # config digest comes from the built-in SHA-256, so no command maps
-    # OpenSSL through hashlib (about 3.5 MB of every process)
+    # every command, in a fresh interpreter: the config digest comes from
+    # the built-in SHA-256 and the sweep noise from the package's own PCG64,
+    # so no command maps OpenSSL through hashlib (about 3.5 MB of every
+    # process) or loads numpy.random, which maps it through secrets and hmac
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY_CONFIG)
     result = subprocess.run([sys.executable, "-c", NO_OPENSSL, str(config), str(tmp_path)],
                             capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert ast.literal_eval(result.stdout.strip().splitlines()[-1]) == [
+        (command, []) for command in ("solve", "exp-lambda-t", "exp-t-a", "bounds", "exp-noise")]

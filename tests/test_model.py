@@ -130,6 +130,22 @@ class TestNoise:
         with pytest.raises(ValueError):
             uniform_noise(4, -0.1, 0)
 
+    def test_matches_numpy_bit_for_bit(self):
+        # numpy.random is the reference here only: the package draws its own.
+        # 2**32 - 1 and 2**32 straddle the seed's first 32-bit word boundary,
+        # 2**64 + 3 fills three words, and 2**128 (five words) and 2**200
+        # (seven) run SeedSequence's mixing of the words past its 4-word pool
+        for seed in [*range(256), 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200]:
+            for m in (0, 1, 21):
+                expected = 0.3 * np.random.default_rng(seed).random(m)
+                w = uniform_noise(m, 0.3, seed)
+                assert w.dtype == expected.dtype and w.shape == expected.shape
+                assert w.tobytes() == expected.tobytes(), (seed, m)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            uniform_noise(4, 0.1, -1)
+
 
 class TestNoiseGrid:
     def test_endpoints(self):
