@@ -5,13 +5,13 @@ amplitude error, and measurement noise together."""
 
 from .kernel import Kernel
 from .model import MeasurementSet, SampleGrid, SourceModel, synthesize
-from .certificate import Certificate, global_maximizers, refine_location, supremum
+from .certificate import Certificate, global_maximizers, supremum
 from .solver import BundleState, Cut, PenaltyProblem, solve
 from .recovery import RecoveryResult, recover, recover_amplitudes
 
 __all__ = [
     "Kernel", "SourceModel", "SampleGrid", "MeasurementSet", "synthesize",
-    "Certificate", "supremum", "global_maximizers", "refine_location",
+    "Certificate", "supremum", "global_maximizers",
     "PenaltyProblem", "Cut", "BundleState", "solve",
     "RecoveryResult", "recover", "recover_amplitudes",
 ]

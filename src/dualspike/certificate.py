@@ -8,8 +8,7 @@ sends the runs of all of them through one call, while each certificate
 keeps its own scan product and peak selection.  A run's result is the
 same bit for bit whatever runs share its call.  ``refine_peaks`` refines
 every start on every certificate of a batch (an iteration window, a sweep
-chunk) in one bracket search and one Newton call; ``refine_location`` is
-its batch of one.
+chunk) in one bracket search and one Newton call.
 """
 
 import functools
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError
 from .kernel import Kernel
 from .model import SampleGrid
 
@@ -59,7 +57,7 @@ def _derivatives(kernel: Kernel, samples, weights, t):
     return np.matmul(tables[:, :, None, :], weights[:, :, None])[..., 0, 0]
 
 
-def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter, start):
+def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter):
     """Drive q' to zero from t inside the bracket [lo, hi], for a batch of
     runs: run r works on ``weights[r]`` from ``t[r]`` in [``lo[r]``,
     ``hi[r]``] down to the slope ``floor[r]``.
@@ -68,16 +66,16 @@ def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter
     bisection otherwise; the bracket end on the side of the new slope's sign
     moves to the new point.  A run stops when |q'| <= its floor, when a step
     leaves t unchanged, or when its bracket is ``BRACKET_ULPS`` ulps wide.
-    The runs still going take each step together: one ``_derivatives``
-    call evaluates all their new points, and the tests and bracket updates
-    run per run in floats, so a run's arithmetic is the same whatever runs
-    share it.  Returns (t, (q, q', q'') at t, converged), lists with one
-    entry per run; ``converged`` is False only where ``max_iter`` steps ran
-    out first.  ``start`` is (q, q', q'') at t, equal to what
-    ``_derivatives`` returns there.
+    One ``_derivatives`` call evaluates every start, and the runs still
+    going take each step together: one ``_derivatives`` call evaluates all
+    their new points, and the tests and bracket updates run per run in
+    floats, so a run's arithmetic is the same whatever runs share it.
+    Returns (t, (q, q', q'') at t, converged), lists with one entry per run;
+    ``converged`` is False only where ``max_iter`` steps ran out first.
     """
+    t = np.asarray(t, dtype=float)
+    q, slope, curv = _derivatives(kernel, samples, weights, t).tolist()
     t, lo, hi, floor = np.array([t, lo, hi, floor], dtype=float).tolist()
-    q, slope, curv = np.asarray(start, dtype=float).tolist()
     converged = [False] * len(t)
     going = range(len(t))
     for _ in range(max_iter):
@@ -130,12 +128,6 @@ class Certificate:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kernel", kernel)
 
-    def value(self, t):
-        """q(t); accepts scalars or arrays of locations."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self.kernel.value(t_arr[:, None] - self.grid.samples[None, :]) @ self.weights
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
 
 @dataclass(frozen=True)
 class MaximizerSet:
@@ -148,13 +140,14 @@ class MaximizerSet:
 
 @functools.lru_cache(maxsize=1)
 def _scan_tables(kernel: Kernel, samples: bytes, points):
-    """The ``points``-point scan of [0,1], phi, phi' and phi'' at (scan -
-    sample), and phi' in the first two and last two scan cells, all
-    read-only.  Kept for the last arguments asked for: every solve, curve
-    and recovery of a process shares one (grid, kernel)."""
+    """The ``points``-point scan of [0,1], phi and phi'' at (scan - sample),
+    and phi' at the first two and last two scan points, all read-only.
+    Kept for the last arguments asked for: every solve, curve and recovery
+    of a process shares one (grid, kernel)."""
     scan = np.linspace(0.0, 1.0, points)
-    tables = kernel.value_and_derivatives(scan[:, None] - np.frombuffer(samples)[None, :])
-    tables = (scan, *tables, tables[1][[0, 1, -2, -1]])
+    diffs = scan[:, None] - np.frombuffer(samples)[None, :]
+    tables = (scan, kernel.value(diffs), kernel.derivative(diffs, 2),
+              kernel.derivative(diffs[[0, 1, -2, -1]], 1))
     for array in tables:
         array.flags.writeable = False
     return tables
@@ -163,14 +156,13 @@ def _scan_tables(kernel: Kernel, samples: bytes, points):
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Holds phi(t_i - s_j), phi'(t_i - s_j) and phi''(t_i - s_j) on the
-    uniform ``DEFAULT_GRID_POINTS`` scan of [0,1] so that repeated suprema
-    (one per bundle problem and iteration) reduce to a matrix-vector
-    product each, and each Newton run from a scan local maximum starts
-    from three row products instead of a kernel evaluation.  The tables are read-only and kept
-    for the last (samples, kernel) a grid was made for, so a process that
-    works on one input builds them once.  A kernel narrower than
-    ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
+    Holds phi(t_i - s_j) and phi''(t_i - s_j) on the uniform
+    ``DEFAULT_GRID_POINTS`` scan of [0,1], so that repeated suprema (one per
+    bundle problem and iteration) reduce to a matrix-vector product each
+    and the peak margins to a row product each.  The tables are read-only
+    and kept for the last (samples, kernel) a grid was made for, so a
+    process that works on one input builds them once.  A kernel narrower
+    than ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
     ValueError: the scan would not show each of its bumps as a local maximum.
     """
 
@@ -181,7 +173,7 @@ class CertificateGrid:
         self.grid = grid
         self.kernel = kernel
         # end_slope is phi' in the end cells, for the bumps hiding there
-        self.scan, self.table, self.slope, self.curvature, self.end_slope = _scan_tables(
+        self.scan, self.table, self.curvature, self.end_slope = _scan_tables(
             kernel, grid.samples.tobytes(), DEFAULT_GRID_POINTS)
 
     def values(self, weights):
@@ -201,13 +193,8 @@ class CertificateGrid:
 
         The scan cannot see a bump that rises and falls entirely within the
         first (or last) grid cell, so the slopes there are checked directly.
-        A run from a scan point starts from that point's rows of the tables,
-        which equal ``_derivatives`` there bit for bit (unlike the entries
-        of the matrix-vector product ``values``).
         """
-        scan, samples, kernel = self.scan, self.grid.samples, self.kernel
-        rows = np.array((self.table[indices], self.slope[indices], self.curvature[indices]))
-        start = np.matmul(rows[:, :, None, :], weights[owners][:, :, None])[..., 0, 0]
+        scan = self.scan
         t, lo, hi = scan[indices], scan[indices - 1], scan[indices + 1]
         # per certificate: phi' . weights at scan points 0, 1, -2 and -1
         slopes = np.matmul(self.end_slope, weights[:, :, None])[:, :, 0]
@@ -215,14 +202,11 @@ class CertificateGrid:
         if end_owners.size:
             ends = scan[[0, 1, -2, -1]]
             end_lo, end_hi = ends[2 * cells], ends[2 * cells + 1]
-            end_t = 0.5 * (end_lo + end_hi)
-            start = np.concatenate(
-                (start, _derivatives(kernel, samples, weights[end_owners], end_t)), axis=1)
             owners = np.concatenate((owners, end_owners))
             t, lo, hi = (np.concatenate(pair) for pair in
-                         ((t, end_t), (lo, end_lo), (hi, end_hi)))
-        return (owners, *newton_on_slope(kernel, samples, weights[owners], t, lo, hi,
-                                         floors[owners], GRID_NEWTON_ITERS, start))
+                         ((t, 0.5 * (end_lo + end_hi)), (lo, end_lo), (hi, end_hi)))
+        return (owners, *newton_on_slope(self.kernel, self.grid.samples, weights[owners], t, lo,
+                                         hi, floors[owners], GRID_NEWTON_ITERS))
 
     def supremum(self, weights):
         """Global supremum of q over [0,1] for each row of ``weights``:
@@ -344,6 +328,7 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
     bl, bh = np.maximum(0.0, t0 - kernel.sigma), np.minimum(1.0, t0 + kernel.sigma)
     derivs = _derivatives(kernel, samples, weights[np.tile(owner, 3)],
                           np.concatenate((t0, bl, bh)))
+    # q' and q'' at t0 only decide which runs are stationary and which way q rises
     start, (slope_lo, slope_hi) = derivs[:, :t0.size], derivs[1, t0.size:].reshape(2, -1)
     stationary = np.abs(start[1]) < REFINE_SLOPE_TOL
     going = ~stationary
@@ -363,7 +348,7 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
     rising = start[1, runs] > 0.0
     t_run, (_, _, curv_run), converged = newton_on_slope(
         kernel, samples, weights[owner[runs]], t0[runs], np.where(rising, t0[runs], bl[runs]),
-        np.where(rising, bh[runs], t0[runs]), floors[owner[runs]], REFINE_STEPS, start[:, runs])
+        np.where(rising, bh[runs], t0[runs]), floors[owner[runs]], REFINE_STEPS)
     t, curv = np.full((2, t0.size), np.nan)
     done = stationary & (start[2] < 0.0)
     t[done], curv[done] = t0[done], start[2, done]
@@ -375,15 +360,6 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
                 if r in runs else f"no local maximum bracketed near {starts[r]}"
                 for r in np.flatnonzero(np.isnan(t)).tolist()}
     return t.reshape(-1, n_locs), curv.reshape(-1, n_locs), failures
-
-
-def refine_location(cert: Certificate, t0: float) -> float:
-    """Polish a stationary point of q from t0: ``refine_peaks`` for one
-    certificate and one start, its failure raised as NoConvergenceError."""
-    t, _, failures = refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], [t0])
-    if failures:
-        raise NoConvergenceError(failures[0, 0])
-    return float(t[0, 0])
 
 
 def dump_curve(cert: Certificate):

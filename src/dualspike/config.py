@@ -115,6 +115,30 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "samples" in pairs and "m" in pairs:
         raise ConfigError("give either 'm' or 'samples', not both")
+
+    # absent keys take the ExperimentConfig defaults, except pi's computed one
+    optional = {key: parse(pairs[key], key)
+                for key, parse in _OPTIONAL_KEYS.items() if key in pairs}
+    if "pi" not in optional:
+        with np.errstate(over="ignore"):  # an infinite sum fails the pi check
+            optional["pi"] = 2.0 * float(np.sum(amplitudes))
+
+    # every scalar key is checked before the sample grid is allocated
+    try:
+        Kernel(sigma)
+    except ValueError as exc:
+        raise ConfigError(f"key 'sigma': {exc}") from None
+    if sigma < min_kernel_width():
+        raise ConfigError(f"key 'sigma': below {min_kernel_width():g}, the narrowest kernel "
+                          "the certificate scan resolves")
+    for key in ("seed", "iterations"):
+        if key in optional:
+            check_non_negative(key, optional[key])
+    if "tau" in optional and not optional["tau"] > 0:
+        raise ConfigError("key 'tau': must be positive")
+    if not 0 < optional["pi"] < np.inf:
+        raise ConfigError("key 'pi': must be positive and finite")
+
     if "samples" in pairs:
         samples = _parse_floats(pairs["samples"], "samples")
     elif "m" in pairs:
@@ -124,13 +148,6 @@ def parse_config(text: str) -> ExperimentConfig:
         samples = np.linspace(0.0, 1.0, m)
     else:
         raise ConfigError("missing required key 'm' (or 'samples')")
-
-    # absent keys take the ExperimentConfig defaults, except pi's computed one
-    optional = {key: parse(pairs[key], key)
-                for key, parse in _OPTIONAL_KEYS.items() if key in pairs}
-    if "pi" not in optional:
-        with np.errstate(over="ignore"):  # an infinite sum fails the pi check
-            optional["pi"] = 2.0 * float(np.sum(amplitudes))
     cfg = ExperimentConfig(sources=sources, amplitudes=amplitudes, sigma=sigma, samples=samples,
                            digest=sha256(text.encode()).hexdigest()[:12], **optional)
 
@@ -143,20 +160,6 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.sample_grid()
     except ValueError as exc:
         raise ConfigError(f"key 'samples': {exc}") from None
-    try:
-        cfg.kernel()
-    except ValueError as exc:
-        raise ConfigError(f"key 'sigma': {exc}") from None
-    if cfg.sigma < min_kernel_width():
-        raise ConfigError(f"key 'sigma': below {min_kernel_width():g}, the narrowest kernel "
-                          "the certificate scan resolves")
-    check_non_negative("seed", cfg.seed)
-    if cfg.iterations is not None:
-        check_non_negative("iterations", cfg.iterations)
-    if not cfg.tau > 0:
-        raise ConfigError("key 'tau': must be positive")
-    if not 0 < cfg.pi < np.inf:
-        raise ConfigError("key 'pi': must be positive and finite")
     return cfg
 
 

@@ -1,6 +1,7 @@
 """Test-side views of the solver and certificate: building a cut model from
-a list of cuts and its offsets and slopes, the subgradient alone, and a certificate validity check;
-and the reference rules the faster production paths are checked against:
+a list of cuts and its offsets and slopes, the subgradient alone, q and
+its derivatives at given locations, and a certificate validity check; and
+the reference rules the faster production paths are checked against:
 the level projection solved on every row at once, the supremum that
 refines every scan local maximum, and the Newton runs, peak refinements
 and supremum taken one run at a time, in floats, as the batched ones must
@@ -86,7 +87,7 @@ def validate_certificate(cert, src, tol, exclusion=DEFAULT_MERGE_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     cg = CertificateGrid(cert.grid, cert.kernel)
-    source_errors = np.abs(cert.value(src.locations) - 1.0)
+    source_errors = np.abs(certificate_value(cert, src.locations) - 1.0)
     q = cg.values(cert.weights)
     away = np.all(np.abs(cg.scan[:, None] - src.locations[None, :]) > exclusion, axis=1)
     off_sup = float(q[away].max()) if np.any(away) else -np.inf
@@ -151,10 +152,10 @@ def derivatives_per_run(kernel, samples, weights, t):
     return float(k0 @ weights), float(k1 @ weights), float(k2 @ weights)
 
 
-def newton_per_run(kernel, samples, weights, t, lo, hi, floor, max_iter, start=None):
+def newton_per_run(kernel, samples, weights, t, lo, hi, floor, max_iter):
     """``certificate.newton_on_slope`` for one run, in floats, one kernel
-    evaluation per step: (t, (q, q', q''), converged)."""
-    derivs = derivatives_per_run(kernel, samples, weights, t) if start is None else start
+    evaluation at the start and one per step: (t, (q, q', q''), converged)."""
+    derivs = derivatives_per_run(kernel, samples, weights, t)
     for _ in range(max_iter):
         _, slope, curv = derivs
         if abs(slope) <= floor:
@@ -174,6 +175,14 @@ def newton_per_run(kernel, samples, weights, t, lo, hi, floor, max_iter, start=N
         if hi - lo <= BRACKET_ULPS * math.ulp(max(abs(lo), abs(hi))):
             return t, derivs, True
     return t, derivs, False
+
+
+def certificate_value(cert, t):
+    """q(t) of ``cert``: a float at one location, an array at an array of
+    them; the kernel on a locations x m table times the weights."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = cert.kernel.value(t_arr[:, None] - cert.grid.samples[None, :]) @ cert.weights
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def certificate_derivative(cert, t, order):
@@ -242,19 +251,16 @@ def supremum_per_point(cert_grid, weights):
     third = h * mass * kernel.deriv_sup_bounds()[2]
     margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
     peaks = peaks[q[peaks] + margin >= grid_max]
-    starts = [(scan[i], scan[i - 1], scan[i + 1],
-               (float(cert_grid.table[i] @ weights), float(cert_grid.slope[i] @ weights),
-                float(cert_grid.curvature[i] @ weights)))
-              for i in peaks]
+    starts = [(scan[i], scan[i - 1], scan[i + 1]) for i in peaks]
     ends = scan[[0, 1, -2, -1]]
     slopes = cert_grid.end_slope @ weights
     for k in (0, 2):
         if slopes[k] > 0.0 and slopes[k + 1] < 0.0:
-            starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1], None))
+            starts.append((0.5 * (ends[k] + ends[k + 1]), ends[k], ends[k + 1]))
     floor = slope_floor(kernel, weights)
-    for t0, lo, hi, start in starts:
+    for t0, lo, hi in starts:
         t, (v, _, _), _ = newton_per_run(kernel, samples, weights, float(t0), float(lo),
-                                         float(hi), floor, GRID_NEWTON_ITERS, start)
+                                         float(hi), floor, GRID_NEWTON_ITERS)
         if v > best_v or (v == best_v and t < best_t):
             best_t, best_v = t, v
     return best_t, best_v

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import three_spike_config
 from dualspike import certificate, solver
 from dualspike.certificate import (GRID_NEWTON_ITERS, REFINE_SLOPE_TOL, Certificate,
-                                   CertificateGrid, _derivatives, newton_on_slope,
-                                   refine_location, refine_peaks, slope_floor)
+                                   CertificateGrid, newton_on_slope, refine_peaks,
+                                   slope_floor)
 from dualspike.errors import NoConvergenceError
 from dualspike.experiments import WINDOW_END, WINDOW_START, build_problem
 from dualspike.kernel import Kernel
@@ -155,19 +155,18 @@ class TestEndCellRuns:
         highs = np.concatenate(([hi], scan[peaks + 1]))
         floors = np.array([slope_floor(kernel, w) for w in stack])
         t, derivs, converged = newton_on_slope(kernel, samples, stack, t0, lows, highs, floors,
-                                               GRID_NEWTON_ITERS,
-                                               _derivatives(kernel, samples, stack, t0))
+                                               GRID_NEWTON_ITERS)
         for r, w in enumerate(stack):
             alone = newton_per_run(kernel, samples, w, float(t0[r]), float(lows[r]),
                                    float(highs[r]), float(floors[r]), GRID_NEWTON_ITERS)
             assert (t[r], tuple(d[r] for d in derivs), converged[r]) == alone
 
 
-def per_run_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, start):
+def per_run_newton(kernel, samples, weights, t, lo, hi, floor, max_iter):
     """``newton_on_slope`` taken one run at a time by ``newton_per_run``."""
     runs = [newton_per_run(kernel, samples, w, float(t_r), float(lo_r), float(hi_r),
-                           float(floor_r), max_iter, tuple(float(d[r]) for d in start))
-            for r, (w, t_r, lo_r, hi_r, floor_r) in enumerate(zip(weights, t, lo, hi, floor))]
+                           float(floor_r), max_iter)
+            for w, t_r, lo_r, hi_r, floor_r in zip(weights, t, lo, hi, floor)]
     return (np.array([run[0] for run in runs]),
             tuple(np.array([run[1][k] for run in runs]) for k in range(3)),
             np.array([run[2] for run in runs]))
@@ -175,11 +174,15 @@ def per_run_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, start):
 
 @pytest.mark.parametrize("run", ["bench3_run", "bench5_run"])
 def test_refine_location_matches_per_run(run, request, monkeypatch):
+    # the reference certificate refined from each source location
     cfg, problem, state, _ = request.getfixturevalue(run)
-    cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
-    batched = [refine_location(cert, t) for t in cfg.source_model().locations]
+    args = (problem.kernel, problem.measurements.grid.samples, state.iterate[None],
+            cfg.source_model().locations)
+    t, curv, failures = refine_peaks(*args)
     monkeypatch.setattr(certificate, "newton_on_slope", per_run_newton)
-    assert batched == [refine_location(cert, t) for t in cfg.source_model().locations]
+    alone_t, alone_curv, alone_failures = refine_peaks(*args)
+    assert failures == alone_failures == {}
+    assert (t.tolist(), curv.tolist()) == (alone_t.tolist(), alone_curv.tolist())
 
 
 def refinement_outcome(cert, t0, message):

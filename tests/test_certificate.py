@@ -9,13 +9,13 @@ from conftest import three_spike_config
 from dualspike import certificate
 from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
-                                   refine_location, refine_peaks, supremum)
-from dualspike.errors import NoConvergenceError
+                                   refine_peaks, supremum)
 from dualspike.experiments import build_problem, reference_run, run_noise
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize, uniform_noise
 from dualspike.solver import PenaltyProblem, solve
-from helpers import certificate_derivative, supremum_refining_every_peak, validate_certificate
+from helpers import (certificate_derivative, certificate_value, supremum_refining_every_peak,
+                     validate_certificate)
 
 SCAN_STEP = 1.0 / (DEFAULT_GRID_POINTS - 1)
 BRUTE_POINTS = 200_001
@@ -77,12 +77,12 @@ def small_converged():
 class TestEvaluation:
     def test_zero_weights(self):
         cert = Certificate(np.zeros(5), SampleGrid.equispaced(5), Kernel(0.1))
-        assert cert.value(0.37) == 0.0
+        assert certificate_value(cert, 0.37) == 0.0
         for order in (1, 2):
             assert certificate_derivative(cert, 0.37, order) == 0.0
 
     def test_single_sample(self, single_bump):
-        assert single_bump.value(0.5) == 1.0
+        assert certificate_value(single_bump, 0.5) == 1.0
 
     def test_linearity(self):
         grid = SampleGrid.equispaced(7)
@@ -93,9 +93,9 @@ class TestEvaluation:
             a, b = rng.normal(), rng.normal()
             t = rng.uniform(0, 1)
             combined = Certificate(a * lam + b * mu, grid, kernel)
-            parts = (a * Certificate(lam, grid, kernel).value(t)
-                     + b * Certificate(mu, grid, kernel).value(t))
-            assert combined.value(t) == pytest.approx(parts, rel=1e-12, abs=1e-14)
+            parts = (a * certificate_value(Certificate(lam, grid, kernel), t)
+                     + b * certificate_value(Certificate(mu, grid, kernel), t))
+            assert certificate_value(combined, t) == pytest.approx(parts, rel=1e-12, abs=1e-14)
 
 
 class TestSupremum:
@@ -148,7 +148,7 @@ class TestSupremum:
         quantization = 0.5 * mass * cert.kernel.deriv_sup_bounds()[1] * (0.5 * step) ** 2
         roundoff = 1e-13 * mass
         assert 0.0 <= t <= 1.0
-        assert v == pytest.approx(cert.value(t), abs=roundoff)
+        assert v == pytest.approx(certificate_value(cert, t), abs=roundoff)
         assert brute - roundoff <= v <= brute + quantization + roundoff
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -174,7 +174,7 @@ class TestSupremum:
         _, v = supremum(cert)
         rng = np.random.default_rng(5)
         ts = rng.uniform(0, 1, 1000)
-        assert np.all(v >= cert.value(ts) - 1e-9)
+        assert np.all(v >= certificate_value(cert, ts) - 1e-9)
 
 
 class TestGlobalMaximizers:
@@ -231,19 +231,29 @@ class TestValidate:
             validate_certificate(cert, src, tol=0.0)
 
 
+def refine_one(cert, t0):
+    """``refine_peaks`` from one start on one certificate: (t, its failure
+    message or None)."""
+    t, _, failures = refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], [t0])
+    return float(t[0, 0]), failures.get((0, 0))
+
+
 class TestRefineLocation:
+    """``refine_peaks`` from one location."""
+
     def test_fixed_point(self, single_bump):
-        assert refine_location(single_bump, 0.5) == 0.5
+        assert refine_one(single_bump, 0.5) == (0.5, None)
 
     def test_converges_from_offset(self, single_bump):
-        t = refine_location(single_bump, 0.45)
+        t, failure = refine_one(single_bump, 0.45)
+        assert failure is None
         assert abs(t - 0.5) < 1e-12
         assert abs(certificate_derivative(single_bump, t, 1)) < 1e-12
 
-    def test_non_concave_raises(self):
+    def test_non_concave_fails(self):
         cert = Certificate([-1.0], SampleGrid([0.5]), Kernel(0.1))
-        with pytest.raises(NoConvergenceError):
-            refine_location(cert, 0.5)
+        t, failure = refine_one(cert, 0.5)
+        assert np.isnan(t) and failure == "stationary but not concave at 0.5"
 
     @pytest.mark.parametrize("samples,weights,t0,peak", [
         # the convex flank of a bump at 0.5: q' = 8.44, q'' = +29.5 at 0.42
@@ -256,14 +266,15 @@ class TestRefineLocation:
         # where q' is far from 0
         cert = Certificate(weights, SampleGrid(samples), Kernel(0.1))
         assert certificate_derivative(cert, t0, 2) > 0.0
-        t = refine_location(cert, t0)
+        t, failure = refine_one(cert, t0)
+        assert failure is None
         assert abs(t - peak) < 0.01
         assert abs(certificate_derivative(cert, t, 1)) < 1e-12
         assert certificate_derivative(cert, t, 2) < 0.0
 
     def test_no_bracket_in_tail(self, single_bump):
-        with pytest.raises(NoConvergenceError):
-            refine_location(single_bump, 0.05)
+        t, failure = refine_one(single_bump, 0.05)
+        assert np.isnan(t) and failure == "no local maximum bracketed near 0.05"
 
     @pytest.mark.parametrize("t0", [1.5, -0.05, float("nan")])
     def test_start_outside_domain_raises(self, bench3_run, t0):
@@ -271,10 +282,9 @@ class TestRefineLocation:
         # a start at 1.5 once came back as a "maximizer" outside [0, 1]
         _, problem, state, _ = bench3_run
         cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            refine_location(cert, t0)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], [0.25, t0])
+        for locations in ([t0], [0.25, t0]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                refine_peaks(cert.kernel, cert.grid.samples, cert.weights[None], locations)
 
 
 class TestRefinementStops:
@@ -335,13 +345,24 @@ class TestCertificateGrid:
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         assert cg.table.shape == (101, 5)
 
-    def test_tables_are_shared_and_read_only(self):
-        first = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
+    def test_tables_are_shared_and_read_only(self, scan_101):
+        # the cache holds the scan, phi and phi'' on it, and phi' at the
+        # first two and last two scan points: no full phi' table
+        grid, kernel = SampleGrid.equispaced(5), Kernel(0.1)
+        tables = certificate._scan_tables(kernel, grid.samples.tobytes(), 101)
+        assert len(tables) == 4
+        scan, table, curvature, end_slope = tables
+        diffs = scan[:, None] - grid.samples[None, :]
+        np.testing.assert_array_equal(scan, np.linspace(0.0, 1.0, 101))
+        np.testing.assert_array_equal(table, kernel.value(diffs))
+        np.testing.assert_array_equal(curvature, kernel.derivative(diffs, 2))
+        np.testing.assert_array_equal(end_slope, kernel.derivative(diffs[[0, 1, -2, -1]], 1))
+        first = CertificateGrid(grid, kernel)
         # equal inputs, not the same objects
         second = CertificateGrid(SampleGrid(np.linspace(0.0, 1.0, 5)), Kernel(0.1))
-        for name in ("scan", "table", "slope", "curvature", "end_slope"):
-            assert getattr(second, name) is getattr(first, name)
-            assert not getattr(first, name).flags.writeable
+        for name, array in zip(("scan", "table", "curvature", "end_slope"), tables):
+            assert getattr(first, name) is array and getattr(second, name) is array
+            assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first.table[0, 0] = 0.0
 
@@ -354,8 +375,6 @@ class TestCertificateGrid:
             assert certificate._scan_tables.cache_info().misses == builds
             diffs = cg.scan[:, None] - grid.samples[None, :]
             np.testing.assert_array_equal(cg.table, kernel.value(diffs))
-            np.testing.assert_array_equal(cg.slope, kernel.derivative(diffs, 1))
-            np.testing.assert_array_equal(cg.end_slope, cg.slope[[0, 1, -2, -1]])
 
     def test_local_max_indices_match_scalar_scan(self, scan_101):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))

@@ -87,6 +87,20 @@ class TestParsing:
             parse_config(text)
         assert f"'{key}'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("key,raw", [("sigma", "2.4e-3"), ("tau", "-1"), ("pi", "0"),
+                                         ("seed", "-1"), ("iterations", "-1")])
+    def test_scalar_keys_are_checked_before_the_grid(self, key, raw, monkeypatch):
+        # m = 1e12 samples would need 8 TB: a bad scalar key must be named
+        # before anything is allocated for them
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sample grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        pairs = {"sources": "0.5", "amplitudes": "1", "sigma": "0.1", "m": "1000000000000",
+                 key: raw}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config("".join(f"{k}={v}\n" for k, v in pairs.items()))
+
     def test_narrowest_resolved_kernel(self):
         assert parse_config("sources=0.5\namplitudes=1\nsigma=2.5e-3\nm=5\n").sigma == 2.5e-3
 

@@ -139,10 +139,10 @@ def refinement_calls(monkeypatch):
     calls = []
     newton = certificate.newton_on_slope
 
-    def counting_newton(kernel, samples, weights, t, lo, hi, floor, max_iter, *start):
+    def counting_newton(kernel, samples, weights, t, lo, hi, floor, max_iter):
         if max_iter == certificate.REFINE_STEPS:
             calls.append(len(t))
-        return newton(kernel, samples, weights, t, lo, hi, floor, max_iter, *start)
+        return newton(kernel, samples, weights, t, lo, hi, floor, max_iter)
 
     monkeypatch.setattr(certificate, "newton_on_slope", counting_newton)
     return calls

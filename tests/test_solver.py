@@ -600,6 +600,10 @@ def noisy_solve_work():
         work["basis_changes"].append(int(np.sum(model._basis != before)))
         return result
 
+    cfg = three_spike_config()
+    problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
+    # the scan tables are built before counting, whichever test built them first
+    CertificateGrid(problem.measurements.grid, problem.kernel)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numerics._PassiveQR, "refactor", counting_refactor)
         patch.setattr(numerics._PassiveQR, "add", counting_add)
@@ -608,8 +612,6 @@ def noisy_solve_work():
         patch.setattr(certificate, "_derivatives", counting_derivatives)
         patch.setattr(Kernel, "derivative", counting_kernel_derivative)
         patch.setattr(CutModel, "minima", counting_minima)
-        cfg = three_spike_config()
-        problem = build_problem(cfg, noise=uniform_noise(cfg.samples.size, 2e-3, 0))
         state = solve(problem, max_iters=100)
     return state, work
 
@@ -634,14 +636,14 @@ class TestWorkCounts:
         # Newton runs only from peaks that can beat the grid max: 2.07 per
         # oracle call measured, 4.14 with one margin for every peak
         assert sum(work["newton"]) <= 3.0 * state.n_iterations
-        # a run from a scan peak starts from the grid's table rows: 2.47
-        # kernel evaluations per run measured, 3.47 when each run evaluated
-        # its start
-        assert sum(work["derivatives"]) <= 3.0 * sum(work["newton"])
-        # each step evaluates every run still going in one call: 2.46 calls
-        # per oracle call measured, 5.12 with one call per run and step
-        assert len(work["derivatives"]) <= 3.0 * state.n_iterations
-        # the end-cell slopes come from the grid's table too (one
+        # each run evaluates its start and then its steps: 3.47 kernel
+        # evaluations per run measured
+        assert sum(work["derivatives"]) <= 4.0 * sum(work["newton"])
+        # one call evaluates every start, and each step every run still
+        # going: 2.46 step calls per oracle call measured, 5.12 with one
+        # call per run and step
+        assert len(work["derivatives"]) - len(work["newton"]) <= 3.0 * state.n_iterations
+        # the end-cell slopes come from the grid's tables too (one
         # Kernel.derivative call per supremum before)
         assert work["kernel_derivative"] == []
 

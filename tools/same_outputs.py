@@ -1,0 +1,109 @@
+"""Check that the benchmark commands write the same bytes at a git revision
+and in the working tree.
+
+    python3 tools/same_outputs.py REV
+
+Extracts ``git archive REV`` into a temporary directory, then runs the five
+benchmark commands from that copy's source and from the working tree's, at
+seeds 0, 1 and 2 with one BLAS thread: ``solve --iters 1000`` on
+five-spike, and ``exp-noise --iters 100 --jobs 1``, ``exp-lambda-t``,
+``exp-t-a`` and ``bounds`` on three-spike.  Each side uses its own
+``configs/``.  Every artifact is compared byte for byte, and each command's
+exit code and stdout, with its output directory stripped.  Exits 0 when
+everything matches and 1 naming each difference.  Standard library only.
+"""
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = (("configs/five_spikes.cfg", ("solve", "--iters", "1000")),
+            ("configs/three_spikes.cfg", ("exp-noise", "--iters", "100", "--jobs", "1")),
+            ("configs/three_spikes.cfg", ("exp-lambda-t",)),
+            ("configs/three_spikes.cfg", ("exp-t-a",)),
+            ("configs/three_spikes.cfg", ("bounds",)))
+SEEDS = (0, 1, 2)
+
+
+def extract(rev, dest):
+    """Write the files of ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+
+
+def run_all(tree, out_root):
+    """Run every command at every seed with ``tree``'s source: a dict from
+    (command, seed) to (exit code, stdout, {artifact path: bytes})."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    where = subprocess.run([sys.executable, "-c", "import dualspike; print(dualspike.__file__)"],
+                           cwd=tree, env=env, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"dualspike imported from {where.stdout.strip()}, not from {tree}")
+    results = {}
+    for config, args in COMMANDS:
+        for seed in SEEDS:
+            out = out_root / f"{args[0]}-seed{seed}"
+            proc = subprocess.run([sys.executable, "-m", "dualspike.cli", *args, "--config",
+                                   config, "--out", str(out), "--seed", str(seed)],
+                                  cwd=tree, env=env, capture_output=True, text=True)
+            artifacts = {path.relative_to(out).as_posix(): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+            stdout = proc.stdout.replace(str(out) + os.sep, "").replace(str(out), "")
+            results[args[0], seed] = proc.returncode, stdout, artifacts
+    return results
+
+
+def differences(rev, old, new):
+    """One line per exit code, stdout or artifact that differs."""
+    found = []
+    for (command, seed), (old_code, old_out, old_files) in old.items():
+        new_code, new_out, new_files = new[command, seed]
+        label = f"{command} seed {seed}"
+        if old_code != new_code:
+            found.append(f"{label}: exit code {old_code} at {rev}, {new_code} in the tree")
+        if old_out != new_out:
+            found.append(f"{label}: stdout differs")
+        for name in sorted(old_files.keys() | new_files.keys()):
+            if name not in new_files:
+                found.append(f"{label}: {name} written only at {rev}")
+            elif name not in old_files:
+                found.append(f"{label}: {name} written only in the tree")
+            elif old_files[name] != new_files[name]:
+                found.append(f"{label}: {name} differs")
+    return found
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the git revision to compare the working tree against")
+    rev = parser.parse_args(argv).rev
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        extract(rev, tmp / "rev")
+        old = run_all(tmp / "rev", tmp / "out-rev")
+        new = run_all(ROOT, tmp / "out-tree")
+    found = differences(rev, old, new)
+    for line in found:
+        print(line)
+    if found:
+        return 1
+    artifacts = sum(len(files) for _, _, files in new.values())
+    print(f"identical: {artifacts} artifacts and {len(new)} stdouts of {len(COMMANDS)} "
+          f"commands at seeds {', '.join(map(str, SEEDS))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
