@@ -106,15 +106,14 @@ class BundleState:
         problem = self.problem
         anchors = np.array([np.zeros_like(self.iterate), *self.iterate_history[:-1]])
         ys = np.repeat(problem.measurements.y[None], len(anchors), axis=0)
-        values, slopes, _ = _oracle(problem.penalty, ys, anchors,
-                                    CertificateGrid(problem.measurements.grid, problem.kernel))
+        values, slopes = _oracle(problem.penalty, ys, anchors,
+                                 CertificateGrid(problem.measurements.grid, problem.kernel))
         return [Cut(*cut) for cut in zip(anchors, values.tolist(), slopes)]
 
 
 def _oracle(penalty, ys, weights, cert_grid: CertificateGrid):
-    """Objective values, subgradients and active locations (NaN where the
-    penalty is inactive) at each row of ``weights``, the data ``ys`` row by
-    row; one batched supremum serves every row."""
+    """Objective values and subgradients at each row of ``weights``, the
+    data ``ys`` row by row; one batched supremum serves every row."""
     t_star, sup_val = cert_grid.supremum(weights)
     # row dot products, with the bits of a 1-D y @ weights
     values = -np.matmul(ys[:, None, :], weights[:, :, None])[:, 0, 0]
@@ -123,7 +122,7 @@ def _oracle(penalty, ys, weights, cert_grid: CertificateGrid):
     active = sup_val >= 1.0 - ACTIVE_SUP_TOL
     columns = build_phi(cert_grid.grid, cert_grid.kernel, t_star[active]).T
     slopes[active] += penalty * columns
-    return values, slopes, np.where(active, t_star, np.nan)
+    return values, slopes
 
 
 def penalty_objective(problem: PenaltyProblem, weights) -> float:
@@ -150,6 +149,10 @@ class CutModel:
     previous optimal basis, so a cut the vertex already satisfies costs
     one product with G.
 
+    A cut is one plane per certificate maximizer (or the data plane when
+    the penalty is inactive), so cuts repeat; a row whose slopes equal a
+    held row's is a repeat, which the LP skips.
+
     Rows are only ever appended, so a row keeps its index in every
     ``level_set``; ``warm[p]`` is the ``numerics.WarmStart`` that carries
     point p's level-set projection's active rows into its next one.
@@ -165,6 +168,7 @@ class CutModel:
         self._rows[:, :n, :n] = np.eye(n)
         self._rows[:, n:2 * n, :n] = -np.eye(n)
         self._rhs[:, :2 * n] = box_radius
+        self._repeat = np.zeros(self._rhs.shape, dtype=bool)
         self._basis = None
         self._mult = None
         self._vertex = None
@@ -187,11 +191,22 @@ class CutModel:
                 [self._rows, np.zeros_like(self._rows[:, self._n_box:])], axis=1)
             self._rhs = np.concatenate([self._rhs, np.empty_like(self._rhs[:, self._n_box:])],
                                        axis=1)
+            self._repeat = np.concatenate(
+                [self._repeat, np.zeros_like(self._repeat[:, self._n_box:])], axis=1)
         self._rows[:, row, :-1] = slopes
         self._rows[:, row, -1] = -1.0
         # row dot products, with the bits of a 1-D slope @ anchor
         self._rhs[:, row] = np.matmul(slopes[:, None, :], anchors[:, :, None])[:, 0, 0]
         self._rhs[:, row] -= values
+        # a repeated plane: the twins' h differ by round-off, which the
+        # vertex can show over LP_ROW_TOL, so they would enter the basis in
+        # turn; the held row keeps the lower h and the LP skips the new one
+        same = (self._rows[:, self._n_box:row, :-1] == slopes[:, None, :]).all(2)
+        twins = same.any(1).nonzero()[0]
+        if twins.size:
+            held = self._n_box + same[twins].argmax(1)
+            self._rhs[twins, held] = np.minimum(self._rhs[twins, held], self._rhs[twins, row])
+            self._repeat[twins, row] = True
         self.size += 1
         if self._basis is None:
             # the one cut's minimum over the box: lam_j on its lower bound
@@ -207,13 +222,15 @@ class CutModel:
 
     def keep(self, points):
         """Keep only the models of ``points`` (indices, in order)."""
-        self._rows, self._rhs = self._rows[points], self._rhs[points]
+        self._rows, self._rhs, self._repeat = (
+            self._rows[points], self._rhs[points], self._repeat[points])
         self._basis, self._mult, self._vertex = (
             self._basis[points], self._mult[points], self._vertex[points])
         self.warm = [self.warm[p] for p in points]
 
     def minima(self):
-        """(value, argmin) of each point's model over the box.
+        """Each point's model minimum over the box, a list of floats; the
+        vertex that attains it stays with the model for ``project``.
 
         Dual simplex from each point's current basis: while a row is
         violated by more than ``LP_ROW_TOL`` relative to max(1, |h|), the
@@ -237,7 +254,7 @@ class CutModel:
         if size == 0:
             raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
         n_rows = self._n_box + size
-        rows, rhs = self._rows[:, :n_rows], self._rhs[:, :n_rows]
+        rows, rhs, repeat = self._rows[:, :n_rows], self._rhs[:, :n_rows], self._repeat[:, :n_rows]
         row_scale = np.maximum(1.0, np.abs(rhs))
         basis, mult, vertex = self._basis, self._mult, self._vertex
         each = np.arange(basis.shape[0])[:, None]
@@ -248,8 +265,10 @@ class CutModel:
             excess = np.matmul(rows, vertex[:, :, None])[:, :, 0]
             excess -= rhs
             excess /= row_scale
-            # basis rows hold with equality; what they show is round-off
+            # basis rows hold with equality and repeats lie on a held row;
+            # what they show is round-off
             excess[each, basis] = 0.0
+            excess[repeat] = 0.0
             pending = (excess.max(1) > LP_ROW_TOL).nonzero()[0]
             if not pending.size:
                 break
@@ -276,7 +295,26 @@ class CutModel:
             held = basis[pending]
             vertex[pending] = _basis_solve(size, rows[pending[:, None], held],
                                            rhs[pending[:, None], held])
-        return [(float(v[-1]), v[:-1].copy()) for v in vertex]
+        return vertex[:, -1].tolist()
+
+    def project(self, point, level, x):
+        """Euclidean projection of ``x`` onto {model <= level} of one
+        point, clipped to the box and started from the rows the point's
+        previous projection ended on.  Where the set is too thin to project
+        onto, the point's vertex from the last ``minima`` stands in; a
+        level below its model minimum raises LevelSetEmptyError."""
+        a_mat, b_vec = self.level_set(point, level)
+        try:
+            projected = numerics.project_polyhedron(x, a_mat, b_vec, warm=self.warm[point])
+        except (InfeasibleError, NoConvergenceError):
+            # level set thinner than double precision resolves: the vertex
+            # attains the model minimum, so it lies in every level set at or
+            # above it, and is the limit of the projections
+            projected, nu = self._vertex[point, :-1], float(self._vertex[point, -1])
+            if level < nu - 1e-9:
+                raise LevelSetEmptyError(
+                    f"level {level} is below the model minimum {nu}") from None
+        return np.clip(projected, -self.box_radius, self.box_radius)
 
 
 def _basis_solve(size, matrix, rhs):
@@ -295,32 +333,6 @@ def model_value(cuts, weights):
     anchors = np.array([c.anchor for c in cuts])
     return float(np.max(values + slopes @ np.asarray(weights, dtype=float)
                         - np.einsum("ij,ij->i", slopes, anchors)))
-
-
-def project_to_level(model, point, level, x, minimum):
-    """Euclidean projection of ``x`` onto {model <= level} of one point of
-    the batch, clipped to the box.
-
-    ``model`` is a ``CutModel``, ``point`` the index of the model in it and
-    ``minimum`` that model's (value, argmin); the projection starts from
-    the rows the point's previous projection ended on.  When the set is
-    numerically too thin to project onto, the model argmin (which attains
-    the model minimum and therefore lies in any level set with level >=
-    model minimum) is returned instead.  A level strictly below the model
-    minimum raises LevelSetEmptyError.
-    """
-    x = np.asarray(x, dtype=float)
-    a_mat, b_vec = model.level_set(point, level)
-    try:
-        projected = numerics.project_polyhedron(x, a_mat, b_vec, warm=model.warm[point])
-    except (InfeasibleError, NoConvergenceError):
-        # level set thinner than double precision resolves: the model
-        # argmin is the limit of the projections
-        nu, projected = minimum
-        if level < nu - 1e-9:
-            raise LevelSetEmptyError(
-                f"level {level} is below the model minimum {nu}") from None
-    return np.clip(projected, -model.box_radius, model.box_radius)
 
 
 def solve(problem: PenaltyProblem, max_iters: int) -> BundleState:
@@ -354,8 +366,8 @@ def solve_batch(problems, max_iters: int):
     of a dual feasible basis of the cut-model LP, warm-started from the
     previous iteration's basis; when an LP fails (see ``CutModel.minima``),
     the solve stops with NoConvergenceError, which the command line reports
-    with exit code 3.  Each projection starts from the rows the previous
-    one ended on (``CutModel.warm``).
+    with exit code 3.  Each projection (``CutModel.project``) starts from
+    the rows the previous one ended on.
     """
     first = problems[0]
     grid, kernel = first.measurements.grid, first.kernel
@@ -375,7 +387,7 @@ def solve_batch(problems, max_iters: int):
         if not running:
             break
         iterates = np.array([states[i].iterate for i in running])
-        cut_values, slopes, _ = _oracle(first.penalty, ys, iterates, cert_grid)
+        cut_values, slopes = _oracle(first.penalty, ys, iterates, cert_grid)
         model.add(iterates, cut_values, slopes)
         minima = model.minima()
         going = []
@@ -383,11 +395,11 @@ def solve_batch(problems, max_iters: int):
             state = states[i]
             state.upper_bound = min(state.upper_bound, value)
             # the running max keeps the gap history monotone
-            state.lower_bound = max(state.lower_bound, minimum[0])
+            state.lower_bound = max(state.lower_bound, minimum)
             gap = state.upper_bound - state.lower_bound
             level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
             previous = state.iterate
-            state.iterate = project_to_level(model, point, level, previous, minimum)
+            state.iterate = model.project(point, level, previous)
             state.upper_history.append(state.upper_bound)
             state.lower_history.append(state.lower_bound)
             state.level_history.append(level)

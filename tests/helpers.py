@@ -1,12 +1,12 @@
 """Test-side views of the solver and certificate: building a cut model from
-a list of cuts and its offsets and slopes, the subgradient alone, q and
-its derivatives at given locations, and a certificate validity check; and
-the reference rules the faster production paths are checked against:
-the level projection solved on every row at once, the supremum that
-refines every scan local maximum, and the Newton runs, peak refinements
-and supremum taken one run at a time, in floats, as the batched ones must
-reproduce bit for bit.  The command-line pipeline never needs
-these, so they live with the tests."""
+a list of cuts and its offsets and slopes, the LP argmin the model keeps,
+the subgradient alone, q and its derivatives at given locations, and a
+certificate validity check; and the reference rules the faster production
+paths are checked against: the level projection solved on every row at
+once, the supremum that refines every scan local maximum, and the Newton
+runs, peak refinements and supremum taken one run at a time, in floats,
+as the batched ones must reproduce bit for bit.  The command-line
+pipeline never needs these, so they live with the tests."""
 
 import math
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from dualspike.certificate import (BRACKET_ULPS, DEFAULT_MERGE_TOL, GRID_NEWTON_
                                    REFINE_SLOPE_TOL, REFINE_STEPS, ROUNDOFF_REL,
                                    CertificateGrid, slope_floor)
 from dualspike.errors import InfeasibleError, NoConvergenceError
-from dualspike.solver import Cut, CutModel, _oracle
+from dualspike.solver import ACTIVE_SUP_TOL, Cut, CutModel, _oracle
 
 
 def add_cut(model, cut):
@@ -44,9 +44,16 @@ def cut_arrays(cuts):
     return offsets, np.array([c.slope for c in cuts])
 
 
+def lp_argmin(model):
+    """The argmin of a one-point ``CutModel`` from its last ``minima``: the
+    lam part of the LP vertex the model keeps, as a copy."""
+    return model._vertex[0, :-1].copy()
+
+
 def model_minimum(cuts, box_radius):
     """(value, argmin) of the polyhedral model of ``cuts`` over the box."""
-    return cut_model(cuts, box_radius).minima()[0]
+    model = cut_model(cuts, box_radius)
+    return model.minima()[0], lp_argmin(model)
 
 
 def lp_minimum(offsets, slopes, box_radius):
@@ -57,7 +64,7 @@ def lp_minimum(offsets, slopes, box_radius):
     model = CutModel(1, slopes.shape[1], box_radius)
     for offset, slope in zip(np.asarray(offsets, dtype=float), slopes):
         add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
-    return model.minima()[0]
+    return model.minima()[0], lp_argmin(model)
 
 
 def subgradient(problem, weights):
@@ -68,9 +75,9 @@ def subgradient(problem, weights):
     """
     weights = np.asarray(weights, dtype=float)
     grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-    _, slopes, t_active = _oracle(problem.penalty, problem.measurements.y[None],
-                                  weights[None], grid)
-    return slopes[0], None if np.isnan(t_active[0]) else float(t_active[0])
+    _, (slope,) = _oracle(problem.penalty, problem.measurements.y[None], weights[None], grid)
+    (t_star,), (sup_val,) = grid.supremum(weights[None])
+    return slope, float(t_star) if sup_val >= 1.0 - ACTIVE_SUP_TOL else None
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,20 @@ class TestCli:
         assert code == EXIT_SOLVER
         assert "no optimal basis after 0 pivots" in capsys.readouterr().err
 
+    def test_repeated_cut_planes_solve(self, tmp_path):
+        # a kernel wider than the interval: cuts 2-4 are one plane, at one
+        # certificate maximizer, whose copies would make the LP cycle to
+        # its pivot cap (exit 3) if each could enter it
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text("sources = 0.5\namplitudes = 1\nsigma = 2\nm = 21\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--iters", "150", "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        rows = [row.split(",") for row in (out / "recovery.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 1
+        assert abs(float(rows[0][0]) - 0.5) <= 5e-4
+        assert abs(float(rows[0][1]) - 1.0) <= 1e-3
+
     def test_missing_reference_constant_exit_code(self, tmp_path, monkeypatch, capsys):
         # a singular translate matrix leaves the report without the amplitude
         # rate exp-t-a compares against: a solver error naming the report's

@@ -10,7 +10,7 @@ from dualspike import numerics
 from dualspike.errors import InfeasibleError, NoConvergenceError, RankDeficientError
 from dualspike.numerics import WarmStart, least_squares, project_polyhedron, svd
 from dualspike.solver import Cut, CutModel
-from helpers import add_cut, full_row_projection, lp_minimum
+from helpers import add_cut, full_row_projection, lp_argmin, lp_minimum
 
 
 def penalty_projection_oracle(point, a_mat, b_vec):
@@ -463,7 +463,7 @@ class TestLpMin:
         model = CutModel(1, slopes.shape[1], box)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
-            value, argmin = model.minima()[0]
+            value, argmin = model.minima()[0], lp_argmin(model)
             ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
             scale = max(1.0, np.abs(offsets[:k]).max()
                         + box * np.abs(slopes[:k]).sum(axis=1).max())
@@ -486,7 +486,7 @@ class TestLpMin:
         model = CutModel(1, 2, box)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             add_cut(model, Cut(np.zeros(2), float(offset), slope))
-            value, argmin = model.minima()[0]
+            value, argmin = model.minima()[0], lp_argmin(model)
             ref_val, _ = lp_vertex_oracle(offsets[:k], slopes[:k], box)
             assert value == pytest.approx(ref_val, abs=1e-12)
             assert np.max(offsets[:k] + slopes[:k] @ argmin) == pytest.approx(value, abs=1e-12)

@@ -16,8 +16,8 @@ from dualspike.experiments import build_problem
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, build_phi, synthesize, uniform_noise
 from dualspike.solver import (Cut, CutModel, PenaltyProblem, _oracle, model_value,
-                              penalty_objective, project_to_level, solve)
-from helpers import add_cut, cut_arrays, cut_model, model_minimum, subgradient
+                              penalty_objective, solve)
+from helpers import add_cut, cut_arrays, cut_model, lp_argmin, model_minimum, subgradient
 
 
 def small_problem(m=5, sigma=0.1, penalty=5.0, box=10.0):
@@ -34,7 +34,7 @@ def failing_projection(point, a_mat, b_vec, warm=None):
 @pytest.fixture
 def projection_failures(monkeypatch):
     """The errors ``numerics.project_polyhedron`` raises, recorded as they
-    pass through to the solver's fallback."""
+    pass through to ``CutModel.project``'s fallback."""
     raised = []
     project = numerics.project_polyhedron
 
@@ -56,7 +56,8 @@ def random_cuts(rng, n_cuts, m):
 
 def project(cuts, level, point, box_radius):
     model = cut_model(cuts, box_radius)
-    return project_to_level(model, 0, level, point, model.minima()[0])
+    model.minima()
+    return model.project(0, level, point)
 
 
 def basis_bound(model, offsets, slopes):
@@ -182,6 +183,18 @@ class TestModelMinimum:
         nu2, x2 = model_minimum([cut, cut], 1.0)
         assert nu1 == pytest.approx(nu2, abs=1e-12)
         np.testing.assert_allclose(x1, x2, atol=1e-9)
+        # copies of one plane with offsets an ulp apart, where the vertex
+        # reaches 1e6: the round-off of its product with a copy's row shows
+        # over LP_ROW_TOL, so copies that entered the basis in turn would
+        # cycle to the pivot cap
+        rng = np.random.default_rng(1)
+        cut = Cut(rng.normal(size=3), 1.0, rng.normal(size=3))
+        twin = Cut(cut.anchor, float(np.nextafter(1.0, 2.0)), cut.slope)
+        nu1, x1 = model_minimum([cut], 1e6)
+        nu3, x3 = model_minimum([cut, twin, cut], 1e6)
+        assert np.abs(x1).max() == 1e6
+        assert nu1 == pytest.approx(nu3, abs=1e-9)
+        np.testing.assert_array_equal(x1, x3)
 
     def test_against_box_grid(self):
         rng = np.random.default_rng(26)
@@ -216,7 +229,7 @@ class TestModelMinimum:
             a_mat, b_vec = model.level_set(0, 0.5)
             np.testing.assert_array_equal(a_mat, np.vstack([np.eye(3), -np.eye(3), slopes]))
             np.testing.assert_array_equal(b_vec, np.concatenate([np.ones(6), 0.5 - offsets]))
-            value, argmin = model.minima()[0]
+            value, argmin = model.minima()[0], lp_argmin(model)
             assert value == pytest.approx(minima[k - 1][0], abs=1e-12)
             np.testing.assert_allclose(argmin, minima[k - 1][1], atol=1e-12)
 
@@ -229,7 +242,7 @@ class TestModelMinimum:
             model = CutModel(1, problem.measurements.grid.n_samples, box)
             for k, cut in enumerate(state.cuts, start=1):
                 add_cut(model, cut)
-                value, argmin = model.minima()[0]
+                value, argmin = model.minima()[0], lp_argmin(model)
                 reference = certified_cold_minimum(*cut_arrays(state.cuts[:k]), box)
                 assert np.abs(argmin).max() <= box * (1 + 1e-12)
                 if reference is None:
@@ -256,7 +269,7 @@ class TestModelMinimum:
             model = CutModel(1, problem.measurements.grid.n_samples, problem.box_radius)
             for k, cut in enumerate(cuts, start=1):
                 add_cut(model, cut)
-                value, argmin = model.minima()[0]
+                value, argmin = model.minima()[0], lp_argmin(model)
                 offsets, slopes = cut_arrays(cuts[:k])
                 bound, mu, scale = basis_bound(model, offsets, slopes)
                 assert np.all(model._mult >= 0.0)
@@ -284,7 +297,7 @@ class TestModelMinimum:
         warm = CutModel(1, 4, 1.0)
         for cut in cuts:
             add_cut(warm, cut)
-            warm_value, warm_argmin = warm.minima()[0]
+            warm_value, warm_argmin = warm.minima()[0], lp_argmin(warm)
         cold_value, cold_argmin = model_minimum(cuts, 1.0)
         assert warm_value == pytest.approx(cold_value, abs=1e-12)
         np.testing.assert_allclose(warm_argmin, cold_argmin, atol=1e-12)
@@ -305,7 +318,7 @@ class TestModelMinimum:
         model = CutModel(1, 3, 1.0)
         for cut in cuts[:5]:
             add_cut(model, cut)
-        value, argmin = model.minima()[0]
+        value, argmin = model.minima()[0], lp_argmin(model)
         # one row twice in the basis, and a cut the vertex violates
         model._basis[0, 1] = model._basis[0, 0]
         add_cut(model, Cut(argmin, value + 1.0, cuts[5].slope))
@@ -332,10 +345,9 @@ class TestProjectToLevel:
         for _ in range(10):
             cuts = random_cuts(rng, 5, 3)
             model = cut_model(cuts, 5.0)
-            minimum = model.minima()[0]
-            level = minimum[0] + 1.0
+            level = model.minima()[0] + 1.0
             point = rng.normal(size=3) * 4.0
-            out = project_to_level(model, 0, level, point, minimum)
+            out = model.project(0, level, point)
             slopes = np.array([c.slope for c in cuts])
             offsets = np.array([c.value - c.slope @ c.anchor for c in cuts])
             eye = np.eye(3)
@@ -347,18 +359,26 @@ class TestProjectToLevel:
     def test_empty_level_raises(self):
         rng = np.random.default_rng(28)
         model = cut_model(random_cuts(rng, 4, 3), 2.0)
-        minimum = model.minima()[0]
+        value = model.minima()[0]
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(model, 0, minimum[0] - 1.0, np.zeros(3), minimum)
+            model.project(0, value - 1.0, np.zeros(3))
 
     def test_fallback_clips_model_argmin(self, monkeypatch):
+        # a failed projection returns the model's own LP vertex, clipped to
+        # the box: for the one cut 0.5 - lam_0 + 2 lam_2 over |lam| <= 1,
+        # lam_j sits on its lower bound where the slope is positive and on
+        # its upper bound elsewhere, with value 0.5 - 1 - 2 = -2.5
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
-        model = cut_model([Cut(np.zeros(3), 0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
-        minimum = (-1.0, np.array([-3.0, 0.5, 2.0]))
-        out = project_to_level(model, 0, 0.0, np.zeros(3), minimum)
-        np.testing.assert_array_equal(out, [-1.0, 0.5, 1.0])
+        model = cut_model([Cut(np.zeros(3), 0.5, np.array([-1.0, 0.0, 2.0]))], 1.0)
+        assert model.minima() == [-2.5]
+        out = model.project(0, -2.0, np.full(3, 0.3))
+        np.testing.assert_array_equal(out, [1.0, 1.0, -1.0])
+        assert not np.shares_memory(out, model._vertex)
+        # within 1e-9 below the minimum the vertex still stands in
+        np.testing.assert_array_equal(model.project(0, -2.5 - 5e-10, np.zeros(3)),
+                                      [1.0, 1.0, -1.0])
         with pytest.raises(LevelSetEmptyError):
-            project_to_level(model, 0, -2.0, np.zeros(3), minimum)
+            model.project(0, -3.0, np.zeros(3))
 
 
 class TestSolve:
@@ -424,9 +444,9 @@ class TestSolve:
         minima = CutModel.minima
 
         def counting_minima(model):
-            (solution,) = minima(model)
-            argmins.append(solution[1])
-            return [solution]
+            values = minima(model)
+            argmins.append(lp_argmin(model))
+            return values
 
         monkeypatch.setattr(CutModel, "minima", counting_minima)
         monkeypatch.setattr(numerics, "project_polyhedron", failing_projection)
@@ -448,9 +468,9 @@ class TestSolve:
         minima, project = CutModel.minima, numerics.project_polyhedron
 
         def recording_minima(model):
-            (solution,) = minima(model)
-            argmins.append(solution[1])
-            return [solution]
+            values = minima(model)
+            argmins.append(lp_argmin(model))
+            return values
 
         def recording_project(point, a_mat, b_vec, warm=None):
             try:
@@ -530,8 +550,8 @@ class TestSolve:
         last = state.cuts[-1]
         np.testing.assert_array_equal(state.iterate, last.anchor)
         grid = CertificateGrid(problem.measurements.grid, problem.kernel)
-        (value,), (slope,), _ = _oracle(problem.penalty, problem.measurements.y[None],
-                                        state.iterate[None], grid)
+        (value,), (slope,) = _oracle(problem.penalty, problem.measurements.y[None],
+                                     state.iterate[None], grid)
         assert value == last.value
         np.testing.assert_array_equal(slope, last.slope)
 

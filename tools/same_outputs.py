@@ -10,7 +10,9 @@ five-spike, and ``exp-noise --iters 100 --jobs 1``, ``exp-lambda-t``,
 ``exp-t-a`` and ``bounds`` on three-spike.  Each side uses its own
 ``configs/``.  Every artifact is compared byte for byte, and each command's
 exit code and stdout, with its output directory stripped.  Exits 0 when
-everything matches and 1 naming each difference.  Standard library only.
+everything matches, 1 naming each difference, and 2 with one line when
+the comparison cannot be made: REV names no revision, or a side's
+``dualspike`` does not import from its own tree.  Standard library only.
 """
 
 import argparse
@@ -31,11 +33,19 @@ COMMANDS = (("configs/five_spikes.cfg", ("solve", "--iters", "1000")),
 SEEDS = (0, 1, 2)
 
 
+def fail(message):
+    """Print ``message`` and exit 2: there is nothing to compare."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def extract(rev, dest):
     """Write the files of ``rev`` under ``dest``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                             capture_output=True)
+    if archive.returncode:
+        fail(f"cannot read revision {rev}: {' '.join(archive.stderr.decode().split())}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(dest, filter="data")
         else:
@@ -47,9 +57,12 @@ def run_all(tree, out_root):
     (command, seed) to (exit code, stdout, {artifact path: bytes})."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     where = subprocess.run([sys.executable, "-c", "import dualspike; print(dualspike.__file__)"],
-                           cwd=tree, env=env, capture_output=True, text=True, check=True)
+                           cwd=tree, env=env, capture_output=True, text=True)
+    if where.returncode:
+        error = where.stderr.strip().rpartition("\n")[2]
+        fail(f"dualspike does not import from {tree}: {error}")
     if not Path(where.stdout.strip()).resolve().is_relative_to(tree.resolve()):
-        raise SystemExit(f"dualspike imported from {where.stdout.strip()}, not from {tree}")
+        fail(f"dualspike imported from {where.stdout.strip()}, not from {tree}")
     results = {}
     for config, args in COMMANDS:
         for seed in SEEDS:
