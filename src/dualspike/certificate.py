@@ -295,24 +295,22 @@ def global_maximizers(cert: Certificate) -> MaximizerSet:
 
 
 def refine_peaks(kernel: Kernel, samples, weights, locations):
-    """Polish a stationary point of q from every location on the
-    certificate of every row of ``weights``, all runs in lockstep.
+    """Polish a local maximum of q from every location on the certificate
+    of every row of ``weights``, all runs in lockstep and each on one path.
 
-    Run (c, l) starts from t0 = ``locations[l]`` on ``weights[c]``.  Where
-    |q'(t0)| < ``REFINE_SLOPE_TOL``, t0 is the answer if q''(t0) < 0 and the
-    run fails otherwise.  Else each end of [t0 - sigma, t0 + sigma] (clipped
-    to [0,1]) halves its distance to t0 while q' there lacks the sign of a
-    maximum, for up to 60 rounds or down to a 1e-15 width; without q' > 0
-    at the low end and q' < 0 at the high one the run fails.  Newton
-    (``newton_on_slope``) then runs from t0 inside the half of that bracket
-    q rises into from t0, [t0, high] where q'(t0) > 0 and [low, t0]
-    otherwise, down to |q'| <= max(``REFINE_SLOPE_TOL``, round-off floor)
-    (the whole bracket is centred on t0 unless an end moved, and bisecting
-    it would stop a run at its start).  Running out of
-    ``REFINE_STEPS`` steps fails.  Each shrinking round evaluates every
-    moved end in one ``_derivatives`` call, its masks doing a lone run's
-    float operations, and all Newton runs share one call, so a run's bits
-    do not depend on the runs beside it.
+    Run (c, l) starts from t0 = ``locations[l]`` on ``weights[c]``, and
+    q'(t0) picks the side q rises into (the low side where q'(t0) <= 0).
+    The far end of that side, t0 +- sigma clipped to [0, 1], halves its
+    distance to t0 until q' there has a maximum's sign (< 0 on the high
+    side, > 0 on the low one), for up to 60 rounds or down to 1e-15 from
+    t0; without that sign the run fails.  Newton (``newton_on_slope``) then
+    runs from t0 between t0 and the far end, down to |q'| <= max(
+    ``REFINE_SLOPE_TOL``, round-off floor).  The run succeeds only where
+    Newton converges within ``REFINE_STEPS`` steps and q'' < 0 at its end,
+    so a start already under the floor, where Newton stops at once, must be
+    concave too.  One ``_derivatives`` call evaluates every start, one every
+    far end and one each round's moved ends, and all Newton runs share one
+    call, so a run's bits do not depend on the runs beside it.
 
     Returns (t, q'' at t, failures): certificates x locations arrays, NaN
     where a run fails, and a dict from each failed (c, l), in row order, to
@@ -325,40 +323,35 @@ def refine_peaks(kernel: Kernel, samples, weights, locations):
     n_locs = locations.size
     owner = np.repeat(np.arange(len(weights)), n_locs)
     t0 = np.tile(locations, len(weights))
-    bl, bh = np.maximum(0.0, t0 - kernel.sigma), np.minimum(1.0, t0 + kernel.sigma)
-    derivs = _derivatives(kernel, samples, weights[np.tile(owner, 3)],
-                          np.concatenate((t0, bl, bh)))
-    # q' and q'' at t0 only decide which runs are stationary and which way q rises
-    start, (slope_lo, slope_hi) = derivs[:, :t0.size], derivs[1, t0.size:].reshape(2, -1)
-    stationary = np.abs(start[1]) < REFINE_SLOPE_TOL
-    going = ~stationary
+    # +1 where q rises to the right of t0, -1 where it rises to the left
+    rows = weights[owner]
+    side = np.where(_derivatives(kernel, samples, rows, t0)[1] > 0.0, 1.0, -1.0)
+    far = np.clip(t0 + side * kernel.sigma, 0.0, 1.0)
+    slope = _derivatives(kernel, samples, rows, far)[1]
     for _ in range(60):
-        going &= ~((slope_lo > 0.0) & (slope_hi < 0.0))
+        going = (side * slope >= 0.0) & (np.abs(far - t0) >= 1e-15)
         if not going.any():
             break
-        low, high = going & (slope_lo <= 0.0), going & (slope_hi >= 0.0)
-        bl = np.where(low, 0.5 * (bl + t0), bl)
-        bh = np.where(high, 0.5 * (bh + t0), bh)
-        slopes = _derivatives(kernel, samples, weights[np.concatenate((owner[low], owner[high]))],
-                              np.concatenate((bl[low], bh[high])))[1]
-        slope_lo[low], slope_hi[high] = np.split(slopes, [np.count_nonzero(low)])
-        going &= ~(bh - bl < 1e-15)
-    runs = np.flatnonzero(~stationary & (slope_lo > 0.0) & (slope_hi < 0.0))
+        far[going] = 0.5 * (far[going] + t0[going])
+        slope[going] = _derivatives(kernel, samples, rows[going], far[going])[1]
+    runs = np.flatnonzero(side * slope < 0.0)
     floors = np.array([max(REFINE_SLOPE_TOL, slope_floor(kernel, w)) for w in weights])
-    rising = start[1, runs] > 0.0
-    t_run, (_, _, curv_run), converged = newton_on_slope(
-        kernel, samples, weights[owner[runs]], t0[runs], np.where(rising, t0[runs], bl[runs]),
-        np.where(rising, bh[runs], t0[runs]), floors[owner[runs]], REFINE_STEPS)
+    t_end, (_, _, curv_end), end_converged = newton_on_slope(
+        kernel, samples, rows[runs], t0[runs], np.minimum(t0, far)[runs],
+        np.maximum(t0, far)[runs], floors[owner[runs]], REFINE_STEPS)
+    ends = dict(zip(runs.tolist(), zip(t_end, curv_end, end_converged)))
     t, curv = np.full((2, t0.size), np.nan)
-    done = stationary & (start[2] < 0.0)
-    t[done], curv[done] = t0[done], start[2, done]
-    converged = np.array(converged, dtype=bool)
-    t[runs[converged]], curv[runs[converged]] = np.array([t_run, curv_run])[:, converged]
-    starts = t0.tolist()
-    failures = {divmod(r, n_locs): f"stationary but not concave at {starts[r]}" if stationary[r]
-                else f"refinement near {starts[r]} ran {REFINE_STEPS} steps without converging"
-                if r in runs else f"no local maximum bracketed near {starts[r]}"
-                for r in np.flatnonzero(np.isnan(t)).tolist()}
+    failures = {}
+    for r, start in enumerate(t0.tolist()):
+        end, end_curv, converged = ends.get(r, (None, None, None))
+        if end is not None and converged and end_curv < 0.0:
+            t[r], curv[r] = end, end_curv
+        else:
+            failures[divmod(r, n_locs)] = (
+                f"no local maximum bracketed near {start}" if end is None
+                else f"refinement near {start} ran {REFINE_STEPS} steps without converging"
+                if not converged
+                else f"refinement near {start} ended at {end}, where q is not concave")
     return t.reshape(-1, n_locs), curv.reshape(-1, n_locs), failures
 
 

@@ -32,7 +32,6 @@ from .kernel import Kernel
 from .model import MeasurementSet, build_phi
 
 ACTIVE_SUP_TOL = 1e-12
-DEFAULT_GAP_TOL = 1e-12
 # a cut-model row counts as violated above this, relative to max(1, |h|);
 # at 1e-9 the solves stop where the maxima of a certificate miss a 1e-9
 # stationarity test
@@ -150,8 +149,9 @@ class CutModel:
     one product with G.
 
     A cut is one plane per certificate maximizer (or the data plane when
-    the penalty is inactive), so cuts repeat; a row whose slopes equal a
-    held row's is a repeat, which the LP skips.
+    the penalty is inactive), so cuts repeat.  Of the rows with one slope
+    vector, the LP skips all but the one with the lowest h (the first of
+    them on a tie); no row's h changes once written.
 
     Rows are only ever appended, so a row keeps its index in every
     ``level_set``; ``warm[p]`` is the ``numerics.WarmStart`` that carries
@@ -200,13 +200,15 @@ class CutModel:
         self._rhs[:, row] -= values
         # a repeated plane: the twins' h differ by round-off, which the
         # vertex can show over LP_ROW_TOL, so they would enter the basis in
-        # turn; the held row keeps the lower h and the LP skips the new one
+        # turn; the LP skips the looser of the new row and its live twin (the
+        # new row on a tie), and a tighter new row enters by a pivot
         same = (self._rows[:, self._n_box:row, :-1] == slopes[:, None, :]).all(2)
+        same &= ~self._repeat[:, self._n_box:row]
         twins = same.any(1).nonzero()[0]
         if twins.size:
             held = self._n_box + same[twins].argmax(1)
-            self._rhs[twins, held] = np.minimum(self._rhs[twins, held], self._rhs[twins, row])
-            self._repeat[twins, row] = True
+            looser = np.where(self._rhs[twins, row] < self._rhs[twins, held], held, row)
+            self._repeat[twins, looser] = True
         self.size += 1
         if self._basis is None:
             # the one cut's minimum over the box: lam_j on its lower bound
@@ -265,8 +267,8 @@ class CutModel:
             excess = np.matmul(rows, vertex[:, :, None])[:, :, 0]
             excess -= rhs
             excess /= row_scale
-            # basis rows hold with equality and repeats lie on a held row;
-            # what they show is round-off
+            # basis rows hold with equality and a repeat is no tighter than
+            # its live twin; what they show is round-off
             excess[each, basis] = 0.0
             excess[repeat] = 0.0
             pending = (excess.max(1) > LP_ROW_TOL).nonzero()[0]
@@ -360,10 +362,12 @@ def solve_batch(problems, max_iters: int):
 
     A problem stops when its projected iterate equals the previous one bit
     for bit: the next oracle call would return the last cut again, so the
-    model, both bounds, the level and the projection would all repeat.  It
-    also stops when its gap drops to ``DEFAULT_GAP_TOL``; ``max_iters`` is
-    an upper bound.  The lower bound is the model minimum as the objective
-    of a dual feasible basis of the cut-model LP, warm-started from the
+    model, both bounds, the level and the projection would all repeat, and
+    the iterate it returns is the one its last cut was evaluated at.  There
+    is no gap test: round-off can lift the lower bound over the upper one,
+    and a stop there would return a projection never evaluated;
+    ``max_iters`` is an upper bound.  The lower bound is the model minimum
+    as the objective of a dual feasible basis of the cut-model LP, warm-started from the
     previous iteration's basis; when an LP fails (see ``CutModel.minima``),
     the solve stops with NoConvergenceError, which the command line reports
     with exit code 3.  Each projection (``CutModel.project``) starts from
@@ -396,16 +400,15 @@ def solve_batch(problems, max_iters: int):
             state.upper_bound = min(state.upper_bound, value)
             # the running max keeps the gap history monotone
             state.lower_bound = max(state.lower_bound, minimum)
-            gap = state.upper_bound - state.lower_bound
             level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
             previous = state.iterate
             state.iterate = model.project(point, level, previous)
             state.upper_history.append(state.upper_bound)
             state.lower_history.append(state.lower_bound)
             state.level_history.append(level)
-            state.gap_history.append(gap)
+            state.gap_history.append(state.upper_bound - state.lower_bound)
             state.iterate_history.append(state.iterate)
-            if not (gap <= DEFAULT_GAP_TOL or np.array_equal(state.iterate, previous)):
+            if not np.array_equal(state.iterate, previous):
                 going.append(point)
         if len(going) < len(running):
             model.keep(going)

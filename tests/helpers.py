@@ -204,42 +204,32 @@ def refine_location_per_run(cert, t0):
     """``certificate.refine_peaks`` for one run, as a loop in floats with
     one kernel evaluation per slope: (t, q''(t)), or NoConvergenceError
     with the batched run's message."""
-    sigma = cert.kernel.sigma
-    lo = max(0.0, t0 - sigma)
-    hi = min(1.0, t0 + sigma)
 
     def slope(t):
         return certificate_derivative(cert, t, 1)
 
-    if abs(slope(t0)) < REFINE_SLOPE_TOL:
-        if certificate_derivative(cert, t0, 2) < 0.0:
-            return t0, certificate_derivative(cert, t0, 2)
-        raise NoConvergenceError(f"stationary but not concave at {t0}")
-    # shrink toward t0 until the bracket endpoints straddle the stationary point
-    bl, bh = lo, hi
-    slope_lo, slope_hi = slope(bl), slope(bh)
+    # only the end of the side q rises into moves, toward t0, until q'
+    # there has a maximum's sign
+    rising = slope(t0) > 0.0
+    far = min(1.0, t0 + cert.kernel.sigma) if rising else max(0.0, t0 - cert.kernel.sigma)
+    slope_far = slope(far)
     for _ in range(60):
-        if slope_lo > 0.0 > slope_hi:
+        if (slope_far < 0.0 if rising else slope_far > 0.0) or abs(far - t0) < 1e-15:
             break
-        if slope_lo <= 0.0:
-            bl = 0.5 * (bl + t0)
-            slope_lo = slope(bl)
-        if slope_hi >= 0.0:
-            bh = 0.5 * (bh + t0)
-            slope_hi = slope(bh)
-        if bh - bl < 1e-15:
-            break
-    if not (slope_lo > 0.0 > slope_hi):
+        far = 0.5 * (far + t0)
+        slope_far = slope(far)
+    if not (slope_far < 0.0 if rising else slope_far > 0.0):
         raise NoConvergenceError(f"no local maximum bracketed near {t0}")
     floor = max(REFINE_SLOPE_TOL, slope_floor(cert.kernel, cert.weights))
-    # Newton brackets the side of t0 that q rises into
-    lo, hi = (t0, bh) if slope(t0) > 0.0 else (bl, t0)
-    t, _, converged = newton_per_run(cert.kernel, cert.grid.samples, cert.weights, t0, lo, hi,
-                                     floor, REFINE_STEPS)
+    t, _, converged = newton_per_run(cert.kernel, cert.grid.samples, cert.weights, t0,
+                                     min(t0, far), max(t0, far), floor, REFINE_STEPS)
     if not converged:
         raise NoConvergenceError(
             f"refinement near {t0} ran {REFINE_STEPS} steps without converging")
-    return t, certificate_derivative(cert, t, 2)
+    curv = certificate_derivative(cert, t, 2)
+    if not curv < 0.0:
+        raise NoConvergenceError(f"refinement near {t0} ended at {t}, where q is not concave")
+    return t, curv
 
 
 def supremum_per_point(cert_grid, weights):

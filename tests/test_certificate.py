@@ -9,7 +9,7 @@ from conftest import three_spike_config
 from dualspike import certificate
 from dualspike.certificate import (DEFAULT_GRID_POINTS, Certificate,
                                    CertificateGrid, global_maximizers,
-                                   refine_peaks, supremum)
+                                   refine_peaks, slope_floor, supremum)
 from dualspike.experiments import build_problem, reference_run, run_noise
 from dualspike.kernel import Kernel
 from dualspike.model import SampleGrid, SourceModel, synthesize, uniform_noise
@@ -251,9 +251,22 @@ class TestRefineLocation:
         assert abs(certificate_derivative(single_bump, t, 1)) < 1e-12
 
     def test_non_concave_fails(self):
+        # the minimum of a dip: q rises to neither side
         cert = Certificate([-1.0], SampleGrid([0.5]), Kernel(0.1))
         t, failure = refine_one(cert, 0.5)
-        assert np.isnan(t) and failure == "stationary but not concave at 0.5"
+        assert np.isnan(t) and failure == "no local maximum bracketed near 0.5"
+
+    def test_valley_start_under_the_slope_floor_fails(self):
+        # the valley between equal bumps of weight 1e6: from just right of
+        # it the high end brackets the bump at 0.6, but |q'| there lies under
+        # Newton's floor, so Newton stops at the start, where q'' > 0
+        cert = Certificate([1e6, 1e6], SampleGrid([0.4, 0.6]), Kernel(0.1))
+        t0 = 0.5 + 1e-15
+        assert 0.0 < certificate_derivative(cert, t0, 1) < slope_floor(cert.kernel, cert.weights)
+        assert certificate_derivative(cert, t0, 2) > 1e8
+        t, failure = refine_one(cert, t0)
+        assert np.isnan(t)
+        assert failure == f"refinement near {t0} ended at {t0}, where q is not concave"
 
     @pytest.mark.parametrize("samples,weights,t0,peak", [
         # the convex flank of a bump at 0.5: q' = 8.44, q'' = +29.5 at 0.42

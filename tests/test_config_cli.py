@@ -343,12 +343,12 @@ class TestCli:
         assert code == EXIT_SOLVER
         assert "no optimal basis after 0 pivots" in capsys.readouterr().err
 
-    def test_repeated_cut_planes_solve(self, tmp_path):
-        # a kernel wider than the interval: cuts 2-4 are one plane, at one
-        # certificate maximizer, whose copies would make the LP cycle to
-        # its pivot cap (exit 3) if each could enter it
+    @staticmethod
+    def assert_one_source_solves(tmp_path, sigma):
+        # a unit source at 0.5 on 21 samples, solved in process: exit 0 and
+        # criterion 2's tolerances
         cfg_path = tmp_path / "wide.cfg"
-        cfg_path.write_text("sources = 0.5\namplitudes = 1\nsigma = 2\nm = 21\n")
+        cfg_path.write_text(f"sources = 0.5\namplitudes = 1\nsigma = {sigma}\nm = 21\n")
         out = tmp_path / "out"
         assert main(["solve", "--iters", "150", "--config", str(cfg_path),
                      "--out", str(out)]) == EXIT_OK
@@ -356,6 +356,19 @@ class TestCli:
         assert len(rows) == 1
         assert abs(float(rows[0][0]) - 0.5) <= 5e-4
         assert abs(float(rows[0][1]) - 1.0) <= 1e-3
+
+    def test_repeated_cut_planes_solve(self, tmp_path):
+        # a kernel wider than the interval: cuts 2-4 are one plane, at one
+        # certificate maximizer, whose copies would make the LP cycle to
+        # its pivot cap (exit 3) if each could enter it
+        self.assert_one_source_solves(tmp_path, 2)
+
+    def test_negative_gap_solves(self, tmp_path):
+        # at iteration 18 round-off lifts the lower bound 7.8e-11 over the
+        # upper one; the solve must run on to its fixed point and return an
+        # iterate its oracle evaluated: a gap exit there would return the
+        # unevaluated projection, whose recovery fails with exit 4
+        self.assert_one_source_solves(tmp_path, 5)
 
     def test_missing_reference_constant_exit_code(self, tmp_path, monkeypatch, capsys):
         # a singular translate matrix leaves the report without the amplitude

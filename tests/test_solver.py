@@ -195,6 +195,17 @@ class TestModelMinimum:
         assert np.abs(x1).max() == 1e6
         assert nu1 == pytest.approx(nu3, abs=1e-9)
         np.testing.assert_array_equal(x1, x3)
+        # a tighter copy of a basis row, added after it: it enters by a
+        # pivot, and no row's h changes once written
+        offsets = [-0.73226735, -0.54425898, -0.31630016, 0.41163054, 1.04251337]
+        slopes = [0.84129989, 0.0, 1.84272194, 0.0, -3.97229656]
+        model, minima, rhs = CutModel(1, 1, 1.0), [], []
+        for offset, slope in zip(offsets, slopes):
+            add_cut(model, Cut(np.zeros(1), offset, np.array([slope])))
+            rhs.append(model.level_set(0, 0.0)[1].copy())
+            minima.append(model.minima()[0])
+        assert minima[3:] == pytest.approx([0.41163054] * 2, abs=1e-12)
+        assert all(np.array_equal(early, rhs[-1][:early.size]) for early in rhs)
 
     def test_against_box_grid(self):
         rng = np.random.default_rng(26)
