@@ -140,14 +140,14 @@ class MaximizerSet:
 
 @functools.lru_cache(maxsize=1)
 def _scan_tables(kernel: Kernel, samples: bytes, points):
-    """The ``points``-point scan of [0,1], phi and phi'' at (scan - sample),
-    and phi' at the first two and last two scan points, all read-only.
-    Kept for the last arguments asked for: every solve, curve and recovery
-    of a process shares one (grid, kernel)."""
+    """The ``points``-point scan of [0,1], phi at (scan - sample), and phi'
+    at the first two and last two scan points, all read-only.  Kept for
+    the last arguments asked for: every solve, curve and recovery of a
+    process shares one (grid, kernel)."""
     scan = np.linspace(0.0, 1.0, points)
-    diffs = scan[:, None] - np.frombuffer(samples)[None, :]
-    tables = (scan, kernel.value(diffs), kernel.derivative(diffs, 2),
-              kernel.derivative(diffs[[0, 1, -2, -1]], 1))
+    samples = np.frombuffer(samples)
+    tables = (scan, kernel.value(scan[:, None] - samples),
+              kernel.derivative(scan[[0, 1, -2, -1], None] - samples, 1))
     for array in tables:
         array.flags.writeable = False
     return tables
@@ -156,10 +156,9 @@ def _scan_tables(kernel: Kernel, samples: bytes, points):
 class CertificateGrid:
     """Dense evaluation table for certificates sharing one (grid, kernel).
 
-    Holds phi(t_i - s_j) and phi''(t_i - s_j) on the uniform
-    ``DEFAULT_GRID_POINTS`` scan of [0,1], so that repeated suprema (one per
-    bundle problem and iteration) reduce to a matrix-vector product each
-    and the peak margins to a row product each.  The tables are read-only
+    Holds phi(t_i - s_j) on the uniform ``DEFAULT_GRID_POINTS`` scan of
+    [0,1], so that repeated suprema (one per bundle problem and iteration)
+    reduce to a matrix-vector product each.  The tables are read-only
     and kept for the last (samples, kernel) a grid was made for, so a
     process that works on one input builds them once.  A kernel narrower
     than ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
@@ -173,7 +172,7 @@ class CertificateGrid:
         self.grid = grid
         self.kernel = kernel
         # end_slope is phi' in the end cells, for the bumps hiding there
-        self.scan, self.table, self.curvature, self.end_slope = _scan_tables(
+        self.scan, self.table, self.end_slope = _scan_tables(
             kernel, grid.samples.tobytes(), DEFAULT_GRID_POINTS)
 
     def values(self, weights):
@@ -211,7 +210,8 @@ class CertificateGrid:
     def supremum(self, weights):
         """Global supremum of q over [0,1] for each row of ``weights``:
         arrays (t, sup q), ties resolved to the smallest t.  Each row's scan
-        and peak selection run on their own; the Newton runs of all rows
+        and peak selection run on their own; phi'' is evaluated once, at the
+        scan local maxima of all rows, and the Newton runs of all rows
         advance together."""
         # Newton from the scan local max t_i stays in [t_i - h, t_i + h].  q
         # tops q(t_i) there only at a local max t* inside a cell whose ends
@@ -220,21 +220,29 @@ class CertificateGrid:
         # h |weights|_1 sup|phi'''|.  Only peaks whose bound, plus evaluation
         # round-off, reaches the grid max can change the result.
         h = self.scan[1] - self.scan[0]
-        best_t, best_v, floors, owners, peaks = [], [], [], [], []
-        for owner, w in enumerate(weights):
+        # first pass: each row keeps only its scan local maxima and q there
+        best_t, best_v, found, tops = [], [], [], []
+        for w in weights:
             q = self.values(w)
             i_max = int(np.argmax(q))
-            grid_max = float(q[i_max])
             best_t.append(float(self.scan[i_max]))
-            best_v.append(grid_max)
+            best_v.append(float(q[i_max]))
+            found.append(self.local_max_indices(q))
+            tops.append(q[found[-1]])
+        # then phi'' at all of them from one evaluation, one slice per row
+        curv_rows = self.kernel.derivative(
+            np.subtract.outer(self.scan[np.concatenate(found)], self.grid.samples), 2)
+        floors, owners, peaks = [], [], []
+        start = 0
+        for owner, (w, peak, top) in enumerate(zip(weights, found, tops)):
             mass = float(np.abs(w).sum())
-            found = self.local_max_indices(q)
-            curv = np.abs(self.curvature[found] @ w)
+            curv = np.abs(curv_rows[start:start + peak.size] @ w)
+            start += peak.size
             third = h * mass * self.kernel.deriv_sup_bounds()[2]
             margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
-            found = found[q[found] + margin >= grid_max]
-            peaks.append(found)
-            owners.append(np.full(found.size, owner))
+            peak = peak[top + margin >= best_v[owner]]
+            peaks.append(peak)
+            owners.append(np.full(peak.size, owner))
             floors.append(slope_floor(self.kernel, w))
         runs, t, (v, _, _), _ = self._refined(weights, np.concatenate(owners),
                                               np.concatenate(peaks), np.array(floors))

@@ -36,9 +36,17 @@ class Kernel:
             raise ValueError(f"kernel width must be positive, got {self.sigma}")
 
     def value(self, t):
-        """Evaluate exp(-t^2/sigma^2); accepts scalars or arrays."""
-        u = np.asarray(t, dtype=float) / self.sigma
-        return np.exp(-u * u)
+        """Evaluate exp(-t^2/sigma^2); accepts scalars or arrays.
+
+        u = t/sigma is the one array made: it is squared, negated and
+        exponentiated in place, with the bits of exp(-u * u), since a
+        product's rounding does not depend on its sign.  ``t`` is not
+        modified."""
+        u = np.array(t, dtype=float)
+        u /= self.sigma
+        u *= u
+        np.negative(u, out=u)
+        return np.exp(u, out=u)[()]
 
     def derivative(self, t, order):
         """Analytic derivative of the kernel at ``t``.

@@ -186,13 +186,13 @@ class CutModel:
         rows of ``anchors`` and ``slopes`` and the entries of ``values``."""
         row = self._n_box + self.size
         if row == self._rhs.shape[1]:
-            # no room left: double the cut block
-            self._rows = np.concatenate(
-                [self._rows, np.zeros_like(self._rows[:, self._n_box:])], axis=1)
-            self._rhs = np.concatenate([self._rhs, np.empty_like(self._rhs[:, self._n_box:])],
-                                       axis=1)
-            self._repeat = np.concatenate(
-                [self._repeat, np.zeros_like(self._repeat[:, self._n_box:])], axis=1)
+            # no room left: double the cut block, and copy the held rows in
+            grown = []
+            for block in (self._rows, self._rhs, self._repeat):
+                grown.append(np.zeros((block.shape[0], 2 * row - self._n_box, *block.shape[2:]),
+                                      dtype=block.dtype))
+                grown[-1][:, :row] = block
+            self._rows, self._rhs, self._repeat = grown
         self._rows[:, row, :-1] = slopes
         self._rows[:, row, -1] = -1.0
         # row dot products, with the bits of a 1-D slope @ anchor

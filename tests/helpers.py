@@ -244,7 +244,10 @@ def supremum_per_point(cert_grid, weights):
     h = scan[1] - scan[0]
     mass = float(np.abs(weights).sum())
     peaks = cert_grid.local_max_indices(q)
-    curv = np.abs(cert_grid.curvature[peaks] @ weights)
+    # phi'' over the whole scan, where the batched supremum evaluates it
+    # only at the scan local maxima
+    curv_table = kernel.derivative(scan[:, None] - samples, 2)
+    curv = np.abs(curv_table[peaks] @ weights)
     third = h * mass * kernel.deriv_sup_bounds()[2]
     margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
     peaks = peaks[q[peaks] + margin >= grid_max]

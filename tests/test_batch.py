@@ -134,8 +134,11 @@ class TestEndCellRuns:
     def test_supremum_matches_per_point(self, first):
         cert_grid, weights = end_cell_weights(first)
         h = cert_grid.scan[1]
-        # the end-cell bump holds the supremum, and a second row rides along
-        stack = np.array([weights, 0.5 * weights[::-1]])
+        # the end-cell bump holds the supremum, and rows ride along: one
+        # with no scan local maximum and one with many, so each row's phi''
+        # comes from its own slice of the batch's one evaluation
+        other = np.array([0.8, -0.3, 1.1, 0.4] * 5 + [0.2])
+        stack = np.array([weights, np.zeros_like(weights), 0.5 * weights[::-1], other])
         ts, values = cert_grid.supremum(stack)
         assert (0.0 < ts[0] < h) if first else (1.0 - h < ts[0] < 1.0)
         for t, v, w in zip(ts, values, stack):

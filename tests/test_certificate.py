@@ -348,32 +348,42 @@ class TestCertificateGrid:
             CertificateGrid(grid, Kernel(0.099))
         CertificateGrid(grid, Kernel(0.1))
 
-    def test_curvature_table(self, scan_101):
-        cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
-        diffs = cg.scan[:, None] - cg.grid.samples[None, :]
-        np.testing.assert_array_equal(cg.table, cg.kernel.value(diffs))
-        np.testing.assert_array_equal(cg.curvature, cg.kernel.derivative(diffs, 2))
+    def test_curvature_table(self):
+        # phi'' is evaluated where it is needed; the one table formula,
+        # Kernel.value, squares, negates and exponentiates u = t/sigma in
+        # place and keeps the bits of exp(-u * u), leaving t as it was
+        kernel = Kernel(0.07)
+        scan = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+        inputs = [0.0123, -0.3, scan, scan[:, None] - np.random.default_rng(5).uniform(size=21)]
+        for t in inputs:
+            before = np.copy(t)
+            u = np.asarray(t, dtype=float) / kernel.sigma
+            got = kernel.value(t)
+            assert np.shape(got) == np.shape(t) and np.asarray(got).dtype == np.float64
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.exp(-u * u).view(np.int64))
+            np.testing.assert_array_equal(t, before)
+        assert type(kernel.value(0.25)) is np.float64
 
     def test_table_shape(self, scan_101):
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         assert cg.table.shape == (101, 5)
 
     def test_tables_are_shared_and_read_only(self, scan_101):
-        # the cache holds the scan, phi and phi'' on it, and phi' at the
-        # first two and last two scan points: no full phi' table
+        # the cache holds the scan, phi on it, and phi' at the first two
+        # and last two scan points: no full phi' or phi'' table
         grid, kernel = SampleGrid.equispaced(5), Kernel(0.1)
         tables = certificate._scan_tables(kernel, grid.samples.tobytes(), 101)
-        assert len(tables) == 4
-        scan, table, curvature, end_slope = tables
+        assert len(tables) == 3
+        scan, table, end_slope = tables
         diffs = scan[:, None] - grid.samples[None, :]
         np.testing.assert_array_equal(scan, np.linspace(0.0, 1.0, 101))
         np.testing.assert_array_equal(table, kernel.value(diffs))
-        np.testing.assert_array_equal(curvature, kernel.derivative(diffs, 2))
         np.testing.assert_array_equal(end_slope, kernel.derivative(diffs[[0, 1, -2, -1]], 1))
         first = CertificateGrid(grid, kernel)
         # equal inputs, not the same objects
         second = CertificateGrid(SampleGrid(np.linspace(0.0, 1.0, 5)), Kernel(0.1))
-        for name, array in zip(("scan", "table", "curvature", "end_slope"), tables):
+        for name, array in zip(("scan", "table", "end_slope"), tables):
             assert getattr(first, name) is array and getattr(second, name) is array
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -674,9 +674,9 @@ class TestWorkCounts:
         # going: 2.46 step calls per oracle call measured, 5.12 with one
         # call per run and step
         assert len(work["derivatives"]) - len(work["newton"]) <= 3.0 * state.n_iterations
-        # the end-cell slopes come from the grid's tables too (one
-        # Kernel.derivative call per supremum before)
-        assert work["kernel_derivative"] == []
+        # phi'' once per oracle call, at the scan local maxima of its
+        # certificates; the end-cell slopes come from the grid's tables
+        assert work["kernel_derivative"] == [2] * state.n_iterations
 
     def test_cut_model_work(self, noisy_solve_work):
         state, work = noisy_solve_work

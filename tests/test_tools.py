@@ -1,6 +1,7 @@
 """``tools/same_outputs.py`` ends with exit code 2 and one line when it has
 nothing to compare, apart from 1, which means that outputs differ."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -38,3 +39,29 @@ def test_package_from_outside_the_tree(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(tmp_path) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_peak_rss_is_the_largest_over_the_seeds():
+    same_outputs = load_same_outputs()
+    commands = [args[0] for _, args in same_outputs.COMMANDS]
+    old = {(command, seed): (0, "", {}, 30.0 + k + seed / 8)
+           for k, command in enumerate(commands) for seed in same_outputs.SEEDS}
+    new = {key: (0, "", {}, rss - 1.0) for key, (*_, rss) in old.items()}
+    top = 30.0 + max(same_outputs.SEEDS) / 8
+    assert same_outputs.peak_rss("abc123", old, new) == [
+        f"{command}: peak RSS {top + k:.2f} MB at abc123, {top + k - 1.0:.2f} MB in the tree"
+        for k, command in enumerate(commands)]
+
+
+def test_run_reports_exit_code_stdout_and_peak_rss():
+    # a child's peak RSS counts its parent's at the spawn, so the children
+    # are run from a bare interpreter, not from the test process
+    probe = ("import runpy, sys; run = runpy.run_path(sys.argv[1])['run']; "
+             "print([run([sys.executable, '-c', child]) for child in sys.argv[2:]])")
+    children = ["import sys; print('ok'); sys.exit(3)", "b = bytearray(60 << 20)"]
+    proc = subprocess.run([sys.executable, "-c", probe, str(SCRIPT), *children], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    (code, stdout, bare), (big_code, big_stdout, big) = ast.literal_eval(proc.stdout)
+    assert (code, stdout, big_code, big_stdout) == (3, "ok\n", 0, "")
+    # the 60 MB bytearray, and not much more
+    assert 50.0 < big - bare < 70.0

@@ -9,7 +9,9 @@ seeds 0, 1 and 2 with one BLAS thread: ``solve --iters 1000`` on
 five-spike, and ``exp-noise --iters 100 --jobs 1``, ``exp-lambda-t``,
 ``exp-t-a`` and ``bounds`` on three-spike.  Each side uses its own
 ``configs/``.  Every artifact is compared byte for byte, and each command's
-exit code and stdout, with its output directory stripped.  Exits 0 when
+exit code and stdout, with its output directory stripped.  One line per
+command gives its largest peak RSS over the seeds on each side (from
+``os.wait4``), ahead of the comparison's result.  Exits 0 when
 everything matches, 1 naming each difference, and 2 with one line when
 the comparison cannot be made: REV names no revision, or a side's
 ``dualspike`` does not import from its own tree.  Standard library only.
@@ -52,9 +54,22 @@ def extract(rev, dest):
             tar.extractall(dest)
 
 
+def run(args, **kwargs):
+    """Run ``args`` to its end: (exit code, stdout, peak RSS in MB).  The
+    peak counts this process's own RSS at the spawn too, which stays below
+    a ``dualspike`` command's."""
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                          **kwargs) as proc:
+        stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
+
+
 def run_all(tree, out_root):
     """Run every command at every seed with ``tree``'s source: a dict from
-    (command, seed) to (exit code, stdout, {artifact path: bytes})."""
+    (command, seed) to (exit code, stdout, {artifact path: bytes}, peak RSS
+    in MB)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     where = subprocess.run([sys.executable, "-c", "import dualspike; print(dualspike.__file__)"],
                            cwd=tree, env=env, capture_output=True, text=True)
@@ -67,21 +82,32 @@ def run_all(tree, out_root):
     for config, args in COMMANDS:
         for seed in SEEDS:
             out = out_root / f"{args[0]}-seed{seed}"
-            proc = subprocess.run([sys.executable, "-m", "dualspike.cli", *args, "--config",
-                                   config, "--out", str(out), "--seed", str(seed)],
-                                  cwd=tree, env=env, capture_output=True, text=True)
+            code, stdout, rss = run([sys.executable, "-m", "dualspike.cli", *args, "--config",
+                                     config, "--out", str(out), "--seed", str(seed)],
+                                    cwd=tree, env=env)
             artifacts = {path.relative_to(out).as_posix(): path.read_bytes()
                          for path in sorted(out.rglob("*")) if path.is_file()}
-            stdout = proc.stdout.replace(str(out) + os.sep, "").replace(str(out), "")
-            results[args[0], seed] = proc.returncode, stdout, artifacts
+            stdout = stdout.replace(str(out) + os.sep, "").replace(str(out), "")
+            results[args[0], seed] = code, stdout, artifacts, rss
     return results
+
+
+def peak_rss(rev, old, new):
+    """One line per command: its largest peak RSS over the seeds, at
+    ``rev`` and in the tree."""
+    lines = []
+    for _, (command, *_) in COMMANDS:
+        old_mb = max(old[command, seed][3] for seed in SEEDS)
+        new_mb = max(new[command, seed][3] for seed in SEEDS)
+        lines.append(f"{command}: peak RSS {old_mb:.2f} MB at {rev}, {new_mb:.2f} MB in the tree")
+    return lines
 
 
 def differences(rev, old, new):
     """One line per exit code, stdout or artifact that differs."""
     found = []
-    for (command, seed), (old_code, old_out, old_files) in old.items():
-        new_code, new_out, new_files = new[command, seed]
+    for (command, seed), (old_code, old_out, old_files, _) in old.items():
+        new_code, new_out, new_files, _ = new[command, seed]
         label = f"{command} seed {seed}"
         if old_code != new_code:
             found.append(f"{label}: exit code {old_code} at {rev}, {new_code} in the tree")
@@ -107,12 +133,14 @@ def main(argv=None):
         extract(rev, tmp / "rev")
         old = run_all(tmp / "rev", tmp / "out-rev")
         new = run_all(ROOT, tmp / "out-tree")
+    for line in peak_rss(rev, old, new):
+        print(line)
     found = differences(rev, old, new)
     for line in found:
         print(line)
     if found:
         return 1
-    artifacts = sum(len(files) for _, _, files in new.values())
+    artifacts = sum(len(files) for _, _, files, _ in new.values())
     print(f"identical: {artifacts} artifacts and {len(new)} stdouts of {len(COMMANDS)} "
           f"commands at seeds {', '.join(map(str, SEEDS))}")
     return 0
