@@ -43,7 +43,8 @@ LP_PIVOTS_PER_ROW = 50
 # relative to its largest entry: a round-off entry of a zero would make
 # the next basis singular
 LP_PIVOT_TOL = 1e-12
-# cut rows a new CutModel has room for; the room doubles whenever it fills
+# cut rows a new CutModel, and iterate rows a new BundleState, has room
+# for; the room doubles whenever it fills, never past the solve's max_iters
 CUT_BLOCK = 64
 # the level method's parameter: each level lies this fraction of the gap
 # above the lower bound
@@ -77,37 +78,75 @@ class Cut:
 
 @dataclass
 class BundleState:
-    """The record of one solve: its problem, the final iterate and the
-    per-iteration history (bounds, level, gap and the projected iterate);
-    ``cuts`` evaluates the solve's cuts again when first asked."""
+    """The record of one solve: its problem, the final iterate and, per
+    iteration, the two bounds and the projected iterate.  The gap and level
+    histories are derived from the bounds on access, by the solve's own
+    formulas on the same floats.  The iterates are the rows of one block
+    whose room doubles whenever it fills, never past the solve's
+    ``max_iters``; ``iterate`` is its newest row (the zero start before the
+    first iteration).  ``cuts`` evaluates the solve's cuts again when first
+    asked."""
 
     problem: PenaltyProblem
     iterate: np.ndarray
     upper_bound: float = np.inf
     lower_bound: float = -np.inf
-    gap_history: list[float] = field(default_factory=list)
     upper_history: list[float] = field(default_factory=list)
     lower_history: list[float] = field(default_factory=list)
-    level_history: list[float] = field(default_factory=list)
-    iterate_history: list[np.ndarray] = field(default_factory=list)
+    _iterates: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._iterates = np.empty((0, self.iterate.size))
 
     @property
     def n_iterations(self):
-        return len(self.gap_history)
+        return len(self.upper_history)
+
+    @property
+    def gap_history(self):
+        return [upper - lower for upper, lower in zip(self.upper_history, self.lower_history)]
+
+    @property
+    def level_history(self):
+        return [_level(upper, lower) for upper, lower in zip(self.upper_history, self.lower_history)]
+
+    @property
+    def iterate_history(self):
+        """The projected iterates, a list of rows of the block."""
+        return list(self._iterates[:self.n_iterations])
+
+    def _record(self, iterate, max_iters):
+        """Append one iteration: the current bounds, and ``iterate`` copied
+        into the block, which then holds the new ``self.iterate``."""
+        k = self.n_iterations
+        if k == self._iterates.shape[0]:
+            grown = np.empty((min(max(2 * k, CUT_BLOCK), max_iters), iterate.size))
+            grown[:k] = self._iterates
+            self._iterates = grown
+        self._iterates[k] = iterate
+        self.iterate = self._iterates[k]
+        self.upper_history.append(self.upper_bound)
+        self.lower_history.append(self.lower_bound)
 
     @functools.cached_property
     def cuts(self):
         """The cuts in the order they were added: cut k is anchored at the
         zero start (k = 0) or at iterate k of the history.  One oracle call
         on the anchors gives each cut the bits the solve gave it."""
-        if not self.iterate_history:
+        n = self.n_iterations
+        if not n:
             return []
         problem = self.problem
-        anchors = np.array([np.zeros_like(self.iterate), *self.iterate_history[:-1]])
+        anchors = np.concatenate((np.zeros((1, self.iterate.size)), self._iterates[:n - 1]))
         ys = np.repeat(problem.measurements.y[None], len(anchors), axis=0)
         values, slopes = _oracle(problem.penalty, ys, anchors,
                                  CertificateGrid(problem.measurements.grid, problem.kernel))
         return [Cut(*cut) for cut in zip(anchors, values.tolist(), slopes)]
+
+
+def _level(upper, lower):
+    """The level of an iteration with bounds ``upper`` and ``lower``."""
+    return LEVEL_MIX * upper + (1.0 - LEVEL_MIX) * lower
 
 
 def _oracle(penalty, ys, weights, cert_grid: CertificateGrid):
@@ -137,12 +176,12 @@ class CutModel:
 
     Holds, for point p, the epigraph LP min t s.t. G z <= h over
     z = (lam, t) in ``_rows[p]`` and ``_rhs[p]``, one block for all points
-    with room for ``CUT_BLOCK`` cuts, doubled whenever it fills: first the
-    2n box rows +-e_j with h = box_radius, then one row [slopes_i, -1] with
-    h = -offsets_i per cut.  ``minima`` solves each LP by the dual simplex
-    method on a basis of n + 1 rows B, kept with multipliers y >= 0 such
-    that e_t + G_B^T y = 0 (dual feasible) and with its vertex
-    z = G_B^-1 h_B.  Each pivot solves two systems with G_B by
+    with room for ``CUT_BLOCK`` cuts, doubled whenever it fills but never
+    past ``max_cuts`` cuts: first the 2n box rows +-e_j with
+    h = box_radius, then one row [slopes_i, -1] with h = -offsets_i per
+    cut.  ``minima`` solves each LP by the dual simplex method on a basis
+    of n + 1 rows B, kept with multipliers y >= 0 such that
+    e_t + G_B^T y = 0 (dual feasible) and with its vertex z = G_B^-1 h_B.  Each pivot solves two systems with G_B by
     ``numpy.linalg.solve`` (an LU each); no inverse is updated.  The first
     cut sets the basis in closed form; every later cut starts from the
     previous optimal basis, so a cut the vertex already satisfies costs
@@ -159,12 +198,14 @@ class CutModel:
     ``keep`` drops the points that left the batch.
     """
 
-    def __init__(self, points, n, box_radius):
+    def __init__(self, points, n, box_radius, max_cuts):
         self.box_radius = box_radius
         self.size = 0
         self._n_box = 2 * n
-        self._rows = np.zeros((points, 2 * n + CUT_BLOCK, n + 1))
-        self._rhs = np.empty((points, 2 * n + CUT_BLOCK))
+        self._max_rows = 2 * n + max_cuts
+        rows = 2 * n + min(CUT_BLOCK, max_cuts)
+        self._rows = np.zeros((points, rows, n + 1))
+        self._rhs = np.empty((points, rows))
         self._rows[:, :n, :n] = np.eye(n)
         self._rows[:, n:2 * n, :n] = -np.eye(n)
         self._rhs[:, :2 * n] = box_radius
@@ -186,11 +227,12 @@ class CutModel:
         rows of ``anchors`` and ``slopes`` and the entries of ``values``."""
         row = self._n_box + self.size
         if row == self._rhs.shape[1]:
-            # no room left: double the cut block, and copy the held rows in
+            # no room left: double the cut block, up to max_cuts cuts, and
+            # copy the held rows in
+            rows = min(2 * row - self._n_box, self._max_rows)
             grown = []
             for block in (self._rows, self._rhs, self._repeat):
-                grown.append(np.zeros((block.shape[0], 2 * row - self._n_box, *block.shape[2:]),
-                                      dtype=block.dtype))
+                grown.append(np.zeros((block.shape[0], rows, *block.shape[2:]), dtype=block.dtype))
                 grown[-1][:, :row] = block
             self._rows, self._rhs, self._repeat = grown
         self._rows[:, row, :-1] = slopes
@@ -245,12 +287,15 @@ class CutModel:
         The value is the objective of a dual feasible basis, sum_i mu_i
         offsets_i - box_radius |slopes^T mu|_1 with mu the cut
         multipliers, so it bounds the model minimum from below up to
-        round-off.  Raises NoConvergenceError, naming the cut count, when
-        there is no cut, when a basis is singular, when no basis row of a
-        point can leave (its LP would be infeasible) or after
-        ``LP_PIVOTS_PER_ROW`` pivots per basis row of one LP.  A row leaves
-        only where the direction exceeds ``LP_PIVOT_TOL`` of its largest
-        entry.
+        round-off.  A point whose basis comes back within one LP (a cycle
+        at a degenerate vertex; bases are recorded from its second pivot
+        on) picks its entering row by Bland's rule for the rest of that LP:
+        the lowest-index violated row.  Raises NoConvergenceError, naming
+        the cut count, when there is no cut, when a basis is singular, when
+        no basis row of a point can leave (its LP would be infeasible) or
+        after ``LP_PIVOTS_PER_ROW`` pivots per basis row of one LP.  A row
+        leaves only where the direction exceeds ``LP_PIVOT_TOL`` of its
+        largest entry.
         """
         size = self.size
         if size == 0:
@@ -261,6 +306,9 @@ class CutModel:
         basis, mult, vertex = self._basis, self._mult, self._vertex
         each = np.arange(basis.shape[0])[:, None]
         max_pivots = LP_PIVOTS_PER_ROW * basis.shape[1]
+        # the bases each point reached by its second pivot on, and whether
+        # one came back: that point cycles, and enters by Bland's rule
+        seen, bland = {}, np.zeros(basis.shape[0], dtype=bool)
         for pivots in range(max_pivots + 1):
             # every point's check in one product: a point that is done
             # shows the same excess again
@@ -278,6 +326,9 @@ class CutModel:
                 raise NoConvergenceError(
                     f"cut model LP ({size} cuts): no optimal basis after {max_pivots} pivots")
             entering = excess[pending].argmax(1)
+            if seen and bland.any():
+                late = bland[pending].nonzero()[0]
+                entering[late] = (excess[pending[late]] > LP_ROW_TOL).argmax(1)
             direction = _basis_solve(
                 size, rows[pending[:, None], basis[pending]].transpose(0, 2, 1),
                 rows[pending, entering])
@@ -294,6 +345,11 @@ class CutModel:
                 np.maximum(mu - step * d, 0.0, out=mu)
                 mu[leaving] = step
                 b[leaving] = row
+                if pivots:
+                    key = frozenset(b.tolist())
+                    bases = seen.setdefault(p, set())
+                    bland[p] |= key in bases
+                    bases.add(key)
             held = basis[pending]
             vertex[pending] = _basis_solve(size, rows[pending[:, None], held],
                                            rhs[pending[:, None], held])
@@ -353,12 +409,15 @@ def solve_batch(problems, max_iters: int):
     current iterate, append the cut, refresh the model minimum (lower
     bound) and best value seen (upper bound), then project the iterate onto
     the set {model <= LEVEL_MIX * upper + (1 - LEVEL_MIX) * lower} inside
-    the box.  Every projected iterate is kept in ``iterate_history``.  One
-    batched oracle call (``CertificateGrid.supremum``) and one
-    ``CutModel`` serve all running problems; each keeps its own cut rows,
-    LP basis, projection warm start and exit, and its arithmetic does not
-    depend on the others, so a problem's result is the same bit for bit in
-    any batch.  The returned states share no memory with the model.
+    the box.  Each state records the bounds and the projected iterate per
+    iteration (``BundleState``), its iterates in one block of at most
+    ``max_iters`` rows, and the model's cut block has room for at most
+    ``max_iters`` cuts.  One batched oracle call
+    (``CertificateGrid.supremum``) and one ``CutModel`` serve all running
+    problems; each keeps its own cut rows, LP basis, projection warm start
+    and exit, and its arithmetic does not depend on the others, so a
+    problem's result is the same bit for bit in any batch.  The returned
+    states share no memory with the model.
 
     A problem stops when its projected iterate equals the previous one bit
     for bit: the next oracle call would return the last cut again, so the
@@ -384,7 +443,7 @@ def solve_batch(problems, max_iters: int):
     cert_grid = CertificateGrid(grid, kernel)
     ys = np.array([problem.measurements.y for problem in problems])
     states = [BundleState(problem, np.zeros(m)) for problem in problems]
-    model = CutModel(len(problems), m, first.box_radius)
+    model = CutModel(len(problems), m, first.box_radius, max_iters)
     # the problem behind each point of the model, and its data
     running = list(range(len(problems)))
     for _ in range(max_iters):
@@ -400,16 +459,11 @@ def solve_batch(problems, max_iters: int):
             state.upper_bound = min(state.upper_bound, value)
             # the running max keeps the gap history monotone
             state.lower_bound = max(state.lower_bound, minimum)
-            level = LEVEL_MIX * state.upper_bound + (1.0 - LEVEL_MIX) * state.lower_bound
-            previous = state.iterate
-            state.iterate = model.project(point, level, previous)
-            state.upper_history.append(state.upper_bound)
-            state.lower_history.append(state.lower_bound)
-            state.level_history.append(level)
-            state.gap_history.append(state.upper_bound - state.lower_bound)
-            state.iterate_history.append(state.iterate)
-            if not np.array_equal(state.iterate, previous):
+            projected = model.project(point, _level(state.upper_bound, state.lower_bound),
+                                      state.iterate)
+            if not np.array_equal(projected, state.iterate):
                 going.append(point)
+            state._record(projected, max_iters)
         if len(going) < len(running):
             model.keep(going)
             ys = ys[going]

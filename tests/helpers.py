@@ -30,7 +30,7 @@ def cut_model(cuts, box_radius):
     """A ``CutModel`` holding ``cuts``, in order."""
     if not cuts:
         raise ValueError("model needs at least one cut")
-    model = CutModel(1, cuts[0].slope.size, box_radius)
+    model = CutModel(1, cuts[0].slope.size, box_radius, len(cuts))
     for cut in cuts:
         add_cut(model, cut)
     return model
@@ -61,7 +61,7 @@ def lp_minimum(offsets, slopes, box_radius):
     solved by a ``CutModel`` holding one row per piece.  With no pieces the
     LP is unbounded and ``CutModel.minima`` raises NoConvergenceError."""
     slopes = np.asarray(slopes, dtype=float)
-    model = CutModel(1, slopes.shape[1], box_radius)
+    model = CutModel(1, slopes.shape[1], box_radius, len(slopes))
     for offset, slope in zip(np.asarray(offsets, dtype=float), slopes):
         add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
     return model.minima()[0], lp_argmin(model)

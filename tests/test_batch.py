@@ -39,13 +39,44 @@ def assert_same_solve(batched, alone):
 class TestSolveBatch:
     def test_batch_of_three_matches_each_alone(self):
         # the clean problem stops at its fixed point after 98 iterations,
-        # while the two noisy ones run all 120 beside it
+        # while the two noisy ones run all the others beside it; neither
+        # cap is one that doubling from CUT_BLOCK lands on, so the blocks
+        # of cuts and iterates end at the cap
         problems = [build_problem(three_spike_config()), noisy_problem(2e-3, 0),
                     noisy_problem(0.06, 29)]
-        states = solve_batch(problems, 120)
-        assert [state.n_iterations for state in states] == [98, 120, 120]
-        for problem, state in zip(problems, states):
-            assert_same_solve(state, solve(problem, 120))
+        for iters in (100, 120):
+            states = solve_batch(problems, iters)
+            assert [state.n_iterations for state in states] == [98, iters, iters]
+            for problem, state in zip(problems, states):
+                assert_same_solve(state, solve(problem, iters))
+
+    def test_iterates_are_rows_of_one_block(self):
+        # each problem's history is a list of rows of one array of at most
+        # max_iters rows, and the final iterate is its newest row
+        problems = [build_problem(three_spike_config()), noisy_problem(2e-3, 0)]
+        for state in solve_batch(problems, 100):
+            rows = state.iterate_history
+            assert len(rows) == state.n_iterations
+            block = rows[0].base
+            assert block is not None and block.shape[0] <= 100
+            assert all(row.base is block for row in rows)
+            assert state.iterate.base is block
+            np.testing.assert_array_equal(state.iterate, rows[-1])
+
+    def test_cut_block_never_outgrows_the_iteration_count(self, monkeypatch):
+        # room for 64 cuts at first; a 100-iteration batch grows it to 100
+        # cuts, not to the 128 that doubling gives
+        rooms = []
+        add = solver.CutModel.add
+
+        def recording(model, anchors, values, slopes):
+            add(model, anchors, values, slopes)
+            rooms.append(model._rhs.shape[1] - 2 * slopes.shape[1])
+
+        monkeypatch.setattr(solver.CutModel, "add", recording)
+        states = solve_batch([noisy_problem(2e-3, 0), noisy_problem(0.06, 29)], 100)
+        assert [state.n_iterations for state in states] == [100, 100]
+        assert sorted(set(rooms)) == [solver.CUT_BLOCK, 100]
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(1e-6, 0.1), st.integers(0, 1000)),

@@ -464,7 +464,7 @@ class TestLpMin:
         # fourth piece repeats the second's plane, 0.96 higher, while the
         # second is a basis row: the minimum moves from -0.544259 to 0.411631
         offsets, slopes, box = data
-        model = CutModel(1, slopes.shape[1], box)
+        model = CutModel(1, slopes.shape[1], box, len(slopes))
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             add_cut(model, Cut(np.zeros(slope.size), float(offset), slope))
             value, argmin = model.minima()[0], lp_argmin(model)
@@ -487,7 +487,7 @@ class TestLpMin:
                            [2.3112210415221317, 0.0], [0.0, 6.6538212643136685],
                            [-0.1321437171546007, 0.15690672707852163], [0.0, -0.616271760907752]])
         box = 0.162027844180569
-        model = CutModel(1, 2, box)
+        model = CutModel(1, 2, box, len(slopes))
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             add_cut(model, Cut(np.zeros(2), float(offset), slope))
             value, argmin = model.minima()[0], lp_argmin(model)

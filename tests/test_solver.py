@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from conftest import five_spike_config, three_spike_config
 from dualspike import certificate, numerics, solver
 from dualspike.certificate import CertificateGrid
+from dualspike.config import parse_config
 from dualspike.errors import (DualSpikeError, InfeasibleError, LevelSetEmptyError,
                               NoConvergenceError)
 from dualspike.experiments import build_problem
@@ -199,7 +200,7 @@ class TestModelMinimum:
         # pivot, and no row's h changes once written
         offsets = [-0.73226735, -0.54425898, -0.31630016, 0.41163054, 1.04251337]
         slopes = [0.84129989, 0.0, 1.84272194, 0.0, -3.97229656]
-        model, minima, rhs = CutModel(1, 1, 1.0), [], []
+        model, minima, rhs = CutModel(1, 1, 1.0, len(offsets)), [], []
         for offset, slope in zip(offsets, slopes):
             add_cut(model, Cut(np.zeros(1), offset, np.array([slope])))
             rhs.append(model.level_set(0, 0.0)[1].copy())
@@ -229,9 +230,10 @@ class TestModelMinimum:
         rng = np.random.default_rng(30)
         cuts = random_cuts(rng, 5, 3)
         minima = [model_minimum(cuts[:k], 1.0) for k in range(1, 6)]
-        # room for two cuts: the arrays double twice on the way to five
+        # room for two cuts: the arrays double to four, then grow to the
+        # model's cap of five
         monkeypatch.setattr(solver, "CUT_BLOCK", 2)
-        model = CutModel(1, 3, 1.0)
+        model = CutModel(1, 3, 1.0, len(cuts))
         for k, cut in enumerate(cuts, start=1):
             add_cut(model, cut)
             assert model.size == k
@@ -250,7 +252,7 @@ class TestModelMinimum:
         checked = tight = 0
         for _, problem, state, _ in (bench3_run, bench5_run):
             box = problem.box_radius
-            model = CutModel(1, problem.measurements.grid.n_samples, box)
+            model = CutModel(1, problem.measurements.grid.n_samples, box, len(state.cuts))
             for k, cut in enumerate(state.cuts, start=1):
                 add_cut(model, cut)
                 value, argmin = model.minima()[0], lp_argmin(model)
@@ -277,7 +279,8 @@ class TestModelMinimum:
         runs.append((noisy, solve(noisy, max_iters=100).cuts))
         checked = 0
         for problem, cuts in runs:
-            model = CutModel(1, problem.measurements.grid.n_samples, problem.box_radius)
+            model = CutModel(1, problem.measurements.grid.n_samples, problem.box_radius,
+                             len(cuts))
             for k, cut in enumerate(cuts, start=1):
                 add_cut(model, cut)
                 value, argmin = model.minima()[0], lp_argmin(model)
@@ -305,7 +308,7 @@ class TestModelMinimum:
         # once from the first cut's basis reach the same minimum
         rng = np.random.default_rng(32)
         cuts = random_cuts(rng, 12, 4)
-        warm = CutModel(1, 4, 1.0)
+        warm = CutModel(1, 4, 1.0, len(cuts))
         for cut in cuts:
             add_cut(warm, cut)
             warm_value, warm_argmin = warm.minima()[0], lp_argmin(warm)
@@ -326,7 +329,7 @@ class TestModelMinimum:
     def test_singular_basis_raises_no_convergence(self):
         rng = np.random.default_rng(33)
         cuts = random_cuts(rng, 6, 3)
-        model = CutModel(1, 3, 1.0)
+        model = CutModel(1, 3, 1.0, len(cuts))
         for cut in cuts[:5]:
             add_cut(model, cut)
         value, argmin = model.minima()[0], lp_argmin(model)
@@ -335,6 +338,30 @@ class TestModelMinimum:
         add_cut(model, Cut(argmin, value + 1.0, cuts[5].slope))
         with pytest.raises(NoConvergenceError, match=r"6 cuts.*singular basis"):
             model.minima()
+
+    def test_cycling_lp_stops_by_blands_rule(self):
+        # the cuts of the one-source config below in the order its solve
+        # added them: the data plane, then one plane -pi + (pi phi(t) - y).lam
+        # per certificate maximizer t.  At the ninth cut the most violated
+        # row entering cycled through bases at a degenerate vertex until the
+        # pivot cap; a basis that comes back turns the LP to Bland's rule
+        cfg = parse_config("sources = 0.5\namplitudes = 1\nsigma = 0.3\nm = 31\n")
+        problem = build_problem(cfg)
+        maxima = [0.5, 0.8517261242631294, 0.17006039654598826, 0.7146607616956084,
+                  0.2992096405156984, 0.6425556367350818, 0.3672860234940728,
+                  0.597170789322532]
+        y, pi, box = problem.measurements.y, problem.penalty, problem.box_radius
+        phi = build_phi(problem.measurements.grid, problem.kernel, np.array(maxima))
+        slopes = np.vstack([-y, -y + pi * phi.T])
+        offsets = np.array([0.0] + [-pi] * len(maxima))
+        model = CutModel(1, y.size, box, len(offsets))
+        for offset, slope in zip(offsets, slopes):
+            add_cut(model, Cut(np.zeros(y.size), float(offset), slope))
+            value = model.minima()[0]
+        _, lower, upper = certified_cold_minimum(offsets, slopes, box)
+        assert lower - 1e-9 <= value <= upper + 1e-9
+        bound, _, scale = basis_bound(model, offsets, slopes)
+        assert abs(value - bound) <= 1e-14 * scale
 
 
 class TestProjectToLevel:

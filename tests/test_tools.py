@@ -65,3 +65,36 @@ def test_run_reports_exit_code_stdout_and_peak_rss():
     assert (code, stdout, big_code, big_stdout) == (3, "ok\n", 0, "")
     # the 60 MB bytearray, and not much more
     assert 50.0 < big - bare < 70.0
+
+
+def load_bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_summary(monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
+    metrics = [("wall_s", "s", "lower"), ("hits", "count", "higher")]
+    old = [{"wall_s": w, "hits": 5.0} for w in (2.0, 2.2, 2.4, 2.6, 2.8)]
+    # better, tied, worse, better, better; hits tie but in one pair
+    new = [{"wall_s": w, "hits": h} for w, h in
+           ((1.9, 5.0), (2.2, 5.0), (2.5, 6.0), (2.0, 5.0), (2.1, 5.0))]
+    assert bench_pairs.summary("abc123", metrics, old, new) == [
+        "wall_s (s, lower is better): median 2.4 [2.2, 2.6] at abc123, 2.1 [2, 2.2] in the "
+        "tree (-12.5%); the tree won 3 of 5 pairs",
+        "hits (count, higher is better): median 5 [5, 5] at abc123, 5 [5, 5] in the tree "
+        "(+0.0%); the tree won 1 of 5 pairs"]
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_pairs_bad_revision_is_named():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "nosuchrev",
+                           "noise3", "--pairs", "1", "--seed", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot read revision nosuchrev: ")
+    assert proc.stderr.count("\n") == 1
