@@ -1,7 +1,10 @@
 """Experiment drivers: the reference stage, the ratio experiments, the
 noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
-final iterate, and takes its stability constants from that report.  Every
+final iterate, and takes its stability constants from that report.  The
+reference stage keeps the clean solve's record in ``--out``
+(``reference.csv``), keyed by what the solve's bits depend on, so the next
+command into the same directory reads it instead of solving again.  Every
 driver writes deterministic artifacts (``write_csv``) and returns (the
 paths it wrote, its data); drivers read a solve's iterates and histories,
 never its cuts.  The noise sweep solves its points in lockstep
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .certificate import Certificate, dump_curve, refine_peaks, supremum
-from .config import ExperimentConfig
+from .config import ExperimentConfig, sha256
 from .errors import ConfigError, DualSpikeError
 from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
@@ -32,6 +35,8 @@ WINDOW_END = 270
 # dual errors below this relative floor cannot be resolved in double
 # precision once the trajectory has converged onto the reference iterate
 WINDOW_REL_FLOOR = 1e-9
+# the reference stage's record of its clean solve, in --out
+REFERENCE_FILE = "reference.csv"
 
 
 def _fmt(value):
@@ -121,26 +126,117 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     return paths, recovery
 
 
-def reference_run(cfg: ExperimentConfig, iterations):
+def _reference_key(problem: PenaltyProblem, iterations):
+    """16 hex digits of SHA-256 over what the reference solve's bits depend
+    on: the package's own sources (each ``*.py`` file in name order),
+    numpy's version, y, the samples, sigma, pi, tau and the iteration cap."""
+    digest = sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                source = fh.read()
+            digest.update(f"{name} {len(source)}\n".encode() + source)
+    measurements = problem.measurements
+    digest.update(f"numpy {np.__version__} m {measurements.y.size} "
+                  f"sigma {problem.kernel.sigma!r} pi {problem.penalty!r} "
+                  f"tau {problem.box_radius!r} iterations {iterations}\n".encode())
+    digest.update(measurements.y.tobytes() + measurements.grid.samples.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _reference_header(m):
+    return ",".join(["iter", "upper", "lower", *(f"lam_{j + 1}" for j in range(m))]) + "\n"
+
+
+def _load_reference(problem: PenaltyProblem, iterations, path, key):
+    """The solve that the record at ``path`` holds, rebuilt through
+    ``BundleState._record``, or None when the record does not hold one:
+    no file, another key or header, a row that is not m + 3 floats ending
+    in a newline, an iteration column other than 1, 2, ..., or a history
+    the solve could not have left (more than ``iterations`` rows, or a
+    last iterate that neither reaches the cap nor repeats the one before
+    it, the solve's stop)."""
+    m = problem.measurements.y.size
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            fh.readline()
+            if fh.readline() != f"# key={key}\n" or fh.readline() != _reference_header(m):
+                return None
+            rows = []
+            for line in fh:
+                if not line.endswith("\n"):
+                    return None
+                rows.append([float(v) for v in line.split(",")])
+    except (OSError, UnicodeDecodeError, ValueError):
+        return None
+    if not 0 < len(rows) <= iterations or any(len(row) != m + 3 for row in rows):
+        return None
+    table = np.array(rows)
+    before = table[-2, 3:] if len(rows) > 1 else np.zeros(m)
+    if (not np.array_equal(table[:, 0], np.arange(1, len(rows) + 1))
+            or not (len(rows) == iterations or np.array_equal(table[-1, 3:], before))):
+        return None
+    state = BundleState(problem, np.zeros(m))
+    for upper, lower, iterate in zip(table[:, 1].tolist(), table[:, 2].tolist(), table[:, 3:]):
+        state.upper_bound, state.lower_bound = upper, lower
+        state._record(iterate, iterations)
+    return state
+
+
+def _save_reference(cfg: ExperimentConfig, out_dir, state: BundleState, key):
+    """Write the record of ``state`` as ``REFERENCE_FILE`` in ``out_dir``
+    through a temporary file there and ``os.replace``, so a reader finds
+    the old record or the new one, never part of one.  Returns its path."""
+    def lines():
+        yield f"# key={key}\n"
+        yield _reference_header(state.iterate.size)
+        for k, (upper, lower, iterate) in enumerate(
+                zip(state.upper_history, state.lower_history, state.iterate_history), start=1):
+            yield f"{k},{upper!r},{lower!r},{','.join(map(repr, iterate.tolist()))}\n"
+    path = os.path.join(out_dir, REFERENCE_FILE)
+    temporary = _write(cfg, out_dir, f".{REFERENCE_FILE}.{os.getpid()}", lines())
+    os.replace(temporary, path)
+    return path
+
+
+def reference_run(cfg: ExperimentConfig, iterations, out_dir):
     """The reference stage of every experiment: the clean solve and the
     stability constants at its final iterate.
 
-    Returns (problem, state, report), with ``report`` from
+    Returns (paths, problem, state, report), with ``report`` from
     ``bounds.full_report``, the one place the constants the drivers compare
     against (location rates, amplitude rate, reduced-Jacobian sigma_min)
     are computed.  A solve that ran no iteration leaves the zero vector,
     not a reference: DualSpikeError (exit code 3) naming ``iterations``.
     So does a penalty too small for the data (``_check_penalty``).
+
+    The solve's record is ``REFERENCE_FILE`` in ``out_dir``: the comment
+    line, ``# key=`` and 16 hex digits of ``_reference_key``, the header
+    ``iter,upper,lower,lam_1,...,lam_m``, then per iteration the two bounds
+    and the projected iterate as ``repr`` floats, which read back bit for
+    bit.  A record with this problem's key rebuilds the state, and no
+    solve runs; any other file there (another key, a short, malformed or
+    wrong-width row, a history no solve ends with) is a miss, which solves
+    and replaces it.  Deleting
+    the record forces a fresh solve.  The penalty check and the report
+    run on both paths; only a solve that passes the check writes the
+    record, and ``paths`` lists it then and is empty on a hit.
     """
     problem = build_problem(cfg)
-    state = solve(problem, max_iters=iterations)
-    if state.n_iterations == 0:
-        raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
-                             f"(iterations = {iterations})")
+    key = _reference_key(problem, iterations)
+    state = _load_reference(problem, iterations, os.path.join(out_dir, REFERENCE_FILE), key)
+    solved = state is None
+    if solved:
+        state = solve(problem, max_iters=iterations)
+        if state.n_iterations == 0:
+            raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
+                                 f"(iterations = {iterations})")
     _check_penalty(problem, state)
+    paths = [_save_reference(cfg, out_dir, state, key)] if solved else []
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
                                 state.iterate, cfg.pi, cfg.tau)
-    return problem, state, report
+    return paths, problem, state, report
 
 
 def _constant(report: bounds.BoundsReport, name):
@@ -161,11 +257,12 @@ def window_threshold(state: BundleState):
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
-def reference_window(cfg: ExperimentConfig):
+def reference_window(cfg: ExperimentConfig, out_dir):
     """Reference stage of a ratio experiment and its iteration window.
 
-    Returns (problem, report, window): ``report`` is the reference run's
-    constants report, and ``window`` lists, for each iteration p from
+    Returns (paths, problem, report, window): ``paths`` and ``report`` are
+    the reference run's (the record it wrote, if any, and its constants
+    report), and ``window`` lists, for each iteration p from
     ``WINDOW_START`` to ``WINDOW_END``, the tuple (p, dual_err, in_window,
     peaks) of the p-th iterate against the final one, ``peaks`` its
     certificate refined from each source (NaN where that fails), the whole
@@ -176,21 +273,21 @@ def reference_window(cfg: ExperimentConfig):
     if iterations <= WINDOW_END:
         raise ConfigError(f"key 'iterations': must exceed the window end {WINDOW_END}, "
                           f"got {iterations}")
-    problem, state, report = reference_run(cfg, iterations)
+    paths, problem, state, report = reference_run(cfg, iterations, out_dir)
     threshold = window_threshold(state)
     best = state.iterate
     iterates = np.reshape(state.iterate_history[WINDOW_START - 1:WINDOW_END], (-1, best.size))
     peaks, _, _ = refine_peaks(problem.kernel, problem.measurements.grid.samples, iterates,
                                cfg.source_model().locations)
     errors = [float(np.linalg.norm(iterate - best)) for iterate in iterates]
-    return problem, report, [(p, err, int(err >= threshold), row) for p, err, row in
-                             zip(range(WINDOW_START, WINDOW_END + 1), errors, peaks)]
+    return paths, problem, report, [(p, err, int(err >= threshold), row) for p, err, row in
+                                    zip(range(WINDOW_START, WINDOW_END + 1), errors, peaks)]
 
 
 def run_lambda_t(cfg: ExperimentConfig, out_dir):
     """Location error against dual error across the iteration window, next
     to the reference report's per-source ``location_rates``."""
-    _, report, window = reference_window(cfg)
+    paths, _, report, window = reference_window(cfg, out_dir)
     rates = _constant(report, "location_rates")
     src = cfg.source_model()
     rows = []
@@ -204,15 +301,15 @@ def run_lambda_t(cfg: ExperimentConfig, out_dir):
             ratio = loc_err / dual_err if dual_err > 0 else None
             rows.append((p, i + 1, loc_err, dual_err, ratio, rates[i],
                          2.0 * rates[i], in_window if ratio is not None else 0, ""))
-    return [write_csv(cfg, out_dir, "exp_lambda_t.csv",
-                      ["iter", "source", "loc_err", "dual_err", "ratio",
-                       "loc_rate", "two_loc_rate", "in_window", "note"], rows)], rows
+    return [*paths, write_csv(cfg, out_dir, "exp_lambda_t.csv",
+                              ["iter", "source", "loc_err", "dual_err", "ratio",
+                               "loc_rate", "two_loc_rate", "in_window", "note"], rows)], rows
 
 
 def run_t_a(cfg: ExperimentConfig, out_dir):
     """Amplitude error against location error across the iteration window,
     next to the reference report's ``amp_rate_log10``."""
-    problem, report, window = reference_window(cfg)
+    paths, problem, report, window = reference_window(cfg, out_dir)
     amp_log10 = _constant(report, "amp_rate_log10")
     src = cfg.source_model()
     grid, y = problem.measurements.grid, problem.measurements.y
@@ -228,9 +325,9 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
         result = recover_amplitudes(grid, problem.kernel, peaks, y)
         amp_err = float(np.linalg.norm(result.amplitudes - src.amplitudes))
         rows.append((p, amp_err, loc_err, amp_err / loc_err, amp_log10, in_window, ""))
-    return [write_csv(cfg, out_dir, "exp_t_a.csv",
-                      ["iter", "amp_err", "loc_err", "ratio", "amp_rate_log10",
-                       "in_window", "note"], rows)], rows
+    return [*paths, write_csv(cfg, out_dir, "exp_t_a.csv",
+                              ["iter", "amp_err", "loc_err", "ratio", "amp_rate_log10",
+                               "in_window", "note"], rows)], rows
 
 
 def _noise_chunk(args):
@@ -265,7 +362,7 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
         raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
     iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
     grid_vals = noise_grid()
-    _, state, report = reference_run(cfg, iters)
+    paths, _, state, report = reference_run(cfg, iters, out_dir)
     smallest = _constant(report, "sigma_min_jacobian")
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
     selected = report.selected_samples
@@ -298,17 +395,17 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
             dual_full / w_full if w_full > 0 else None,
             (loc_err / w_full) if (loc_err is not None and w_full > 0) else None,
             note))
-    return [write_csv(cfg, out_dir, "exp_noise.csv",
-                      ["w_c", "noise_norm_sel", "dual_err_sel", "ratio_sel",
-                       "noise_rate", "loc_err", "noise_norm_full", "dual_err_full",
-                       "ratio_full", "loc_ratio", "note"], rows)], rows
+    return [*paths, write_csv(cfg, out_dir, "exp_noise.csv",
+                              ["w_c", "noise_norm_sel", "dual_err_sel", "ratio_sel",
+                               "noise_rate", "loc_err", "noise_norm_full", "dual_err_full",
+                               "ratio_full", "loc_ratio", "note"], rows)], rows
 
 
 def run_bounds(cfg: ExperimentConfig, out_dir):
     """The reference stage's constants report, as text and as a one-row CSV.
     Returns (paths, report)."""
-    _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS))
+    paths, _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS), out_dir)
     items = report._scalar_items()
-    return [_write(cfg, out_dir, "bounds_report.txt", [report.to_text()]),
+    return [*paths, _write(cfg, out_dir, "bounds_report.txt", [report.to_text()]),
             write_csv(cfg, out_dir, "bounds_report.csv", [name for name, _ in items],
                       [[v for _, v in items]])], report

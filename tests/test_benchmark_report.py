@@ -134,7 +134,7 @@ class TestNoiseSweepEdges:
         monkeypatch.setattr(experiments, "noise_grid",
                             lambda: np.array([2e-6, 4e-4, 0.001, 0.006, 0.02]))
         cfg = three_spike_config(iterations=100)
-        (path_serial,), _ = run_noise(cfg, tmp_path / "serial", jobs=1)
-        (path_par,), _ = run_noise(cfg, tmp_path / "par", jobs=2)
+        (_, path_serial), _ = run_noise(cfg, tmp_path / "serial", jobs=1)
+        (_, path_par), _ = run_noise(cfg, tmp_path / "par", jobs=2)
         with open(path_serial, "rb") as a, open(path_par, "rb") as b:
             assert a.read() == b.read()

@@ -316,10 +316,10 @@ class TestRefinementStops:
         monkeypatch.setattr(certificate, "newton_on_slope", recording)
         return converged
 
-    def test_three_spike_reference_solve(self, outcomes):
+    def test_three_spike_reference_solve(self, outcomes, tmp_path):
         cfg = three_spike_config()
         # the reference stage refines the final certificate's peaks for its report
-        _, state, report = reference_run(cfg, 500)
+        _, _, state, report = reference_run(cfg, 500, tmp_path)
         assert report.refined_peaks is not None
         assert len(outcomes) >= state.n_iterations
         assert all(outcomes)

@@ -3,12 +3,14 @@ the same number must appear in every artifact that carries it."""
 
 import csv
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from conftest import three_spike_config
 from dualspike import bounds, certificate, experiments
+from dualspike.errors import DualSpikeError
 from dualspike.model import uniform_noise
 from dualspike.solver import solve
 
@@ -25,8 +27,10 @@ def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("three_spike")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
-        (noise_path,), _ = experiments.run_noise(cfg, out)
-    (lambda_t_path,), _ = experiments.run_lambda_t(cfg, out)
+        # the sweep's 100-iteration reference writes the record, the ratio
+        # experiments' 500-iteration one replaces it, and the rest read it
+        (_, noise_path), _ = experiments.run_noise(cfg, out)
+    (_, lambda_t_path), _ = experiments.run_lambda_t(cfg, out)
     (t_a_path,), _ = experiments.run_t_a(cfg, out)
     (_, report_path), _ = experiments.run_bounds(cfg, out)
     (report,) = read_rows(report_path)
@@ -168,3 +172,112 @@ class TestRefinementWork:
         monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-4, 2e-3]))
         experiments.run_noise(three_spike_config(iterations=100), tmp_path, jobs=1)
         assert refinement_calls == [3, 9]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The reference solves run from here on, counted through a wrapper of
+    the ``solve`` the drivers call."""
+    calls = []
+
+    def counting_solve(problem, max_iters):
+        calls.append(max_iters)
+        return solve(problem, max_iters)
+
+    monkeypatch.setattr(experiments, "solve", counting_solve)
+    return calls
+
+
+def files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestReferenceRecord:
+    """The reference stage writes its solve's record into the output
+    directory, and the next command there reads it instead of solving."""
+
+    ITERS = 300
+
+    @pytest.fixture
+    def cfg(self, monkeypatch):
+        monkeypatch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
+        return three_spike_config(iterations=self.ITERS)
+
+    def test_shared_directory_writes_the_same_bytes(self, cfg, solve_calls, tmp_path):
+        drivers = (experiments.run_lambda_t, experiments.run_t_a, experiments.run_bounds,
+                   experiments.run_noise)
+        alone = {}
+        for driver in drivers:
+            driver(cfg, tmp_path / driver.__name__)
+            alone.update(files(tmp_path / driver.__name__))
+        assert solve_calls == [self.ITERS] * len(drivers)
+        solve_calls.clear()
+        printed = []
+        for driver in drivers:
+            paths, _ = driver(cfg, tmp_path / "shared")
+            printed.append([os.path.basename(path) for path in paths])
+        # the first command solves and lists the record; the others read it
+        assert solve_calls == [self.ITERS]
+        assert printed[0][0] == experiments.REFERENCE_FILE
+        assert all(experiments.REFERENCE_FILE not in names for names in printed[1:])
+        assert files(tmp_path / "shared") == alone
+
+    def test_loaded_state_is_the_solved_one(self, cfg, solve_calls, tmp_path):
+        _, _, solved, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
+        _, _, loaded, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
+        assert solve_calls == [self.ITERS]
+        for name in ("upper_history", "lower_history", "gap_history", "level_history"):
+            assert (np.array(getattr(loaded, name)).tobytes()
+                    == np.array(getattr(solved, name)).tobytes()), name
+        assert (loaded.upper_bound, loaded.lower_bound) == (solved.upper_bound,
+                                                            solved.lower_bound)
+        assert (np.array(loaded.iterate_history).tobytes()
+                == np.array(solved.iterate_history).tobytes())
+        assert loaded.iterate.tobytes() == solved.iterate.tobytes()
+        assert len(loaded.cuts) == len(solved.cuts) == solved.n_iterations
+        for ours, theirs in zip(loaded.cuts, solved.cuts):
+            assert ours.anchor.tobytes() == theirs.anchor.tobytes()
+            assert ours.slope.tobytes() == theirs.slope.tobytes()
+            assert np.float64(ours.value).tobytes() == np.float64(theirs.value).tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"tau": 1e4}, {"pi": 50.0}, {"iterations": ITERS + 1},
+        {"samples": np.linspace(0.0, 1.0, 22)}])
+    def test_another_problem_misses(self, cfg, solve_calls, tmp_path, change):
+        experiments.reference_run(cfg, self.ITERS, tmp_path / "first")
+        other = dataclasses.replace(cfg, **change)
+        experiments.reference_run(other, other.iterations, tmp_path / "alone")
+        paths, *_ = experiments.reference_run(other, other.iterations, tmp_path / "first")
+        assert len(solve_calls) == 3
+        assert [os.path.basename(path) for path in paths] == [experiments.REFERENCE_FILE]
+        assert files(tmp_path / "first") == files(tmp_path / "alone")
+
+    @pytest.mark.parametrize("edit", [
+        # a changed package source changes the key
+        lambda lines: [lines[0], "# key=0123456789abcdef\n", *lines[2:]],
+        # a truncated last row: its last field still reads as a float
+        lambda lines: [*lines[:-1], lines[-1][:-4]],
+        # a dropped last row: the history does not end where a solve stops
+        lambda lines: lines[:-1],
+        lambda lines: [*lines[:10], lines[10].rpartition(",")[0] + "\n", *lines[11:]],
+        lambda lines: [*lines[:10], lines[10].replace(",", ",x", 1), *lines[11:]],
+        lambda lines: [*lines[:10], *lines[11:]],
+        lambda lines: lines[:3],
+        lambda lines: [],
+    ], ids=["key", "truncated-row", "dropped-row", "short-row", "non-float", "missing-row",
+            "no-rows", "empty"])
+    def test_a_damaged_record_misses(self, cfg, solve_calls, tmp_path, edit):
+        experiments.reference_run(cfg, self.ITERS, tmp_path)
+        record = tmp_path / experiments.REFERENCE_FILE
+        written = record.read_bytes()
+        record.write_text("".join(edit(record.read_text().splitlines(keepends=True))))
+        paths, *_ = experiments.reference_run(cfg, self.ITERS, tmp_path)
+        assert solve_calls == [self.ITERS] * 2
+        assert paths == [str(record)] and record.read_bytes() == written
+        assert [path.name for path in tmp_path.iterdir()] == [experiments.REFERENCE_FILE]
+
+    def test_zero_iterations_write_no_record(self, cfg, tmp_path):
+        cfg = dataclasses.replace(cfg, iterations=0)
+        with pytest.raises(DualSpikeError, match="key 'iterations'"):
+            experiments.reference_run(cfg, 0, tmp_path)
+        assert not any(tmp_path.iterdir())

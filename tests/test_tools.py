@@ -44,9 +44,9 @@ def test_package_from_outside_the_tree(tmp_path, capsys):
 def test_peak_rss_is_the_largest_over_the_seeds():
     same_outputs = load_same_outputs()
     commands = [args[0] for _, args in same_outputs.COMMANDS]
-    old = {(command, seed): (0, "", {}, 30.0 + k + seed / 8)
+    old = {(command, seed): (0, "", {}, 30.0 + k + seed / 8, 15.0)
            for k, command in enumerate(commands) for seed in same_outputs.SEEDS}
-    new = {key: (0, "", {}, rss - 1.0) for key, (*_, rss) in old.items()}
+    new = {key: (0, "", {}, rss - 1.0, own) for key, (*_, rss, own) in old.items()}
     top = 30.0 + max(same_outputs.SEEDS) / 8
     assert same_outputs.peak_rss("abc123", old, new) == [
         f"{command}: peak RSS {top + k:.2f} MB at abc123, {top + k - 1.0:.2f} MB in the tree"
@@ -61,10 +61,87 @@ def test_run_reports_exit_code_stdout_and_peak_rss():
     children = ["import sys; print('ok'); sys.exit(3)", "b = bytearray(60 << 20)"]
     proc = subprocess.run([sys.executable, "-c", probe, str(SCRIPT), *children], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
-    (code, stdout, bare), (big_code, big_stdout, big) = ast.literal_eval(proc.stdout)
+    (code, stdout, bare, _), (big_code, big_stdout, big, _) = ast.literal_eval(proc.stdout)
     assert (code, stdout, big_code, big_stdout) == (3, "ok\n", 0, "")
     # the 60 MB bytearray, and not much more
     assert 50.0 < big - bare < 70.0
+
+
+def test_peak_rss_below_the_spawners_is_unresolved():
+    # a parent holding 80 MB spawns an empty child, whose reading is the
+    # parent's peak, not its own; a 120 MB child reads its own
+    probe = ("import runpy, sys; run = runpy.run_path(sys.argv[1])['run']; "
+             "held = bytearray(80 << 20); "
+             "print([run([sys.executable, '-c', child]) for child in sys.argv[2:]])")
+    children = ["pass", "b = bytearray(120 << 20)"]
+    proc = subprocess.run([sys.executable, "-c", probe, str(SCRIPT), *children], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    (_, _, empty, own), (_, _, big, big_own) = ast.literal_eval(proc.stdout)
+    assert own > 80.0 and empty <= own
+    assert big > big_own
+    same_outputs = load_same_outputs()
+    commands = [args[0] for _, args in same_outputs.COMMANDS]
+    old = {(command, seed): (0, "", {}, empty, own) for command in commands
+           for seed in same_outputs.SEEDS}
+    new = {(command, seed): (0, "", {}, big if seed == 1 else empty, own)
+           for command in commands for seed in same_outputs.SEEDS}
+    assert same_outputs.peak_rss("abc123", old, new) == [
+        f"{command}: peak RSS <= {empty:.2f} MB at abc123, {big:.2f} MB in the tree"
+        for command in commands]
+
+
+STUB_CLI = """\
+import sys
+from pathlib import Path
+
+args = sys.argv[1:]
+out = Path(args[args.index("--out") + 1])
+out.mkdir(parents=True, exist_ok=True)
+with open(out / "order.txt", "a") as fh:
+    fh.write(args[0] + "\\n")
+written = [out / f"{args[0]}.txt"]
+written[0].write_text(args[args.index("--seed") + 1])
+if RECORD and args[0] == "exp-lambda-t":
+    written.insert(0, out / "reference.csv")
+    written[0].write_text("record")
+for path in written:
+    print(path)
+"""
+
+
+def stub_tree(root, record):
+    """A tree whose dualspike.cli writes one file per command into --out,
+    logs the commands run there, and, with ``record``, writes
+    reference.csv from exp-lambda-t."""
+    package = root / "src" / "dualspike"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(f"RECORD = {record}\n{STUB_CLI}")
+    return root
+
+
+def test_shared_directory_pass(tmp_path):
+    same_outputs = load_same_outputs()
+    old = same_outputs.run_all(stub_tree(tmp_path / "old", False), tmp_path / "out-old")
+    new = same_outputs.run_all(stub_tree(tmp_path / "new", True), tmp_path / "out-new")
+    seeds = same_outputs.SEEDS
+    shared = ["exp-lambda-t", "exp-t-a", "bounds", "exp-noise"]
+    assert set(new) == {(args[0], seed) for _, args in same_outputs.COMMANDS for seed in seeds} | {
+        (f"shared {command}", seed) for command in shared for seed in seeds}
+    for seed in seeds:
+        # one directory: every command's file, in the pass's order
+        files = new["shared exp-noise", seed][2]
+        assert files["order.txt"] == "".join(f"{c}\n" for c in shared).encode()
+        assert {f"{c}.txt" for c in shared} < files.keys()
+        assert all(not new[f"shared {c}", seed][2] for c in shared[:-1])
+        assert new["shared exp-t-a", seed][1] == "exp-t-a.txt\n"
+    assert same_outputs.differences("abc123", old, new) == [
+        line for seed in seeds for line in (
+            f"exp-lambda-t seed {seed}: stdout differs",
+            f"exp-lambda-t seed {seed}: reference.csv written only in the tree")] + [
+        line for seed in seeds for line in (
+            f"shared exp-lambda-t seed {seed}: stdout differs",
+            f"shared exp-noise seed {seed}: reference.csv written only in the tree")]
 
 
 def load_bench_pairs(monkeypatch):
@@ -88,6 +165,29 @@ def test_pairs_summary(monkeypatch):
         "hits (count, higher is better): median 5 [5, 5] at abc123, 5 [5, 5] in the tree "
         "(+0.0%); the tree won 1 of 5 pairs"]
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_pairs_verdicts(monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
+    metrics = [("wall_s", "s", "lower"), ("rows", "count", "higher"),
+               ("cpu_s", "s", "lower"), ("rss", "MB", "lower")]
+    # the parent's quartiles are 1.225, 1.45 and 1.675: an IQR of 0.45
+    parent = [1.0 + k / 10 for k in range(10)]
+    old = [{"wall_s": v, "rows": -v, "cpu_s": v, "rss": v} for v in parent]
+    new = [{"wall_s": 0.9, "rows": 0.0, "cpu_s": v - 1.0, "rss": v - 0.1} for v in parent]
+    # wall_s: pair 1 ties, 9 of 10 won, median gain 0.55; rows: all won
+    new[0]["wall_s"] = 1.0
+    # cpu_s: a large gain, but 8 of 10 won; rss: all won, by less than the IQR
+    new[0]["cpu_s"], new[1]["cpu_s"] = 2.0, 2.1
+    assert bench_pairs.verdicts(metrics, old, new) == [
+        "wall_s: claim met (won 9 of 10 pairs, median gain 0.55 against a parent "
+        "interquartile range of 0.45)",
+        "rows: claim met (won 10 of 10 pairs, median gain 1.45 against a parent "
+        "interquartile range of 0.45)",
+        "cpu_s: not met (won 8 of 10 pairs, median gain 0.8 against a parent "
+        "interquartile range of 0.45)",
+        "rss: not met (won 10 of 10 pairs, median gain 0.1 against a parent "
+        "interquartile range of 0.45)"]
 
 
 def test_pairs_bad_revision_is_named():

@@ -10,7 +10,10 @@ in N pairs; the side that runs first alternates from pair to pair.  Each
 side runs its own ``perfbench/`` on its own ``src/``.  For each end-to-end
 metric named in the tree's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles and in how many pairs the tree did better (ties
-count for neither side).  Exits 0 when every run reported 0 failed
+count for neither side), then a verdict per metric: "claim met" when the
+tree did better in at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's interquartile range, else "not met".
+Exits 0 when every run reported 0 failed
 operations, 1 when a run failed or failed operations, and 2 with one line
 when REV cannot be read.  Standard library only.
 """
@@ -48,6 +51,19 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+# a claimed gain: the tree does better in at least this share of the pairs
+CLAIM_WINS = 0.9
+
+
+def compare(before, after, better):
+    """(pairs the tree won, the parent's quartiles, the tree's quartiles);
+    pair k is (before[k], after[k]) and ``better`` is "lower" or
+    "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (b - a) > 0.0 for a, b in zip(after, before))
+    return won, quartiles(before), quartiles(after)
+
+
 def summary(rev, metrics, old, new):
     """One line per metric: both sides' quartiles and the pairs the tree
     won.  ``metrics`` is a list of (name, unit, better), ``better`` being
@@ -55,15 +71,29 @@ def summary(rev, metrics, old, new):
     run, pair k being (old[k], new[k])."""
     lines = []
     for name, unit, better in metrics:
-        before = [run[name] for run in old]
-        after = [run[name] for run in new]
-        sign = 1.0 if better == "lower" else -1.0
-        won = sum(sign * (b - a) > 0.0 for a, b in zip(after, before))
-        (b1, b2, b3), (a1, a2, a3) = quartiles(before), quartiles(after)
+        won, (b1, b2, b3), (a1, a2, a3) = compare([run[name] for run in old],
+                                                  [run[name] for run in new], better)
         change = f"{(a2 - b2) / b2:+.1%}" if b2 else "n/a"
         lines.append(f"{name} ({unit}, {better} is better): median {b2:.4g} [{b1:.4g}, {b3:.4g}]"
                      f" at {rev}, {a2:.4g} [{a1:.4g}, {a3:.4g}] in the tree ({change}); "
-                     f"the tree won {won} of {len(before)} pairs")
+                     f"the tree won {won} of {len(old)} pairs")
+    return lines
+
+
+def verdicts(metrics, old, new):
+    """One line per metric, as ``summary`` takes them: "claim met" when the
+    tree won at least ``CLAIM_WINS`` of the pairs and its median is better
+    than the parent's by more than the parent's interquartile range, else
+    "not met"."""
+    lines = []
+    for name, _, better in metrics:
+        won, (b1, b2, b3), (_, a2, _) = compare([run[name] for run in old],
+                                                [run[name] for run in new], better)
+        gain = (b2 - a2) if better == "lower" else (a2 - b2)
+        met = won >= CLAIM_WINS * len(old) and gain > b3 - b1
+        lines.append(f"{name}: {'claim met' if met else 'not met'} (won {won} of {len(old)} "
+                     f"pairs, median gain {gain:.4g} against a parent interquartile range "
+                     f"of {b3 - b1:.4g})")
     return lines
 
 
@@ -93,7 +123,7 @@ def main(argv=None):
                             for name, _, _ in metrics})
             print(f"pair {k + 1} of {args.pairs} done", file=sys.stderr)
     if old:
-        for line in summary(args.rev, metrics, old, new):
+        for line in summary(args.rev, metrics, old, new) + verdicts(metrics, old, new):
             print(line)
     print(f"{args.workload}, seed {args.seed}: {len(old)} complete pairs, {failed} runs failed "
           f"or failed operations")

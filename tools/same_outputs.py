@@ -7,19 +7,26 @@ Extracts ``git archive REV`` into a temporary directory, then runs the five
 benchmark commands from that copy's source and from the working tree's, at
 seeds 0, 1 and 2 with one BLAS thread: ``solve --iters 1000`` on
 five-spike, and ``exp-noise --iters 100 --jobs 1``, ``exp-lambda-t``,
-``exp-t-a`` and ``bounds`` on three-spike.  Each side uses its own
-``configs/``.  Every artifact is compared byte for byte, and each command's
-exit code and stdout, with its output directory stripped.  One line per
-command gives its largest peak RSS over the seeds on each side (from
-``os.wait4``), ahead of the comparison's result.  Exits 0 when
-everything matches, 1 naming each difference, and 2 with one line when
-the comparison cannot be made: REV names no revision, or a side's
+``exp-t-a`` and ``bounds`` on three-spike, each command into its own
+directory.  A shared-directory pass then runs ``exp-lambda-t``,
+``exp-t-a``, ``bounds`` and ``exp-noise``, in that order, into one
+directory per seed, as a user who keeps one ``--out`` does; its artifacts
+are compared once, after its last command, and reported under it.  Each
+side uses its own ``configs/``.  Every artifact is compared byte for byte,
+and each command's exit code and stdout, with its output directory
+stripped.  One line per command gives its largest peak RSS over the seeds
+on each side (from ``os.wait4``), ahead of the comparison's result; a
+reading no larger than this process's own peak, which the child's reading
+includes, shows as ``<= X MB``.  Exits 0 when everything
+matches, 1 naming each difference, and 2 with one line when the
+comparison cannot be made: REV names no revision, or a side's
 ``dualspike`` does not import from its own tree.  Standard library only.
 """
 
 import argparse
 import io
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -33,6 +40,9 @@ COMMANDS = (("configs/five_spikes.cfg", ("solve", "--iters", "1000")),
             ("configs/three_spikes.cfg", ("exp-t-a",)),
             ("configs/three_spikes.cfg", ("bounds",)))
 SEEDS = (0, 1, 2)
+# the shared-directory pass: these commands, in this order, into one directory
+SHARED = tuple(next(command for command in COMMANDS if command[1][0] == name)
+               for name in ("exp-lambda-t", "exp-t-a", "bounds", "exp-noise"))
 
 
 def fail(message):
@@ -54,22 +64,48 @@ def extract(rev, dest):
             tar.extractall(dest)
 
 
+def own_peak():
+    """This process's peak RSS in MB as a child spawned now inherits it: the
+    high-water mark of its memory (``VmHWM``).  ``RUSAGE_SELF`` can read
+    more, a peak inherited at this process's own spawn, and stands in where
+    /proc is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run(args, **kwargs):
-    """Run ``args`` to its end: (exit code, stdout, peak RSS in MB).  The
-    peak counts this process's own RSS at the spawn too, which stays below
-    a ``dualspike`` command's."""
+    """Run ``args`` to its end: (exit code, stdout, peak RSS in MB, this
+    process's own peak RSS in MB).  The child's peak counts the second,
+    which is read once the child is done (a high-water mark only grows, so
+    it bounds the one at the spawn), and is the child's own only when
+    larger."""
     with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
                           **kwargs) as proc:
         stdout = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0, own_peak()
+
+
+def artifacts(out):
+    """{path under ``out``: bytes} of every file there."""
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 def run_all(tree, out_root):
-    """Run every command at every seed with ``tree``'s source: a dict from
-    (command, seed) to (exit code, stdout, {artifact path: bytes}, peak RSS
-    in MB)."""
+    """Run every command at every seed with ``tree``'s source, each into its
+    own directory, then the shared-directory pass: a dict from (command,
+    seed), or ("shared " + command, seed), to (exit code, stdout,
+    {artifact path: bytes}, peak RSS in MB, this process's peak RSS in
+    MB).  A shared command's artifacts are the directory's after
+    it, for the pass's last command, and none for the others."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     where = subprocess.run([sys.executable, "-c", "import dualspike; print(dualspike.__file__)"],
                            cwd=tree, env=env, capture_output=True, text=True)
@@ -78,36 +114,45 @@ def run_all(tree, out_root):
         fail(f"dualspike does not import from {tree}: {error}")
     if not Path(where.stdout.strip()).resolve().is_relative_to(tree.resolve()):
         fail(f"dualspike imported from {where.stdout.strip()}, not from {tree}")
+
+    def command(config, args, out, seed):
+        code, stdout, rss, own = run([sys.executable, "-m", "dualspike.cli", *args, "--config",
+                                      config, "--out", str(out), "--seed", str(seed)],
+                                     cwd=tree, env=env)
+        return code, stdout.replace(str(out) + os.sep, "").replace(str(out), ""), rss, own
+
     results = {}
     for config, args in COMMANDS:
         for seed in SEEDS:
             out = out_root / f"{args[0]}-seed{seed}"
-            code, stdout, rss = run([sys.executable, "-m", "dualspike.cli", *args, "--config",
-                                     config, "--out", str(out), "--seed", str(seed)],
-                                    cwd=tree, env=env)
-            artifacts = {path.relative_to(out).as_posix(): path.read_bytes()
-                         for path in sorted(out.rglob("*")) if path.is_file()}
-            stdout = stdout.replace(str(out) + os.sep, "").replace(str(out), "")
-            results[args[0], seed] = code, stdout, artifacts, rss
+            code, stdout, rss, own = command(config, args, out, seed)
+            results[args[0], seed] = code, stdout, artifacts(out), rss, own
+    for seed in SEEDS:
+        out = out_root / f"shared-seed{seed}"
+        for k, (config, args) in enumerate(SHARED, start=1):
+            code, stdout, rss, own = command(config, args, out, seed)
+            files = artifacts(out) if k == len(SHARED) else {}
+            results[f"shared {args[0]}", seed] = code, stdout, files, rss, own
     return results
 
 
 def peak_rss(rev, old, new):
     """One line per command: its largest peak RSS over the seeds, at
-    ``rev`` and in the tree."""
-    lines = []
-    for _, (command, *_) in COMMANDS:
-        old_mb = max(old[command, seed][3] for seed in SEEDS)
-        new_mb = max(new[command, seed][3] for seed in SEEDS)
-        lines.append(f"{command}: peak RSS {old_mb:.2f} MB at {rev}, {new_mb:.2f} MB in the tree")
-    return lines
+    ``rev`` and in the tree, as ``<= X MB`` when that reading did not
+    exceed this process's own peak."""
+    def largest(results, command):
+        rss, own = max(results[command, seed][3:] for seed in SEEDS)
+        return f"{rss:.2f} MB" if rss > own else f"<= {rss:.2f} MB"
+
+    return [f"{command}: peak RSS {largest(old, command)} at {rev}, "
+            f"{largest(new, command)} in the tree" for _, (command, *_) in COMMANDS]
 
 
 def differences(rev, old, new):
     """One line per exit code, stdout or artifact that differs."""
     found = []
-    for (command, seed), (old_code, old_out, old_files, _) in old.items():
-        new_code, new_out, new_files, _ = new[command, seed]
+    for (command, seed), (old_code, old_out, old_files, *_) in old.items():
+        new_code, new_out, new_files, *_ = new[command, seed]
         label = f"{command} seed {seed}"
         if old_code != new_code:
             found.append(f"{label}: exit code {old_code} at {rev}, {new_code} in the tree")
@@ -140,9 +185,9 @@ def main(argv=None):
         print(line)
     if found:
         return 1
-    artifacts = sum(len(files) for _, _, files, _ in new.values())
-    print(f"identical: {artifacts} artifacts and {len(new)} stdouts of {len(COMMANDS)} "
-          f"commands at seeds {', '.join(map(str, SEEDS))}")
+    written = sum(len(files) for _, _, files, *_ in new.values())
+    print(f"identical: {written} artifacts and {len(new)} stdouts of {len(COMMANDS)} "
+          f"commands and the shared-directory pass at seeds {', '.join(map(str, SEEDS))}")
     return 0
 
 
