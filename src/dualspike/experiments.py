@@ -2,12 +2,13 @@
 noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
 final iterate, and takes its stability constants from that report.  The
-reference stage keeps the clean solve's record in ``--out``
+reference stage keeps the clean solve's iterates in ``--out``
 (``reference.csv``), keyed by what the solve's bits depend on, so the next
-command into the same directory reads it instead of solving again.  Every
-driver writes deterministic artifacts (``write_csv``) and returns (the
-paths it wrote, its data); drivers read a solve's iterates and histories,
-never its cuts.  The noise sweep solves its points in lockstep
+command into the same directory reads them instead of solving again.
+Every driver writes deterministic artifacts (``write_csv``) and returns
+(the paths it wrote, its data); the reference drivers read only the
+reference solve's iterates, ``run_solve`` its bound histories too, and no
+driver reads a solve's cuts.  The noise sweep solves its points in lockstep
 (``solver.solve_batch``), one batch per worker process, each on a
 contiguous chunk of points; the reference solves go through ``solve``.
 Each driver refines its certificates in one lockstep call
@@ -25,7 +26,7 @@ from .config import ExperimentConfig, sha256
 from .errors import ConfigError, DualSpikeError
 from .model import noise_grid, synthesize, uniform_noise
 from .recovery import recover, recover_amplitudes
-from .solver import BundleState, PenaltyProblem, solve, solve_batch
+from .solver import PenaltyProblem, solve, solve_batch
 
 DEFAULT_ITERS = 500
 DEFAULT_NOISE_ITERS = 100
@@ -90,14 +91,14 @@ def _certificate(problem: PenaltyProblem, weights) -> Certificate:
     return Certificate(weights, problem.measurements.grid, problem.kernel)
 
 
-def _check_penalty(problem: PenaltyProblem, state: BundleState):
+def _check_penalty(problem: PenaltyProblem, final):
     """DualSpikeError (exit code 3) naming ``pi`` when pi <= L = y.lam /
-    max(1, sup q) at the final iterate.  lam / max(1, sup q) is dual
-    feasible, so by weak duality L bounds the primal mass |a|_1 from below:
-    pi <= L proves that the penalty need not be exact.  Clean y only: noisy
-    y lies outside the cone, where L says nothing about pi."""
-    _, sup_q = supremum(_certificate(problem, state.iterate))
-    mass_bound = float(problem.measurements.y @ state.iterate) / max(1.0, sup_q)
+    max(1, sup q) at the final iterate ``final``.  lam / max(1, sup q) is
+    dual feasible, so by weak duality L bounds the primal mass |a|_1 from
+    below: pi <= L proves that the penalty need not be exact.  Clean y only:
+    noisy y lies outside the cone, where L says nothing about pi."""
+    _, sup_q = supremum(_certificate(problem, final))
+    mass_bound = float(problem.measurements.y @ final) / max(1.0, sup_q)
     if problem.penalty <= mass_bound:
         raise DualSpikeError(f"key 'pi': {problem.penalty:g} does not exceed {mass_bound:.6g} "
                              f"= y.lam / max(1, sup q), a lower bound on the primal mass")
@@ -113,7 +114,7 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     """
     problem = build_problem(cfg)
     state = solve(problem, max_iters=_iterations(cfg, DEFAULT_ITERS))
-    _check_penalty(problem, state)
+    _check_penalty(problem, state.iterate)
     paths = [write_csv(cfg, out_dir, "convergence.csv", ["iter", "upper", "lower", "gap"],
                        [(i + 1, u, lo, g) for i, (u, lo, g) in enumerate(
                            zip(state.upper_history, state.lower_history,
@@ -146,22 +147,19 @@ def _reference_key(problem: PenaltyProblem, iterations):
 
 
 def _reference_header(m):
-    return ",".join(["iter", "upper", "lower", *(f"lam_{j + 1}" for j in range(m))]) + "\n"
+    return ",".join(f"lam_{j + 1}" for j in range(m)) + "\n"
 
 
-def _load_reference(problem: PenaltyProblem, iterations, path, key):
-    """The solve that the record at ``path`` holds, rebuilt through
-    ``BundleState._record``, or None when the record does not hold one:
-    no file, another key or header, a row that is not m + 3 floats ending
-    in a newline, an iteration column other than 1, 2, ..., or a history
-    the solve could not have left (more than ``iterations`` rows, or a
-    last iterate that neither reaches the cap nor repeats the one before
-    it, the solve's stop)."""
-    m = problem.measurements.y.size
+def _load_reference(path, key, m):
+    """The iterates that the record at ``path`` holds, one row each, or
+    None when it does not hold them: no file, another key or header, a row
+    count other than its key line's, or a row that is not m floats ending
+    in a newline."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             fh.readline()
-            if fh.readline() != f"# key={key}\n" or fh.readline() != _reference_header(m):
+            head = fh.readline()
+            if fh.readline() != _reference_header(m):
                 return None
             rows = []
             for line in fh:
@@ -170,30 +168,20 @@ def _load_reference(problem: PenaltyProblem, iterations, path, key):
                 rows.append([float(v) for v in line.split(",")])
     except (OSError, UnicodeDecodeError, ValueError):
         return None
-    if not 0 < len(rows) <= iterations or any(len(row) != m + 3 for row in rows):
+    if not rows or head != f"# key={key} rows={len(rows)}\n" or any(len(row) != m for row in rows):
         return None
-    table = np.array(rows)
-    before = table[-2, 3:] if len(rows) > 1 else np.zeros(m)
-    if (not np.array_equal(table[:, 0], np.arange(1, len(rows) + 1))
-            or not (len(rows) == iterations or np.array_equal(table[-1, 3:], before))):
-        return None
-    state = BundleState(problem, np.zeros(m))
-    for upper, lower, iterate in zip(table[:, 1].tolist(), table[:, 2].tolist(), table[:, 3:]):
-        state.upper_bound, state.lower_bound = upper, lower
-        state._record(iterate, iterations)
-    return state
+    return np.array(rows)
 
 
-def _save_reference(cfg: ExperimentConfig, out_dir, state: BundleState, key):
-    """Write the record of ``state`` as ``REFERENCE_FILE`` in ``out_dir``
-    through a temporary file there and ``os.replace``, so a reader finds
-    the old record or the new one, never part of one.  Returns its path."""
+def _save_reference(cfg: ExperimentConfig, out_dir, iterates, key):
+    """Write ``iterates`` as ``REFERENCE_FILE`` in ``out_dir`` through a
+    temporary file there and ``os.replace``, so a reader finds the old
+    record or the new one, never part of one.  Returns its path."""
     def lines():
-        yield f"# key={key}\n"
-        yield _reference_header(state.iterate.size)
-        for k, (upper, lower, iterate) in enumerate(
-                zip(state.upper_history, state.lower_history, state.iterate_history), start=1):
-            yield f"{k},{upper!r},{lower!r},{','.join(map(repr, iterate.tolist()))}\n"
+        yield f"# key={key} rows={len(iterates)}\n"
+        yield _reference_header(iterates.shape[1])
+        for row in iterates:
+            yield ",".join(map(repr, row.tolist())) + "\n"
     path = os.path.join(out_dir, REFERENCE_FILE)
     temporary = _write(cfg, out_dir, f".{REFERENCE_FILE}.{os.getpid()}", lines())
     os.replace(temporary, path)
@@ -204,39 +192,43 @@ def reference_run(cfg: ExperimentConfig, iterations, out_dir):
     """The reference stage of every experiment: the clean solve and the
     stability constants at its final iterate.
 
-    Returns (paths, problem, state, report), with ``report`` from
-    ``bounds.full_report``, the one place the constants the drivers compare
-    against (location rates, amplitude rate, reduced-Jacobian sigma_min)
-    are computed.  A solve that ran no iteration leaves the zero vector,
-    not a reference: DualSpikeError (exit code 3) naming ``iterations``.
-    So does a penalty too small for the data (``_check_penalty``).
+    Returns (paths, problem, iterates, report): ``iterates`` the solve's
+    projected iterates as one (n, m) array, its last row the reference
+    dual vector, and ``report`` from ``bounds.full_report``, the one place
+    the constants the drivers compare against (location rates, amplitude
+    rate, reduced-Jacobian sigma_min) are computed.  A solve that ran no
+    iteration leaves the zero vector, not a reference: DualSpikeError
+    (exit code 3) naming ``iterations``.  So does a penalty too small for
+    the data (``_check_penalty``).
 
-    The solve's record is ``REFERENCE_FILE`` in ``out_dir``: the comment
-    line, ``# key=`` and 16 hex digits of ``_reference_key``, the header
-    ``iter,upper,lower,lam_1,...,lam_m``, then per iteration the two bounds
-    and the projected iterate as ``repr`` floats, which read back bit for
-    bit.  A record with this problem's key rebuilds the state, and no
-    solve runs; any other file there (another key, a short, malformed or
-    wrong-width row, a history no solve ends with) is a miss, which solves
-    and replaces it.  Deleting
-    the record forces a fresh solve.  The penalty check and the report
-    run on both paths; only a solve that passes the check writes the
-    record, and ``paths`` lists it then and is empty on a hit.
+    The iterates' record is ``REFERENCE_FILE`` in ``out_dir``: the comment
+    line, ``# key=`` with 16 hex digits of ``_reference_key`` and
+    ``rows=n``, the header ``lam_1,...,lam_m``, then one row per iterate
+    as ``repr`` floats, which read back bit for bit.  A record with this
+    problem's key and n rows, each m floats ending in a newline, gives the
+    iterates, and no solve runs; any other file there (another key, a
+    missing, cut, short or malformed row) is a miss, which solves and
+    replaces it.  Deleting the record forces a fresh solve.  The penalty
+    check and the report run on both paths; only a solve that passes the
+    check writes the record, and ``paths`` lists it then and is empty on
+    a hit.
     """
     problem = build_problem(cfg)
     key = _reference_key(problem, iterations)
-    state = _load_reference(problem, iterations, os.path.join(out_dir, REFERENCE_FILE), key)
-    solved = state is None
+    iterates = _load_reference(os.path.join(out_dir, REFERENCE_FILE), key,
+                               problem.measurements.y.size)
+    solved = iterates is None
     if solved:
         state = solve(problem, max_iters=iterations)
         if state.n_iterations == 0:
             raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
                                  f"(iterations = {iterations})")
-    _check_penalty(problem, state)
-    paths = [_save_reference(cfg, out_dir, state, key)] if solved else []
+        iterates = np.array(state.iterate_history)
+    _check_penalty(problem, iterates[-1])
+    paths = [_save_reference(cfg, out_dir, iterates, key)] if solved else []
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
-                                state.iterate, cfg.pi, cfg.tau)
-    return paths, problem, state, report
+                                iterates[-1], cfg.pi, cfg.tau)
+    return paths, problem, iterates, report
 
 
 def _constant(report: bounds.BoundsReport, name):
@@ -248,12 +240,12 @@ def _constant(report: bounds.BoundsReport, name):
     return value
 
 
-def window_threshold(state: BundleState):
+def window_threshold(iterates):
     """Dual-error level below which iterates are indistinguishable from the
-    reference: the second-to-last iterate's error, floored at machine scale."""
-    final = state.iterate
-    history = state.iterate_history
-    raw = float(np.linalg.norm(history[-2] - final)) if len(history) > 1 else 0.0
+    reference, the last of ``iterates``: the second-to-last iterate's error,
+    floored at machine scale."""
+    final = iterates[-1]
+    raw = float(np.linalg.norm(iterates[-2] - final)) if len(iterates) > 1 else 0.0
     return max(raw, WINDOW_REL_FLOOR * max(1.0, float(np.linalg.norm(final))))
 
 
@@ -273,13 +265,13 @@ def reference_window(cfg: ExperimentConfig, out_dir):
     if iterations <= WINDOW_END:
         raise ConfigError(f"key 'iterations': must exceed the window end {WINDOW_END}, "
                           f"got {iterations}")
-    paths, problem, state, report = reference_run(cfg, iterations, out_dir)
-    threshold = window_threshold(state)
-    best = state.iterate
-    iterates = np.reshape(state.iterate_history[WINDOW_START - 1:WINDOW_END], (-1, best.size))
-    peaks, _, _ = refine_peaks(problem.kernel, problem.measurements.grid.samples, iterates,
+    paths, problem, iterates, report = reference_run(cfg, iterations, out_dir)
+    threshold = window_threshold(iterates)
+    best = iterates[-1]
+    window = iterates[WINDOW_START - 1:WINDOW_END]
+    peaks, _, _ = refine_peaks(problem.kernel, problem.measurements.grid.samples, window,
                                cfg.source_model().locations)
-    errors = [float(np.linalg.norm(iterate - best)) for iterate in iterates]
+    errors = [float(np.linalg.norm(iterate - best)) for iterate in window]
     return paths, problem, report, [(p, err, int(err >= threshold), row) for p, err, row in
                                     zip(range(WINDOW_START, WINDOW_END + 1), errors, peaks)]
 
@@ -362,12 +354,12 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
         raise ConfigError(f"key 'jobs': must be at least 1, got {jobs}")
     iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
     grid_vals = noise_grid()
-    paths, _, state, report = reference_run(cfg, iters, out_dir)
+    paths, _, iterates, report = reference_run(cfg, iters, out_dir)
     smallest = _constant(report, "sigma_min_jacobian")
     noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
     selected = report.selected_samples
     src = cfg.source_model()
-    ref = state.iterate
+    ref = iterates[-1]
 
     points = [(i, float(w_c)) for i, w_c in enumerate(grid_vals)]
     workers = min(jobs, len(points))
@@ -405,7 +397,7 @@ def run_bounds(cfg: ExperimentConfig, out_dir):
     """The reference stage's constants report, as text and as a one-row CSV.
     Returns (paths, report)."""
     paths, _, _, report = reference_run(cfg, _iterations(cfg, DEFAULT_ITERS), out_dir)
-    items = report._scalar_items()
+    items = report.scalar_items()
     return [*paths, _write(cfg, out_dir, "bounds_report.txt", [report.to_text()]),
             write_csv(cfg, out_dir, "bounds_report.csv", [name for name, _ in items],
                       [[v for _, v in items]])], report

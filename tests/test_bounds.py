@@ -336,7 +336,7 @@ class TestFullReport:
         assert report.noise_radius > 0
         text = report.to_text()
         assert "noise_rate" in text
-        names = [name for name, _ in report._scalar_items()]
+        names = [name for name, _ in report.scalar_items()]
         assert len(set(names)) == len(names)
         assert {"noise_rate", "noise_radius", "location_rates_1"} <= set(names)
 
@@ -368,7 +368,7 @@ class TestFullReport:
         report = bounds.BoundsReport(sigma=0.1, noise_radius=2.0,
                                      source_locations=np.array([0.2, 0.7]),
                                      jacobian=np.eye(2), errors={"drift": "x"})
-        items = report._scalar_items()
+        items = report.scalar_items()
         names = [k for k, _ in items]
         assert names[:6] == ["sigma", "n_samples", "n_sources", "penalty",
                              "box_radius", "dual_norm"]

@@ -4,9 +4,13 @@ the same number must appear in every artifact that carries it."""
 import csv
 import dataclasses
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import three_spike_config
 from dualspike import bounds, certificate, experiments
@@ -223,22 +227,12 @@ class TestReferenceRecord:
         assert files(tmp_path / "shared") == alone
 
     def test_loaded_state_is_the_solved_one(self, cfg, solve_calls, tmp_path):
-        _, _, solved, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
+        _, problem, solved, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
         _, _, loaded, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
         assert solve_calls == [self.ITERS]
-        for name in ("upper_history", "lower_history", "gap_history", "level_history"):
-            assert (np.array(getattr(loaded, name)).tobytes()
-                    == np.array(getattr(solved, name)).tobytes()), name
-        assert (loaded.upper_bound, loaded.lower_bound) == (solved.upper_bound,
-                                                            solved.lower_bound)
-        assert (np.array(loaded.iterate_history).tobytes()
-                == np.array(solved.iterate_history).tobytes())
-        assert loaded.iterate.tobytes() == solved.iterate.tobytes()
-        assert len(loaded.cuts) == len(solved.cuts) == solved.n_iterations
-        for ours, theirs in zip(loaded.cuts, solved.cuts):
-            assert ours.anchor.tobytes() == theirs.anchor.tobytes()
-            assert ours.slope.tobytes() == theirs.slope.tobytes()
-            assert np.float64(ours.value).tobytes() == np.float64(theirs.value).tobytes()
+        state = solve(problem, self.ITERS)
+        assert solved.shape == (state.n_iterations, problem.measurements.y.size)
+        assert loaded.tobytes() == solved.tobytes() == np.array(state.iterate_history).tobytes()
 
     @pytest.mark.parametrize("change", [
         {"tau": 1e4}, {"pi": 50.0}, {"iterations": ITERS + 1},
@@ -275,6 +269,26 @@ class TestReferenceRecord:
         assert solve_calls == [self.ITERS] * 2
         assert paths == [str(record)] and record.read_bytes() == written
         assert [path.name for path in tmp_path.iterdir()] == [experiments.REFERENCE_FILE]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m),
+        min_size=1, max_size=4)))
+    @example([[5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]])
+    def test_a_record_reads_back_or_misses(self, rows):
+        # any iterates read back bit for bit; any line deleted, or the file
+        # cut anywhere short of its end, is a miss
+        iterates, key = np.array(rows), "0123456789abcdef"
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(experiments._save_reference(three_spike_config(), out, iterates, key))
+            loaded = experiments._load_reference(path, key, iterates.shape[1])
+            assert loaded.shape == iterates.shape and loaded.tobytes() == iterates.tobytes()
+            written = path.read_bytes()
+            lines = written.splitlines(keepends=True)
+            for damaged in [*(b"".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))),
+                            *(written[:cut] for cut in range(len(written)))]:
+                path.write_bytes(damaged)
+                assert experiments._load_reference(path, key, iterates.shape[1]) is None
 
     def test_zero_iterations_write_no_record(self, cfg, tmp_path):
         cfg = dataclasses.replace(cfg, iterations=0)

@@ -3,8 +3,9 @@ tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
 there, or it is a constant, and left to its default by some call there,
-or the default is dead.  And src/ imports nothing from scipy: the
-runtime is numpy alone, and a serial command loads no multiprocessing."""
+or the default is dead.  No module in src/ reaches into another's private
+names.  And src/ imports nothing from scipy: the runtime is numpy alone,
+and a serial command loads no multiprocessing."""
 
 import ast
 import importlib.util
@@ -192,6 +193,75 @@ def test_overridden_defaults_are_found(tmp_path):
                       "Grid(4, 0.5).at(1, order=2)\n"
                       "Grid(*[4, 0.5]).at(2, 0)\n")
     assert overridden_defaults([module], [module]) == ["scale(factor, clip)", "Grid.at(order)"]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree):
+    """The private names (``_x``, not a dunder) a module defines: functions,
+    classes, and assigned names and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return set(filter(_private, names))
+
+
+def private_uses(tree):
+    """The private names a module uses by attribute or by relative import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names.update(alias.name for alias in node.names)
+    return set(filter(_private, names))
+
+
+def foreign_private_uses(paths):
+    """(file name, name) for each private name a module of ``paths`` uses
+    without defining it, where another module of ``paths`` defines it."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    defined = {path: private_definitions(tree) for path, tree in trees.items()}
+    return [(path.name, name) for path, tree in trees.items()
+            for name in sorted(private_uses(tree) - defined[path])
+            if any(name in names for other, names in defined.items() if other != path)]
+
+
+def test_no_private_name_crosses_modules():
+    # a private name is its module's to change; another module that reads
+    # it depends on what that module does not promise
+    assert foreign_private_uses(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_foreign_private_uses_are_found(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text("_LIMIT = 3\n"
+                     "def _helper(x):\n"
+                     "    return x\n"
+                     "class Box:\n"
+                     "    def __init__(self):\n"
+                     "        self._state = 0\n"
+                     "    def _inner(self):\n"
+                     "        return self._state\n")
+    second.write_text("from .first import _helper, Box\n"
+                      "from os import _exit\n"
+                      "class Crate:\n"
+                      "    def _own(self):\n"
+                      "        return self._inner\n"
+                      "def use(box, crate):\n"
+                      "    box._inner()\n"
+                      "    crate._own()\n"
+                      "    box.__init__()\n"
+                      "    return box._state + box._other\n")
+    assert foreign_private_uses([first, second]) == [
+        ("second.py", "_helper"), ("second.py", "_inner"), ("second.py", "_state")]
 
 
 def scipy_imports(paths):
