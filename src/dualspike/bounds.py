@@ -323,6 +323,18 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
         report.location_rates_alt = np.array(
             [location_error_rate_alt(c, sigma, m, dual_norm) for c in curvatures])
         report.rate_form_ratio = report.location_rates / report.location_rates_alt
+        # worst case across sources: flattest curvature, widest dual radius
+        flattest = curvatures[np.argmin(np.abs(curvatures))]
+        ct_worst = float(report.location_rates.max())
+        dual_radius = float(report.dual_radii.min())
+        report.curv_floor = curvature_floor(flattest, sigma, dual_norm)
+        try:
+            report.drift = sensitivity_drift_rate(
+                k, m, sigma, ct_worst, dual_norm, dual_radius, report.curv_floor)
+            report.jacobian_rate = jacobian_drift_rate(
+                k, sigma, penalty, box_radius, ct_worst, report.drift)
+        except RadiusTooLargeError as exc:
+            report.errors["drift"] = str(exc)
 
     singulars = phi_singular_values(grid, kernel, src.locations)
     report.sigma_max_phi = float(singulars[0])
@@ -348,22 +360,8 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
             report.selected_samples = selected
             report.kept_dual_indices = kept
             report.sigma_min_jacobian = float(np.linalg.svd(jac, compute_uv=False)[-1])
-        except (InsufficientSamplesError, CurvatureSignError) as exc:
+        except InsufficientSamplesError as exc:
             report.errors["jacobian"] = str(exc)
-
-    if curvatures is not None:
-        # worst case across sources: flattest curvature, widest dual radius
-        flattest = curvatures[np.argmin(np.abs(curvatures))]
-        ct_worst = float(report.location_rates.max())
-        dual_radius = float(report.dual_radii.min())
-        report.curv_floor = curvature_floor(flattest, sigma, dual_norm)
-        try:
-            report.drift = sensitivity_drift_rate(
-                k, m, sigma, ct_worst, dual_norm, dual_radius, report.curv_floor)
-            report.jacobian_rate = jacobian_drift_rate(
-                k, sigma, penalty, box_radius, ct_worst, report.drift)
-        except RadiusTooLargeError as exc:
-            report.errors["drift"] = str(exc)
 
     sigma_min = report.sigma_min_jacobian
     if sigma_min is not None and sigma_min > 0:

@@ -4,11 +4,11 @@ maximizer search and local refinement.
 Every refinement goes through one safeguarded Newton routine,
 ``newton_on_slope``, which advances a batch of runs together: the
 supremum of a lockstep batch of certificates (one per bundle problem)
-sends the runs of all of them through one call, while each certificate
-keeps its own scan product and peak selection.  A run's result is the
-same bit for bit whatever runs share its call.  ``refine_peaks`` refines
-every start on every certificate of a batch (an iteration window, a sweep
-chunk) in one bracket search and one Newton call.
+refines every scan local maximum of each of them in one call, while each
+certificate keeps its own scan product.  A run's result is the same bit
+for bit whatever runs share its call.  ``refine_peaks`` refines every
+start on every certificate of a batch (an iteration window, a sweep chunk)
+in one bracket search and one Newton call.
 """
 
 import functools
@@ -158,11 +158,12 @@ class CertificateGrid:
 
     Holds phi(t_i - s_j) on the uniform ``DEFAULT_GRID_POINTS`` scan of
     [0,1], so that repeated suprema (one per bundle problem and iteration)
-    reduce to a matrix-vector product each.  The tables are read-only
-    and kept for the last (samples, kernel) a grid was made for, so a
-    process that works on one input builds them once.  A kernel narrower
-    than ``MIN_SIGMA_STEPS`` scan spacings (``min_kernel_width``) raises
-    ValueError: the scan would not show each of its bumps as a local maximum.
+    reduce to a matrix-vector product each, plus Newton runs from the scan
+    local maxima.  The tables are read-only and kept for the last (samples,
+    kernel) a grid was made for, so a process that works on one input
+    builds them once.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
+    spacings (``min_kernel_width``) raises ValueError: the scan would not
+    show each of its bumps as a local maximum.
     """
 
     def __init__(self, grid: SampleGrid, kernel: Kernel):
@@ -209,43 +210,20 @@ class CertificateGrid:
 
     def supremum(self, weights):
         """Global supremum of q over [0,1] for each row of ``weights``:
-        arrays (t, sup q), ties resolved to the smallest t.  Each row's scan
-        and peak selection run on their own; phi'' is evaluated once, at the
-        scan local maxima of all rows, and the Newton runs of all rows
-        advance together."""
-        # Newton from the scan local max t_i stays in [t_i - h, t_i + h].  q
-        # tops q(t_i) there only at a local max t* inside a cell whose ends
-        # do not top q(t_i), one of them within h/2 of t*, so by at most
-        # h^2/8 sup|q''| over that cell, where |q''| <= |q''(t_i)| +
-        # h |weights|_1 sup|phi'''|.  Only peaks whose bound, plus evaluation
-        # round-off, reaches the grid max can change the result.
-        h = self.scan[1] - self.scan[0]
-        # first pass: each row keeps only its scan local maxima and q there
-        best_t, best_v, found, tops = [], [], [], []
-        for w in weights:
+        arrays (t, sup q), ties resolved to the smallest t.  Each row gets
+        its own scan product, and Newton refines every scan local maximum
+        of every row, plus the end-cell bumps, in one ``_refined`` call."""
+        best_t, best_v, owners, peaks = [], [], [], []
+        for owner, w in enumerate(weights):
             q = self.values(w)
             i_max = int(np.argmax(q))
             best_t.append(float(self.scan[i_max]))
             best_v.append(float(q[i_max]))
-            found.append(self.local_max_indices(q))
-            tops.append(q[found[-1]])
-        # then phi'' at all of them from one evaluation, one slice per row
-        curv_rows = self.kernel.derivative(
-            np.subtract.outer(self.scan[np.concatenate(found)], self.grid.samples), 2)
-        floors, owners, peaks = [], [], []
-        start = 0
-        for owner, (w, peak, top) in enumerate(zip(weights, found, tops)):
-            mass = float(np.abs(w).sum())
-            curv = np.abs(curv_rows[start:start + peak.size] @ w)
-            start += peak.size
-            third = h * mass * self.kernel.deriv_sup_bounds()[2]
-            margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
-            peak = peak[top + margin >= best_v[owner]]
-            peaks.append(peak)
-            owners.append(np.full(peak.size, owner))
-            floors.append(slope_floor(self.kernel, w))
+            peaks.append(self.local_max_indices(q))
+            owners.append(np.full(peaks[-1].size, owner))
+        floors = np.array([slope_floor(self.kernel, w) for w in weights])
         runs, t, (v, _, _), _ = self._refined(weights, np.concatenate(owners),
-                                              np.concatenate(peaks), np.array(floors))
+                                              np.concatenate(peaks), floors)
         for owner, t_run, v_run in zip(runs.tolist(), t, v):
             if v_run > best_v[owner] or (v_run == best_v[owner] and t_run < best_t[owner]):
                 best_t[owner], best_v[owner] = t_run, v_run
@@ -253,7 +231,9 @@ class CertificateGrid:
 
     def maximizers(self, weights):
         """Stationary local maxima of q within 1e-3 of its scan spread of the
-        top, Newton-refined; maxima closer than ``DEFAULT_MERGE_TOL`` merge."""
+        top: every scan local maximum is Newton-refined, and the value test
+        applies to the refined values; maxima closer than
+        ``DEFAULT_MERGE_TOL`` merge."""
         q = self.values(weights)
         sup, inf = float(q.max()), float(q.min())
         spread = sup - inf
@@ -267,7 +247,6 @@ class CertificateGrid:
         curv_tol = max(STATIONARY_TOL, ROUNDOFF_REL * float(np.abs(weights).sum())
                        * self.kernel.deriv_sup_bounds()[1])
         peaks = self.local_max_indices(q)
-        peaks = peaks[q[peaks] >= sup - value_tol]
         _, ts, derivs, _ = self._refined(weights[None], np.zeros(peaks.size, dtype=int), peaks,
                                          np.array([floor]))
         found = []

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from dualspike.certificate import (BRACKET_ULPS, DEFAULT_MERGE_TOL, GRID_NEWTON_ITERS,
-                                   REFINE_SLOPE_TOL, REFINE_STEPS, ROUNDOFF_REL,
-                                   CertificateGrid, slope_floor)
+                                   REFINE_SLOPE_TOL, REFINE_STEPS, CertificateGrid, slope_floor)
 from dualspike.errors import InfeasibleError, NoConvergenceError
 from dualspike.solver import ACTIVE_SUP_TOL, Cut, CutModel, _oracle
 
@@ -233,25 +232,14 @@ def refine_location_per_run(cert, t0):
 
 
 def supremum_per_point(cert_grid, weights):
-    """``CertificateGrid.supremum`` of one certificate with its Newton runs
-    taken one at a time by ``newton_per_run``: (t, sup q), ties to the
-    smallest t."""
+    """``CertificateGrid.supremum`` of one certificate with its Newton runs,
+    from every scan local maximum and end-cell bump, taken one at a time by
+    ``newton_per_run``: (t, sup q), ties to the smallest t."""
     scan, kernel, samples = cert_grid.scan, cert_grid.kernel, cert_grid.grid.samples
     q = cert_grid.values(weights)
     i_max = int(np.argmax(q))
-    grid_max = float(q[i_max])
-    best_t, best_v = float(scan[i_max]), grid_max
-    h = scan[1] - scan[0]
-    mass = float(np.abs(weights).sum())
-    peaks = cert_grid.local_max_indices(q)
-    # phi'' over the whole scan, where the batched supremum evaluates it
-    # only at the scan local maxima
-    curv_table = kernel.derivative(scan[:, None] - samples, 2)
-    curv = np.abs(curv_table[peaks] @ weights)
-    third = h * mass * kernel.deriv_sup_bounds()[2]
-    margin = np.maximum(1e-12, 0.125 * h * h * (curv + third)) + ROUNDOFF_REL * mass
-    peaks = peaks[q[peaks] + margin >= grid_max]
-    starts = [(scan[i], scan[i - 1], scan[i + 1]) for i in peaks]
+    best_t, best_v = float(scan[i_max]), float(q[i_max])
+    starts = [(scan[i], scan[i - 1], scan[i + 1]) for i in cert_grid.local_max_indices(q)]
     ends = scan[[0, 1, -2, -1]]
     slopes = cert_grid.end_slope @ weights
     for k in (0, 2):

@@ -166,8 +166,8 @@ class TestEndCellRuns:
         cert_grid, weights = end_cell_weights(first)
         h = cert_grid.scan[1]
         # the end-cell bump holds the supremum, and rows ride along: one
-        # with no scan local maximum and one with many, so each row's phi''
-        # comes from its own slice of the batch's one evaluation
+        # with no scan local maximum and one with many, whose Newton runs
+        # share the batch's one call
         other = np.array([0.8, -0.3, 1.1, 0.4] * 5 + [0.2])
         stack = np.array([weights, np.zeros_like(weights), 0.5 * weights[::-1], other])
         ts, values = cert_grid.supremum(stack)

@@ -154,7 +154,8 @@ class TestSupremum:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.one_of(certificates(), heavy_certificates()))
     def test_matches_refining_every_peak(self, cert):
-        # the per-peak margin skips only peaks that cannot change the result
+        # the batched supremum refines every scan local maximum too, with
+        # the runs of all rows in one call
         cg = CertificateGrid(cert.grid, cert.kernel)
         (t,), (v,) = cg.supremum(cert.weights[None])
         assert (t, v) == supremum_refining_every_peak(cg, cert.weights)

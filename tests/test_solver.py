@@ -689,21 +689,26 @@ class TestWorkCounts:
 
     def test_supremum_work(self, noisy_solve_work):
         state, work = noisy_solve_work
-        # one newton_on_slope call per oracle call takes all its runs
-        assert len(work["newton"]) == state.n_iterations
-        # Newton runs only from peaks that can beat the grid max: 2.07 per
-        # oracle call measured, 4.14 with one margin for every peak
-        assert sum(work["newton"]) <= 3.0 * state.n_iterations
+        n = state.n_iterations
+        # one newton_on_slope call per oracle call takes all its runs: one
+        # from every scan local maximum and end-cell bump of its anchor, the
+        # zero start and then each projected iterate but the last
+        grid = CertificateGrid(state.problem.measurements.grid, state.problem.kernel)
+        runs = []
+        for weights in [np.zeros(grid.grid.n_samples), *state.iterate_history[:n - 1]]:
+            slopes = grid.end_slope @ weights
+            ends = int(slopes[0] > 0.0 > slopes[1]) + int(slopes[2] > 0.0 > slopes[3])
+            runs.append(grid.local_max_indices(grid.values(weights)).size + ends)
+        assert work["newton"] == runs
         # each run evaluates its start and then its steps: 3.47 kernel
         # evaluations per run measured
         assert sum(work["derivatives"]) <= 4.0 * sum(work["newton"])
         # one call evaluates every start, and each step every run still
-        # going: 2.46 step calls per oracle call measured, 5.12 with one
-        # call per run and step
-        assert len(work["derivatives"]) - len(work["newton"]) <= 3.0 * state.n_iterations
-        # phi'' once per oracle call, at the scan local maxima of its
-        # certificates; the end-cell slopes come from the grid's tables
-        assert work["kernel_derivative"] == [2] * state.n_iterations
+        # going: 2.9 step calls per oracle call measured
+        assert len(work["derivatives"]) - len(work["newton"]) <= 3.0 * n
+        # no Kernel.derivative call: Newton evaluates its own points, and
+        # the end-cell slopes come from the grid's tables
+        assert work["kernel_derivative"] == []
 
     def test_cut_model_work(self, noisy_solve_work):
         state, work = noisy_solve_work

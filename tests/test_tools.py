@@ -144,6 +144,22 @@ def test_shared_directory_pass(tmp_path):
             f"shared exp-noise seed {seed}: reference.csv written only in the tree")]
 
 
+def test_a_record_that_differs_only_in_its_key_is_named():
+    same_outputs = load_same_outputs()
+    record = b"# key=0123456789abcdef rows=2\nlam_1,lam_2\n0.5,1.0\n0.25,2.0\n"
+
+    def results(*records):
+        return {("bounds", seed): (0, "", {"reference.csv": data}, 30.0, 15.0)
+                for seed, data in enumerate(records)}
+
+    old = results(record, record)
+    new = results(record.replace(b"0123456789abcdef", b"fedcba9876543210"),
+                  record.replace(b"0.25", b"0.26"))
+    assert same_outputs.differences("abc123", old, new) == [
+        "bounds seed 0: reference.csv differs only in its key line",
+        "bounds seed 1: reference.csv differs"]
+
+
 def load_bench_pairs(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")

@@ -14,7 +14,10 @@ directory per seed, as a user who keeps one ``--out`` does; its artifacts
 are compared once, after its last command, and reported under it.  Each
 side uses its own ``configs/``.  Every artifact is compared byte for byte,
 and each command's exit code and stdout, with its output directory
-stripped.  One line per command gives its largest peak RSS over the seeds
+stripped.  An artifact that matches once the lines starting with
+``# key=`` are dropped from both sides, as a reference record whose key
+hashes changed package sources, is reported as differing only in its key
+line.  One line per command gives its largest peak RSS over the seeds
 on each side (from ``os.wait4``), ahead of the comparison's result; a
 reading no larger than this process's own peak, which the child's reading
 includes, shows as ``<= X MB``.  Exits 0 when everything
@@ -148,8 +151,16 @@ def peak_rss(rev, old, new):
             f"{largest(new, command)} in the tree" for _, (command, *_) in COMMANDS]
 
 
+def without_key(data):
+    """The bytes of ``data`` without its lines that start with ``# key=``."""
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if not line.startswith(b"# key="))
+
+
 def differences(rev, old, new):
-    """One line per exit code, stdout or artifact that differs."""
+    """One line per exit code, stdout or artifact that differs; an artifact
+    equal once its ``# key=`` lines are dropped differs only in its key
+    line."""
     found = []
     for (command, seed), (old_code, old_out, old_files, *_) in old.items():
         new_code, new_out, new_files, *_ = new[command, seed]
@@ -164,7 +175,8 @@ def differences(rev, old, new):
             elif name not in old_files:
                 found.append(f"{label}: {name} written only in the tree")
             elif old_files[name] != new_files[name]:
-                found.append(f"{label}: {name} differs")
+                same = without_key(old_files[name]) == without_key(new_files[name])
+                found.append(f"{label}: {name} differs{' only in its key line' if same else ''}")
     return found
 
 
