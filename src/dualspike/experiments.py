@@ -10,7 +10,9 @@ Every driver writes deterministic artifacts (``write_csv``) and returns
 reference solve's iterates, ``run_solve`` its bound histories too, and no
 driver reads a solve's cuts.  The noise sweep solves its points in lockstep
 (``solver.solve_batch``), one batch per worker process, each on a
-contiguous chunk of points; the reference solves go through ``solve``.
+contiguous chunk of points, and without history: a sweep point keeps only
+its final iterate, the one thing the sweep reads.  The reference solves
+go through ``solve``.
 Each driver refines its certificates in one lockstep call
 (``certificate.refine_peaks``): the whole iteration window, each sweep
 chunk's final iterates, and the reference report's peaks.
@@ -323,13 +325,13 @@ def run_t_a(cfg: ExperimentConfig, out_dir):
 
 
 def _noise_chunk(args):
-    """A contiguous chunk of sweep points, solved as one batch and refined
-    in one ``refine_peaks`` call: per point (noise, final iterate, refined
-    peaks or None, note)."""
+    """A contiguous chunk of sweep points, solved as one batch without
+    history and refined in one ``refine_peaks`` call: per point (noise,
+    final iterate, refined peaks or None, note)."""
     cfg, iters, points = args
     noises = [uniform_noise(len(cfg.samples), w_c, cfg.seed + index) for index, w_c in points]
     problems = [build_problem(cfg, noise=noise) for noise in noises]
-    iterates = np.array([state.iterate for state in solve_batch(problems, iters)])
+    iterates = np.array([state.iterate for state in solve_batch(problems, iters, history=False)])
     peaks, _, _ = refine_peaks(problems[0].kernel, problems[0].measurements.grid.samples,
                                iterates, cfg.source_model().locations)
     return [(noise, iterate, None, "refine_failed") if np.isnan(row).any()

@@ -85,7 +85,10 @@ class BundleState:
     whose room doubles whenever it fills, never past the solve's
     ``max_iters``; ``iterate`` is its newest row (the zero start before the
     first iteration).  ``cuts`` evaluates the solve's cuts again when first
-    asked."""
+    asked.  A state solved without history (``solve_batch(...,
+    history=False)``) holds only the final iterate and both final bounds:
+    ``n_iterations`` is 0, and the histories, ``iterate_history`` and
+    ``cuts`` are empty."""
 
     problem: PenaltyProblem
     iterate: np.ndarray
@@ -399,7 +402,7 @@ def solve(problem: PenaltyProblem, max_iters: int) -> BundleState:
     return solve_batch([problem], max_iters)[0]
 
 
-def solve_batch(problems, max_iters: int):
+def solve_batch(problems, max_iters: int, history=True):
     """Run the level bundle method from the zero vector on each problem,
     all in lockstep; returns one ``BundleState`` per problem.
 
@@ -412,7 +415,10 @@ def solve_batch(problems, max_iters: int):
     the box.  Each state records the bounds and the projected iterate per
     iteration (``BundleState``), its iterates in one block of at most
     ``max_iters`` rows, and the model's cut block has room for at most
-    ``max_iters`` cuts.  One batched oracle call
+    ``max_iters`` cuts.  With ``history=False`` a state records nothing:
+    it keeps only its current iterate and bounds, which end with the same
+    bits, so its ``n_iterations``, histories, ``iterate_history`` and
+    ``cuts`` are empty.  One batched oracle call
     (``CertificateGrid.supremum``) and one ``CutModel`` serve all running
     problems; each keeps its own cut rows, LP basis, projection warm start
     and exit, and its arithmetic does not depend on the others, so a
@@ -463,7 +469,10 @@ def solve_batch(problems, max_iters: int):
                                       state.iterate)
             if not np.array_equal(projected, state.iterate):
                 going.append(point)
-            state._record(projected, max_iters)
+            if history:
+                state._record(projected, max_iters)
+            else:
+                state.iterate = projected
         if len(going) < len(running):
             model.keep(going)
             ys = ys[going]

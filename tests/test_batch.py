@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_spike_config
-from dualspike import certificate, solver
+from dualspike import certificate, experiments, solver
 from dualspike.certificate import (GRID_NEWTON_ITERS, REFINE_SLOPE_TOL, Certificate,
                                    CertificateGrid, newton_on_slope, refine_peaks,
                                    slope_floor)
@@ -49,6 +49,34 @@ class TestSolveBatch:
             assert [state.n_iterations for state in states] == [98, iters, iters]
             for problem, state in zip(problems, states):
                 assert_same_solve(state, solve(problem, iters))
+
+    def test_batch_without_history_ends_alike(self):
+        # the same final iterate and bounds as the recorded batch and as
+        # each problem alone, and no row kept: no iterate, bound or cut
+        problems = [build_problem(three_spike_config()), noisy_problem(2e-3, 0),
+                    noisy_problem(0.06, 29)]
+        bare = solve_batch(problems, 100, history=False)
+        recorded = solve_batch(problems, 100)
+        for problem, state, full in zip(problems, bare, recorded):
+            alone = solve(problem, 100)
+            assert state.iterate.tobytes() == full.iterate.tobytes() == alone.iterate.tobytes()
+            assert (state.upper_bound, state.lower_bound) == (
+                full.upper_bound, full.lower_bound) == (alone.upper_bound, alone.lower_bound)
+            assert state.n_iterations == 0 and state._iterates.size == 0
+            assert state.upper_history == state.lower_history == state.iterate_history == []
+            assert state.cuts == []
+
+    def test_noise_chunk_solves_without_history(self, monkeypatch):
+        # the sweep reads only the final iterates, so it keeps no history
+        calls = []
+
+        def spy(problems, max_iters, **kwargs):
+            calls.append(kwargs)
+            return solve_batch(problems, max_iters, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_batch", spy)
+        chunk = experiments._noise_chunk((three_spike_config(), 5, [(0, 2e-3), (1, 0.06)]))
+        assert calls == [{"history": False}] and len(chunk) == 2
 
     def test_iterates_are_rows_of_one_block(self):
         # each problem's history is a list of rows of one array of at most

@@ -206,6 +206,39 @@ def test_pairs_verdicts(monkeypatch):
         "interquartile range of 0.45)"]
 
 
+def test_pairs_verdicts_need_ten_pairs(monkeypatch):
+    # six pairs all won by far more than the IQR are not yet a claim
+    bench_pairs = load_bench_pairs(monkeypatch)
+    old = [{"rss": 35.0 + k / 100} for k in range(6)]
+    new = [{"rss": run["rss"] - 0.5} for run in old]
+    assert bench_pairs.verdicts([("rss", "MB", "lower")], old, new) == [
+        "rss: unresolved (6 pairs, 10 needed) (won 6 of 6 pairs, median gain 0.5 against a "
+        "parent interquartile range of 0.025)"]
+
+
+def test_pairs_tree_copy(monkeypatch, tmp_path):
+    # tracked, staged and untracked files as they are on disk; ignored
+    # ones, perfbench/out and a tracked file deleted from disk left out
+    bench_pairs = load_bench_pairs(monkeypatch)
+    root, dest = tmp_path / "root", tmp_path / "dest"
+    files = {"src/a.py": "edited", "tools/new.py": "untracked", "gone.txt": "deleted",
+             "perfbench/out/counters.json": "{}", "build/x.o": "ignored",
+             ".gitignore": "build/\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-C", str(root)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "src/a.py", "gone.txt", ".gitignore", "perfbench/out"],
+                   check=True)
+    (root / "gone.txt").unlink()
+    dest.mkdir()
+    bench_pairs.copy_tree(root, dest)
+    assert sorted(path.relative_to(dest).as_posix() for path in dest.rglob("*")
+                  if path.is_file()) == [".gitignore", "src/a.py", "tools/new.py"]
+    assert (dest / "src" / "a.py").read_text() == "edited"
+
+
 def test_pairs_bad_revision_is_named():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "nosuchrev",
                            "noise3", "--pairs", "1", "--seed", "0"], cwd=ROOT,

@@ -4,22 +4,26 @@ working tree, in alternating pairs of perfbench runs.
     python3 tools/bench_pairs.py REV WORKLOAD --pairs N --seed S
 
 Extracts ``git archive REV`` into a temporary directory, as
-``same_outputs.py`` does, then runs ``perfbench/run.py --workload WORKLOAD
---seed S --seconds 10 --trace 0`` from that copy and from the working tree
-in N pairs; the side that runs first alternates from pair to pair.  Each
-side runs its own ``perfbench/`` on its own ``src/``.  For each end-to-end
+``same_outputs.py`` does, and copies the working tree's files (tracked and
+untracked ones git does not ignore, without ``.git`` and ``perfbench/out``)
+into a second one, so that both sides run from paths of the same length:
+the path alone moves ``peak_rss_mb``.  It then runs ``perfbench/run.py
+--workload WORKLOAD --seed S --seconds 10 --trace 0`` from each copy in N
+pairs; the side that runs first alternates from pair to pair.  Each side
+runs its own ``perfbench/`` on its own ``src/``.  For each end-to-end
 metric named in the tree's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles and in how many pairs the tree did better (ties
 count for neither side), then a verdict per metric: "claim met" when the
 tree did better in at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's interquartile range, else "not met".
-Exits 0 when every run reported 0 failed
-operations, 1 when a run failed or failed operations, and 2 with one line
-when REV cannot be read.  Standard library only.
+parent's by more than the parent's interquartile range, else "not met";
+with fewer than 10 complete pairs, "unresolved".  Exits 0 when every run
+reported 0 failed operations, 1 when a run failed or failed operations,
+and 2 with one line when REV cannot be read.  Standard library only.
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -29,6 +33,21 @@ from pathlib import Path
 from same_outputs import ROOT, extract
 
 SECONDS = 10
+
+
+def copy_tree(root, dest):
+    """Copy the files of the git working tree at ``root`` into ``dest``:
+    tracked and untracked ones that git does not ignore, as they are on
+    disk, and none under ``perfbench/out`` (git never lists ``.git``)."""
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = Path(root, name)
+        if name.startswith("perfbench/out/") or not source.is_file():
+            continue
+        target = Path(dest, name)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def run_perfbench(tree, workload, seed):
@@ -51,8 +70,10 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-# a claimed gain: the tree does better in at least this share of the pairs
+# a claimed gain: the tree does better in at least this share of the pairs,
+# and at least this many pairs ran
 CLAIM_WINS = 0.9
+CLAIM_PAIRS = 10
 
 
 def compare(before, after, better):
@@ -84,16 +105,21 @@ def verdicts(metrics, old, new):
     """One line per metric, as ``summary`` takes them: "claim met" when the
     tree won at least ``CLAIM_WINS`` of the pairs and its median is better
     than the parent's by more than the parent's interquartile range, else
-    "not met"."""
+    "not met"; "unresolved" with fewer than ``CLAIM_PAIRS`` pairs."""
     lines = []
+    pairs = len(old)
     for name, _, better in metrics:
         won, (b1, b2, b3), (_, a2, _) = compare([run[name] for run in old],
                                                 [run[name] for run in new], better)
         gain = (b2 - a2) if better == "lower" else (a2 - b2)
-        met = won >= CLAIM_WINS * len(old) and gain > b3 - b1
-        lines.append(f"{name}: {'claim met' if met else 'not met'} (won {won} of {len(old)} "
-                     f"pairs, median gain {gain:.4g} against a parent interquartile range "
-                     f"of {b3 - b1:.4g})")
+        if pairs < CLAIM_PAIRS:
+            verdict = f"unresolved ({pairs} pairs, {CLAIM_PAIRS} needed)"
+        elif won >= CLAIM_WINS * pairs and gain > b3 - b1:
+            verdict = "claim met"
+        else:
+            verdict = "not met"
+        lines.append(f"{name}: {verdict} (won {won} of {pairs} pairs, median gain {gain:.4g} "
+                     f"against a parent interquartile range of {b3 - b1:.4g})")
     return lines
 
 
@@ -109,17 +135,18 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]]
     old, new, failed = [], [], 0
-    with tempfile.TemporaryDirectory() as tmp:
-        rev_tree = Path(tmp)
+    with tempfile.TemporaryDirectory() as rev_tmp, tempfile.TemporaryDirectory() as tree_tmp:
+        rev_tree, tree = Path(rev_tmp), Path(tree_tmp)
         extract(args.rev, rev_tree)
+        copy_tree(ROOT, tree)
         for k in range(args.pairs):
-            order = (rev_tree, ROOT) if k % 2 == 0 else (ROOT, rev_tree)
-            results = {tree: run_perfbench(tree, args.workload, args.seed) for tree in order}
+            order = (rev_tree, tree) if k % 2 == 0 else (tree, rev_tree)
+            results = {side: run_perfbench(side, args.workload, args.seed) for side in order}
             failed += sum(result is None or result["failed"] > 0 for result in results.values())
             if None not in results.values():
                 old.append({name: results[rev_tree]["metrics"][name]["value"]
                             for name, _, _ in metrics})
-                new.append({name: results[ROOT]["metrics"][name]["value"]
+                new.append({name: results[tree]["metrics"][name]["value"]
                             for name, _, _ in metrics})
             print(f"pair {k + 1} of {args.pairs} done", file=sys.stderr)
     if old:
