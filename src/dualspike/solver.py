@@ -13,7 +13,8 @@ projection's active rows).
 One bundle loop (``solve_batch``) advances a batch of problems that share
 grid, kernel, penalty and box in lockstep: per iteration, one batched
 certificate supremum and one round-based LP serve every problem still
-running, and each problem keeps its own cuts, model, projection and exit.
+running, and each problem keeps its own cuts, model, projection and exit;
+the model holds the box rows once for the batch.
 Stacked products and solves give each problem the bits of its own, so a
 problem's result does not depend on its batch; ``solve`` is the batch of
 one.  A solve returns a record of its run that holds no row of its LP:
@@ -177,18 +178,22 @@ class CutModel:
     """The polyhedral models max_i (offsets_i + slopes_i . lam) over the box
     of a lockstep batch: one model per point, with as many cuts each.
 
-    Holds, for point p, the epigraph LP min t s.t. G z <= h over
-    z = (lam, t) in ``_rows[p]`` and ``_rhs[p]``, one block for all points
-    with room for ``CUT_BLOCK`` cuts, doubled whenever it fills but never
-    past ``max_cuts`` cuts: first the 2n box rows +-e_j with
-    h = box_radius, then one row [slopes_i, -1] with h = -offsets_i per
-    cut.  ``minima`` solves each LP by the dual simplex method on a basis
-    of n + 1 rows B, kept with multipliers y >= 0 such that
-    e_t + G_B^T y = 0 (dual feasible) and with its vertex z = G_B^-1 h_B.  Each pivot solves two systems with G_B by
-    ``numpy.linalg.solve`` (an LU each); no inverse is updated.  The first
-    cut sets the basis in closed form; every later cut starts from the
-    previous optimal basis, so a cut the vertex already satisfies costs
-    one product with G.
+    Point p's epigraph LP is min t s.t. G z <= h over z = (lam, t): first
+    the 2n box rows +-e_j with h = box_radius, then one row [slopes_i, -1]
+    with h = -offsets_i per cut.  The box rows are held once for all
+    points: ``_rows`` and ``_rhs`` are one table of them and then one block
+    of cut rows per point (``_cuts``, ``_h``) with room for ``CUT_BLOCK``
+    cuts, doubled whenever it fills but never past ``max_cuts`` cuts.
+    Point p's row r is table row r, plus p times the room for a cut
+    (``_index``), so any gather of rows is one take; ``level_set`` copies a
+    point's cuts after the box rows of one dense buffer.  ``minima`` solves
+    each LP by the dual simplex method on a basis of n + 1 rows B, kept
+    with multipliers y >= 0 such that e_t + G_B^T y = 0 (dual feasible) and
+    with its vertex z = G_B^-1 h_B.  Each pivot solves two systems with G_B
+    by ``numpy.linalg.solve`` (an LU each); no inverse is updated.  The
+    first cut sets the basis in closed form; every later cut starts from
+    the previous optimal basis, so a cut the vertex already satisfies costs
+    one product with the cut rows.
 
     A cut is one plane per certificate maximizer (or the data plane when
     the penalty is inactive), so cuts repeat.  Of the rows with one slope
@@ -202,57 +207,66 @@ class CutModel:
     """
 
     def __init__(self, points, n, box_radius, max_cuts):
-        self.box_radius = box_radius
-        self.size = 0
-        self._n_box = 2 * n
-        self._max_rows = 2 * n + max_cuts
-        rows = 2 * n + min(CUT_BLOCK, max_cuts)
-        self._rows = np.zeros((points, rows, n + 1))
-        self._rhs = np.empty((points, rows))
-        self._rows[:, :n, :n] = np.eye(n)
-        self._rows[:, n:2 * n, :n] = -np.eye(n)
-        self._rhs[:, :2 * n] = box_radius
-        self._repeat = np.zeros(self._rhs.shape, dtype=bool)
-        self._basis = None
-        self._mult = None
-        self._vertex = None
+        self.box_radius, self.size, self._n_box, self._max_cuts = box_radius, 0, 2 * n, max_cuts
+        self._rows = np.column_stack((np.concatenate((np.eye(n), -np.eye(n))), np.zeros(2 * n)))
+        self._rhs = np.full(2 * n, box_radius, dtype=float)
+        self._cuts, self._h = np.empty((points, 0, n + 1)), np.empty((points, 0))
+        self._repeat = np.empty((points, 0), dtype=bool)
+        self._reblock(range(points), min(CUT_BLOCK, max_cuts))
+        self._basis = self._mult = self._vertex = None
         self.warm = [numerics.WarmStart() for _ in range(points)]
+
+    def _reblock(self, points, room):
+        """A new table: the box rows, then the cuts of ``points`` (indices,
+        in order) with room for ``room`` cuts each."""
+        n_box, size, width, count = self._n_box, self.size, self._rows.shape[1], len(points)
+        rows, rhs = np.empty((n_box + count * room, width)), np.empty(n_box + count * room)
+        rows[:n_box], rhs[:n_box] = self._rows[:n_box], self._rhs[:n_box]
+        cuts, h = rows[n_box:].reshape(count, room, width), rhs[n_box:].reshape(count, room)
+        repeat = np.zeros(h.shape, dtype=bool)
+        # point by point: a gather would copy every held cut once more
+        for new, old in enumerate(points):
+            cuts[new, :size], h[new, :size], repeat[new, :size] = (
+                self._cuts[old, :size], self._h[old, :size], self._repeat[old, :size])
+        self._rows, self._rhs, self._cuts, self._h, self._repeat = rows, rhs, cuts, h, repeat
+        self._dense = np.concatenate((rows[:n_box, :-1], np.empty((room, width - 1))))
+
+    def _index(self, points, rows):
+        """Table indices of the model rows ``rows`` of ``points``, broadcast."""
+        return rows + (rows >= self._n_box) * (points * self._h.shape[1])
 
     def level_set(self, point, level):
         """(A, b) with {lam : A lam <= b} = {model <= level} for one point:
-        the box rows and then the cuts in the order they were added, as a
-        view of the model's rows with b = h - level * (last column)."""
-        rows = self._rows[point, :self._n_box + self.size]
-        return rows[:, :-1], self._rhs[point, :rows.shape[0]] - level * rows[:, -1]
+        the box rows (b = box_radius), then the cuts in the order they were
+        added (b = h + level).  A is the model's one dense buffer, which
+        holds the box rows and takes the point's cuts on each call (so it
+        is valid until the next call); b is a new array."""
+        a_mat = self._dense[:self._n_box + self.size]
+        a_mat[self._n_box:] = self._cuts[point, :self.size, :-1]
+        return a_mat, np.concatenate((self._rhs[:self._n_box], self._h[point, :self.size] + level))
 
     def add(self, anchors, values, slopes):
         """Append one cut per point: value + slope.(lam - anchor), from the
         rows of ``anchors`` and ``slopes`` and the entries of ``values``."""
-        row = self._n_box + self.size
-        if row == self._rhs.shape[1]:
-            # no room left: double the cut block, up to max_cuts cuts, and
-            # copy the held rows in
-            rows = min(2 * row - self._n_box, self._max_rows)
-            grown = []
-            for block in (self._rows, self._rhs, self._repeat):
-                grown.append(np.zeros((block.shape[0], rows, *block.shape[2:]), dtype=block.dtype))
-                grown[-1][:, :row] = block
-            self._rows, self._rhs, self._repeat = grown
-        self._rows[:, row, :-1] = slopes
-        self._rows[:, row, -1] = -1.0
+        cut = self.size
+        if cut == self._h.shape[1]:
+            # no room left: double each point's block, up to max_cuts cuts
+            self._reblock(range(len(slopes)), min(2 * cut, self._max_cuts))
+        self._cuts[:, cut, :-1] = slopes
+        self._cuts[:, cut, -1] = -1.0
         # row dot products, with the bits of a 1-D slope @ anchor
-        self._rhs[:, row] = np.matmul(slopes[:, None, :], anchors[:, :, None])[:, 0, 0]
-        self._rhs[:, row] -= values
+        self._h[:, cut] = np.matmul(slopes[:, None, :], anchors[:, :, None])[:, 0, 0]
+        self._h[:, cut] -= values
         # a repeated plane: the twins' h differ by round-off, which the
         # vertex can show over LP_ROW_TOL, so they would enter the basis in
         # turn; the LP skips the looser of the new row and its live twin (the
         # new row on a tie), and a tighter new row enters by a pivot
-        same = (self._rows[:, self._n_box:row, :-1] == slopes[:, None, :]).all(2)
-        same &= ~self._repeat[:, self._n_box:row]
+        same = (self._cuts[:, :cut, :-1] == slopes[:, None, :]).all(2)
+        same &= ~self._repeat[:, :cut]
         twins = same.any(1).nonzero()[0]
         if twins.size:
-            held = self._n_box + same[twins].argmax(1)
-            looser = np.where(self._rhs[twins, row] < self._rhs[twins, held], held, row)
+            held = same[twins].argmax(1)
+            looser = np.where(self._h[twins, cut] < self._h[twins, held], held, cut)
             self._repeat[twins, looser] = True
         self.size += 1
         if self._basis is None:
@@ -260,17 +274,15 @@ class CutModel:
             # where slope_j > 0 and on its upper bound elsewhere, the bound
             # rows weighted |slope_j| and the cut 1
             points, n = slopes.shape
-            self._basis = np.column_stack(
-                (np.where(slopes > 0.0, n + np.arange(n), np.arange(n)), np.full(points, row)))
+            self._basis = np.column_stack((np.where(slopes > 0.0, n + np.arange(n), np.arange(n)),
+                                           np.full(points, self._n_box + cut)))
             self._mult = np.column_stack((np.abs(slopes), np.ones(points)))
-            each = np.arange(points)[:, None]
-            self._vertex = _basis_solve(self.size, self._rows[each, self._basis],
-                                        self._rhs[each, self._basis])
+            index = self._index(np.arange(points)[:, None], self._basis)
+            self._vertex = _basis_solve(self.size, self._rows[index], self._rhs[index])
 
     def keep(self, points):
         """Keep only the models of ``points`` (indices, in order)."""
-        self._rows, self._rhs, self._repeat = (
-            self._rows[points], self._rhs[points], self._repeat[points])
+        self._reblock(points, self._h.shape[1])
         self._basis, self._mult, self._vertex = (
             self._basis[points], self._mult[points], self._vertex[points])
         self.warm = [self.warm[p] for p in points]
@@ -284,7 +296,7 @@ class CutModel:
         most violated one enters the basis and the row that the ratio test
         picks (lowest row index on ties) leaves it; the vertex is then
         solved afresh.  The points pivot in rounds: one stacked check of
-        every model (``np.matmul`` on the row block), then stacked
+        every model (``np.matmul`` on the cut blocks), then stacked
         ``numpy.linalg.solve`` calls for the points with a violated row.
         Each point's arithmetic is the same whatever points share a round.
         The value is the objective of a dual feasible basis, sum_i mu_i
@@ -303,8 +315,8 @@ class CutModel:
         size = self.size
         if size == 0:
             raise NoConvergenceError("cut model LP (0 cuts): the model is unbounded below")
-        n_rows = self._n_box + size
-        rows, rhs, repeat = self._rows[:, :n_rows], self._rhs[:, :n_rows], self._repeat[:, :n_rows]
+        cuts, h, repeat = self._cuts[:, :size], self._h[:, :size], self._repeat[:, :size]
+        rhs = np.concatenate((self._rhs[None, :self._n_box].repeat(len(h), 0), h), 1)
         row_scale = np.maximum(1.0, np.abs(rhs))
         basis, mult, vertex = self._basis, self._mult, self._vertex
         each = np.arange(basis.shape[0])[:, None]
@@ -313,15 +325,16 @@ class CutModel:
         # one came back: that point cycles, and enters by Bland's rule
         seen, bland = {}, np.zeros(basis.shape[0], dtype=bool)
         for pivots in range(max_pivots + 1):
-            # every point's check in one product: a point that is done
-            # shows the same excess again
-            excess = np.matmul(rows, vertex[:, :, None])[:, :, 0]
+            # every point's check at once (a box row's product is exactly
+            # +-lam_j): a point that is done shows the same excess again
+            excess = np.concatenate((vertex[:, :-1], -vertex[:, :-1],
+                                     np.matmul(cuts, vertex[:, :, None])[:, :, 0]), 1)
             excess -= rhs
             excess /= row_scale
             # basis rows hold with equality and a repeat is no tighter than
             # its live twin; what they show is round-off
             excess[each, basis] = 0.0
-            excess[repeat] = 0.0
+            excess[:, self._n_box:][repeat] = 0.0
             pending = (excess.max(1) > LP_ROW_TOL).nonzero()[0]
             if not pending.size:
                 break
@@ -332,10 +345,13 @@ class CutModel:
             if seen and bland.any():
                 late = bland[pending].nonzero()[0]
                 entering[late] = (excess[pending[late]] > LP_ROW_TOL).argmax(1)
-            direction = _basis_solve(
-                size, rows[pending[:, None], basis[pending]].transpose(0, 2, 1),
-                rows[pending, entering])
-            for p, d, row in zip(pending.tolist(), direction, entering.tolist()):
+            # the table rows of each pending point's basis, then of its
+            # entering row, which takes the leaving row's place
+            held = np.concatenate((basis[pending], entering[:, None]), 1)
+            held = self._index(pending[:, None], held)
+            given = self._rows[held]
+            direction = _basis_solve(size, given[:, :-1].transpose(0, 2, 1), given[:, -1])
+            for k, (p, d, row) in enumerate(zip(pending.tolist(), direction, entering.tolist())):
                 can_leave = (d > LP_PIVOT_TOL * abs(d).max()).nonzero()[0]
                 if can_leave.size == 0:
                     raise NoConvergenceError(
@@ -347,15 +363,13 @@ class CutModel:
                 step = mu[leaving] / d[leaving]
                 np.maximum(mu - step * d, 0.0, out=mu)
                 mu[leaving] = step
-                b[leaving] = row
+                b[leaving], held[k, leaving] = row, held[k, -1]
                 if pivots:
                     key = frozenset(b.tolist())
                     bases = seen.setdefault(p, set())
                     bland[p] |= key in bases
                     bases.add(key)
-            held = basis[pending]
-            vertex[pending] = _basis_solve(size, rows[pending[:, None], held],
-                                           rhs[pending[:, None], held])
+            vertex[pending] = _basis_solve(size, self._rows[held[:, :-1]], self._rhs[held[:, :-1]])
         return vertex[:, -1].tolist()
 
     def project(self, point, level, x):
@@ -414,14 +428,14 @@ def solve_batch(problems, max_iters: int, history=True):
     the set {model <= LEVEL_MIX * upper + (1 - LEVEL_MIX) * lower} inside
     the box.  Each state records the bounds and the projected iterate per
     iteration (``BundleState``), its iterates in one block of at most
-    ``max_iters`` rows, and the model's cut block has room for at most
-    ``max_iters`` cuts.  With ``history=False`` a state records nothing:
+    ``max_iters`` rows, and each problem's block of the model holds only
+    its cut rows, at most ``max_iters``.  With ``history=False`` a state records nothing:
     it keeps only its current iterate and bounds, which end with the same
     bits, so its ``n_iterations``, histories, ``iterate_history`` and
     ``cuts`` are empty.  One batched oracle call
     (``CertificateGrid.supremum``) and one ``CutModel`` serve all running
-    problems; each keeps its own cut rows, LP basis, projection warm start
-    and exit, and its arithmetic does not depend on the others, so a
+    problems (the box rows held once); each keeps its own cut rows, LP
+    basis, projection warm start and exit, and its arithmetic does not depend on the others, so a
     problem's result is the same bit for bit in any batch.  The returned
     states share no memory with the model.
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_spike_config
-from dualspike import certificate, experiments, solver
+from dualspike import certificate, experiments, numerics, solver
 from dualspike.certificate import (GRID_NEWTON_ITERS, REFINE_SLOPE_TOL, Certificate,
                                    CertificateGrid, newton_on_slope, refine_peaks,
                                    slope_floor)
@@ -92,14 +92,16 @@ class TestSolveBatch:
             np.testing.assert_array_equal(state.iterate, rows[-1])
 
     def test_cut_block_never_outgrows_the_iteration_count(self, monkeypatch):
-        # room for 64 cuts at first; a 100-iteration batch grows it to 100
-        # cuts, not to the 128 that doubling gives
+        # each point's cut block has room for 64 cuts at first; a
+        # 100-iteration batch grows it to 100 cuts, not to the 128 that
+        # doubling gives
         rooms = []
         add = solver.CutModel.add
 
         def recording(model, anchors, values, slopes):
             add(model, anchors, values, slopes)
-            rooms.append(model._rhs.shape[1] - 2 * slopes.shape[1])
+            rooms.append(model._h.shape[1])
+            assert model._cuts.shape[:2] == model._h.shape == model._repeat.shape
 
         monkeypatch.setattr(solver.CutModel, "add", recording)
         states = solve_batch([noisy_problem(2e-3, 0), noisy_problem(0.06, 29)], 100)
@@ -163,6 +165,71 @@ class TestSolveBatch:
             arrays = [state.iterate, *state.iterate_history]
             arrays += [a for cut in cuts for a in (cut.anchor, cut.slope)]
             assert not any(np.shares_memory(a, block) for a in arrays for block in blocks.values())
+
+    def test_model_holds_no_box_row_per_problem(self, monkeypatch):
+        # the table holds the 2m box rows once and then only cut rows, room
+        # for each problem; every level set the solve projects onto is the
+        # dense [I; -I; cut rows] lam <= [tau...; h + level] rebuilt from
+        # the cuts the solve added
+        added, sets = [], []
+        add, level_set = solver.CutModel.add, solver.CutModel.level_set
+
+        def recording(model, anchors, values, slopes):
+            added.append((anchors.copy(), values.copy(), slopes.copy()))
+            add(model, anchors, values, slopes)
+            points, m = slopes.shape
+            room = model._h.shape[1]
+            assert model.size <= room <= 150
+            assert np.shares_memory(model._cuts, model._rows)
+            assert model._rows.nbytes - points * room * (m + 1) * 8 == 2 * m * (m + 1) * 8
+
+        def recording_set(model, point, level):
+            a_mat, b_vec = level_set(model, point, level)
+            sets.append((model.size - 1, point, level, a_mat.copy(), b_vec.copy()))
+            return a_mat, b_vec
+
+        monkeypatch.setattr(solver.CutModel, "add", recording)
+        monkeypatch.setattr(solver.CutModel, "level_set", recording_set)
+        problems = [build_problem(three_spike_config()), noisy_problem(2e-3, 0),
+                    noisy_problem(0.06, 29)]
+        states = solve_batch(problems, 150)
+        assert [state.n_iterations for state in states] == [98, 150, 150]
+        assert len(sets) == 98 + 150 + 150
+        m, tau = states[0].iterate.size, problems[0].box_radius
+        hs = [np.matmul(slopes[:, None, :], anchors[:, :, None])[:, 0, 0] - values
+              for anchors, values, slopes in added]
+
+        def running(k):
+            return [j for j, other in enumerate(states) if other.n_iterations > k]
+
+        for k, point, level, a_mat, b_vec in sets:
+            i = running(k)[point]
+            rows = [running(j).index(i) for j in range(k + 1)]
+            slopes = np.array([added[j][2][row] for j, row in enumerate(rows)])
+            h = np.array([hs[j][row] for j, row in enumerate(rows)])
+            assert a_mat.tobytes() == np.concatenate((np.eye(m), -np.eye(m), slopes)).tobytes()
+            assert b_vec.tobytes() == np.concatenate((np.full(2 * m, tau), h + level)).tobytes()
+
+    def test_projection_gets_box_rows_first(self, monkeypatch):
+        # the level set reaches the projection through the numerics module
+        # attribute: the 2m box rows, then one row per cut
+        calls = []
+        project = numerics.project_polyhedron
+
+        def spy(x, a_mat, b_vec, warm):
+            calls.append((a_mat.copy(), b_vec.copy()))
+            return project(x, a_mat, b_vec, warm=warm)
+
+        monkeypatch.setattr(numerics, "project_polyhedron", spy)
+        problem = noisy_problem(2e-3, 0)
+        state = solve(problem, 20)
+        m = state.iterate.size
+        assert len(calls) == state.n_iterations == 20
+        box = np.concatenate((np.eye(m), -np.eye(m)))
+        for k, (a_mat, b_vec) in enumerate(calls, start=1):
+            assert a_mat.shape == (2 * m + k, m) and b_vec.shape == (2 * m + k,)
+            assert a_mat[:2 * m].tobytes() == box.tobytes()
+            assert (b_vec[:2 * m] == problem.box_radius).all()
 
     def test_mixed_problems_are_rejected(self):
         clean = build_problem(three_spike_config())

@@ -216,6 +216,37 @@ def test_pairs_verdicts_need_ten_pairs(monkeypatch):
         "parent interquartile range of 0.025)"]
 
 
+def test_pairs_worse_verdict(monkeypatch):
+    # the mirror of "claim met": the parent won at least 9 of 10 pairs and
+    # its median beats the tree's by more than the tree's IQR
+    bench_pairs = load_bench_pairs(monkeypatch)
+    metrics = [("wall_s", "s", "lower"), ("rows", "count", "higher"),
+               ("rss", "MB", "lower"), ("cpu_s", "s", "lower")]
+    # the parent's quartiles are 1.225, 1.45 and 1.675: an IQR of 0.45
+    parent = [1.0 + k / 10 for k in range(10)]
+    old = [{"wall_s": v, "rows": v, "rss": v, "cpu_s": v} for v in parent]
+    # wall_s: all 10 lost by 1.0; rows: 9 lost by 1.0, pair 1 ties; rss:
+    # all lost, by 0.55, over the parent's IQR but under the tree's (0.9);
+    # cpu_s: lost by 1.0, but in 8 of 10 pairs
+    new = [{"wall_s": v + 1.0, "rows": v - 1.0, "rss": 1.1 + k / 5, "cpu_s": v + 1.0}
+           for k, v in enumerate(parent)]
+    new[0]["rows"] = 1.0
+    new[0]["cpu_s"], new[1]["cpu_s"] = 0.5, 0.6
+    assert bench_pairs.verdicts(metrics, old, new) == [
+        "wall_s: worse (lost 10 of 10 pairs, median loss 1 against a tree interquartile "
+        "range of 0.45)",
+        "rows: worse (lost 9 of 10 pairs, median loss 0.9 against a tree interquartile "
+        "range of 0.45)",
+        "rss: not met (won 0 of 10 pairs, median gain -0.55 against a parent interquartile "
+        "range of 0.45)",
+        "cpu_s: not met (won 2 of 10 pairs, median gain -1 against a parent interquartile "
+        "range of 0.45)"]
+    # six pairs all lost by far more than the IQR are not yet a verdict
+    assert bench_pairs.verdicts(metrics[:1], old[:6], new[:6]) == [
+        "wall_s: unresolved (6 pairs, 10 needed) (won 0 of 6 pairs, median gain -1 against a "
+        "parent interquartile range of 0.25)"]
+
+
 def test_pairs_tree_copy(monkeypatch, tmp_path):
     # tracked, staged and untracked files as they are on disk; ignored
     # ones, perfbench/out and a tracked file deleted from disk left out

@@ -15,10 +15,13 @@ metric named in the tree's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles and in how many pairs the tree did better (ties
 count for neither side), then a verdict per metric: "claim met" when the
 tree did better in at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's interquartile range, else "not met";
-with fewer than 10 complete pairs, "unresolved".  Exits 0 when every run
-reported 0 failed operations, 1 when a run failed or failed operations,
-and 2 with one line when REV cannot be read.  Standard library only.
+parent's by more than the parent's interquartile range; its mirror,
+"worse", when the parent did better in at least 9 of 10 pairs and its
+median beats the tree's by more than the tree's interquartile range;
+else "not met"; with fewer than 10 complete pairs, "unresolved".  Exits
+0 when every run reported 0 failed operations, 1 when a run failed or
+failed operations, and 2 with one line when REV cannot be read.  Standard
+library only.
 """
 
 import argparse
@@ -70,19 +73,20 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-# a claimed gain: the tree does better in at least this share of the pairs,
-# and at least this many pairs ran
+# a claimed gain (or a loss): one side does better in at least this share
+# of the pairs, and at least this many pairs ran
 CLAIM_WINS = 0.9
 CLAIM_PAIRS = 10
 
 
 def compare(before, after, better):
-    """(pairs the tree won, the parent's quartiles, the tree's quartiles);
-    pair k is (before[k], after[k]) and ``better`` is "lower" or
-    "higher"."""
+    """(pairs the tree won, pairs the parent won, the parent's quartiles,
+    the tree's quartiles); pair k is (before[k], after[k]) and ``better``
+    is "lower" or "higher"."""
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (b - a) > 0.0 for a, b in zip(after, before))
-    return won, quartiles(before), quartiles(after)
+    lost = sum(sign * (a - b) > 0.0 for a, b in zip(after, before))
+    return won, lost, quartiles(before), quartiles(after)
 
 
 def summary(rev, metrics, old, new):
@@ -92,8 +96,8 @@ def summary(rev, metrics, old, new):
     run, pair k being (old[k], new[k])."""
     lines = []
     for name, unit, better in metrics:
-        won, (b1, b2, b3), (a1, a2, a3) = compare([run[name] for run in old],
-                                                  [run[name] for run in new], better)
+        won, _, (b1, b2, b3), (a1, a2, a3) = compare([run[name] for run in old],
+                                                     [run[name] for run in new], better)
         change = f"{(a2 - b2) / b2:+.1%}" if b2 else "n/a"
         lines.append(f"{name} ({unit}, {better} is better): median {b2:.4g} [{b1:.4g}, {b3:.4g}]"
                      f" at {rev}, {a2:.4g} [{a1:.4g}, {a3:.4g}] in the tree ({change}); "
@@ -104,22 +108,30 @@ def summary(rev, metrics, old, new):
 def verdicts(metrics, old, new):
     """One line per metric, as ``summary`` takes them: "claim met" when the
     tree won at least ``CLAIM_WINS`` of the pairs and its median is better
-    than the parent's by more than the parent's interquartile range, else
-    "not met"; "unresolved" with fewer than ``CLAIM_PAIRS`` pairs."""
+    than the parent's by more than the parent's interquartile range;
+    "worse", the mirror, when the parent won at least ``CLAIM_WINS`` of the
+    pairs and its median is better than the tree's by more than the tree's
+    interquartile range; else "not met"; "unresolved" with fewer than
+    ``CLAIM_PAIRS`` pairs."""
     lines = []
     pairs = len(old)
     for name, _, better in metrics:
-        won, (b1, b2, b3), (_, a2, _) = compare([run[name] for run in old],
-                                                [run[name] for run in new], better)
+        won, lost, (b1, b2, b3), (a1, a2, a3) = compare([run[name] for run in old],
+                                                        [run[name] for run in new], better)
         gain = (b2 - a2) if better == "lower" else (a2 - b2)
+        detail = (f"won {won} of {pairs} pairs, median gain {gain:.4g} against a parent "
+                  f"interquartile range of {b3 - b1:.4g}")
         if pairs < CLAIM_PAIRS:
             verdict = f"unresolved ({pairs} pairs, {CLAIM_PAIRS} needed)"
         elif won >= CLAIM_WINS * pairs and gain > b3 - b1:
             verdict = "claim met"
+        elif lost >= CLAIM_WINS * pairs and -gain > a3 - a1:
+            verdict = "worse"
+            detail = (f"lost {lost} of {pairs} pairs, median loss {-gain:.4g} against a tree "
+                      f"interquartile range of {a3 - a1:.4g}")
         else:
             verdict = "not met"
-        lines.append(f"{name}: {verdict} (won {won} of {pairs} pairs, median gain {gain:.4g} "
-                     f"against a parent interquartile range of {b3 - b1:.4g})")
+        lines.append(f"{name}: {verdict} ({detail})")
     return lines
 
 
