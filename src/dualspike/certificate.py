@@ -135,16 +135,15 @@ class MaximizerSet:
 
     locations: np.ndarray
     values: np.ndarray
-    curvatures: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_tables(kernel: Kernel, samples: bytes, points):
-    """The ``points``-point scan of [0,1], phi at (scan - sample), and phi'
-    at the first two and last two scan points, all read-only.  Kept for
-    the last arguments asked for: every solve, curve and recovery of a
-    process shares one (grid, kernel)."""
-    scan = np.linspace(0.0, 1.0, points)
+def _scan_tables(kernel: Kernel, samples: bytes):
+    """The ``DEFAULT_GRID_POINTS``-point scan of [0,1], phi at (scan -
+    sample), and phi' at the first two and last two scan points, all
+    read-only.  Kept for the last arguments asked for: every solve, curve
+    and recovery of a process shares one (grid, kernel)."""
+    scan = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     samples = np.frombuffer(samples)
     tables = (scan, kernel.value(scan[:, None] - samples),
               kernel.derivative(scan[[0, 1, -2, -1], None] - samples, 1))
@@ -173,8 +172,7 @@ class CertificateGrid:
         self.grid = grid
         self.kernel = kernel
         # end_slope is phi' in the end cells, for the bumps hiding there
-        self.scan, self.table, self.end_slope = _scan_tables(
-            kernel, grid.samples.tobytes(), DEFAULT_GRID_POINTS)
+        self.scan, self.table, self.end_slope = _scan_tables(kernel, grid.samples.tobytes())
 
     def values(self, weights):
         return self.table @ weights
@@ -238,7 +236,7 @@ class CertificateGrid:
         sup, inf = float(q.max()), float(q.min())
         spread = sup - inf
         if spread <= 1e-15 * max(1.0, abs(sup)):
-            return MaximizerSet(np.empty(0), np.empty(0), np.empty(0))
+            return MaximizerSet(np.empty(0), np.empty(0))
         value_tol = 1e-3 * spread
         # q' and q'' cannot be evaluated below their roundoff floors, which
         # grow with |weights|; widen the stationarity test accordingly
@@ -254,7 +252,7 @@ class CertificateGrid:
             if value < sup - value_tol:
                 continue
             if abs(slope) <= slope_tol and curv <= curv_tol:
-                found.append((t, value, curv))
+                found.append((t, value))
         found.sort()
         merged = []
         for cand in found:
@@ -264,9 +262,8 @@ class CertificateGrid:
             else:
                 merged.append(cand)
         if not merged:
-            return MaximizerSet(np.empty(0), np.empty(0), np.empty(0))
-        locs, vals, curvs = map(np.array, zip(*merged))
-        return MaximizerSet(locs, vals, curvs)
+            return MaximizerSet(np.empty(0), np.empty(0))
+        return MaximizerSet(*map(np.array, zip(*merged)))
 
 
 def supremum(cert: Certificate):

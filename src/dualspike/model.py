@@ -73,19 +73,16 @@ class SampleGrid:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Observed vector y, the noise w actually added, and the grid used."""
+    """Observed vector y, noise included, and the grid used."""
 
     y: np.ndarray
-    w: np.ndarray
     grid: SampleGrid = field(repr=False)
 
-    def __init__(self, y, w, grid):
+    def __init__(self, y, grid):
         y = _as_readonly(y)
-        w = _as_readonly(w)
-        if y.shape != w.shape or y.size != grid.n_samples:
-            raise ValueError("y and w must both have one entry per sample")
+        if y.shape != (grid.n_samples,):
+            raise ValueError("y must have one entry per sample")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", w)
         object.__setattr__(self, "grid", grid)
 
 
@@ -100,17 +97,16 @@ def build_phi(grid: SampleGrid, kernel: Kernel, locations) -> np.ndarray:
 def synthesize(src: SourceModel, grid: SampleGrid, kernel: Kernel, noise=None) -> MeasurementSet:
     """Forward model: y_j = sum_i a_i phi(t_i - s_j) + w_j.
 
-    ``noise`` is stored verbatim as ``w`` (zeros when absent).
+    ``noise`` is the vector w, added to the clean samples when given;
+    without it y is the clean product itself.
     """
-    m = grid.n_samples
-    if noise is None:
-        w = np.zeros(m)
-    else:
+    y = build_phi(grid, kernel, src.locations) @ src.amplitudes
+    if noise is not None:
         w = np.asarray(noise, dtype=float)
-        if w.shape != (m,):
-            raise ValueError(f"noise must have length {m}, got shape {w.shape}")
-    clean = build_phi(grid, kernel, src.locations) @ src.amplitudes
-    return MeasurementSet(clean + w, w, grid)
+        if w.shape != y.shape:
+            raise ValueError(f"noise must have length {y.size}, got shape {w.shape}")
+        y = y + w
+    return MeasurementSet(y, grid)
 
 
 _MASK32 = (1 << 32) - 1

@@ -26,11 +26,11 @@ def svd(matrix):
 
 
 def least_squares(a, b):
-    """Minimizer of ||A x - b||_2 for a tall full-rank A, via one SVD.
+    """Minimizer x of ||A x - b||_2 for a tall full-rank A, via one SVD.
 
-    Returns (x, singular values of A, descending).  Raises
-    RankDeficientError when sigma_min <= 1e-12 or sigma_min < 1e-12 *
-    sigma_max: absolute for matrices of norm up to 1, relative above.
+    The SVD's singular values serve only the rank test: RankDeficientError
+    when sigma_min <= 1e-12 or sigma_min < 1e-12 * sigma_max, absolute for
+    matrices of norm up to 1, relative above.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -40,7 +40,7 @@ def least_squares(a, b):
     if s[-1] <= 1e-12 or s[-1] < 1e-12 * s[0]:
         raise RankDeficientError(
             f"matrix is numerically rank deficient (sigma_min={s[-1]:.3e})")
-    return v @ ((u.T @ b) / s), s
+    return v @ ((u.T @ b) / s)
 
 
 # Lawson-Hanson steps (columns added) allowed per constraint row

@@ -17,13 +17,10 @@ SUPPORT_VALUE_THRESHOLD = 1.0 - 1e-3
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Estimated support and amplitudes plus least-squares diagnostics."""
+    """Estimated support and its least-squares amplitudes."""
 
     locations: np.ndarray
     amplitudes: np.ndarray
-    residual_norm: float
-    sigma_max: float
-    sigma_min: float
 
 
 def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> RecoveryResult:
@@ -37,14 +34,11 @@ def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> Recove
     y = np.asarray(y, dtype=float)
     if locations.size > y.size:
         raise ValueError("more sources than samples")
-    phi = build_phi(grid, kernel, locations)
-    amplitudes, singulars = numerics.least_squares(phi, y)
+    amplitudes = numerics.least_squares(build_phi(grid, kernel, locations), y)
     if np.any(amplitudes < 0):
         warnings.warn("least-squares amplitudes contain negative entries",
                       stacklevel=2)
-    residual = float(np.linalg.norm(phi @ amplitudes - y))
-    return RecoveryResult(locations, amplitudes, residual,
-                          float(singulars[0]), float(singulars[-1]))
+    return RecoveryResult(locations, amplitudes)
 
 
 def recover(cert: Certificate, y) -> RecoveryResult:

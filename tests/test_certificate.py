@@ -63,6 +63,18 @@ def single_bump():
     return Certificate([1.0], grid, Kernel(0.1))
 
 
+@pytest.fixture
+def scan_points(monkeypatch):
+    """Sets the scan's point count.  The scan tables are cached by (kernel,
+    samples) alone, so the cache is emptied when the count changes and
+    again at the end: no table of another count outlives the test."""
+    def use(points):
+        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", points)
+        certificate._scan_tables.cache_clear()
+    yield use
+    certificate._scan_tables.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def small_converged():
     """A converged certificate on a separated two-spike problem."""
@@ -188,7 +200,9 @@ class TestGlobalMaximizers:
         assert maxima.locations.size == 1
         assert maxima.locations[0] == pytest.approx(0.5, abs=1e-12)
         assert maxima.values[0] == pytest.approx(1.0, rel=1e-12)
-        assert maxima.curvatures[0] == pytest.approx(-2.0 / 0.1**2, rel=1e-10)
+        # q'' there is the kernel's: the maximum is the bump's own
+        assert certificate_derivative(single_bump, maxima.locations[0], 2) == pytest.approx(
+            -2.0 / 0.1**2, rel=1e-10)
 
     def test_stationarity_of_returned_maxima(self, small_converged):
         _, cert = small_converged
@@ -198,10 +212,10 @@ class TestGlobalMaximizers:
             assert abs(certificate_derivative(cert, t, 1)) <= 1e-9
             assert certificate_derivative(cert, t, 2) <= 1e-9
 
-    def test_grid_resolution_stability(self, small_converged, monkeypatch):
+    def test_grid_resolution_stability(self, small_converged, scan_points):
         _, cert = small_converged
         coarse = global_maximizers(cert)
-        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 8001)
+        scan_points(8001)
         fine = global_maximizers(cert)
         assert coarse.locations.size == fine.locations.size
         np.testing.assert_allclose(coarse.locations, fine.locations, atol=1e-4)
@@ -334,17 +348,17 @@ class TestRefinementStops:
 
 class TestCertificateGrid:
     @pytest.fixture
-    def scan_101(self, monkeypatch):
-        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 101)
+    def scan_101(self, scan_points):
+        scan_points(101)
 
-    def test_needs_a_resolved_kernel(self, monkeypatch):
+    def test_needs_a_resolved_kernel(self, scan_points):
         # ten scan spacings: 2.5e-3 on the default scan, 0.1 on a 101-point one
         grid = SampleGrid.equispaced(5)
         assert certificate.min_kernel_width() == 10.0 / (DEFAULT_GRID_POINTS - 1)
         with pytest.raises(ValueError, match="spacings"):
             CertificateGrid(grid, Kernel(2.4e-3))
         CertificateGrid(grid, Kernel(2.5e-3))
-        monkeypatch.setattr(certificate, "DEFAULT_GRID_POINTS", 101)
+        scan_points(101)
         with pytest.raises(ValueError, match="spacings of the 101-point scan"):
             CertificateGrid(grid, Kernel(0.099))
         CertificateGrid(grid, Kernel(0.1))
@@ -370,15 +384,15 @@ class TestCertificateGrid:
         cg = CertificateGrid(SampleGrid.equispaced(5), Kernel(0.1))
         assert cg.table.shape == (101, 5)
 
-    def test_tables_are_shared_and_read_only(self, scan_101):
+    def test_tables_are_shared_and_read_only(self):
         # the cache holds the scan, phi on it, and phi' at the first two
         # and last two scan points: no full phi' or phi'' table
         grid, kernel = SampleGrid.equispaced(5), Kernel(0.1)
-        tables = certificate._scan_tables(kernel, grid.samples.tobytes(), 101)
+        tables = certificate._scan_tables(kernel, grid.samples.tobytes())
         assert len(tables) == 3
         scan, table, end_slope = tables
         diffs = scan[:, None] - grid.samples[None, :]
-        np.testing.assert_array_equal(scan, np.linspace(0.0, 1.0, 101))
+        np.testing.assert_array_equal(scan, np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS))
         np.testing.assert_array_equal(table, kernel.value(diffs))
         np.testing.assert_array_equal(end_slope, kernel.derivative(diffs[[0, 1, -2, -1]], 1))
         first = CertificateGrid(grid, kernel)

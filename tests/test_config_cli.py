@@ -370,10 +370,10 @@ class TestCli:
         # unevaluated projection, whose recovery fails with exit 4
         self.assert_one_source_solves(tmp_path, 5)
 
-    @pytest.mark.xfail(strict=True, reason="exits 0 with a wrong support (ROADMAP item 10)")
+    @pytest.mark.xfail(strict=True, reason="exits 0 with a wrong support (ROADMAP item 2)")
     @pytest.mark.parametrize("sigma,m,iters", [(0.5, 21, 150), (0.3, 31, 300)])
     def test_one_source_is_correct_or_loud(self, tmp_path, capsys, sigma, m, iters):
-        # ROADMAP item 10's property on its known counterexamples: exit 0 with
+        # ROADMAP item 2's property on its known counterexamples: exit 0 with
         # exactly one spike within criterion 2's tolerances, or exit 2, 3 or
         # 4 with a one-line message.  sigma = 0.5 writes spikes at 0.473 and
         # 0.505; sigma = 0.3 a spurious 0.4968 beside 0.50001

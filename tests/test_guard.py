@@ -3,9 +3,10 @@ tests call.  A top-level function or class, or a public method, must be
 referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
 there, or it is a constant, and left to its default by some call there,
-or the default is dead.  No module in src/ reaches into another's private
-names.  And src/ imports nothing from scipy: the runtime is numpy alone,
-and a serial command loads no multiprocessing."""
+or the default is dead; and every attribute a class stores must be read
+there.  No module in src/ reaches into another's private names.  And
+src/ imports nothing from scipy: the runtime is numpy alone, and a serial
+command loads no multiprocessing."""
 
 import ast
 import importlib.util
@@ -71,6 +72,85 @@ def _users():
 
 def test_no_test_only_code_in_src():
     assert unreferenced(PACKAGE, _users(), set(dualspike.__all__)) == []
+
+
+def stored_attributes(path):
+    """(qualified name, attribute) of the state each class of one module
+    stores: the names its body annotates (a dataclass's fields) and the
+    names its methods assign to ``self.name``.  A class whose own methods call ``fields`` lists its
+    fields itself, and so reads all of them: it stores nothing the guard
+    checks."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        inner = [sub for method in methods for sub in ast.walk(method)]
+        if any(isinstance(sub, ast.Call) and "fields" in (getattr(sub.func, "id", None),
+                                                          getattr(sub.func, "attr", None))
+               for sub in inner):
+            continue
+        names = {item.target.id for item in node.body
+                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        names.update(sub.attr for sub in inner
+                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                     and isinstance(sub.value, ast.Name) and sub.value.id == "self")
+        for name in sorted(names):
+            yield f"{module}.{node.name}.{name}", name
+
+
+def loaded_names(paths):
+    """Attribute names read (``x.name`` in a load) in ``paths``, and the
+    names in their dotted string constants, which ``getattr`` reads by."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and _DOTTED.fullmatch(node.value)):
+                names.update(node.value.split("."))
+    return names
+
+
+def unread_state(package_paths, users):
+    """Stored attributes of ``package_paths``' classes that nothing in
+    ``users`` loads."""
+    loaded = loaded_names(users)
+    return [qual for path in package_paths
+            for qual, name in stored_attributes(path) if name not in loaded]
+
+
+def test_no_state_only_tests_read():
+    """A stored value nothing in the pipeline reads is work for the tests
+    alone.  The guard matches names, not classes, so a name read anywhere
+    passes for every class: it cannot see a ``MaximizerSet.curvatures``,
+    as ``BoundsReport.curvatures`` is read, nor a ``MeasurementSet.w``,
+    as ``open(path, "w")`` names a ``w``."""
+    assert unread_state(sorted(PACKAGE.glob("*.py")), _users()) == []
+
+
+def test_unread_state_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from dataclasses import dataclass, fields\n"
+                      "@dataclass(frozen=True)\n"
+                      "class Result:\n"
+                      "    value: float\n"
+                      "    spare: float\n"
+                      "    named: float\n"
+                      "class Counter:\n"
+                      "    def __init__(self):\n"
+                      "        self.count = 0\n"
+                      "        self.dropped = 0\n"
+                      "        self.count += 1\n"
+                      "@dataclass\n"
+                      "class Report:\n"
+                      "    unseen: float\n"
+                      "    def lines(self):\n"
+                      "        return [getattr(self, f.name) for f in fields(self)]\n"
+                      "def use(result, counter):\n"
+                      "    return result.value + getattr(result, 'named') + counter.count\n")
+    assert unread_state([module], [module]) == ["module.Result.spare", "module.Counter.dropped"]
 
 
 def defaulted_parameters(path):

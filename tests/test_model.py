@@ -41,7 +41,10 @@ class TestTypes:
     def test_measurement_length_checks(self):
         grid = SampleGrid.equispaced(3)
         with pytest.raises(ValueError):
-            MeasurementSet(np.zeros(2), np.zeros(2), grid)
+            MeasurementSet(np.zeros(2), grid)
+        with pytest.raises(ValueError):
+            MeasurementSet(np.zeros((3, 1)), grid)
+        np.testing.assert_array_equal(MeasurementSet([1.0, 2.0, 3.0], grid).y, [1.0, 2.0, 3.0])
 
 
 class TestFeatureVector:
@@ -71,14 +74,21 @@ class TestSynthesize:
         grid = SampleGrid([0.5])
         ms = synthesize(src, grid, Kernel(0.1))
         np.testing.assert_array_equal(ms.y, [1.0])
-        np.testing.assert_array_equal(ms.w, [0.0])
+        # without noise, y is the clean product itself, bit for bit
+        clean = build_phi(grid, Kernel(0.1), src.locations) @ src.amplitudes
+        assert ms.y.tobytes() == clean.tobytes()
 
     def test_noise_additivity(self):
         src = SourceModel([0.5], [1.0])
         grid = SampleGrid([0.5])
         ms = synthesize(src, grid, Kernel(0.1), noise=[0.25])
         np.testing.assert_array_equal(ms.y, [1.25])
-        np.testing.assert_array_equal(ms.w, [0.25])
+        # the noise is added as given: the two ys differ by it exactly
+        grid = SampleGrid.equispaced(9)
+        noise = np.linspace(-0.3, 0.5, 9)
+        clean = synthesize(src, grid, Kernel(0.1)).y
+        noisy = synthesize(src, grid, Kernel(0.1), noise=noise).y
+        np.testing.assert_array_equal(noisy, clean + noise)
 
     def test_noise_length_mismatch(self):
         src = SourceModel([0.5], [1.0])
@@ -109,7 +119,7 @@ class TestSynthesize:
         noise = rng.normal(size=15) * 0.01
         one = synthesize(SourceModel(locs, amps), grid, kernel, noise)
         two = synthesize(SourceModel(locs, 2.0 * amps), grid, kernel, noise)
-        np.testing.assert_allclose(two.y - two.w, 2.0 * (one.y - one.w), rtol=1e-13)
+        np.testing.assert_allclose(two.y - noise, 2.0 * (one.y - noise), rtol=1e-13)
 
 
 class TestNoise:

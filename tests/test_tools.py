@@ -160,6 +160,28 @@ def test_a_record_that_differs_only_in_its_key_is_named():
         "bounds seed 1: reference.csv differs"]
 
 
+def test_tree_side_runs_from_a_copy(monkeypatch, capsys):
+    # both sides run from temporary copies whose paths, and output paths,
+    # have one length: the tree's side holds the tree's files
+    same_outputs = load_same_outputs()
+    sides = []
+
+    def run_all(tree, out_root):
+        source = (tree / "tools" / "same_outputs.py").read_bytes()
+        sides.append((str(tree), str(out_root), source))
+        return {(args[0], seed): (0, "", {}, 30.0, 15.0)
+                for _, args in same_outputs.COMMANDS for seed in same_outputs.SEEDS}
+
+    monkeypatch.setattr(same_outputs, "run_all", run_all)
+    assert same_outputs.main(["HEAD"]) == 0
+    (rev, rev_out, _), (tree, tree_out, source) = sides
+    assert not Path(tree).is_relative_to(ROOT)
+    assert Path(tree).parent == Path(rev).parent
+    assert (len(tree), len(tree_out)) == (len(rev), len(rev_out))
+    assert source == SCRIPT.read_bytes()
+    assert capsys.readouterr().out.splitlines()[-1].startswith("identical: ")
+
+
 def load_bench_pairs(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")

@@ -3,11 +3,10 @@ working tree, in alternating pairs of perfbench runs.
 
     python3 tools/bench_pairs.py REV WORKLOAD --pairs N --seed S
 
-Extracts ``git archive REV`` into a temporary directory, as
-``same_outputs.py`` does, and copies the working tree's files (tracked and
-untracked ones git does not ignore, without ``.git`` and ``perfbench/out``)
-into a second one, so that both sides run from paths of the same length:
-the path alone moves ``peak_rss_mb``.  It then runs ``perfbench/run.py
+Extracts ``git archive REV`` into a temporary directory and copies the
+working tree's files into a second one, as ``same_outputs.py`` does, so
+that both sides run from paths of the same length: the path alone moves
+``peak_rss_mb``.  It then runs ``perfbench/run.py
 --workload WORKLOAD --seed S --seconds 10 --trace 0`` from each copy in N
 pairs; the side that runs first alternates from pair to pair.  Each side
 runs its own ``perfbench/`` on its own ``src/``.  For each end-to-end
@@ -26,31 +25,15 @@ library only.
 
 import argparse
 import json
-import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from same_outputs import ROOT, extract
+from same_outputs import ROOT, copy_tree, extract
 
 SECONDS = 10
-
-
-def copy_tree(root, dest):
-    """Copy the files of the git working tree at ``root`` into ``dest``:
-    tracked and untracked ones that git does not ignore, as they are on
-    disk, and none under ``perfbench/out`` (git never lists ``.git``)."""
-    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
-                             "--exclude-standard"], capture_output=True, check=True).stdout
-    for name in sorted(set(listed.decode().split("\0")) - {""}):
-        source = Path(root, name)
-        if name.startswith("perfbench/out/") or not source.is_file():
-            continue
-        target = Path(dest, name)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(source, target)
 
 
 def run_perfbench(tree, workload, seed):

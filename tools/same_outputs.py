@@ -3,13 +3,15 @@ and in the working tree.
 
     python3 tools/same_outputs.py REV
 
-Extracts ``git archive REV`` into a temporary directory, then runs the five
-benchmark commands from that copy's source and from the working tree's, at
-seeds 0, 1 and 2 with one BLAS thread: ``solve --iters 1000`` on
-five-spike, and ``exp-noise --iters 100 --jobs 1``, ``exp-lambda-t``,
-``exp-t-a`` and ``bounds`` on three-spike, each command into its own
-directory.  A shared-directory pass then runs ``exp-lambda-t``,
-``exp-t-a``, ``bounds`` and ``exp-noise``, in that order, into one
+Extracts ``git archive REV`` into a temporary directory and copies the
+working tree's files (tracked and untracked ones git does not ignore,
+without ``.git`` and ``perfbench/out``) into a second one, so that both
+sides run from paths of the same length.  It then runs the five benchmark
+commands from each copy's source, at seeds 0, 1 and 2 with one BLAS
+thread: ``solve --iters 1000`` on five-spike, and ``exp-noise --iters 100
+--jobs 1``, ``exp-lambda-t``, ``exp-t-a`` and ``bounds`` on three-spike,
+each command into its own directory.  A shared-directory pass then runs
+``exp-lambda-t``, ``exp-t-a``, ``bounds`` and ``exp-noise``, in that order, into one
 directory per seed, as a user who keeps one ``--out`` does; its artifacts
 are compared once, after its last command, and reported under it.  Each
 side uses its own ``configs/``.  Every artifact is compared byte for byte,
@@ -30,6 +32,7 @@ import argparse
 import io
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -65,6 +68,21 @@ def extract(rev, dest):
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+
+
+def copy_tree(root, dest):
+    """Copy the files of the git working tree at ``root`` into ``dest``:
+    tracked and untracked ones that git does not ignore, as they are on
+    disk, and none under ``perfbench/out`` (git never lists ``.git``)."""
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = Path(root, name)
+        if name.startswith("perfbench/out/") or not source.is_file():
+            continue
+        target = Path(dest, name)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def own_peak():
@@ -186,10 +204,13 @@ def main(argv=None):
     rev = parser.parse_args(argv).rev
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "rev").mkdir()
+        # "rev" and "new": both sides' paths have one length
+        for side in ("rev", "new"):
+            (tmp / side).mkdir()
         extract(rev, tmp / "rev")
+        copy_tree(ROOT, tmp / "new")
         old = run_all(tmp / "rev", tmp / "out-rev")
-        new = run_all(ROOT, tmp / "out-tree")
+        new = run_all(tmp / "new", tmp / "out-new")
     for line in peak_rss(rev, old, new):
         print(line)
     found = differences(rev, old, new)
