@@ -13,7 +13,6 @@ in one bracket search and one Newton call.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,30 +110,22 @@ def newton_on_slope(kernel: Kernel, samples, weights, t, lo, hi, floor, max_iter
     return t, (q, slope, curv), converged
 
 
-@dataclass(frozen=True)
 class Certificate:
     """A dual vector together with the geometry needed to evaluate q."""
-
-    weights: np.ndarray
-    grid: SampleGrid
-    kernel: Kernel
 
     def __init__(self, weights, grid, kernel):
         weights = np.asarray(weights, dtype=float).copy()
         if weights.shape != (grid.n_samples,):
             raise ValueError("one weight per sample is required")
         weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "kernel", kernel)
+        self.weights, self.grid, self.kernel = weights, grid, kernel
 
 
-@dataclass(frozen=True)
 class MaximizerSet:
     """Refined stationary local maxima of a certificate, sorted by location."""
 
-    locations: np.ndarray
-    values: np.ndarray
+    def __init__(self, locations, values):
+        self.locations, self.values = locations, values
 
 
 @functools.lru_cache(maxsize=1)

@@ -7,7 +7,6 @@ curvature; finite differences appear only in tests.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,23 @@ _FACTORS = {1: lambda t, s2: -2.0 * t / s2,
             3: lambda t, s2: 12.0 * t / s2**2 - 8.0 * t**3 / s2**3}
 
 
-@dataclass(frozen=True)
 class Kernel:
-    """Gaussian kernel of width ``sigma`` on the same scale as locations."""
+    """Gaussian kernel of width ``sigma`` on the same scale as locations.
+    Kernels of one width are equal and hash alike: the scan cache and a
+    batch's check compare them by value."""
 
-    sigma: float
+    def __init__(self, sigma):
+        if not sigma > 0:
+            raise ValueError(f"kernel width must be positive, got {sigma}")
+        self.sigma = sigma
 
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"kernel width must be positive, got {self.sigma}")
+    def __eq__(self, other):
+        if other.__class__ is not Kernel:
+            return NotImplemented
+        return self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash(self.sigma)
 
     def value(self, t):
         """Evaluate exp(-t^2/sigma^2); accepts scalars or arrays.

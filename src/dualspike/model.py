@@ -1,7 +1,5 @@
 """Ground-truth spike trains, sampling grids, and measurement synthesis."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .kernel import Kernel
@@ -13,12 +11,8 @@ def _as_readonly(values):
     return a
 
 
-@dataclass(frozen=True)
 class SourceModel:
     """Non-negative spike train on [0,1]: strictly increasing locations."""
-
-    locations: np.ndarray
-    amplitudes: np.ndarray
 
     def __init__(self, locations, amplitudes):
         locations = _as_readonly(locations)
@@ -34,19 +28,15 @@ class SourceModel:
             raise ValueError("locations must be strictly increasing")
         if np.any(amplitudes <= 0):
             raise ValueError("amplitudes must be positive")
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "amplitudes", amplitudes)
+        self.locations, self.amplitudes = locations, amplitudes
 
     @property
     def n_sources(self):
         return self.locations.size
 
 
-@dataclass(frozen=True)
 class SampleGrid:
     """Strictly increasing sample locations in [0,1]."""
-
-    samples: np.ndarray
 
     def __init__(self, samples):
         samples = _as_readonly(samples)
@@ -57,7 +47,7 @@ class SampleGrid:
             raise ValueError("samples must lie in [0, 1]")
         if np.any(np.diff(samples) <= 0):
             raise ValueError("samples must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
+        self.samples = samples
 
     @classmethod
     def equispaced(cls, m):
@@ -71,19 +61,14 @@ class SampleGrid:
         return self.samples.size
 
 
-@dataclass(frozen=True)
 class MeasurementSet:
     """Observed vector y, noise included, and the grid used."""
-
-    y: np.ndarray
-    grid: SampleGrid = field(repr=False)
 
     def __init__(self, y, grid):
         y = _as_readonly(y)
         if y.shape != (grid.n_samples,):
             raise ValueError("y must have one entry per sample")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "grid", grid)
+        self.y, self.grid = y, grid
 
 
 def build_phi(grid: SampleGrid, kernel: Kernel, locations) -> np.ndarray:

@@ -2,7 +2,6 @@
 from unconstrained least squares against the translate matrix."""
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +14,11 @@ from .model import SampleGrid, build_phi
 SUPPORT_VALUE_THRESHOLD = 1.0 - 1e-3
 
 
-@dataclass(frozen=True)
 class RecoveryResult:
     """Estimated support and its least-squares amplitudes."""
 
-    locations: np.ndarray
-    amplitudes: np.ndarray
+    def __init__(self, locations, amplitudes):
+        self.locations, self.amplitudes = locations, amplitudes
 
 
 def recover_amplitudes(grid: SampleGrid, kernel: Kernel, locations, y) -> RecoveryResult:

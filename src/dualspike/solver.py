@@ -22,7 +22,6 @@ one.  A solve returns a record of its run that holds no row of its LP:
 """
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,32 +51,25 @@ CUT_BLOCK = 64
 LEVEL_MIX = 0.25
 
 
-@dataclass(frozen=True)
 class PenaltyProblem:
     """Measurements plus the penalty weight and box radius of the dual."""
 
-    measurements: MeasurementSet
-    kernel: Kernel
-    penalty: float
-    box_radius: float
-
-    def __post_init__(self):
-        if not self.penalty > 0:
+    def __init__(self, measurements: MeasurementSet, kernel: Kernel, penalty, box_radius):
+        if not penalty > 0:
             raise ValueError("penalty must be positive")
-        if not self.box_radius > 0:
+        if not box_radius > 0:
             raise ValueError("box_radius must be positive")
+        self.measurements, self.kernel = measurements, kernel
+        self.penalty, self.box_radius = penalty, box_radius
 
 
-@dataclass(frozen=True)
 class Cut:
     """One cutting plane: value + slope.(lam - anchor) minorizes the objective."""
 
-    anchor: np.ndarray
-    value: float
-    slope: np.ndarray
+    def __init__(self, anchor, value, slope):
+        self.anchor, self.value, self.slope = anchor, value, slope
 
 
-@dataclass
 class BundleState:
     """The record of one solve: its problem, the final iterate and, per
     iteration, the two bounds and the projected iterate.  The gap and level
@@ -91,16 +83,11 @@ class BundleState:
     ``n_iterations`` is 0, and the histories, ``iterate_history`` and
     ``cuts`` are empty."""
 
-    problem: PenaltyProblem
-    iterate: np.ndarray
-    upper_bound: float = np.inf
-    lower_bound: float = -np.inf
-    upper_history: list[float] = field(default_factory=list)
-    lower_history: list[float] = field(default_factory=list)
-    _iterates: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._iterates = np.empty((0, self.iterate.size))
+    def __init__(self, problem: PenaltyProblem, iterate):
+        self.problem, self.iterate = problem, iterate
+        self.upper_bound, self.lower_bound = np.inf, -np.inf
+        self.upper_history, self.lower_history = [], []
+        self._iterates = np.empty((0, iterate.size))
 
     @property
     def n_iterations(self):

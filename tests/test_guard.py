@@ -4,9 +4,10 @@ referenced from src/, perfbench/ or the acceptance gate, or be exported in
 ``dualspike.__all__``; every defaulted parameter must be set by some call
 there, or it is a constant, and left to its default by some call there,
 or the default is dead; and every attribute a class stores must be read
-there.  No module in src/ reaches into another's private names.  And
-src/ imports nothing from scipy: the runtime is numpy alone, and a serial
-command loads no multiprocessing."""
+there.  No module in src/ reaches into another's private names, and no
+class there works round a dataclass.  And src/ imports nothing from
+scipy: the runtime is numpy alone, and a serial command loads no
+multiprocessing."""
 
 import ast
 import importlib.util
@@ -151,6 +152,67 @@ def test_unread_state_is_found(tmp_path):
                       "def use(result, counter):\n"
                       "    return result.value + getattr(result, 'named') + counter.count\n")
     assert unread_state([module], [module]) == ["module.Result.spare", "module.Counter.dropped"]
+
+
+def dataclass_workarounds(paths):
+    """One line per finding in ``paths``: a class decorated ``@dataclass``
+    (called or not, by name or through ``dataclasses``) that defines its own
+    ``__init__``, and each top-level function or class that calls
+    ``object.__setattr__``."""
+    found = []
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            label = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.ClassDef):
+                decorators = [getattr(d, "func", d) for d in node.decorator_list]
+                if (any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+                        for d in decorators)
+                        and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                                for item in node.body)):
+                    found.append(f"{label}: @dataclass with its own __init__")
+            if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                   and sub.func.attr == "__setattr__" and isinstance(sub.func.value, ast.Name)
+                   and sub.func.value.id == "object" for sub in ast.walk(node)):
+                found.append(f"{label}: object.__setattr__")
+    return found
+
+
+def test_no_dataclass_worked_around():
+    # a dataclass that writes its own __init__ still has one generated and
+    # compiled on every import, and object.__setattr__ writes round the
+    # guard a frozen one generates: a plain class needs neither
+    assert dataclass_workarounds(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_dataclass_workarounds_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import dataclasses\n"
+                      "from dataclasses import dataclass\n"
+                      "@dataclass(frozen=True)\n"
+                      "class Grid:\n"
+                      "    samples: list\n"
+                      "    def __init__(self, samples):\n"
+                      "        object.__setattr__(self, 'samples', list(samples))\n"
+                      "@dataclasses.dataclass\n"
+                      "class Box:\n"
+                      "    def __init__(self):\n"
+                      "        self.size = 0\n"
+                      "@dataclass\n"
+                      "class Report:\n"
+                      "    value: float\n"
+                      "    def __post_init__(self):\n"
+                      "        self.value = float(self.value)\n"
+                      "class Plain:\n"
+                      "    def __init__(self, value):\n"
+                      "        self.value = value\n"
+                      "def thaw(record):\n"
+                      "    object.__setattr__(record, 'value', 0)\n"
+                      "    setattr(record, 'value', 1)\n")
+    assert dataclass_workarounds([module]) == [
+        "module.Grid: @dataclass with its own __init__",
+        "module.Grid: object.__setattr__",
+        "module.Box: @dataclass with its own __init__",
+        "module.thaw: object.__setattr__"]
 
 
 def defaulted_parameters(path):

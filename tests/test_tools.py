@@ -160,6 +160,51 @@ def test_a_record_that_differs_only_in_its_key_is_named():
         "bounds seed 1: reference.csv differs"]
 
 
+SWEEP = b"# config=0123456789ab seed=0 rng=pcg64\nw_c,loc_err,note\n0.002,1.5e-08,\n0.1,2.5e-07,\n"
+
+
+def test_numeric_difference_is_sized(monkeypatch, capsys):
+    # the report sits under the "differs" line and leaves the verdict and
+    # the exit code alone
+    same_outputs = load_same_outputs()
+    changed = SWEEP.replace(b"2.5e-07", b"2.5000000000000004e-07")
+    assert same_outputs.csv_changes("abc123", SWEEP, changed) == [
+        "loc_err: largest difference 5.29e-23 absolute, 2.12e-16 relative (1 of 2 rows differ)"]
+    assert same_outputs.csv_changes("abc123", SWEEP, SWEEP.replace(b"seed=0", b"seed=1")) == [
+        "every value is the same: only lines starting with # differ"]
+
+    def run_all(tree, out_root):
+        files = {"exp_noise.csv": changed if "new" in tree.name else SWEEP,
+                 "bounds_report.txt": b"sigma = 0.07\n" if "new" in tree.name else b""}
+        return {(args[0], seed): (0, "", files, 30.0, 15.0)
+                for _, args in same_outputs.COMMANDS for seed in same_outputs.SEEDS}
+
+    monkeypatch.setattr(same_outputs, "run_all", run_all)
+    monkeypatch.setattr(same_outputs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(same_outputs, "copy_tree", lambda root, dest: None)
+    assert same_outputs.main(["abc123"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[out.index("solve seed 0: bounds_report.txt differs") + 1:][:2] == [
+        "solve seed 0: exp_noise.csv differs",
+        "    loc_err: largest difference 5.29e-23 absolute, 2.12e-16 relative "
+        "(1 of 2 rows differ)"]
+    assert sum(line.startswith("    ") for line in out) == len(same_outputs.COMMANDS) * len(
+        same_outputs.SEEDS)
+
+
+def test_non_numeric_column_is_counted():
+    same_outputs = load_same_outputs()
+    changed = SWEEP.replace(b"0.1,2.5e-07,", b"0.1,2.5e-07,refine_failed")
+    assert same_outputs.csv_changes("abc123", SWEEP, changed) == [
+        "note: 1 of 2 rows differ, not all numbers"]
+
+
+def test_added_row_is_named():
+    same_outputs = load_same_outputs()
+    assert same_outputs.csv_changes("abc123", SWEEP, SWEEP + b"0.2,3e-07,\n") == [
+        "rows: 2 at abc123, 3 in the tree"]
+
+
 def test_tree_side_runs_from_a_copy(monkeypatch, capsys):
     # both sides run from temporary copies whose paths, and output paths,
     # have one length: the tree's side holds the tree's files

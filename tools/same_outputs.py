@@ -19,7 +19,12 @@ and each command's exit code and stdout, with its output directory
 stripped.  An artifact that matches once the lines starting with
 ``# key=`` are dropped from both sides, as a reference record whose key
 hashes changed package sources, is reported as differing only in its key
-line.  One line per command gives its largest peak RSS over the seeds
+line.  Under any other CSV artifact that differs, indented lines say by
+how much: a change in its row count, and per column, over the rows both
+sides hold, the largest absolute and relative difference, or, where a
+changed cell is not a finite number, how many rows differ.  They inform
+and decide nothing: byte identity stays the verdict.  One line per
+command gives its largest peak RSS over the seeds
 on each side (from ``os.wait4``), ahead of the comparison's result; a
 reading no larger than this process's own peak, which the child's reading
 includes, shows as ``<= X MB``.  Exits 0 when everything
@@ -29,7 +34,9 @@ comparison cannot be made: REV names no revision, or a side's
 """
 
 import argparse
+import csv
 import io
+import math
 import os
 import resource
 import shutil
@@ -175,27 +182,89 @@ def without_key(data):
                     if not line.startswith(b"# key="))
 
 
-def differences(rev, old, new):
-    """One line per exit code, stdout or artifact that differs; an artifact
-    equal once its ``# key=`` lines are dropped differs only in its key
-    line."""
+def csv_table(data):
+    """(header, rows) of CSV bytes, its lines that start with ``#`` dropped."""
+    lines = [line for line in data.decode().splitlines() if not line.startswith("#")]
+    table = list(csv.reader(lines)) or [[]]
+    return table[0], table[1:]
+
+
+def finite(cell):
+    """The cell's value when it is a finite number, else None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def csv_changes(rev, old_data, new_data):
+    """How two CSV artifacts differ in value, one line per change: the row
+    count, the columns that only one side has, and per column both have,
+    over the rows both hold, the largest absolute and relative difference
+    (relative to the larger magnitude), or, where a changed cell is not a
+    finite number on both sides, the count of rows that differ; one line
+    that says so when only comment lines differ."""
+    (old_header, old_rows), (new_header, new_rows) = csv_table(old_data), csv_table(new_data)
+    lines = []
+    if len(old_rows) != len(new_rows):
+        lines.append(f"rows: {len(old_rows)} at {rev}, {len(new_rows)} in the tree")
+    for names, where in ((set(old_header) - set(new_header), f"at {rev}"),
+                         (set(new_header) - set(old_header), "in the tree")):
+        if names:
+            lines.append(f"columns only {where}: {', '.join(sorted(names))}")
+    shared = min(len(old_rows), len(new_rows))
+    for name in new_header:
+        if name not in old_header:
+            continue
+        i, j = old_header.index(name), new_header.index(name)
+        # a short row, as a cut-off last line leaves, reads as empty cells
+        cells = [(a[i] if i < len(a) else "", b[j] if j < len(b) else "")
+                 for a, b in zip(old_rows, new_rows)]
+        changed = [(a, b) for a, b in cells if a != b]
+        if not changed:
+            continue
+        values = [(finite(a), finite(b)) for a, b in changed]
+        if any(a is None or b is None for a, b in values):
+            lines.append(f"{name}: {len(changed)} of {shared} rows differ, not all numbers")
+            continue
+        largest = max(abs(a - b) for a, b in values)
+        relative = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in values)
+        lines.append(f"{name}: largest difference {largest:.3g} absolute, {relative:.3g} "
+                     f"relative ({len(changed)} of {shared} rows differ)")
+    return lines or ["every value is the same: only lines starting with # differ"]
+
+
+def compared(rev, old, new):
+    """(line, detail lines) per exit code, stdout or artifact that differs;
+    an artifact equal once its ``# key=`` lines are dropped differs only in
+    its key line, and any other CSV artifact that differs has its
+    ``csv_changes`` as detail."""
     found = []
     for (command, seed), (old_code, old_out, old_files, *_) in old.items():
         new_code, new_out, new_files, *_ = new[command, seed]
         label = f"{command} seed {seed}"
         if old_code != new_code:
-            found.append(f"{label}: exit code {old_code} at {rev}, {new_code} in the tree")
+            found.append((f"{label}: exit code {old_code} at {rev}, {new_code} in the tree", []))
         if old_out != new_out:
-            found.append(f"{label}: stdout differs")
+            found.append((f"{label}: stdout differs", []))
         for name in sorted(old_files.keys() | new_files.keys()):
             if name not in new_files:
-                found.append(f"{label}: {name} written only at {rev}")
+                found.append((f"{label}: {name} written only at {rev}", []))
             elif name not in old_files:
-                found.append(f"{label}: {name} written only in the tree")
+                found.append((f"{label}: {name} written only in the tree", []))
             elif old_files[name] != new_files[name]:
-                same = without_key(old_files[name]) == without_key(new_files[name])
-                found.append(f"{label}: {name} differs{' only in its key line' if same else ''}")
+                if without_key(old_files[name]) == without_key(new_files[name]):
+                    found.append((f"{label}: {name} differs only in its key line", []))
+                else:
+                    found.append((f"{label}: {name} differs", csv_changes(
+                        rev, old_files[name], new_files[name]) if name.endswith(".csv") else []))
     return found
+
+
+def differences(rev, old, new):
+    """The lines of ``compared``, without their detail."""
+    return [line for line, _ in compared(rev, old, new)]
 
 
 def main(argv=None):
@@ -213,9 +282,11 @@ def main(argv=None):
         new = run_all(tmp / "new", tmp / "out-new")
     for line in peak_rss(rev, old, new):
         print(line)
-    found = differences(rev, old, new)
-    for line in found:
+    found = compared(rev, old, new)
+    for line, detail in found:
         print(line)
+        for extra in detail:
+            print(f"    {extra}")
     if found:
         return 1
     written = sum(len(files) for _, _, files, *_ in new.values())
