@@ -3,7 +3,7 @@ noise sweep, and the bounds report.  Every driver but ``run_solve`` starts
 from ``reference_run``, the clean solve plus ``bounds.full_report`` at its
 final iterate, and takes its stability constants from that report.  The
 reference stage keeps the clean solve's iterates in ``--out``
-(``reference.csv``), keyed by what the solve's bits depend on, so the next
+(``reference.csv``), keyed by the clean problem, not the cap, so the next
 command into the same directory reads them instead of solving again.
 Every driver writes deterministic artifacts (``write_csv``) and returns
 (the paths it wrote, its data); the reference drivers read only the
@@ -89,17 +89,13 @@ def build_problem(cfg: ExperimentConfig, noise=None):
     return PenaltyProblem(measurements, cfg.kernel(), cfg.pi, cfg.tau)
 
 
-def _certificate(problem: PenaltyProblem, weights) -> Certificate:
-    return Certificate(weights, problem.measurements.grid, problem.kernel)
-
-
 def _check_penalty(problem: PenaltyProblem, final):
     """DualSpikeError (exit code 3) naming ``pi`` when pi <= L = y.lam /
     max(1, sup q) at the final iterate ``final``.  lam / max(1, sup q) is
     dual feasible, so by weak duality L bounds the primal mass |a|_1 from
     below: pi <= L proves that the penalty need not be exact.  Clean y only:
     noisy y lies outside the cone, where L says nothing about pi."""
-    _, sup_q = supremum(_certificate(problem, final))
+    _, sup_q = supremum(Certificate(final, problem.measurements.grid, problem.kernel))
     mass_bound = float(problem.measurements.y @ final) / max(1.0, sup_q)
     if problem.penalty <= mass_bound:
         raise DualSpikeError(f"key 'pi': {problem.penalty:g} does not exceed {mass_bound:.6g} "
@@ -121,7 +117,7 @@ def run_solve(cfg: ExperimentConfig, out_dir):
                        [(i + 1, u, lo, g) for i, (u, lo, g) in enumerate(
                            zip(state.upper_history, state.lower_history,
                                state.gap_history))])]
-    cert = _certificate(problem, state.iterate)
+    cert = Certificate(state.iterate, problem.measurements.grid, problem.kernel)
     paths.append(write_csv(cfg, out_dir, "certificate.csv", ["t", "q"], dump_curve(cert)))
     recovery = recover(cert, problem.measurements.y)
     paths.append(write_csv(cfg, out_dir, "recovery.csv", ["location", "amplitude"],
@@ -129,10 +125,10 @@ def run_solve(cfg: ExperimentConfig, out_dir):
     return paths, recovery
 
 
-def _reference_key(problem: PenaltyProblem, iterations):
+def _reference_key(problem: PenaltyProblem):
     """16 hex digits of SHA-256 over what the reference solve's bits depend
-    on: the package's own sources (each ``*.py`` file in name order),
-    numpy's version, y, the samples, sigma, pi, tau and the iteration cap."""
+    on, apart from its cap: the package's own sources (each ``*.py`` file
+    in name order), numpy's version, y, the samples, sigma, pi and tau."""
     digest = sha256()
     package = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(package)):
@@ -143,7 +139,7 @@ def _reference_key(problem: PenaltyProblem, iterations):
     measurements = problem.measurements
     digest.update(f"numpy {np.__version__} m {measurements.y.size} "
                   f"sigma {problem.kernel.sigma!r} pi {problem.penalty!r} "
-                  f"tau {problem.box_radius!r} iterations {iterations}\n".encode())
+                  f"tau {problem.box_radius!r}\n".encode())
     digest.update(measurements.y.tobytes() + measurements.grid.samples.tobytes())
     return digest.hexdigest()[:16]
 
@@ -207,25 +203,27 @@ def reference_run(cfg: ExperimentConfig, iterations, out_dir):
     line, ``# key=`` with 16 hex digits of ``_reference_key`` and
     ``rows=n``, the header ``lam_1,...,lam_m``, then one row per iterate
     as ``repr`` floats, which read back bit for bit.  A record with this
-    problem's key and n rows, each m floats ending in a newline, gives the
-    iterates, and no solve runs; any other file there (another key, a
-    missing, cut, short or malformed row) is a miss, which solves and
-    replaces it.  Deleting the record forces a fresh solve.  The penalty
-    check and the report run on both paths; only a solve that passes the
-    check writes the record, and ``paths`` lists it then and is empty on
-    a hit.
+    problem's key and n rows, each m floats ending in a newline, serves a
+    cap c <= n with its first c rows (a solve's first c iterates do not
+    depend on its cap), or any cap once n > 1 and its last row repeats the
+    one before (the solve's stop rule); it then stays as it is.  Any other
+    file there, or rows short of the cap, is a miss, which solves and
+    replaces it.  Only a solve that passes the penalty check (run, like the
+    report, on both paths) writes the record; ``paths`` lists it then, else
+    is empty.
     """
     problem = build_problem(cfg)
-    key = _reference_key(problem, iterations)
+    key = _reference_key(problem)
     iterates = _load_reference(os.path.join(out_dir, REFERENCE_FILE), key,
                                problem.measurements.y.size)
-    solved = iterates is None
+    stopped = iterates is not None and len(iterates) > 1 and np.array_equal(*iterates[-2:])
+    solved = iterates is None or len(iterates) < iterations and not stopped
     if solved:
-        state = solve(problem, max_iters=iterations)
-        if state.n_iterations == 0:
-            raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
-                                 f"(iterations = {iterations})")
-        iterates = np.array(state.iterate_history)
+        iterates = np.array(solve(problem, max_iters=iterations).iterate_history)
+    iterates = iterates[:iterations]
+    if len(iterates) == 0:
+        raise DualSpikeError(f"key 'iterations': the reference solve ran no iteration "
+                             f"(iterations = {iterations})")
     _check_penalty(problem, iterates[-1])
     paths = [_save_reference(cfg, out_dir, iterates, key)] if solved else []
     report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),

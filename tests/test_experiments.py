@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import three_spike_config
 from dualspike import bounds, certificate, experiments
+from dualspike.cli import main
 from dualspike.errors import DualSpikeError
 from dualspike.model import uniform_noise
 from dualspike.solver import solve
+
+THREE_SPIKES = Path(__file__).resolve().parents[1] / "configs" / "three_spikes.cfg"
 
 
 def read_rows(path):
@@ -31,10 +34,11 @@ def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("three_spike")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "noise_grid", lambda: np.array([2e-6, 2e-3]))
-        # the sweep's 100-iteration reference writes the record, the ratio
-        # experiments' 500-iteration one replaces it, and the rest read it
+        # the sweep's 100-iteration reference writes the record, which ends
+        # at the solve's 98-iterate fixed point, so the 500-iteration
+        # references of the ratio experiments and the report read it
         (_, noise_path), _ = experiments.run_noise(cfg, out)
-    (_, lambda_t_path), _ = experiments.run_lambda_t(cfg, out)
+    (lambda_t_path,), _ = experiments.run_lambda_t(cfg, out)
     (t_a_path,), _ = experiments.run_t_a(cfg, out)
     (_, report_path), _ = experiments.run_bounds(cfg, out)
     (report,) = read_rows(report_path)
@@ -235,8 +239,7 @@ class TestReferenceRecord:
         assert loaded.tobytes() == solved.tobytes() == np.array(state.iterate_history).tobytes()
 
     @pytest.mark.parametrize("change", [
-        {"tau": 1e4}, {"pi": 50.0}, {"iterations": ITERS + 1},
-        {"samples": np.linspace(0.0, 1.0, 22)}])
+        {"tau": 1e4}, {"pi": 50.0}, {"sigma": 0.08}, {"samples": np.linspace(0.0, 1.0, 22)}])
     def test_another_problem_misses(self, cfg, solve_calls, tmp_path, change):
         experiments.reference_run(cfg, self.ITERS, tmp_path / "first")
         other = dataclasses.replace(cfg, **change)
@@ -245,6 +248,58 @@ class TestReferenceRecord:
         assert len(solve_calls) == 3
         assert [os.path.basename(path) for path in paths] == [experiments.REFERENCE_FILE]
         assert files(tmp_path / "first") == files(tmp_path / "alone")
+
+    SEQUENCE = (("exp-lambda-t",), ("bounds",), ("exp-noise", "--iters", "100"), ("exp-t-a",),
+                ("exp-noise", "--iters", "100"), ("bounds",))
+
+    @pytest.mark.parametrize("first", [0, 2], ids=["exp-lambda-t-first", "exp-noise-first"])
+    def test_one_solve_per_directory(self, cfg, solve_calls, tmp_path, first):
+        # the commands into one --out solve the reference once, whatever
+        # their caps and order, and each writes what it writes alone (the
+        # cfg fixture cuts the sweep to two points)
+        sequence = [self.SEQUENCE[first], *self.SEQUENCE[:first], *self.SEQUENCE[first + 1:]]
+
+        def run(args, out):
+            assert main([args[0], "--config", str(THREE_SPIKES), "--out", str(out), "--seed",
+                         "0", *args[1:]]) == 0
+
+        for args in dict.fromkeys(sequence):
+            run(args, tmp_path / args[0])
+        solve_calls.clear()
+        for args in sequence:
+            run(args, tmp_path / "shared")
+            alone, shared = files(tmp_path / args[0]), files(tmp_path / "shared")
+            assert {name: shared[name] for name in alone} == alone
+        assert len(solve_calls) == 1
+
+    @pytest.mark.parametrize("iterations", [1, 40, 97, 98, 99, ITERS + 1, 500])
+    def test_another_cap_reads_the_record(self, cfg, solve_calls, tmp_path, iterations):
+        # the record ends at three-spike's 98-iterate fixed point: a smaller
+        # cap reads its first rows, a larger one all of them, as a solve would
+        _, problem, _, _ = experiments.reference_run(cfg, self.ITERS, tmp_path)
+        written = files(tmp_path)
+        paths, _, loaded, _ = experiments.reference_run(cfg, iterations, tmp_path)
+        assert solve_calls == [self.ITERS] and paths == []
+        assert loaded.tobytes() == np.array(solve(problem, iterations).iterate_history).tobytes()
+        assert files(tmp_path) == written
+
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_a_capped_record_serves_a_prefix(self, cfg, solve_calls, tmp_path, cap):
+        # a record cut short of the fixed point by its cap serves caps up to
+        # that one and stays; a larger cap solves and replaces it
+        out = tmp_path / "capped"
+        experiments.reference_run(cfg, cap, out)
+        written = files(out)
+        for iterations in sorted({1, cap}):
+            paths, problem, loaded, _ = experiments.reference_run(cfg, iterations, out)
+            assert paths == [] and loaded.tobytes() == np.array(
+                solve(problem, iterations).iterate_history).tobytes()
+        assert solve_calls == [cap] and files(out) == written
+        paths, *_ = experiments.reference_run(cfg, 500, out)
+        assert solve_calls == [cap, 500]
+        assert [os.path.basename(path) for path in paths] == [experiments.REFERENCE_FILE]
+        experiments.reference_run(cfg, 500, tmp_path / "alone")
+        assert files(out) == files(tmp_path / "alone")
 
     @pytest.mark.parametrize("edit", [
         # a changed package source changes the key
@@ -291,7 +346,14 @@ class TestReferenceRecord:
                 assert experiments._load_reference(path, key, iterates.shape[1]) is None
 
     def test_zero_iterations_write_no_record(self, cfg, tmp_path):
+        # a cap of 0 fails alike with no record and with one, which it leaves
         cfg = dataclasses.replace(cfg, iterations=0)
         with pytest.raises(DualSpikeError, match="key 'iterations'"):
             experiments.reference_run(cfg, 0, tmp_path)
         assert not any(tmp_path.iterdir())
+        experiments.reference_run(cfg, self.ITERS, tmp_path)
+        written = files(tmp_path)
+        with pytest.raises(DualSpikeError, match="key 'iterations': the reference solve ran no "
+                           "iteration"):
+            experiments.reference_run(cfg, 0, tmp_path)
+        assert files(tmp_path) == written

@@ -604,6 +604,18 @@ class TestSolve:
         assert short.gap_history == long.gap_history
         np.testing.assert_array_equal(short.iterate, long.iterate)
 
+    @pytest.mark.parametrize("config, cap", [(three_spike_config, 500), (five_spike_config, 1000)])
+    def test_a_smaller_cap_solves_a_prefix(self, config, cap):
+        # a solve's first c iterates do not depend on its cap c, so the
+        # reference record serves a smaller cap with its first rows
+        problem = build_problem(config())
+        full = np.array(solve(problem, max_iters=cap).iterate_history)
+        n = len(full)
+        assert n < cap and np.array_equal(full[-1], full[-2])
+        for c in range(1, n + 3):
+            capped = np.array(solve(problem, max_iters=c).iterate_history)
+            assert capped.tobytes() == full[:c].tobytes(), c
+
     def test_deterministic_histories(self):
         problem = build_problem(three_spike_config())
         first = solve(problem, max_iters=150)

@@ -160,6 +160,56 @@ def test_a_record_that_differs_only_in_its_key_is_named():
         "bounds seed 1: reference.csv differs"]
 
 
+def test_solve_lengths_are_named():
+    # iterations from convergence.csv's rows or reference.csv's rows=; a
+    # line only where the two sides differ, a side without either as None
+    same_outputs = load_same_outputs()
+    convergence = b"# config=0123456789ab seed=0 rng=pcg64\niter,upper,lower,gap\n" + b"".join(
+        b"%d,1.0,0.5,0.5\n" % k for k in range(1, 4))
+    record = b"# config=0123456789ab seed=0 rng=pcg64\n# key=0123456789abcdef rows=98\nlam_1\n"
+    old = {("solve", 0): (0, "", {"convergence.csv": convergence}, 30.0, 15.0),
+           ("solve", 1): (0, "", {"convergence.csv": convergence}, 30.0, 15.0),
+           ("bounds", 0): (0, "", {"reference.csv": record}, 30.0, 15.0),
+           ("bounds", 1): (0, "", {"reference.csv": record}, 30.0, 15.0),
+           ("exp-t-a", 0): (0, "", {"exp_t_a.csv": b""}, 30.0, 15.0)}
+    new = dict(old)
+    new["solve", 1] = (0, "", {"convergence.csv": convergence + b"4,1.0,0.5,0.5\n"}, 30.0, 15.0)
+    new["bounds", 0] = (0, "", {"reference.csv": record.replace(b"=98", b"=117")}, 30.0, 15.0)
+    new["bounds", 1] = (3, "", {}, 30.0, 15.0)
+    assert same_outputs.solve_lengths("abc123", old, new) == [
+        "solve seed 1: the solve ran 3 iterations at abc123, 4 in the tree",
+        "bounds seed 0: the solve ran 98 iterations at abc123, 117 in the tree",
+        "bounds seed 1: the solve ran 98 iterations at abc123, None in the tree"]
+
+
+def test_shared_solves_are_counted(monkeypatch, capsys):
+    # a shared command that solved lists reference.csv on stdout; the count
+    # informs, and identical outputs still exit 0
+    same_outputs = load_same_outputs()
+
+    def results(solving):
+        found = {(args[0], seed): (0, "reference.csv\n", {}, 30.0, 15.0)
+                 for _, args in same_outputs.COMMANDS for seed in same_outputs.SEEDS}
+        for seed in same_outputs.SEEDS:
+            for _, args in same_outputs.SHARED:
+                stdout = f"reference.csv\n{args[0]}.csv\n" if args[0] in solving else ""
+                found[f"shared {args[0]}", seed] = 0, stdout, {}, 30.0, 15.0
+        return found
+
+    old, new = results({"exp-lambda-t", "exp-noise"}), results({"exp-lambda-t"})
+    assert same_outputs.shared_solves("abc123", old, new) == [
+        f"shared pass seed {seed}: reference solves 2 at abc123, 1 in the tree"
+        for seed in same_outputs.SEEDS]
+    monkeypatch.setattr(same_outputs, "run_all", lambda tree, out_root: results({"bounds"}))
+    monkeypatch.setattr(same_outputs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(same_outputs, "copy_tree", lambda root, dest: None)
+    assert same_outputs.main(["abc123"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[len(same_outputs.COMMANDS):-1] == [
+        f"shared pass seed {seed}: reference solves 1 at abc123, 1 in the tree"
+        for seed in same_outputs.SEEDS]
+
+
 SWEEP = b"# config=0123456789ab seed=0 rng=pcg64\nw_c,loc_err,note\n0.002,1.5e-08,\n0.1,2.5e-07,\n"
 
 

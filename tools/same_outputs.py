@@ -23,11 +23,16 @@ line.  Under any other CSV artifact that differs, indented lines say by
 how much: a change in its row count, and per column, over the rows both
 sides hold, the largest absolute and relative difference, or, where a
 changed cell is not a finite number, how many rows differ.  They inform
-and decide nothing: byte identity stays the verdict.  One line per
-command gives its largest peak RSS over the seeds
-on each side (from ``os.wait4``), ahead of the comparison's result; a
+and decide nothing: byte identity stays the verdict.  Ahead of the
+comparison's result, and as information only: one line per command gives
+its largest peak RSS over the seeds on each side (from ``os.wait4``), a
 reading no larger than this process's own peak, which the child's reading
-includes, shows as ``<= X MB``.  Exits 0 when everything
+includes, showing as ``<= X MB``; one line per command and seed names a
+solve that ran a different number of iterations on the two sides (the rows
+of ``convergence.csv``, or ``rows=`` in ``reference.csv``); and one line
+per seed of the shared-directory pass gives how many of its commands
+solved the reference on each side, a command that solved listing
+``reference.csv`` on stdout.  Exits 0 when everything
 matches, 1 naming each difference, and 2 with one line when the
 comparison cannot be made: REV names no revision, or a side's
 ``dualspike`` does not import from its own tree.  Standard library only.
@@ -176,6 +181,42 @@ def peak_rss(rev, old, new):
             f"{largest(new, command)} in the tree" for _, (command, *_) in COMMANDS]
 
 
+def iterations(files):
+    """The iterations of the solve behind a command's artifacts: the rows of
+    ``convergence.csv``, or ``rows=`` on the key line of ``reference.csv``;
+    None when neither says."""
+    if "convergence.csv" in files:
+        return len(csv_table(files["convergence.csv"])[1])
+    for line in files.get("reference.csv", b"").splitlines():
+        if line.startswith(b"# key=") and b" rows=" in line:
+            return int(line.rpartition(b" rows=")[2])
+    return None
+
+
+def solve_lengths(rev, old, new):
+    """One line per command and seed whose solve ran a different number of
+    iterations at ``rev`` and in the tree (``iterations``)."""
+    lines = []
+    for (command, seed), (_, _, old_files, *_) in old.items():
+        before, after = iterations(old_files), iterations(new[command, seed][2])
+        if before != after:
+            lines.append(f"{command} seed {seed}: the solve ran {before} iterations at {rev}, "
+                         f"{after} in the tree")
+    return lines
+
+
+def shared_solves(rev, old, new):
+    """One line per seed: how many commands of the shared-directory pass
+    solved the reference at ``rev`` and in the tree.  A command that solved
+    lists ``reference.csv`` on stdout."""
+    def solved(results, seed):
+        return sum(command.startswith("shared ") and "reference.csv" in stdout.splitlines()
+                   for (command, at), (_, stdout, *_) in results.items() if at == seed)
+
+    return [f"shared pass seed {seed}: reference solves {solved(old, seed)} at {rev}, "
+            f"{solved(new, seed)} in the tree" for seed in SEEDS]
+
+
 def without_key(data):
     """The bytes of ``data`` without its lines that start with ``# key=``."""
     return b"".join(line for line in data.splitlines(keepends=True)
@@ -280,7 +321,8 @@ def main(argv=None):
         copy_tree(ROOT, tmp / "new")
         old = run_all(tmp / "rev", tmp / "out-rev")
         new = run_all(tmp / "new", tmp / "out-new")
-    for line in peak_rss(rev, old, new):
+    for line in [*peak_rss(rev, old, new), *solve_lengths(rev, old, new),
+                 *shared_solves(rev, old, new)]:
         print(line)
     found = compared(rev, old, new)
     for line, detail in found:
