@@ -107,21 +107,17 @@ def phi_singular_values(grid: SampleGrid, kernel: Kernel, locations):
 
 
 def location_perturbation_limit_log10(sigma, n_samples, sigma_max_phi, sigma_min_phi):
-    """log10 of the support-perturbation radius under which the amplitude
-    bound applies."""
+    """Support-perturbation radius under which the amplitude bound applies,
+    as (log10, linear); the linear value is 0.0 where it would underflow
+    (log10 at or below -300)."""
     if not (sigma_max_phi >= sigma_min_phi > 0):
         raise ValueError("need sigma_max >= sigma_min > 0")
     ratio_sq = (sigma_min_phi / sigma_max_phi) ** 2
     # sqrt(1 + x) - 1 rewritten to survive x underflowing below epsilon
     bracket = ratio_sq / (math.sqrt(1.0 + ratio_sq) + 1.0)
-    return (math.log10(sigma_max_phi * bracket)
-            - phi_shift_lipschitz_log10(sigma, n_samples))
-
-
-def location_perturbation_limit(sigma, n_samples, sigma_max_phi, sigma_min_phi):
-    """Linear value of the perturbation radius (0.0 when it underflows)."""
-    log10 = location_perturbation_limit_log10(sigma, n_samples, sigma_max_phi, sigma_min_phi)
-    return 10.0**log10 if log10 > -LINEAR_LOG10_LIMIT else 0.0
+    log10 = (math.log10(sigma_max_phi * bracket)
+             - phi_shift_lipschitz_log10(sigma, n_samples))
+    return log10, 10.0**log10 if log10 > -LINEAR_LOG10_LIMIT else 0.0
 
 
 def curvature_floor(curvature, sigma, dual_norm):
@@ -343,10 +339,9 @@ def full_report(src: SourceModel, grid: SampleGrid, kernel: Kernel,
         amp_norm = float(np.linalg.norm(src.amplitudes))
         report.amp_rate_log10, report.amp_rate_linear = amplitude_error_rate_log10(
             sigma, m, amp_norm, report.sigma_min_phi)
-        report.perturbation_limit_log10 = location_perturbation_limit_log10(
-            sigma, m, report.sigma_max_phi, report.sigma_min_phi)
-        report.perturbation_limit = location_perturbation_limit(
-            sigma, m, report.sigma_max_phi, report.sigma_min_phi)
+        report.perturbation_limit_log10, report.perturbation_limit = (
+            location_perturbation_limit_log10(sigma, m, report.sigma_max_phi,
+                                              report.sigma_min_phi))
     else:
         report.errors["amp_rate_log10"] = "translate matrix is singular"
 

@@ -129,11 +129,12 @@ class MaximizerSet:
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_tables(kernel: Kernel, samples: bytes):
-    """The ``DEFAULT_GRID_POINTS``-point scan of [0,1], phi at (scan -
-    sample), and phi' at the first two and last two scan points, all
-    read-only.  Kept for the last arguments asked for: every solve, curve
-    and recovery of a process shares one (grid, kernel)."""
+def _scan_tables(sigma, samples: bytes):
+    """The ``DEFAULT_GRID_POINTS``-point scan of [0,1], and phi at (scan -
+    sample) and phi' at its first two and last two points for the kernel of
+    width ``sigma``, all read-only.  Kept for the last (sigma, samples)
+    asked for: every solve, curve and recovery of a process shares one."""
+    kernel = Kernel(sigma)
     scan = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     samples = np.frombuffer(samples)
     tables = (scan, kernel.value(scan[:, None] - samples),
@@ -149,8 +150,8 @@ class CertificateGrid:
     Holds phi(t_i - s_j) on the uniform ``DEFAULT_GRID_POINTS`` scan of
     [0,1], so that repeated suprema (one per bundle problem and iteration)
     reduce to a matrix-vector product each, plus Newton runs from the scan
-    local maxima.  The tables are read-only and kept for the last (samples,
-    kernel) a grid was made for, so a process that works on one input
+    local maxima.  The tables are read-only and kept for the last (sigma,
+    samples) a grid was made for, so a process that works on one input
     builds them once.  A kernel narrower than ``MIN_SIGMA_STEPS`` scan
     spacings (``min_kernel_width``) raises ValueError: the scan would not
     show each of its bumps as a local maximum.
@@ -163,7 +164,7 @@ class CertificateGrid:
         self.grid = grid
         self.kernel = kernel
         # end_slope is phi' in the end cells, for the bumps hiding there
-        self.scan, self.table, self.end_slope = _scan_tables(kernel, grid.samples.tobytes())
+        self.scan, self.table, self.end_slope = _scan_tables(kernel.sigma, grid.samples.tobytes())
 
     def values(self, weights):
         return self.table @ weights

@@ -26,21 +26,13 @@ _FACTORS = {1: lambda t, s2: -2.0 * t / s2,
 
 class Kernel:
     """Gaussian kernel of width ``sigma`` on the same scale as locations.
-    Kernels of one width are equal and hash alike: the scan cache and a
-    batch's check compare them by value."""
+    Kernels compare by identity; what compares widths (the scan cache, a
+    batch's check) compares ``sigma``."""
 
     def __init__(self, sigma):
         if not sigma > 0:
             raise ValueError(f"kernel width must be positive, got {sigma}")
         self.sigma = sigma
-
-    def __eq__(self, other):
-        if other.__class__ is not Kernel:
-            return NotImplemented
-        return self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash(self.sigma)
 
     def value(self, t):
         """Evaluate exp(-t^2/sigma^2); accepts scalars or arrays.

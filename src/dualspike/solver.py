@@ -172,8 +172,8 @@ class CutModel:
     of cut rows per point (``_cuts``, ``_h``) with room for ``CUT_BLOCK``
     cuts, doubled whenever it fills but never past ``max_cuts`` cuts.
     Point p's row r is table row r, plus p times the room for a cut
-    (``_index``), so any gather of rows is one take; ``level_set`` copies a
-    point's cuts after the box rows of one dense buffer.  ``minima`` solves
+    (``_index``), so any gather of rows is one take; ``level_set`` gathers
+    a point's box and cut rows into new arrays.  ``minima`` solves
     each LP by the dual simplex method on a basis of n + 1 rows B, kept
     with multipliers y >= 0 such that e_t + G_B^T y = 0 (dual feasible) and
     with its vertex z = G_B^-1 h_B.  Each pivot solves two systems with G_B
@@ -216,7 +216,6 @@ class CutModel:
             cuts[new, :size], h[new, :size], repeat[new, :size] = (
                 self._cuts[old, :size], self._h[old, :size], self._repeat[old, :size])
         self._rows, self._rhs, self._cuts, self._h, self._repeat = rows, rhs, cuts, h, repeat
-        self._dense = np.concatenate((rows[:n_box, :-1], np.empty((room, width - 1))))
 
     def _index(self, points, rows):
         """Table indices of the model rows ``rows`` of ``points``, broadcast."""
@@ -225,12 +224,10 @@ class CutModel:
     def level_set(self, point, level):
         """(A, b) with {lam : A lam <= b} = {model <= level} for one point:
         the box rows (b = box_radius), then the cuts in the order they were
-        added (b = h + level).  A is the model's one dense buffer, which
-        holds the box rows and takes the point's cuts on each call (so it
-        is valid until the next call); b is a new array."""
-        a_mat = self._dense[:self._n_box + self.size]
-        a_mat[self._n_box:] = self._cuts[point, :self.size, :-1]
-        return a_mat, np.concatenate((self._rhs[:self._n_box], self._h[point, :self.size] + level))
+        added (b = h + level); both are new arrays, gathered from the table."""
+        n_box, size = self._n_box, self.size
+        return (np.concatenate((self._rows[:n_box, :-1], self._cuts[point, :size, :-1])),
+                np.concatenate((self._rhs[:n_box], self._h[point, :size] + level)))
 
     def add(self, anchors, values, slopes):
         """Append one cut per point: value + slope.(lam - anchor), from the
@@ -443,7 +440,7 @@ def solve_batch(problems, max_iters: int, history=True):
     grid, kernel = first.measurements.grid, first.kernel
     for other in problems[1:]:
         if not (np.array_equal(other.measurements.grid.samples, grid.samples)
-                and other.kernel == kernel and other.penalty == first.penalty
+                and other.kernel.sigma == kernel.sigma and other.penalty == first.penalty
                 and other.box_radius == first.box_radius):
             raise ValueError("a batch shares grid, kernel, penalty and box_radius")
     m = grid.n_samples

@@ -232,10 +232,32 @@ class TestSolveBatch:
             assert (b_vec[:2 * m] == problem.box_radius).all()
 
     def test_mixed_problems_are_rejected(self):
+        # each problem brings its own Kernel: kernels of one width batch
+        # together, and a batch compares the widths
         clean = build_problem(three_spike_config())
-        other = build_problem(three_spike_config(pi=50.0))
-        with pytest.raises(ValueError, match="penalty"):
-            solve_batch([clean, other], 5)
+        assert clean.kernel is not build_problem(three_spike_config()).kernel
+        for change in (dict(pi=50.0), dict(sigma=np.nextafter(0.07, 1.0)),
+                       dict(samples=np.linspace(0.0, 0.95, 21)), dict(tau=1e4)):
+            other = build_problem(three_spike_config(**change))
+            with pytest.raises(ValueError, match="shares grid, kernel, penalty and box_radius"):
+                solve_batch([clean, other], 5)
+
+    def test_level_sets_are_owned_by_the_caller(self):
+        # two points of one batch: each call's A is a new array, so the
+        # first survives the second, and neither is a view of the model
+        model = solver.CutModel(2, 3, 1.0, 4)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            model.add(rng.normal(size=(2, 3)), rng.normal(size=2), rng.normal(size=(2, 3)))
+        first, first_b = model.level_set(0, 0.5)
+        kept = first.copy()
+        second, second_b = model.level_set(1, 0.5)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+        arrays = (first, first_b, second, second_b)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        assert not any(np.shares_memory(a, held) for a in arrays
+                       for held in (model._rows, model._rhs))
 
 
 def end_cell_weights(first):

@@ -155,23 +155,24 @@ class TestAmplitudeRate:
 
 class TestPerturbationLimit:
     def test_equal_singular_values(self):
-        got = bounds.location_perturbation_limit(0.5, 4, 2.0, 2.0)
+        log10, got = bounds.location_perturbation_limit_log10(0.5, 4, 2.0, 2.0)
         prefactor = 0.5**2 * 2.0 / (4.0 * math.exp(4.0 / 0.25) * 2.0)
         assert got == pytest.approx(prefactor * (math.sqrt(2.0) - 1.0), rel=1e-10)
+        assert got == 10.0**log10
 
     def test_vanishing_sigma_min(self):
-        wide = bounds.location_perturbation_limit(0.5, 4, 2.0, 2.0)
-        thin = bounds.location_perturbation_limit(0.5, 4, 2.0, 1e-9)
+        _, wide = bounds.location_perturbation_limit_log10(0.5, 4, 2.0, 2.0)
+        _, thin = bounds.location_perturbation_limit_log10(0.5, 4, 2.0, 1e-9)
         assert thin < 1e-9 * wide
 
     def test_narrow_kernel_log_value(self):
-        log10 = bounds.location_perturbation_limit_log10(0.07, 21, 3.0, 0.5)
+        log10, linear = bounds.location_perturbation_limit_log10(0.07, 21, 3.0, 0.5)
         assert log10 < -300.0
-        assert bounds.location_perturbation_limit(0.07, 21, 3.0, 0.5) == 0.0
+        assert linear == 0.0
 
     def test_ordering_validated(self):
         with pytest.raises(ValueError):
-            bounds.location_perturbation_limit(0.1, 4, 1.0, 2.0)
+            bounds.location_perturbation_limit_log10(0.1, 4, 1.0, 2.0)
 
 
 class TestCurvatureFloor:

@@ -65,7 +65,7 @@ def single_bump():
 
 @pytest.fixture
 def scan_points(monkeypatch):
-    """Sets the scan's point count.  The scan tables are cached by (kernel,
+    """Sets the scan's point count.  The scan tables are cached by (sigma,
     samples) alone, so the cache is emptied when the count changes and
     again at the end: no table of another count outlives the test."""
     def use(points):
@@ -388,7 +388,7 @@ class TestCertificateGrid:
         # the cache holds the scan, phi on it, and phi' at the first two
         # and last two scan points: no full phi' or phi'' table
         grid, kernel = SampleGrid.equispaced(5), Kernel(0.1)
-        tables = certificate._scan_tables(kernel, grid.samples.tobytes())
+        tables = certificate._scan_tables(kernel.sigma, grid.samples.tobytes())
         assert len(tables) == 3
         scan, table, end_slope = tables
         diffs = scan[:, None] - grid.samples[None, :]

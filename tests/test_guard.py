@@ -5,9 +5,9 @@ referenced from src/, perfbench/ or the acceptance gate, or be exported in
 there, or it is a constant, and left to its default by some call there,
 or the default is dead; and every attribute a class stores must be read
 there.  No module in src/ reaches into another's private names, and no
-class there works round a dataclass.  And src/ imports nothing from
-scipy: the runtime is numpy alone, and a serial command loads no
-multiprocessing."""
+class there works round a dataclass or defines its own equality or hash.
+And src/ imports nothing from scipy: the runtime is numpy alone, and a
+serial command loads no multiprocessing."""
 
 import ast
 import importlib.util
@@ -213,6 +213,58 @@ def test_dataclass_workarounds_are_found(tmp_path):
         "module.Grid: object.__setattr__",
         "module.Box: @dataclass with its own __init__",
         "module.thaw: object.__setattr__"]
+
+
+def value_protocols(paths):
+    """One line per class in ``paths`` whose body defines ``__eq__`` or
+    ``__hash__``, by a ``def`` or an assignment."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            found.extend(f"{path.stem}.{node.name}.{name}"
+                         for name in ("__eq__", "__hash__") if name in names)
+    return found
+
+
+def test_no_value_protocol_in_src():
+    # objects in src/ compare by identity: where a value decides (a
+    # kernel's width, a batch's grid), the code compares that value, so
+    # one place says what counts as the same
+    assert value_protocols(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_value_protocols_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("class Width:\n"
+                      "    def __init__(self, sigma):\n"
+                      "        self.sigma = sigma\n"
+                      "    def __eq__(self, other):\n"
+                      "        return self.sigma == other.sigma\n"
+                      "    def __hash__(self):\n"
+                      "        return hash(self.sigma)\n"
+                      "class Unhashable:\n"
+                      "    __hash__ = None\n"
+                      "class Outer:\n"
+                      "    class Inner:\n"
+                      "        def __eq__(self, other):\n"
+                      "            return True\n"
+                      "class Plain:\n"
+                      "    def equals(self, other):\n"
+                      "        return self is other\n"
+                      "def __eq__(left, right):\n"
+                      "    return left is right\n")
+    assert value_protocols([module]) == [
+        "module.Width.__eq__", "module.Width.__hash__", "module.Unhashable.__hash__",
+        "module.Inner.__eq__"]
 
 
 def defaulted_parameters(path):
