@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualspike import bounds, experiments, solver
-from dualspike.cli import (EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, _build_parser,
-                           main)
+from dualspike.cli import (EXIT_CONFIG, EXIT_NO_SUPPORT, EXIT_OK, EXIT_SOLVER, _parse, main)
 from dualspike.config import _KNOWN_KEYS, ExperimentConfig, load_config, parse_config
 from dualspike.errors import ConfigError, DualSpikeError
 
@@ -162,13 +161,11 @@ class TestCheckedInConfigs:
         # the benchmark's command lines, as its runner completes them, parse
         # with this CLI, and the configs they name load
         workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
-        parser = _build_parser()
         for workload in workloads.values():
             config = str(ROOT / workload.config)
             load_config(config)
             for command in workload.commands:
-                parser.parse_args([*command, "--config", config, "--out", "out",
-                                   "--seed", "0"])
+                _parse([*command, "--config", config, "--out", "out", "--seed", "0"])
 
 
 _SPECIAL = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e308", "-1e308",
@@ -531,3 +528,103 @@ class TestCli:
                 for field in line.split(" = ", 1)[1].split(","):
                     if field:
                         float(field)
+
+
+COMMANDS = ("solve", "exp-lambda-t", "exp-t-a", "exp-noise", "bounds")
+
+
+class TestCommandLine:
+    """The command line as users type it: the commands, their flags, help,
+    and the usage errors that stop before any config is read."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        # a valid config outside the working directory, which starts empty
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        return str(cfg_path)
+
+    @pytest.fixture
+    def driver_calls(self, monkeypatch):
+        """(command's driver, seed, iterations, out, keyword arguments) per
+        driver call; each driver is replaced after import and writes nothing."""
+        calls = []
+        for name in ("run_solve", "run_lambda_t", "run_t_a", "run_noise", "run_bounds"):
+            def spy(cfg, out_dir, name=name, **kwargs):
+                calls.append((name, cfg.seed, cfg.iterations, out_dir, kwargs))
+                return [], None
+            monkeypatch.setattr(experiments, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["fit", "--config", "CFG"],
+        ["solve"],
+        ["solve", "--out", "o"],
+        ["solve", "--config", "CFG", "--bogus", "1"],
+        ["solve", "--config", "CFG", "--jobs", "2"],
+        ["solve", "--config", "CFG", "--seed", "x"],
+        ["exp-noise", "--config", "CFG", "--jobs", "two"],
+        ["bounds", "--config", "CFG", "--iters"],
+        ["--config", "CFG", "solve"],
+        ["solve", "--config", "CFG", "extra"],
+    ])
+    def test_usage_error(self, config, capsys, args):
+        # exit 2 by SystemExit, the usage and one error line on stderr, and
+        # no output directory
+        with pytest.raises(SystemExit) as exc:
+            main([config if arg == "CFG" else arg for arg in args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: dualspike")
+        assert [line for line in lines if ": error: " in line] == [lines[-1]]
+        assert lines[-1].startswith("dualspike")
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("args", [["--help"], ["-h"]])
+    def test_help_names_every_command(self, config, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: dualspike")
+        assert all(name in captured.out for name in COMMANDS)
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_names_its_flags(self, config, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: dualspike") and command in out
+        flags = ("--config", "--out", "--seed", "--iters", "-h")
+        assert all(flag in out for flag in flags + (("--jobs",) if command == "exp-noise" else ()))
+        assert os.listdir() == []
+
+    def test_flag_forms(self, config, driver_calls):
+        # --flag value and --flag=value, unique prefixes, the last of a
+        # repeated flag, a negative number as a value; --out defaults to out
+        assert main(["solve", "--conf", config, "--iters=5", "--seed", "1", "--seed=4"]) == EXIT_OK
+        assert main(["exp-noise", f"--config={config}", "--o", "sweep", "--jobs", "2",
+                     "--j=3"]) == EXIT_OK
+        assert main(["bounds", "--se", "0", "--config", config, "--out=b", "--i", "0"]) == EXIT_OK
+        assert driver_calls == [("run_solve", 4, 5, "out", {}),
+                                ("run_noise", 3, 60, "sweep", {"jobs": 3}),
+                                ("run_bounds", 0, 0, "b", {})]
+        assert sorted(os.listdir()) == ["b", "out", "sweep"]
+
+    @pytest.mark.parametrize("command,driver", zip(COMMANDS, ("run_solve", "run_lambda_t",
+                                                              "run_t_a", "run_noise",
+                                                              "run_bounds")))
+    def test_each_command_runs_its_driver(self, config, driver_calls, command, driver):
+        # looked up when the command runs: the replaced driver is the one run,
+        # and exp-noise alone passes --jobs, 1 by default
+        assert main([command, "--config", config]) == EXIT_OK
+        assert driver_calls == [(driver, 3, 60, "out",
+                                 {"jobs": 1} if command == "exp-noise" else {})]

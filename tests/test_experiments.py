@@ -65,6 +65,14 @@ def test_amplitude_rate_matches_report(artifacts):
     assert {float(row["amp_rate_log10"]) for row in t_a} == {report["amp_rate_log10"]}
 
 
+def test_noise_location_error(artifacts):
+    # the distance from each point's refined peaks to the true sources: far
+    # under the source spacing, and larger at the larger noise
+    noise, _, _, _ = artifacts
+    low, high = (float(row["loc_err"]) for row in noise)
+    assert 0.0 < low < 1e-4 and low < high < 1e-3
+
+
 @pytest.fixture
 def table_builds():
     """Scan-table builds from here on, as a process would count them from

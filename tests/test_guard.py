@@ -6,8 +6,8 @@ there, or it is a constant, and left to its default by some call there,
 or the default is dead; and every attribute a class stores must be read
 there.  No module in src/ reaches into another's private names, and no
 class there works round a dataclass or defines its own equality or hash.
-And src/ imports nothing from scipy: the runtime is numpy alone, and a
-serial command loads no multiprocessing."""
+And src/ imports nothing from scipy: the runtime is numpy alone, a
+serial command loads no multiprocessing, and no command loads argparse."""
 
 import ast
 import importlib.util
@@ -551,3 +551,25 @@ def test_commands_load_no_openssl(tmp_path):
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert ast.literal_eval(result.stdout.strip().splitlines()[-1]) == [
         (command, []) for command in ("solve", "exp-lambda-t", "exp-t-a", "bounds", "exp-noise")]
+
+
+NO_ARGPARSE = """\
+import sys
+from dualspike.cli import main
+for command, iters in (("solve", "280"), ("exp-lambda-t", "280"), ("exp-t-a", "280"),
+                       ("bounds", "280"), ("exp-noise", "20")):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2], "--iters", iters]) == 0
+print("argparse" in sys.modules)
+"""
+
+
+def test_commands_load_no_argparse(tmp_path):
+    # every command, in a fresh interpreter: the command line is read with
+    # getopt, so no command loads argparse and builds a parser of five
+    # subcommands (about 0.45 MB of a stability3 process)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    result = subprocess.run([sys.executable, "-c", NO_ARGPARSE, str(config), str(tmp_path)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.stdout.strip().splitlines()[-1] == "False"

@@ -24,6 +24,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             SourceModel([0.2, 0.4], [1.0, 0.0])
 
+    def test_source_model_range_is_closed(self):
+        SourceModel([0.0, 1.0], [1.0, 1.0])
+        for outside in (-np.nextafter(0.0, 1.0), np.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+                SourceModel([outside], [1.0])
+
     def test_sample_grid_validation(self):
         with pytest.raises(ValueError):
             SampleGrid([0.5, 0.4])

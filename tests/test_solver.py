@@ -177,6 +177,17 @@ class TestModelMinimum:
         assert nu == pytest.approx(2.0 - tau * np.abs(slope).sum(), abs=1e-9)
         np.testing.assert_allclose(argmin, -tau * np.sign(slope), atol=1e-9)
 
+    def test_first_cut_from_data_with_negative_entries(self):
+        # the first cut is taken at lam = 0, where its slope is -y: where y
+        # is negative (here past its first entry) the slope is positive, and
+        # the closed-form first basis puts lam on the lower bound there
+        tau = 2.0
+        y = np.array([0.5, -0.75, 0.25, -1.5])
+        model = CutModel(1, y.size, tau, 4)
+        add_cut(model, Cut(np.zeros(y.size), 0.0, -y))
+        assert model.minima()[0] == pytest.approx(-tau * np.abs(y).sum(), abs=1e-12)
+        np.testing.assert_array_equal(lp_argmin(model), tau * np.sign(y))
+
     def test_duplicate_cuts(self):
         rng = np.random.default_rng(25)
         cut = Cut(rng.normal(size=3), 1.0, rng.normal(size=3))
