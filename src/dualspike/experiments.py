@@ -194,7 +194,8 @@ def reference_run(cfg: ExperimentConfig, iterations, out_dir):
     projected iterates as one (n, m) array, its last row the reference
     dual vector, and ``report`` from ``bounds.full_report``, the one place
     the constants the drivers compare against (location rates, amplitude
-    rate, reduced-Jacobian sigma_min) are computed.  A solve that ran no
+    rate, reduced-Jacobian sigma_min) are computed, from the solved
+    problem's grid, kernel, penalty and box.  A solve that ran no
     iteration leaves the zero vector, not a reference: DualSpikeError
     (exit code 3) naming ``iterations``.  So does a penalty too small for
     the data (``_check_penalty``).
@@ -226,8 +227,8 @@ def reference_run(cfg: ExperimentConfig, iterations, out_dir):
                              f"(iterations = {iterations})")
     _check_penalty(problem, iterates[-1])
     paths = [_save_reference(cfg, out_dir, iterates, key)] if solved else []
-    report = bounds.full_report(cfg.source_model(), cfg.sample_grid(), cfg.kernel(),
-                                iterates[-1], cfg.pi, cfg.tau)
+    report = bounds.full_report(cfg.source_model(), problem.measurements.grid, problem.kernel,
+                                iterates[-1], problem.penalty, problem.box_radius)
     return paths, problem, iterates, report
 
 
@@ -255,11 +256,13 @@ def reference_window(cfg: ExperimentConfig, out_dir):
     Returns (paths, problem, report, window): ``paths`` and ``report`` are
     the reference run's (the record it wrote, if any, and its constants
     report), and ``window`` lists, for each iteration p from
-    ``WINDOW_START`` to ``WINDOW_END``, the tuple (p, dual_err, in_window,
-    peaks) of the p-th iterate against the final one, ``peaks`` its
-    certificate refined from each source (NaN where that fails), the whole
-    window in one ``refine_peaks`` call.  The iteration cap must exceed
-    ``WINDOW_END``; ConfigError otherwise.
+    ``WINDOW_START`` to ``WINDOW_END``, or to the solve's last iteration
+    when it stopped before, the tuple (p, dual_err, in_window, peaks) of
+    the p-th iterate against the final one, ``peaks`` its certificate
+    refined from each source (NaN where that fails), the whole window in
+    one ``refine_peaks`` call.  One slice of the iterates bounds the
+    window, and its rows are numbered from ``WINDOW_START`` along it.  The
+    iteration cap must exceed ``WINDOW_END``; ConfigError otherwise.
     """
     iterations = _iterations(cfg, DEFAULT_ITERS)
     if iterations <= WINDOW_END:
@@ -272,8 +275,8 @@ def reference_window(cfg: ExperimentConfig, out_dir):
     peaks, _, _ = refine_peaks(problem.kernel, problem.measurements.grid.samples, window,
                                cfg.source_model().locations)
     errors = [float(np.linalg.norm(iterate - best)) for iterate in window]
-    return paths, problem, report, [(p, err, int(err >= threshold), row) for p, err, row in
-                                    zip(range(WINDOW_START, WINDOW_END + 1), errors, peaks)]
+    return paths, problem, report, [(p, err, int(err >= threshold), row) for p, (err, row) in
+                                    enumerate(zip(errors, peaks), WINDOW_START)]
 
 
 def run_lambda_t(cfg: ExperimentConfig, out_dir):
@@ -342,8 +345,9 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     The clean reference and every sweep point run for the same iteration
     count (default 100).  Each point draws its noise from seed + index, so
     points are reproducible independently of execution order.  The
-    ``noise_rate`` column is 2 / ``sigma_min_jacobian`` of the reference
-    report, inf when that singular value is 0, and the restricted errors
+    ``noise_rate`` column is the reference report's ``noise_rate``, 2 /
+    ``sigma_min_jacobian``, and inf where that singular value is 0 (the
+    report leaves the rate None there); the restricted errors
     run over the report's ``selected_samples``.  The points run in at most
     ``jobs`` worker processes, one per point at most, each solving a
     contiguous chunk of points in lockstep (``solver.solve_batch``); a
@@ -355,8 +359,7 @@ def run_noise(cfg: ExperimentConfig, out_dir, jobs=1):
     iters = _iterations(cfg, DEFAULT_NOISE_ITERS)
     grid_vals = noise_grid()
     paths, _, iterates, report = reference_run(cfg, iters, out_dir)
-    smallest = _constant(report, "sigma_min_jacobian")
-    noise_rate = 2.0 / smallest if smallest > 0 else float("inf")
+    noise_rate = report.noise_rate if _constant(report, "sigma_min_jacobian") > 0 else float("inf")
     selected = report.selected_samples
     src = cfg.source_model()
     ref = iterates[-1]

@@ -280,10 +280,13 @@ def project_polyhedron(point, a_mat, b_vec, warm):
     fails it lies within round-off of the set, and is projected once more.
     Rows are normalized, so the feasibility tolerance max(1e-12,
     1e-14 |point|) is a distance; a point within it is returned as an
-    unchanged copy.  The result is checked against max(1e-12,
-    1e-14 max(|point|, |x|)).  Raises InfeasibleError when the set is empty
-    at that tolerance (a zero row with a negative bound included) and
-    NoConvergenceError when the NNLS runs out of steps.
+    unchanged copy.  The function takes ``a_mat`` and ``b_vec`` over and
+    normalizes them in place, each row and its bound divided by the row's
+    norm: a caller that reads them afterwards passes copies.  The result
+    is checked against max(1e-12, 1e-14 max(|point|, |x|)).  Raises
+    InfeasibleError when the set is empty at that tolerance (a zero row
+    with a negative bound included) and NoConvergenceError when the NNLS
+    runs out of steps.
     """
     point = np.asarray(point, dtype=float)
     a_mat = np.asarray(a_mat, dtype=float)
@@ -295,8 +298,8 @@ def project_polyhedron(point, a_mat, b_vec, warm):
             raise InfeasibleError("constraint set is empty (a zero row)")
         b_vec = np.where(norms > 0.0, b_vec, 0.0)
         norms = np.where(norms > 0.0, norms, 1.0)
-    a_mat = a_mat / norms[:, None]
-    b_vec = b_vec / norms
+    a_mat /= norms[:, None]
+    b_vec /= norms
     x, feasible = _least_distance(point, a_mat, b_vec, warm)
     if not feasible:
         x, feasible = _least_distance(x, a_mat, b_vec, warm)

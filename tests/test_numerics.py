@@ -284,6 +284,20 @@ class TestProjection:
         out = project_polyhedron(p, *with_box(a, np.array([0.0]), 3, 10.0), WarmStart())
         np.testing.assert_allclose(out, [0.0, 0.3, -0.4], atol=1e-12)
 
+    def test_takes_the_level_set_over(self):
+        # the caller's rows and bounds are normalized where they are: unit
+        # rows, each bound divided by its row's norm, and no second copy
+        rng = np.random.default_rng(11)
+        a, b = feasible_instance(rng, 5, 3, box=10.0)
+        scales = rng.uniform(0.01, 100.0, size=5)
+        a_mat, b_vec = with_box(a * scales[:, None], b * scales, 3, 10.0)
+        norms = np.linalg.norm(a_mat, axis=1)
+        scaled = b_vec / norms
+        assert not np.allclose(norms, 1.0)
+        project_polyhedron(rng.normal(size=3) * 30.0, a_mat, b_vec, WarmStart())
+        np.testing.assert_allclose(np.linalg.norm(a_mat, axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(b_vec, scaled, rtol=1e-15)
+
     def test_against_penalty_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

@@ -3,6 +3,7 @@ nothing to compare, apart from 1, which means that outputs differ."""
 
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -395,3 +396,138 @@ def test_pairs_bad_revision_is_named():
     assert proc.stdout == ""
     assert proc.stderr.startswith("cannot read revision nosuchrev: ")
     assert proc.stderr.count("\n") == 1
+
+
+ENV_PROBE = """
+import os
+(out / "env.txt").write_text(repr((os.environ.get("PYTHONPYCACHEPREFIX"),
+                                   "PYTHONDONTWRITEBYTECODE" in os.environ,
+                                   sys.dont_write_bytecode)))
+"""
+
+
+def test_children_cache_bytecode_in_their_copy(tmp_path, monkeypatch, capsys):
+    # whatever this shell sets, a side's children write their bytecode to a
+    # cache inside that side's copy, and the policy is printed to stderr
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    same_outputs = load_same_outputs()
+    tree = stub_tree(tmp_path / "tree", False)
+    with open(tree / "src" / "dualspike" / "cli.py", "a") as fh:
+        fh.write(ENV_PROBE)
+    results = same_outputs.run_all(tree, tmp_path / "out")
+    cache = tree / same_outputs.PYCACHE
+    assert {files["env.txt"] for _, _, files, *_ in results.values() if files} == {
+        repr((str(cache), False, False)).encode()}
+    assert list(cache.rglob("dualspike/__init__.*.pyc"))
+    assert not list(tree.rglob("__pycache__"))
+
+    monkeypatch.setattr(same_outputs, "run_all", lambda tree, out_root: results)
+    monkeypatch.setattr(same_outputs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(same_outputs, "copy_tree", lambda root, dest: None)
+    assert same_outputs.main(["abc123"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bytecode: ")
+    assert "PYTHONPYCACHEPREFIX" in err[0] and "without PYTHONDONTWRITEBYTECODE" in err[0]
+
+
+STUB_PERFBENCH = """\
+import importlib.util, json, os, sys
+from pathlib import Path
+
+sys.path.insert(0, "src")
+cached = importlib.util.cache_from_source(str(Path("src/probe.py").resolve()))
+warm = os.path.exists(cached)
+import probe
+with open(LOG, "a") as fh:
+    fh.write(json.dumps([os.getcwd(), os.environ.get("PYTHONPYCACHEPREFIX"),
+                         "PYTHONDONTWRITEBYTECODE" in os.environ, cached, warm]) + "\\n")
+print(json.dumps({"failed": 0, "metrics": {"wall_s": {"value": probe.VALUE}}}))
+"""
+
+
+def test_pairs_cache_bytecode_and_warm_it(monkeypatch, tmp_path, capsys):
+    # on a throwaway repo whose perfbench imports a module of its src/:
+    # each side's runs cache their bytecode in that side's copy, one
+    # untimed run per side comes first, and every timed run finds the
+    # cache warm
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench_pairs = load_bench_pairs(monkeypatch)
+    root, log = tmp_path / "root", tmp_path / "runs.log"
+    files = {"perfbench/run.py": f"LOG = {str(log)!r}\n{STUB_PERFBENCH}",
+             "src/probe.py": "VALUE = 1.0\n",
+             "BENCHMARK.json": '{"end_to_end": [{"name": "wall_s", "unit": "s", '
+                               '"better": "lower"}]}\n'}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "stub"], check=True)
+    monkeypatch.setattr(sys.modules["same_outputs"], "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    assert bench_pairs.main(["HEAD", "w", "--pairs", "2", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("bytecode: ") and "PYTHONPYCACHEPREFIX" in out[0]
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    sides = sorted({cwd for cwd, *_ in runs})
+    assert len(runs) == 6 and len(sides) == 2
+    for side in sides:
+        mine = [run for run in runs if run[0] == side]
+        cache = str(Path(side) / sys.modules["same_outputs"].PYCACHE)
+        assert [(prefix, dont) for _, prefix, dont, _, _ in mine] == [(cache, False)] * 3
+        assert all(Path(cached).is_relative_to(cache) for *_, cached, _ in mine)
+        assert [warm for *_, warm in mine] == [False, True, True]
+    # the warm-ups run before any pair
+    assert {runs[0][0], runs[1][0]} == set(sides)
+
+
+LAMBDA_T = (b"# config=0123456789ab seed=0 rng=pcg64\n"
+            b"iter,source,loc_err,dual_err,in_window,note\n"
+            b"20,1,1e-05,0.5,1,\n20,2,2e-05,0.5,1,\n21,1,,0.4,0,refine_failed\n"
+            b"21,2,1e-06,0.4,1,\n")
+
+
+def test_moved_verdicts_are_listed():
+    # rows keyed by iter and source, or by w_c; only in_window and note
+    # count, and a row one side lacks is left to the row count
+    same_outputs = load_same_outputs()
+    moved = (LAMBDA_T.replace(b"20,2,2e-05,0.5,1,", b"20,2,2.5e-05,0.5,0,")
+             .replace(b"21,1,,0.4,0,refine_failed", b"21,1,3e-06,0.4,1,")
+             .replace(b"21,2,1e-06,0.4,1,\n", b""))
+    assert same_outputs.moved_verdicts("abc123", LAMBDA_T, moved, ("iter", "source")) == [
+        'iter 20, source 2: in_window "1" at abc123, "0" in the tree',
+        'iter 21, source 1: in_window "0" at abc123, "1" in the tree; '
+        'note "refine_failed" at abc123, "" in the tree']
+    noted = SWEEP.replace(b"0.1,2.5e-07,", b"0.1,,refine_failed")
+    assert same_outputs.moved_verdicts("abc123", SWEEP, noted, ("w_c",)) == [
+        'w_c 0.1: note "" at abc123, "refine_failed" in the tree']
+    # a value that moves without a verdict lists nothing
+    assert same_outputs.moved_verdicts("abc123", SWEEP, SWEEP.replace(b"1.5e-08", b"1.6e-08"),
+                                       ("w_c",)) == []
+
+
+def test_moved_verdicts_inform_only(monkeypatch, capsys):
+    # under the artifact's "differs" line, after its sizes; the exit code
+    # is byte identity's, and other artifacts list no verdicts
+    same_outputs = load_same_outputs()
+    moved = LAMBDA_T.replace(b"20,2,2e-05,0.5,1,", b"20,2,2e-05,0.5,0,")
+
+    def run_all(tree, out_root):
+        new = "new" in tree.name
+        files = {"exp_lambda_t.csv": moved if new else LAMBDA_T,
+                 "other.csv": moved if new else LAMBDA_T}
+        return {(args[0], seed): (0, "", files, 30.0, 15.0)
+                for _, args in same_outputs.COMMANDS for seed in same_outputs.SEEDS}
+
+    monkeypatch.setattr(same_outputs, "run_all", run_all)
+    monkeypatch.setattr(same_outputs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(same_outputs, "copy_tree", lambda root, dest: None)
+    assert same_outputs.main(["abc123"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("solve seed 0: exp_lambda_t.csv differs")
+    assert out[at + 1:at + 4] == [
+        "    in_window: largest difference 1 absolute, 1 relative (1 of 4 rows differ)",
+        '    iter 20, source 2: in_window "1" at abc123, "0" in the tree',
+        "solve seed 0: other.csv differs"]
+    assert out[at + 4] == out[at + 1]

@@ -9,7 +9,12 @@ that both sides run from paths of the same length: the path alone moves
 ``peak_rss_mb``.  It then runs ``perfbench/run.py
 --workload WORKLOAD --seed S --seconds 10 --trace 0`` from each copy in N
 pairs; the side that runs first alternates from pair to pair.  Each side
-runs its own ``perfbench/`` on its own ``src/``.  For each end-to-end
+runs its own ``perfbench/`` on its own ``src/``.  Every run writes its
+bytecode to a cache inside its side's copy (``PYTHONPYCACHEPREFIX``), with
+``PYTHONDONTWRITEBYTECODE`` left out of its environment, and one untimed
+run per side fills that cache before the pairs: set-up time and peak RSS
+then do not move with the length of the source text, whatever this shell
+sets.  The first line of the output states that policy.  For each end-to-end
 metric named in the tree's ``BENCHMARK.json`` it prints both sides'
 medians and quartiles and in how many pairs the tree did better (ties
 count for neither side), then a verdict per metric: "claim met" when the
@@ -31,17 +36,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-from same_outputs import ROOT, copy_tree, extract
+from same_outputs import ROOT, bytecode_env, bytecode_policy, copy_tree, extract
 
 SECONDS = 10
 
 
 def run_perfbench(tree, workload, seed):
-    """One untraced perfbench run from ``tree``: its result object (the
-    JSON last line), or None when the run failed."""
+    """One untraced perfbench run from ``tree``, its bytecode cached there
+    (``bytecode_env``): its result object (the JSON last line), or None
+    when the run failed."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, env=bytecode_env(tree), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         print(f"perfbench failed in {tree}: {proc.stderr.strip()}", file=sys.stderr)
@@ -134,6 +140,10 @@ def main(argv=None):
         rev_tree, tree = Path(rev_tmp), Path(tree_tmp)
         extract(args.rev, rev_tree)
         copy_tree(ROOT, tree)
+        print(bytecode_policy((rev_tree, tree)), flush=True)
+        # one untimed run per side fills its bytecode cache
+        for side in (rev_tree, tree):
+            run_perfbench(side, args.workload, args.seed)
         for k in range(args.pairs):
             order = (rev_tree, tree) if k % 2 == 0 else (tree, rev_tree)
             results = {side: run_perfbench(side, args.workload, args.seed) for side in order}

@@ -22,8 +22,11 @@ hashes changed package sources, is reported as differing only in its key
 line.  Under any other CSV artifact that differs, indented lines say by
 how much: a change in its row count, and per column, over the rows both
 sides hold, the largest absolute and relative difference, or, where a
-changed cell is not a finite number, how many rows differ.  They inform
-and decide nothing: byte identity stays the verdict.  Ahead of the
+changed cell is not a finite number, how many rows differ.  Under a
+differing ``exp_lambda_t.csv``, ``exp_t_a.csv`` or ``exp_noise.csv``,
+further indented lines name each row, keyed by ``iter`` and ``source`` or
+by ``w_c``, whose ``in_window`` or ``note`` moved.  They inform and decide
+nothing: byte identity stays the verdict.  Ahead of the
 comparison's result, and as information only: one line per command gives
 its largest peak RSS over the seeds on each side (from ``os.wait4``), a
 reading no larger than this process's own peak, which the child's reading
@@ -32,7 +35,12 @@ solve that ran a different number of iterations on the two sides (the rows
 of ``convergence.csv``, or ``rows=`` in ``reference.csv``); and one line
 per seed of the shared-directory pass gives how many of its commands
 solved the reference on each side, a command that solved listing
-``reference.csv`` on stdout.  Exits 0 when everything
+``reference.csv`` on stdout.  Every child writes its bytecode to a cache
+inside its side's copy (``PYTHONPYCACHEPREFIX``), and
+``PYTHONDONTWRITEBYTECODE`` is left out of the children's environment, so
+neither side compiles its sources on every start, whatever this shell
+sets; that policy is printed to stderr before the runs (stdout holds only
+the comparison).  Exits 0 when everything
 matches, 1 naming each difference, and 2 with one line when the
 comparison cannot be made: REV names no revision, or a side's
 ``dualspike`` does not import from its own tree.  Standard library only.
@@ -61,6 +69,13 @@ SEEDS = (0, 1, 2)
 # the shared-directory pass: these commands, in this order, into one directory
 SHARED = tuple(next(command for command in COMMANDS if command[1][0] == name)
                for name in ("exp-lambda-t", "exp-t-a", "bounds", "exp-noise"))
+# the artifacts whose rows carry a verdict, each with the columns that key
+# its rows, and the verdict columns
+VERDICT_KEYS = {"exp_lambda_t.csv": ("iter", "source"), "exp_t_a.csv": ("iter",),
+                "exp_noise.csv": ("w_c",)}
+VERDICT_COLUMNS = ("in_window", "note")
+# the children's bytecode cache, under each side's copy
+PYCACHE = ".pycache"
 
 
 def fail(message):
@@ -95,6 +110,24 @@ def copy_tree(root, dest):
         target = Path(dest, name)
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(source, target)
+
+
+def bytecode_env(tree):
+    """This process's environment for a child run from the copy at
+    ``tree``: bytecode written to and read from ``PYCACHE`` there
+    (``PYTHONPYCACHEPREFIX``), and no ``PYTHONDONTWRITEBYTECODE``."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tree / PYCACHE)
+    return env
+
+
+def bytecode_policy(trees):
+    """The header line that states the children's bytecode policy for the
+    copies ``trees``."""
+    caches = ", ".join(str(tree / PYCACHE) for tree in trees)
+    return (f"bytecode: each side's children cache it in {caches} (PYTHONPYCACHEPREFIX), "
+            f"without PYTHONDONTWRITEBYTECODE")
 
 
 def own_peak():
@@ -139,7 +172,7 @@ def run_all(tree, out_root):
     {artifact path: bytes}, peak RSS in MB, this process's peak RSS in
     MB).  A shared command's artifacts are the directory's after
     it, for the pass's last command, and none for the others."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env = dict(bytecode_env(tree), OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     where = subprocess.run([sys.executable, "-c", "import dualspike; print(dualspike.__file__)"],
                            cwd=tree, env=env, capture_output=True, text=True)
     if where.returncode:
@@ -276,11 +309,44 @@ def csv_changes(rev, old_data, new_data):
     return lines or ["every value is the same: only lines starting with # differ"]
 
 
+def moved_verdicts(rev, old_data, new_data, keys):
+    """One line per row of two CSV artifacts whose ``VERDICT_COLUMNS``
+    differ, the rows matched by their cells in the columns ``keys``, in
+    the order of the rows at ``rev``.  A row that one side lacks is left to
+    the row count of ``csv_changes``."""
+    def verdicts(data):
+        header, rows = csv_table(data)
+        if not set(keys) <= set(header):
+            return {}
+        named = [name for name in VERDICT_COLUMNS if name in header]
+
+        def cell(row, name):
+            # a short row, as a cut-off last line leaves, reads as empty cells
+            i = header.index(name)
+            return row[i] if i < len(row) else ""
+
+        return {tuple(cell(row, name) for name in keys): {name: cell(row, name) for name in named}
+                for row in rows}
+
+    before, after = verdicts(old_data), verdicts(new_data)
+    lines = []
+    for key, old_cells in before.items():
+        new_cells = after.get(key, {})
+        moved = [f'{name} "{value}" at {rev}, "{new_cells[name]}" in the tree'
+                 for name, value in old_cells.items()
+                 if name in new_cells and new_cells[name] != value]
+        if moved:
+            label = ", ".join(f"{name} {cell}" for name, cell in zip(keys, key))
+            lines.append(f"{label}: {'; '.join(moved)}")
+    return lines
+
+
 def compared(rev, old, new):
     """(line, detail lines) per exit code, stdout or artifact that differs;
     an artifact equal once its ``# key=`` lines are dropped differs only in
     its key line, and any other CSV artifact that differs has its
-    ``csv_changes`` as detail."""
+    ``csv_changes`` as detail, then, for the ``VERDICT_KEYS`` artifacts,
+    its ``moved_verdicts``."""
     found = []
     for (command, seed), (old_code, old_out, old_files, *_) in old.items():
         new_code, new_out, new_files, *_ = new[command, seed]
@@ -298,8 +364,13 @@ def compared(rev, old, new):
                 if without_key(old_files[name]) == without_key(new_files[name]):
                     found.append((f"{label}: {name} differs only in its key line", []))
                 else:
-                    found.append((f"{label}: {name} differs", csv_changes(
-                        rev, old_files[name], new_files[name]) if name.endswith(".csv") else []))
+                    detail = []
+                    if name.endswith(".csv"):
+                        detail = csv_changes(rev, old_files[name], new_files[name])
+                    if name in VERDICT_KEYS:
+                        detail += moved_verdicts(rev, old_files[name], new_files[name],
+                                                 VERDICT_KEYS[name])
+                    found.append((f"{label}: {name} differs", detail))
     return found
 
 
@@ -319,6 +390,7 @@ def main(argv=None):
             (tmp / side).mkdir()
         extract(rev, tmp / "rev")
         copy_tree(ROOT, tmp / "new")
+        print(bytecode_policy((tmp / "rev", tmp / "new")), file=sys.stderr)
         old = run_all(tmp / "rev", tmp / "out-rev")
         new = run_all(tmp / "new", tmp / "out-new")
     for line in [*peak_rss(rev, old, new), *solve_lengths(rev, old, new),
